@@ -45,9 +45,9 @@ class CriterionResult:
 
 
 def _timed(fn):
-    t0 = time.time()
+    t0 = time.perf_counter()
     passed, detail = fn()
-    return passed, detail, time.time() - t0
+    return passed, detail, time.perf_counter() - t0
 
 
 def criterion_graph_engine() -> tuple[bool, str]:

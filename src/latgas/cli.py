@@ -21,8 +21,8 @@ import numpy as np
 from . import acceptance, correlations, deviations, radii, series
 from .csvfmt import write_csv
 from .model import GuardError, LatticeSpec, PotentialSpec
-from .oracle import (exact_canonical_table, exact_correlations,
-                     grand_canonical_eval, transfer_matrix_table)
+from .oracle import (ENUMERATION_MAX_SITES, CanonicalTable, exact_canonical_table,
+                     exact_correlations, grand_canonical_eval, transfer_matrix_table)
 
 
 class ConfigError(ValueError):
@@ -140,16 +140,22 @@ def cmd_radii(cfg: dict, out: Path, threads: int) -> None:
         write_csv(out / f"radii_d{d}_J{float(coupling):g}.csv", rows)
 
 
+def _canonical_table(lattice: LatticeSpec, pot: PotentialSpec, beta: float,
+                     method: str = "auto") -> CanonicalTable:
+    """The exact oracle table.  ``auto`` picks the transfer matrix for d = 1
+    boxes past the enumeration guard, enumeration otherwise."""
+    if method == "transfer-matrix" or (method == "auto" and lattice.dimension == 1
+                                       and lattice.n_sites > ENUMERATION_MAX_SITES):
+        return transfer_matrix_table(lattice.side, pot, beta, lattice.boundary)
+    return exact_canonical_table(lattice, pot, beta)
+
+
 def cmd_oracle(cfg: dict, out: Path, threads: int) -> None:
     lattice, pot, beta = _parse_model(cfg)
     method = _get(cfg, "method", "auto")
     if method not in ("auto", "enumeration", "transfer-matrix"):
         raise ConfigError("key 'method' must be auto | enumeration | transfer-matrix")
-    if method == "transfer-matrix" or (method == "auto" and lattice.dimension == 1
-                                       and lattice.n_sites > 24):
-        table = transfer_matrix_table(lattice.side, pot, beta, lattice.boundary)
-    else:
-        table = exact_canonical_table(lattice, pot, beta)
+    table = _canonical_table(lattice, pot, beta, method)
     write_csv(out / "canonical_table.csv", table.csv_rows())
     if "mu" in cfg:
         gc = grand_canonical_eval(table, float(cfg["mu"]))
@@ -162,7 +168,7 @@ def cmd_series(cfg: dict, out: Path, threads: int) -> None:
     if not 1 <= order <= lattice.n_sites - 1:
         raise ConfigError("key 'order' must satisfy 1 <= order <= |Lambda|-1")
     particles = int(_get(cfg, "particles", order + 1))
-    table = exact_canonical_table(lattice, pot, beta)
+    table = _canonical_table(lattice, pot, beta)
     coeffs = series.extract_b_lambda(table, order)
     rows = [("n", "b_n", "beta_n", "B_Lambda_n", "F_coeff")]
     for n in range(1, order + 1):
@@ -191,10 +197,7 @@ def cmd_correlate(cfg: dict, out: Path, threads: int) -> None:
 
 def cmd_deviate(cfg: dict, out: Path, threads: int) -> None:
     lattice, pot, beta = _parse_model(cfg)
-    if lattice.dimension == 1 and lattice.n_sites > 24:
-        table = transfer_matrix_table(lattice.side, pot, beta, lattice.boundary)
-    else:
-        table = exact_canonical_table(lattice, pot, beta)
+    table = _canonical_table(lattice, pot, beta)
     if "mu0" in cfg:
         mu0 = float(cfg["mu0"])
     else:

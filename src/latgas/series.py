@@ -6,11 +6,24 @@ Conventions
   the unpinned sum over (Z^d)^n diverges by translation invariance.
 * ``irreducible_coefficient`` beta_n sums 2-connected graphs on n+1
   vertices with x_1 = 0.
-* Lattice sums run over the exact support region of the pinned cluster:
-  the l1 ball of radius (n-1) for the range-1 potential, the l-infinity
-  box of radius (n-1)R for the Kac kernel.  Both are exact truncations
-  because the Mayer function has finite support and the graphs are
-  connected.
+* Geometry is split from thermodynamics.  Two points are joined in the
+  support graph when they coincide or lie within range (squared
+  Euclidean distance <= R^2, for the Kac kernel as well); any other pair
+  has f = 0.  A connected graph, a 2-connected graph or a spanning tree
+  all of whose edges are joined exists only if the support graph is
+  connected, so the lattice sums run exactly over the pinned
+  configurations with connected support.  Those are grown from x_1 = 0
+  once per (n, d, R), independent of beta, and bucketed by their
+  pair-category pattern (out of range, in range, coincident) with
+  integer multiplicities.  Per pattern, each graph without an
+  out-of-range edge contributes (-1)^{#coincident edges} f^{#in-range
+  edges}, or w^{#in-range edges} to the tree sum, w = 1 - e^{-beta|V|}:
+  integer polynomials in f and in w.
+* Each beta then costs one polynomial evaluation.  b_n and beta_n are
+  evaluated exactly in rationals at the float f and rounded once: each is
+  the correctly rounded lattice sum at that f.  The tree-graph check
+  evaluates both sides per pattern in floats; its ``n_configs`` counts
+  the configurations evaluated, the ones with connected support.
 * Finite-volume coefficients B_Lambda(n) are extracted from an exact
   oracle table by solving the triangular system
       log Z(N) - log(|Lambda|^N / N!) = N * sum_n P_{N,|Lambda|}(n) B(n)/(n+1),
@@ -20,13 +33,15 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .graphs import enumerate_biconnected, enumerate_connected, enumerate_trees
+from .graphs import all_pairs, enumerate_biconnected, enumerate_connected, enumerate_trees
 from .model import GuardError, LatticeSpec, PotentialSpec, model_constants
 from .oracle import CanonicalTable
 from .powerseries import ps_compose, ps_exp, ps_mul, ps_revert
@@ -37,153 +52,106 @@ MAX_TREE_CHECK_ORDER = 5
 MAX_DERIVATIVE_ORDER = 6
 EXTENDED_PRECISION_SITES = 100
 
-_CHUNK = 200_000
-
 
 # ---------------------------------------------------------------------------
-# Mayer weights
+# Geometry: pinned configurations with connected support, by pair pattern
 
-def mayer_values(pot: PotentialSpec, beta: float) -> np.ndarray:
-    """f by pair category: index 0 = out of range, 1 = in range, 2 = coincident."""
-    return np.array([0.0, math.expm1(-beta * pot.bond_energy), -1.0])
-
-
-def tree_weight_values(pot: PotentialSpec, beta: float) -> np.ndarray:
-    """1 - exp(-beta|V|) by pair category (hard core gives exactly 1)."""
-    return np.array([0.0, -math.expm1(-beta * abs(pot.bond_energy)), 1.0])
-
-
-# ---------------------------------------------------------------------------
-# Pinned-cluster configuration sweeps (vectorized, chunked)
-
-def _support_points(d: int, reach: int, shape: str) -> np.ndarray:
-    pts = []
-    for p in itertools.product(range(-reach, reach + 1), repeat=d):
-        if shape == "l1" and sum(abs(c) for c in p) > reach:
-            continue
-        pts.append(p)
-    return np.array(pts, dtype=np.int64)
-
-
-def _config_blocks(n_points: int, d: int, pot: PotentialSpec, chunk: int = _CHUNK):
-    """Coordinate arrays (m, n_points, d) with x_1 = 0, rest in the support region."""
-    reach = (n_points - 1) * pot.support_radius
-    shape = "l1" if pot.kind == "standard" else "linf"
-    ball = _support_points(d, reach, shape)
-    K = len(ball)
-    total = K ** (n_points - 1)
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        coords = np.zeros((len(idx), n_points, d), dtype=np.int64)
-        rem = idx.copy()
-        for p in range(n_points - 1, 0, -1):
-            coords[:, p, :] = ball[rem % K]
-            rem //= K
-        yield coords
-
-
-def _pair_categories(coords: np.ndarray, pot: PotentialSpec) -> np.ndarray:
-    """(m, n(n-1)/2) int8 categories for all vertex pairs, pair index (i<j)."""
+def _pair_categories(coords: np.ndarray, radius: int) -> np.ndarray:
+    """(m, n(n-1)/2) int8 categories for all vertex pairs, pair index (i<j):
+    0 = out of range, 1 = in range, 2 = coincident."""
     m, n, _d = coords.shape
-    R2 = pot.support_radius ** 2
     cats = np.zeros((m, n * (n - 1) // 2), dtype=np.int8)
-    p = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            diff = coords[:, i, :] - coords[:, j, :]
-            r2 = np.einsum("md,md->m", diff, diff)
-            cats[:, p] = np.where(r2 == 0, 2, np.where(r2 <= R2, 1, 0))
-            p += 1
+    for p, (i, j) in enumerate(all_pairs(n)):
+        diff = coords[:, i, :] - coords[:, j, :]
+        r2 = np.einsum("md,md->m", diff, diff)
+        cats[:, p] = np.where(r2 == 0, 2, np.where(r2 <= radius ** 2, 1, 0))
     return cats
 
 
-def _pair_index(n: int) -> dict[tuple[int, int], int]:
-    idx = {}
-    p = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            idx[(i, j)] = p
-            p += 1
-    return idx
+def _connected_configs(n_points: int, d: int, radius: int) -> np.ndarray:
+    """(m, n_points, d) tuples with x_1 = 0 whose support graph is connected.
 
-
-def _graph_product_sum(fvals: np.ndarray, graphs: list[list[int]]) -> np.ndarray:
-    """sum over graphs of the product of f over each graph's pair indices."""
-    total = np.zeros(fvals.shape[0])
-    for edges in graphs:
-        prod = np.ones(fvals.shape[0])
-        for e in edges:
-            prod = prod * fvals[:, e]
-        total += prod
-    return total
-
-
-def _support_connected(cats: np.ndarray, n: int) -> np.ndarray:
-    """True where the in-range/coincidence support graph spans all n points.
-
-    A connected-graph sum vanishes identically on disconnected supports;
-    masking with this keeps those zeros exact instead of leaving rounding
-    residue from the partition recursion.
+    Grown from (0,) by inserting, at any position j >= 1, a site that
+    coincides with or is in range of a point already present.  This
+    reaches every connected tuple: a connected graph on >= 2 vertices has
+    a non-cut vertex other than x_1, and deleting it leaves a smaller
+    connected tuple.
     """
-    m = cats.shape[0]
-    adj = np.zeros((m, n, n), dtype=bool)
-    p = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            hit = cats[:, p] > 0
-            adj[:, i, j] = hit
-            adj[:, j, i] = hit
-            p += 1
-    reach = np.zeros((m, n), dtype=bool)
-    reach[:, 0] = True
-    for _ in range(n - 1):
-        reach = reach | np.einsum("mu,muv->mv", reach, adj)
-    return reach.all(axis=1)
+    box = range(-radius, radius + 1)
+    offsets = [v for v in itertools.product(box, repeat=d)
+               if sum(c * c for c in v) <= radius ** 2]
+    level = {((0,) * d,)}
+    for size in range(1, n_points):
+        grown = set()
+        for cfg in level:
+            sites = {tuple(a + b for a, b in zip(x, v)) for x in cfg for v in offsets}
+            for site in sites:
+                for j in range(1, size + 1):
+                    grown.add(cfg[:j] + (site,) + cfg[j:])
+        level = grown
+    return np.array(list(level), dtype=np.int64).reshape(len(level), n_points, d)
 
 
-def _connected_sum_partition(fvals: np.ndarray, n: int) -> np.ndarray:
-    """sum over connected spanning graphs of prod f, per configuration.
+@functools.lru_cache(maxsize=16)
+def _patterns(n_points: int, d: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct pair-category rows of the connected configurations, and
+    how many configurations share each row.  Read-only: the cache shares them."""
+    cats = _pair_categories(_connected_configs(n_points, d, radius), radius)
+    rows, mult = np.unique(cats, axis=0, return_counts=True)
+    rows.flags.writeable = mult.flags.writeable = False
+    return rows, mult
 
-    Uses the partition recursion C(S) = A(S) - sum_{T < S, T ni v} C(T) A(S\\T)
-    with A(S) the unconstrained product of (1+f) over pairs inside S; fully
-    equivalent to the explicit graph sum (asserted in tests) but O(3^n).
-    """
-    m = fvals.shape[0]
-    pidx = _pair_index(n)
-    one_plus = 1.0 + fvals
-    full = (1 << n) - 1
-    A: list[np.ndarray | None] = [None] * (full + 1)
-    A[0] = np.ones(m)
-    for S in range(1, full + 1):
-        v = (S & -S).bit_length() - 1
-        rest = S & ~(1 << v)
-        acc = A[rest].copy()
-        u = rest
-        while u:
-            w = (u & -u).bit_length() - 1
-            key = (v, w) if v < w else (w, v)
-            acc *= one_plus[:, pidx[key]]
-            u &= u - 1
-        A[S] = acc
-    C: list[np.ndarray | None] = [None] * (full + 1)
-    for S in range(1, full + 1):
-        v = (S & -S).bit_length() - 1
-        acc = A[S].copy()
-        # proper submasks of S containing v
-        rest = S & ~(1 << v)
-        T = rest
-        while True:
-            T = (T - 1) & rest
-            sub = T | (1 << v)
-            if sub == S:
-                if T == 0:
-                    break
-                continue
-            acc -= C[sub] * A[S & ~sub]
-            if T == 0:
-                break
-        C[S] = acc
-    return C[full]
+
+@functools.lru_cache(maxsize=48)
+def _graph_polys(kind: str, n_points: int, d: int, radius: int
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Multiplicities (U,) and integer coefficients (U, n(n-1)/2 + 1) of the
+    graph sum of class ``kind``, per pattern, as a polynomial in f (in w
+    for trees).  Read-only: the cache shares them."""
+    generate = {"connected": enumerate_connected, "biconnected": enumerate_biconnected,
+                "tree": enumerate_trees}[kind]
+    coincident = 1 if kind == "tree" else -1  # w = 1, f = -1 on a coincident pair
+    cats, mult = _patterns(n_points, d, radius)
+    pairs = {e: p for p, e in enumerate(all_pairs(n_points))}
+    graphs = list(generate(n_points))
+    incidence = np.zeros((len(graphs), len(pairs)), dtype=np.int64)
+    for row, g in enumerate(graphs):
+        incidence[row, [pairs[e] for e in g.edges]] = 1
+
+    def edges_in(category: int) -> np.ndarray:
+        return (cats == category).astype(np.int64) @ incidence.T
+
+    pattern, graph = np.nonzero(edges_in(0) == 0)
+    degree = edges_in(1)[pattern, graph]
+    sign = coincident ** edges_in(2)[pattern, graph]
+    polys = np.zeros((len(cats), len(pairs) + 1), dtype=np.int64)
+    np.add.at(polys, (pattern, degree), sign)
+    polys.flags.writeable = False
+    return mult, polys
+
+
+def _horner(polys: np.ndarray, x: float) -> np.ndarray:
+    """Row-wise sum_k polys[:, k] x^k in floats."""
+    acc = np.zeros(len(polys))
+    for k in range(polys.shape[1] - 1, -1, -1):
+        acc = acc * x + polys[:, k]
+    return acc
+
+
+def _lattice_sum(kind: str, n_points: int, d: int, pot: PotentialSpec,
+                 beta: float, scale: int) -> float:
+    """(1/scale) sum over pinned configurations and graphs of class ``kind``
+    of prod f: exact in rationals at the float f, rounded once."""
+    mult, polys = _graph_polys(kind, n_points, d, pot.support_radius)
+    f = Fraction(math.expm1(-beta * pot.bond_energy))
+    total = Fraction(0)
+    for c in reversed((mult @ polys).tolist()):
+        total = total * f + c
+    total /= scale
+    try:
+        return float(total)
+    except OverflowError:
+        return math.inf if total > 0 else -math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -195,37 +163,14 @@ def connected_coefficient(n: int, d: int, pot: PotentialSpec, beta: float) -> fl
         raise GuardError(f"connected coefficients guarded to n <= {MAX_B_ORDER}")
     if n == 1:
         return 1.0
-    lut = mayer_values(pot, beta)
-    pidx = _pair_index(n)
-    use_partition = n >= 5
-    graphs = None
-    if not use_partition:
-        graphs = [[pidx[e] for e in g.edge_list()] for g in enumerate_connected(n)]
-    total = 0.0
-    for coords in _config_blocks(n, d, pot):
-        cats = _pair_categories(coords, pot)
-        fvals = lut[cats]
-        if use_partition:
-            vals = _connected_sum_partition(fvals, n) * _support_connected(cats, n)
-            total += float(np.sum(vals))
-        else:
-            total += float(np.sum(_graph_product_sum(fvals, graphs)))
-    return total / math.factorial(n)
+    return _lattice_sum("connected", n, d, pot, beta, math.factorial(n))
 
 
 def irreducible_coefficient(n: int, d: int, pot: PotentialSpec, beta: float) -> float:
     """beta_n = (1/n!) sum over 2-connected graphs on n+1 vertices, x_1 = 0."""
     if not 1 <= n <= MAX_BETA_IRR_ORDER:
         raise GuardError(f"irreducible coefficients guarded to n <= {MAX_BETA_IRR_ORDER}")
-    points = n + 1
-    pidx = _pair_index(points)
-    graphs = [[pidx[e] for e in g.edge_list()] for g in enumerate_biconnected(points)]
-    lut = mayer_values(pot, beta)
-    total = 0.0
-    for coords in _config_blocks(points, d, pot):
-        fvals = lut[_pair_categories(coords, pot)]
-        total += float(np.sum(_graph_product_sum(fvals, graphs)))
-    return total / math.factorial(n)
+    return _lattice_sum("biconnected", n + 1, d, pot, beta, math.factorial(n))
 
 
 def beta1_closed_form(d: int, pot: PotentialSpec, beta: float) -> float:
@@ -556,33 +501,23 @@ class TreeGraphReport:
 def tree_graph_check(n: int, d: int, pot: PotentialSpec, beta: float) -> TreeGraphReport:
     """Check |sum over connected graphs of prod f| <= e^{beta B n} * tree sum.
 
-    Exhaustive over the exact support region of pinned configurations;
-    both the per-configuration inequality and the aggregate are verified.
+    Exhaustive over pinned configurations: the inequality is checked once
+    per pair pattern, and violations and totals are weighted by the
+    pattern's multiplicity, so both the per-configuration inequality and
+    the aggregate are verified.  Configurations with disconnected support
+    are not evaluated: every connected graph and every spanning tree has an
+    out-of-range edge there, so lhs = rhs = 0 exactly and they cannot
+    violate.  ``n_configs`` counts the configurations evaluated.
     """
     if not 2 <= n <= MAX_TREE_CHECK_ORDER:
         raise GuardError(f"tree-graph check guarded to 2 <= n <= {MAX_TREE_CHECK_ORDER}")
     consts = model_constants(d, pot, beta)
     stability = math.exp(beta * consts.stability_B * n)
-    pidx = _pair_index(n)
-    trees = [[pidx[e] for e in t.edge_list()] for t in enumerate_trees(n)]
-    f_lut = mayer_values(pot, beta)
-    w_lut = tree_weight_values(pot, beta)
-
-    lhs_total = 0.0
-    rhs_total = 0.0
-    violations = 0
-    n_configs = 0
-    for coords in _config_blocks(n, d, pot):
-        cats = _pair_categories(coords, pot)
-        fvals = f_lut[cats]
-        wvals = w_lut[cats]
-        lhs = np.abs(_connected_sum_partition(fvals, n))
-        lhs *= _support_connected(cats, n)
-        rhs = stability * _graph_product_sum(wvals, trees)
-        violations += int(np.sum(lhs > rhs * (1 + 1e-12) + 1e-300))
-        lhs_total += float(np.sum(lhs))
-        rhs_total += float(np.sum(rhs))
-        n_configs += coords.shape[0]
-    return TreeGraphReport(order=n, dimension=d, beta=beta, lhs_total=lhs_total,
-                           rhs_total=rhs_total, violations=violations,
-                           n_configs=n_configs)
+    mult, f_polys = _graph_polys("connected", n, d, pot.support_radius)
+    _, w_polys = _graph_polys("tree", n, d, pot.support_radius)
+    lhs = np.abs(_horner(f_polys, math.expm1(-beta * pot.bond_energy)))
+    rhs = stability * _horner(w_polys, -math.expm1(-beta * abs(pot.bond_energy)))
+    violations = int(mult @ (lhs > rhs * (1 + 1e-12) + 1e-300))
+    return TreeGraphReport(order=n, dimension=d, beta=beta, lhs_total=float(mult @ lhs),
+                           rhs_total=float(mult @ rhs), violations=violations,
+                           n_configs=int(mult.sum()))

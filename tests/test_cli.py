@@ -1,7 +1,11 @@
+import csv
 import json
 
 from latgas import acceptance
 from latgas.cli import main
+from latgas.model import PotentialSpec
+from latgas.oracle import transfer_matrix_table
+from latgas.series import beta1_closed_form, extract_b_lambda
 
 
 def write_cfg(tmp_path, data):
@@ -109,3 +113,15 @@ def test_accept_exit_codes(tmp_path, monkeypatch, capsys):
     assert main(["accept", "--out", str(tmp_path)]) == 4
     out = capsys.readouterr().out
     assert "FAIL" in out
+
+
+def test_series_uses_transfer_matrix_past_enumeration_guard(tmp_path):
+    pot, beta = PotentialSpec(), 0.3
+    cfg = write_cfg(tmp_path, {"dimension": 1, "side": 40, "beta": beta,
+                               "boundary": "periodic"})
+    assert main(["series", "--config", cfg, "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "series.csv", newline="") as fh:
+        first = next(csv.DictReader(fh))
+    assert float(first["beta_n"]) == beta1_closed_form(1, pot, beta)
+    table = transfer_matrix_table(40, pot, beta, "periodic")
+    assert first["B_Lambda_n"] == format(extract_b_lambda(table, 4).value(1), ".17g")

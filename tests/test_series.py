@@ -1,17 +1,26 @@
 """Cluster-series checks.
 
-The independent oracles here deliberately bypass the library's sweep
-machinery: coefficients are re-summed with plain itertools loops over a
-strictly larger box, with graphs taken from the DFS brute-force filter.
+The independent oracles here deliberately bypass the library's geometry
+table: coefficients are re-summed with plain itertools loops over a
+strictly larger box, with graphs taken from the DFS brute-force filter,
+and the full-box sweep below (every pinned configuration of the l1 ball
+or l-infinity box, float graph sums and the partition recursion per
+configuration) re-derives coefficients and tree-graph reports.
 """
 
+import functools
 import itertools
 import math
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from latgas.graphs import brute_force_class
+import latgas.series as ls
+from latgas.graphs import brute_force_class, enumerate_connected, enumerate_trees
 from latgas.model import GuardError, LatticeSpec, PotentialSpec
 from latgas.oracle import exact_canonical_table, transfer_matrix_table
 from latgas.series import (CanonicalFreeEnergy, b_lambda_1_direct,
@@ -82,6 +91,12 @@ def test_order_guards():
         connected_coefficient(6, 1, POT, BETA)
     with pytest.raises(GuardError):
         irreducible_coefficient(5, 1, POT, BETA)
+
+
+def test_coefficients_past_float_range_round_to_infinity():
+    # beta = 60: f = e^240, and the exact sums lie beyond the largest float
+    assert connected_coefficient(5, 1, POT, 60.0) == math.inf
+    assert irreducible_coefficient(4, 1, POT, 60.0) == -math.inf
 
 
 def test_falling_p_examples():
@@ -255,17 +270,20 @@ def test_tree_graph_small_orders():
 
 
 def test_partition_recursion_equals_graph_sum():
-    import latgas.series as ls
-    from latgas.graphs import enumerate_connected
-    lut = ls.mayer_values(POT, BETA)
     for n in (3, 4):
-        pidx = ls._pair_index(n)
-        graphs = [[pidx[e] for e in g.edge_list()] for g in enumerate_connected(n)]
-        for coords in ls._config_blocks(n, 1, POT):
-            fv = lut[ls._pair_categories(coords, POT)]
-            direct = ls._graph_product_sum(fv, graphs)
-            dp = ls._connected_sum_partition(fv, n)
+        graphs = _graph_indices((g.edges for g in enumerate_connected(n)), n)
+        polys = _polys_by_pattern("connected", n, 1, POT)
+        f = math.expm1(4 * BETA)
+        for cats in _config_blocks(n, 1, POT):
+            fv = _f_lut(POT, BETA)[cats]
+            direct = _graph_product_sum(fv, graphs)
+            dp = _connected_sum_partition(fv, n)
             assert np.allclose(direct, dp, atol=1e-13)
+            # the geometry table's integer polynomial, at the same f
+            connected = _support_connected(cats, n)
+            poly = np.array([np.polyval(polys[tuple(row)][::-1], f) if ok else 0.0
+                             for row, ok in zip(cats.tolist(), connected)])
+            assert np.allclose(poly, dp, atol=1e-13)
 
 
 def test_thermodynamic_free_energy_source():
@@ -274,3 +292,229 @@ def test_thermodynamic_free_energy_source():
     rho = 0.1
     expected = rho * (math.log(rho) - 1) - betas[1] * rho ** 2 / 2
     assert fe.value(rho) == pytest.approx(expected)
+
+
+# ---------------------------------------------------------------------------
+# Full-box reference sweep
+
+def _categories(coords, pot):
+    """Pair categories 0 = out of range, 1 = in range, 2 = coincident."""
+    n = coords.shape[1]
+    cols = []
+    for i, j in itertools.combinations(range(n), 2):
+        r2 = np.sum((coords[:, i] - coords[:, j]) ** 2, axis=1)
+        cols.append(np.where(r2 == 0, 2, np.where(r2 <= pot.support_radius ** 2, 1, 0)))
+    return np.stack(cols, axis=1).astype(np.int8)
+
+
+def _config_blocks(n_points, d, pot, chunk=200_000):
+    """Pair categories of every configuration with x_1 = 0 and x_2..x_n in
+    the l1 ball (standard) or l-infinity box (Kac) of radius (n-1)R."""
+    reach = (n_points - 1) * pot.support_radius
+    ball = np.array([p for p in itertools.product(range(-reach, reach + 1), repeat=d)
+                     if pot.kind != "standard" or sum(map(abs, p)) <= reach])
+    k = len(ball)
+    total = k ** (n_points - 1)
+    for start in range(0, total, chunk):
+        rem = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        coords = np.zeros((len(rem), n_points, d), dtype=np.int64)
+        for p in range(n_points - 1, 0, -1):
+            coords[:, p, :] = ball[rem % k]
+            rem //= k
+        yield _categories(coords, pot)
+
+
+def _support_connected(cats, n):
+    """True where the in-range/coincidence support graph spans all n points."""
+    adj = np.zeros((cats.shape[0], n, n), dtype=bool)
+    for p, (i, j) in enumerate(itertools.combinations(range(n), 2)):
+        adj[:, i, j] = adj[:, j, i] = cats[:, p] > 0
+    reach = np.zeros((cats.shape[0], n), dtype=bool)
+    reach[:, 0] = True
+    for _ in range(n - 1):
+        reach = reach | np.einsum("mu,muv->mv", reach, adj)
+    return reach.all(axis=1)
+
+
+@functools.lru_cache(maxsize=None)
+def _swept(n_points, d, pot):
+    """(configurations swept, pair categories of those with connected support).
+
+    Every sum below has a factor f = 0 or w = 0 on a disconnected support,
+    so dropping those rows leaves each per-configuration value exact."""
+    swept, kept = 0, []
+    for cats in _config_blocks(n_points, d, pot):
+        swept += len(cats)
+        kept.append(cats[_support_connected(cats, n_points)])
+    return swept, np.concatenate(kept)
+
+
+def _f_lut(pot, beta):
+    return np.array([0.0, math.expm1(-beta * pot.bond_energy), -1.0])
+
+
+def _graph_indices(edge_sets, n):
+    pidx = {e: p for p, e in enumerate(itertools.combinations(range(n), 2))}
+    return [[pidx[e] for e in sorted(edges)] for edges in edge_sets]
+
+
+def _graph_product_sum(fvals, graphs):
+    """sum over graphs of the product of f over each graph's pair indices."""
+    total = np.zeros(fvals.shape[0])
+    for edges in graphs:
+        prod = np.ones(fvals.shape[0])
+        for e in edges:
+            prod = prod * fvals[:, e]
+        total += prod
+    return total
+
+
+def _connected_sum_partition(fvals, n):
+    """sum over connected spanning graphs of prod f, per configuration.
+
+    The partition recursion C(S) = A(S) - sum_{T < S, T ni v} C(T) A(S\\T),
+    with A(S) the product of (1+f) over pairs inside S.
+    """
+    pidx = {e: p for p, e in enumerate(itertools.combinations(range(n), 2))}
+    one_plus = 1.0 + fvals
+    full = (1 << n) - 1
+    A = [np.ones(fvals.shape[0])] + [None] * full
+    for S in range(1, full + 1):
+        v = (S & -S).bit_length() - 1
+        rest = S & ~(1 << v)
+        acc = A[rest].copy()
+        for w in range(n):
+            if rest >> w & 1:
+                acc *= one_plus[:, pidx[(v, w)]]
+        A[S] = acc
+    C = [None] * (full + 1)
+    for S in range(1, full + 1):
+        v = (S & -S).bit_length() - 1
+        rest = S & ~(1 << v)
+        acc = A[S].copy()
+        T = rest
+        while T:  # T runs over the proper submasks of rest, 0 included
+            T = (T - 1) & rest
+            sub = T | (1 << v)
+            acc -= C[sub] * A[S & ~sub]
+        C[S] = acc
+    return C[full]
+
+
+def _sweep_coefficient(kind, n, d, pot, beta):
+    points = n if kind == "b" else n + 1
+    _, cats = _swept(points, d, pot)
+    fv = _f_lut(pot, beta)[cats]
+    if kind == "b":
+        vals = _connected_sum_partition(fv, points)
+    else:
+        graphs = _graph_indices(brute_force_class(points, "biconnected"), points)
+        vals = _graph_product_sum(fv, graphs)
+    return float(np.sum(vals)) / math.factorial(n)
+
+
+def _sweep_tree_check(n, d, pot, beta):
+    """(lhs_total, rhs_total, violations, configurations swept)."""
+    swept, cats = _swept(n, d, pot)
+    stability = math.exp(beta * ls.model_constants(d, pot, beta).stability_B * n)
+    w_lut = np.array([0.0, -math.expm1(-beta * abs(pot.bond_energy)), 1.0])
+    lhs = np.abs(_connected_sum_partition(_f_lut(pot, beta)[cats], n))
+    trees = _graph_indices((t.edges for t in enumerate_trees(n)), n)
+    rhs = stability * _graph_product_sum(w_lut[cats], trees)
+    violations = int(np.sum(lhs > rhs * (1 + 1e-12) + 1e-300))
+    return float(np.sum(lhs)), float(np.sum(rhs)), violations, swept
+
+
+def _polys_by_pattern(kind, n_points, d, pot):
+    rows, _ = ls._patterns(n_points, d, pot.support_radius)
+    _, polys = ls._graph_polys(kind, n_points, d, pot.support_radius)
+    return {tuple(r): p for r, p in zip(rows.tolist(), polys)}
+
+
+KAC = {R: PotentialSpec("kac", 1.0, R) for R in (2, 3)}
+ORDERS = {"b": range(2, 6), "beta": range(1, 5)}
+SWEEP_CASES = ([(kind, n, 1, pot) for pot in (POT, *KAC.values())
+                for kind in ORDERS for n in ORDERS[kind]]
+               + [(kind, n, 2, POT) for kind in ORDERS for n in ORDERS[kind] if n <= 4])
+
+
+@pytest.mark.parametrize("kind,n,d,pot", SWEEP_CASES,
+                         ids=[f"{k}{n}-d{d}-{p.kind}{p.support_radius}"
+                              for k, n, d, p in SWEEP_CASES])
+def test_geometry_table_equals_full_box_sweep(kind, n, d, pot):
+    fn = connected_coefficient if kind == "b" else irreducible_coefficient
+    for beta in (0.1, 0.7):
+        ref = _sweep_coefficient(kind, n, d, pot, beta)
+        assert fn(n, d, pot, beta) == pytest.approx(ref, rel=1e-12)
+
+
+TREE_CASES = ([(n, 1, POT, beta) for n in range(2, 6) for beta in (0.1, 1.0)]
+              + [(n, 2, POT, 0.5) for n in range(2, 6)]
+              + [(n, 1, KAC[R], 0.4) for R in KAC for n in range(2, 6)])
+
+
+@pytest.mark.parametrize("n,d,pot,beta", TREE_CASES,
+                         ids=[f"n{n}-d{d}-{p.kind}{p.support_radius}-b{b}"
+                              for n, d, p, b in TREE_CASES])
+def test_tree_check_equals_full_box_sweep(n, d, pot, beta):
+    lhs, rhs, violations, swept = _sweep_tree_check(n, d, pot, beta)
+    rep = tree_graph_check(n, d, pot, beta)
+    assert rep.lhs_total == pytest.approx(lhs, rel=1e-12)
+    assert rep.rhs_total == pytest.approx(rhs, rel=1e-12)
+    assert rep.violations == violations == 0
+    # the grown configurations are exactly the connected part of the box
+    assert rep.n_configs == len(_swept(n, d, pot)[1]) <= swept
+
+
+def test_geometry_counts_are_pinned():
+    for d, configs, patterns in ((2, 13_081, 466), (1, 541, 271)):
+        rows, mult = ls._patterns(5, d, 1)
+        assert (int(mult.sum()), len(rows)) == (configs, patterns)
+        assert tree_graph_check(5, d, POT, 0.3).n_configs == configs
+
+
+def _graph_terms(cls, n_points, d):
+    """Configurations per (in-range edges, coincident edges) over the
+    patterns and the DFS-filtered graphs without an out-of-range edge."""
+    rows, mult = ls._patterns(n_points, d, POT.support_radius)
+    pidx = {e: p for p, e in enumerate(itertools.combinations(range(n_points), 2))}
+    graphs = [[pidx[e] for e in g] for g in brute_force_class(n_points, cls)]
+    terms = Counter()  # (in-range edges, coincident edges) -> configurations
+    for row, m in zip(rows.tolist(), mult.tolist()):
+        for g in graphs:
+            cats = [row[e] for e in g]
+            if 0 not in cats:
+                terms[cats.count(1), cats.count(2)] += m
+    return terms
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_coefficients_are_correctly_rounded_fraction_sums(d):
+    cases = ([(connected_coefficient, n, "connected", n) for n in ORDERS["b"]]
+             + [(irreducible_coefficient, n, "biconnected", n + 1) for n in ORDERS["beta"]])
+    for fn, n, cls, points in cases:
+        terms = _graph_terms(cls, points, d)
+        for beta in (0.2, 1.3):
+            f = Fraction(math.expm1(4 * beta))
+            exact = sum(m * f ** k * (-1) ** c for (k, c), m in terms.items())
+            assert fn(n, d, POT, beta) == float(exact / math.factorial(n))
+
+
+def test_warm_cache_is_bit_identical_to_cold():
+    def values():
+        return ([connected_coefficient(n, 2, POT, 0.3) for n in range(2, 5)]
+                + [irreducible_coefficient(n, 1, KAC[2], 0.3) for n in range(1, 5)]
+                + [tree_graph_check(4, 2, POT, 0.3)])
+
+    ls._patterns.cache_clear()
+    ls._graph_polys.cache_clear()
+    cold = values()
+    assert values() == cold
+
+
+@settings(max_examples=40, deadline=None)
+@given(beta=st.floats(0.0, 2.0), n=st.integers(2, 5))
+def test_tree_check_holds_on_the_line(beta, n):
+    rep = tree_graph_check(n, 1, POT, beta)
+    assert rep.violations == 0
+    assert rep.lhs_total <= rep.rhs_total

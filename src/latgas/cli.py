@@ -4,7 +4,7 @@ Subcommands: ``radii``, ``series``, ``oracle``, ``correlate``, ``deviate``,
 ``accept``.  Configuration is a JSON file passed with ``--config``; every
 command writes deterministic CSV (17 significant digits) under ``--out``.
 Exit codes: 0 success, 2 configuration error, 3 guard violation,
-4 acceptance failure.
+4 acceptance failure, 5 numerical failure (an ``ArithmeticError``).
 """
 
 from __future__ import annotations
@@ -264,15 +264,15 @@ def main(argv=None) -> int:
             return cmd_accept(cfg, out, args.threads)
         COMMANDS[args.command](cfg, out, args.threads)
         return 0
-    except ConfigError as e:
-        print(f"configuration error: {e}", file=sys.stderr)
-        return 2
     except GuardError as e:
         print(f"guard violation: {e}", file=sys.stderr)
         return 3
-    except ValueError as e:
+    except ValueError as e:  # ConfigError included
         print(f"configuration error: {e}", file=sys.stderr)
         return 2
+    except ArithmeticError as e:
+        print(f"numerical failure: {e}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -3,7 +3,12 @@
 Two independent routes to the canonical partition function Z(N):
 
 * occupancy-subset enumeration over all 2^|Lambda| configurations (any
-  dimension, |Lambda| <= 24), vectorized over bitmasks;
+  dimension, |Lambda| <= 24).  One bitmask kernel gives each subset its
+  bond level k (in-range occupied pairs plus wall contacts), binned into
+  integer counts per (N, k) for Z(N), cached per (box, range R), and per
+  (k, site pair) for the torus correlations.  Each beta then costs a
+  30-digit decimal evaluation against e^{k x}, x = -beta * bond energy,
+  rounded to float once, so no beta overflows;
 * a d = 1 transfer matrix whose payload is the fugacity polynomial
   Xi(z) = sum_N Z(N) z^N, carried in log-domain (all coefficients are
   nonnegative, so log-sum-exp accumulation keeps the relative error near
@@ -15,6 +20,8 @@ functions, deviation checks) is derived from these tables.
 
 from __future__ import annotations
 
+import decimal
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -30,6 +37,11 @@ TRANSFER_MAX_SIDE = 4096
 CORRELATION_MAX_SITES = 20
 
 LOG_ZERO = -math.inf
+
+# 30 digits leave ten to spare after rounding to float; _EXACT only
+# multiplies and adds, where MAX_PREC never rounds
+_DECIMAL = decimal.Context(prec=30, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+_EXACT = decimal.Context(prec=decimal.MAX_PREC)
 
 
 @dataclass(frozen=True)
@@ -94,51 +106,56 @@ class GrandCanonicalEval:
         return rows
 
 
-def _popcount(masks: np.ndarray) -> np.ndarray:
-    v = masks.copy()
-    v = v - ((v >> 1) & 0x55555555)
-    v = (v & 0x33333333) + ((v >> 2) & 0x33333333)
-    v = (v + (v >> 4)) & 0x0F0F0F0F
-    return (v * 0x01010101) >> 24
-
-
-def _interaction_pairs(lattice: LatticeSpec, pot: PotentialSpec) -> list[tuple[int, int]]:
-    """In-range site-index pairs, with torus multiplicity where it applies.
+def _interaction_pairs(lattice: LatticeSpec, radius: int) -> list[tuple[int, int]]:
+    """In-range site-index pairs, with torus multiplicity where it applies,
+    and one (a, a) per occupied wall site in range of site a.
 
     For range 1 these are the nearest-neighbour bonds (one per direction on
     the torus, so L = 2 pairs appear twice).  For longer ranges every
     unordered pair within Euclidean distance R contributes once; periodic
     boxes then need L > 2R so minimum images are unambiguous.
     """
-    R = pot.support_radius
-    if R == 1:
-        return [tuple(sorted((lattice.site_index(x), lattice.site_index(y))))
-                for x, y in lattice.interior_bonds()]
-    if lattice.boundary == "periodic" and lattice.side <= 2 * R:
+    sites = lattice.sites()
+    if radius == 1:
+        pairs = [tuple(sorted((lattice.site_index(x), lattice.site_index(y))))
+                 for x, y in lattice.interior_bonds()]
+    elif lattice.boundary == "periodic" and lattice.side <= 2 * radius:
         raise GuardError("periodic box too small for the interaction range")
-    sites = lattice.sites()
-    pairs = []
-    for a in range(len(sites)):
-        for b in range(a + 1, len(sites)):
-            diff = lattice.wrap_diff(sites[a], sites[b])
-            if sum(c * c for c in diff) <= R * R:
-                pairs.append((a, b))
-    return pairs
+    else:
+        pairs = [(a, b) for a in range(len(sites)) for b in range(a + 1, len(sites))
+                 if sum(c * c for c in lattice.wrap_diff(sites[a], sites[b])) <= radius ** 2]
+    # gamma is empty unless the walls are fixed
+    return pairs + [(a, a) for a, x in enumerate(sites) for g in lattice.gamma
+                    if 0 < sum((p - q) ** 2 for p, q in zip(x, g)) <= radius ** 2]
 
 
-def _gamma_contacts(lattice: LatticeSpec, pot: PotentialSpec) -> np.ndarray:
-    """Per-site count of in-range occupied wall sites (fixed boundary)."""
-    sites = lattice.sites()
-    counts = np.zeros(len(sites), dtype=np.int64)
-    if lattice.boundary != "fixed":
-        return counts
-    R = pot.support_radius
-    for a, x in enumerate(sites):
-        for g in lattice.gamma:
-            r2 = sum((p - q) ** 2 for p, q in zip(x, g))
-            if 0 < r2 <= R * R:
-                counts[a] += 1
-    return counts
+def _subset_bonds(lattice: LatticeSpec, radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every occupancy bitmask of the box and its bond level."""
+    # int32 holds both the masks (S <= 24) and the bond counts at half the memory
+    masks = np.arange(1 << lattice.n_sites, dtype=np.int32)
+    bonds = np.zeros(len(masks), dtype=np.int32)
+    for i, j in _interaction_pairs(lattice, radius):
+        bonds += (masks >> i) & (masks >> j) & 1
+    return masks, bonds
+
+
+@functools.lru_cache(maxsize=16)
+def _density_of_states(lattice: LatticeSpec, radius: int) -> tuple[tuple[int, ...], ...]:
+    """c(N, k): the number of N-subsets at bond level k, as Python ints."""
+    masks, bonds = _subset_bonds(lattice, radius)
+    levels = int(bonds.max()) + 1
+    index = np.bitwise_count(masks).astype(np.int32) * levels + bonds
+    del masks, bonds  # bincount copies index to int64: free what it no longer needs
+    counts = np.bincount(index, minlength=(lattice.n_sites + 1) * levels)
+    return tuple(map(tuple, counts.reshape(-1, levels).tolist()))
+
+
+def _level_weights(pot: PotentialSpec, beta: float, depth: int) -> tuple[decimal.Decimal, list]:
+    """x = -beta * bond energy, exactly, and e^{-j x} for j < depth: the
+    weight of bond level top - j relative to the top level, to 30 digits."""
+    x = _EXACT.multiply(decimal.Decimal(beta), decimal.Decimal(-pot.bond_energy))
+    with decimal.localcontext(_DECIMAL):
+        return x, [(-j * x).exp() for j in range(depth)]
 
 
 def exact_canonical_table(lattice: LatticeSpec, pot: PotentialSpec,
@@ -147,32 +164,21 @@ def exact_canonical_table(lattice: LatticeSpec, pot: PotentialSpec,
 
     Z(N) = sum over N-site subsets of exp(-beta * H); the 1/N! of the
     ordered sum cancels against the N! orderings of each subset, and
-    coincident particles carry weight 0 (hard core).
+    coincident particles carry weight 0 (hard core).  Adding top * x exactly
+    keeps a single-subset row, possibly halfway between floats, correct.
     """
-    S = lattice.n_sites
-    if S > ENUMERATION_MAX_SITES:
+    if lattice.n_sites > ENUMERATION_MAX_SITES:
         raise GuardError(f"enumeration guarded to |Lambda| <= {ENUMERATION_MAX_SITES}")
-    pairs = _interaction_pairs(lattice, pot)
-    contacts = _gamma_contacts(lattice, pot)
-
-    # int32 holds both the masks (S <= 24) and the bond counts; at the size
-    # guard this keeps the working set near 200 MB
-    masks = np.arange(1 << S, dtype=np.int32)
-    pop = _popcount(masks.astype(np.uint32)).astype(np.int32)
-    bond_count = np.zeros(len(masks), dtype=np.int32)
-    for i, j in pairs:
-        bond_count += (masks >> i) & (masks >> j) & 1
-    for i in np.nonzero(contacts)[0]:
-        bond_count += ((masks >> int(i)) & 1) * np.int32(contacts[i])
-    log_weight = -beta * pot.bond_energy * bond_count.astype(np.float64)
-
-    log_z = np.full(S + 1, LOG_ZERO)
-    for n in range(S + 1):
-        sel = pop == n
-        if np.any(sel):
-            log_z[n] = logsumexp(log_weight[sel])
+    counts = _density_of_states(lattice, pot.support_radius)
+    x, weights = _level_weights(pot, beta, len(counts[0]))
+    log_z = []
+    with decimal.localcontext(_DECIMAL):
+        for row in counts:
+            top = max(k for k, c in enumerate(row) if c)
+            rest = sum(c * weights[top - k] for k, c in enumerate(row)).ln()
+            log_z.append(float(_EXACT.fma(top, x, rest)))
     return CanonicalTable(lattice=lattice, beta=beta, pot=pot,
-                          log_z=log_z, method="enumeration")
+                          log_z=np.array(log_z), method="enumeration")
 
 
 def _shift_up(coeffs: np.ndarray) -> np.ndarray:
@@ -269,10 +275,7 @@ class CorrelationTable:
     n_particles: int
     rho1: np.ndarray
     rho2: np.ndarray
-
-    @property
-    def u2(self) -> np.ndarray:
-        return self.rho2 - np.outer(self.rho1, self.rho1)
+    u2: np.ndarray
 
     def u2_at(self, q1, q2) -> float:
         i, j = self.lattice.site_index(tuple(q1)), self.lattice.site_index(tuple(q2))
@@ -281,7 +284,12 @@ class CorrelationTable:
 
 def exact_correlations(lattice: LatticeSpec, pot: PotentialSpec, beta: float,
                        n_particles: int) -> CorrelationTable:
-    """One- and two-point functions by enumerating N-subsets on the torus."""
+    """One- and two-point functions by enumerating N-subsets on the torus.
+
+    bits_k.T @ bits_k counts the N-subsets at bond level k holding each
+    site pair (diagonal: each site), of weight e^{(k - top) x} <= 1.  u2
+    is exact to 30 digits of rho1^2, so an entry below ~1e-30 rho1^2 is 0.
+    """
     if lattice.boundary != "periodic":
         raise ValueError("correlation oracle assumes periodic walls")
     S = lattice.n_sites
@@ -289,40 +297,25 @@ def exact_correlations(lattice: LatticeSpec, pot: PotentialSpec, beta: float,
         raise GuardError(f"correlations guarded to |Lambda| <= {CORRELATION_MAX_SITES}")
     if not 2 <= n_particles <= S:
         raise ValueError("need 2 <= N <= |Lambda|")
-    pairs = _interaction_pairs(lattice, pot)
-    pair_count = {}
-    for i, j in pairs:
-        pair_count[(i, j)] = pair_count.get((i, j), 0) + 1
-
-    z_total = 0.0
-    rho1 = np.zeros(S)
-    rho2 = np.zeros((S, S))
-    log_b = -beta * pot.bond_energy
-    for subset in itertools.combinations(range(S), n_particles):
-        bonds = 0
-        for a in range(n_particles):
-            for b in range(a + 1, n_particles):
-                key = (subset[a], subset[b])
-                bonds += pair_count.get(key, 0)
-        w = math.exp(log_b * bonds)
-        z_total += w
-        for a in subset:
-            rho1[a] += w
-        for a in subset:
-            for b in subset:
-                if a != b:
-                    rho2[a, b] += w
-    rho1 /= z_total
-    rho2 /= z_total
-    return CorrelationTable(lattice=lattice, beta=beta, pot=pot,
-                            n_particles=n_particles, rho1=rho1, rho2=rho2)
-
-
-def _subsets_energy_sum(lattice: LatticeSpec, pot: PotentialSpec, beta: float,
-                        n_particles: int) -> float:
-    """sum over N-subsets of exp(-beta H) via the canonical table."""
-    table = exact_canonical_table(lattice, pot, beta)
-    return math.exp(table.log_z_of(n_particles))
+    masks, bonds = _subset_bonds(lattice, pot.support_radius)
+    chosen = np.bitwise_count(masks) == n_particles
+    masks, bonds = masks[chosen], bonds[chosen]
+    bits = (masks[:, None] >> np.arange(S, dtype=np.int32)) & 1
+    top = int(bonds.max())
+    _, weights = _level_weights(pot, beta, top + 1)
+    with decimal.localcontext(_DECIMAL):
+        z, moments = 0, 0
+        for k in np.unique(bonds).tolist():
+            bits_k = bits[bonds == k].astype(np.int64)
+            z += len(bits_k) * weights[top - k]
+            moments = moments + (bits_k.T @ bits_k).astype(object) * weights[top - k]
+        moments = moments / z
+        rho1 = moments.diagonal().copy()
+        np.fill_diagonal(moments, 0)
+        u2 = moments - np.outer(rho1, rho1)
+        return CorrelationTable(lattice=lattice, beta=beta, pot=pot,
+                                n_particles=n_particles, rho1=rho1.astype(float),
+                                rho2=moments.astype(float), u2=u2.astype(float))
 
 
 def ising_gas_consistency(lattice: LatticeSpec, pot: PotentialSpec, beta: float,
@@ -352,7 +345,7 @@ def ising_gas_consistency(lattice: LatticeSpec, pot: PotentialSpec, beta: float,
         lhs += math.exp(-beta * ising_energy_minus_walls(spins, lattice, pot))
 
     open_box = LatticeSpec(lattice.dimension, lattice.side, "zero")
-    z_gas = _subsets_energy_sum(open_box, pot, beta, n_particles)
+    z_gas = math.exp(exact_canonical_table(open_box, pot, beta).log_z_of(n_particles))
     J = pot.coupling
     edges = len(lattice.interior_bonds()) + len(lattice.wall_bonds())
     prefactor = math.exp(-beta * (4.0 * J * lattice.dimension * n_particles - J * edges))

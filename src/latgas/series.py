@@ -143,15 +143,15 @@ def _lattice_sum(kind: str, n_points: int, d: int, pot: PotentialSpec,
     """(1/scale) sum over pinned configurations and graphs of class ``kind``
     of prod f: exact in rationals at the float f, rounded once."""
     mult, polys = _graph_polys(kind, n_points, d, pot.support_radius)
-    f = Fraction(math.expm1(-beta * pot.bond_energy))
-    total = Fraction(0)
-    for c in reversed((mult @ polys).tolist()):
-        total = total * f + c
-    total /= scale
+    coeffs = (mult @ polys).tolist()
     try:
-        return float(total)
-    except OverflowError:
-        return math.inf if total > 0 else -math.inf
+        f = Fraction(math.expm1(-beta * pot.bond_energy))
+        total = Fraction(0)
+        for c in reversed(coeffs):
+            total = total * f + c
+        return float(total / scale)
+    except OverflowError:  # f > 0 or the sum (degree >= 1 in f) is past the float range
+        return math.copysign(math.inf, next(c for c in reversed(coeffs) if c))
 
 
 # ---------------------------------------------------------------------------
@@ -511,13 +511,19 @@ def tree_graph_check(n: int, d: int, pot: PotentialSpec, beta: float) -> TreeGra
     """
     if not 2 <= n <= MAX_TREE_CHECK_ORDER:
         raise GuardError(f"tree-graph check guarded to 2 <= n <= {MAX_TREE_CHECK_ORDER}")
-    consts = model_constants(d, pot, beta)
-    stability = math.exp(beta * consts.stability_B * n)
     mult, f_polys = _graph_polys("connected", n, d, pot.support_radius)
     _, w_polys = _graph_polys("tree", n, d, pot.support_radius)
-    lhs = np.abs(_horner(f_polys, math.expm1(-beta * pot.bond_energy)))
-    rhs = stability * _horner(w_polys, -math.expm1(-beta * abs(pot.bond_energy)))
+    try:  # the stability constant B does not depend on beta
+        stability = math.exp(beta * model_constants(d, pot, 0.0).stability_B * n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            lhs = np.abs(_horner(f_polys, math.expm1(-beta * pot.bond_energy)))
+            rhs = stability * _horner(w_polys, -math.expm1(-beta * abs(pot.bond_energy)))
+            lhs_total, rhs_total = float(mult @ lhs), float(mult @ rhs)
+        if not math.isfinite(lhs_total + rhs_total):  # sums of nonnegative terms
+            raise OverflowError
+    except OverflowError:
+        raise GuardError(f"tree-graph check past the float range at beta = {beta:g}") from None
     violations = int(mult @ (lhs > rhs * (1 + 1e-12) + 1e-300))
-    return TreeGraphReport(order=n, dimension=d, beta=beta, lhs_total=float(mult @ lhs),
-                           rhs_total=float(mult @ rhs), violations=violations,
+    return TreeGraphReport(order=n, dimension=d, beta=beta, lhs_total=lhs_total,
+                           rhs_total=rhs_total, violations=violations,
                            n_configs=int(mult.sum()))

@@ -1,7 +1,8 @@
 import csv
 import json
+import math
 
-from latgas import acceptance
+from latgas import acceptance, cli
 from latgas.cli import main
 from latgas.model import PotentialSpec
 from latgas.oracle import transfer_matrix_table
@@ -125,3 +126,30 @@ def test_series_uses_transfer_matrix_past_enumeration_guard(tmp_path):
     assert float(first["beta_n"]) == beta1_closed_form(1, pot, beta)
     table = transfer_matrix_table(40, pot, beta, "periodic")
     assert first["B_Lambda_n"] == format(extract_b_lambda(table, 4).value(1), ".17g")
+
+
+def test_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
+    def overflow(cfg, out, threads):
+        raise OverflowError("math range error")
+    monkeypatch.setitem(cli.COMMANDS, "oracle", overflow)
+    assert main(["oracle", "--out", str(tmp_path)]) == 5
+    assert "numerical failure: math range error" in capsys.readouterr().err
+
+
+def test_cold_torus_correlate_exits_zero(tmp_path):
+    # beta = 25 once overflowed the float correlation weights
+    cfg = write_cfg(tmp_path, {"dimension": 2, "side": 4, "boundary": "periodic",
+                               "beta": 25.0, "particles": 8})
+    assert main(["correlate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "correlation_bound.csv", newline="") as fh:
+        assert all(math.isfinite(float(r["u2_exact"])) for r in csv.DictReader(fh))
+
+
+def test_series_past_float_range_exits_zero(tmp_path):
+    # beta = 200: the Mayer weight f = e^800 is past the float range, and the
+    # coefficients round to infinity
+    cfg = write_cfg(tmp_path, {"dimension": 2, "side": 3, "boundary": "periodic",
+                               "beta": 200.0, "order": 4})
+    assert main(["series", "--config", cfg, "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "series.csv", newline="") as fh:
+        assert next(csv.DictReader(fh))["beta_n"] == "inf"

@@ -1,15 +1,25 @@
+import functools
+import itertools
 import math
+from fractions import Fraction
 from math import comb
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from latgas.model import GuardError, LatticeSpec, PotentialSpec, mu_from_field
-from latgas.oracle import (exact_canonical_table, exact_correlations,
+from latgas.model import (GuardError, LatticeSpec, PotentialSpec, lattice_gas_hamiltonian,
+                          mu_from_field)
+from latgas.oracle import (_density_of_states, exact_canonical_table, exact_correlations,
                            grand_canonical_eval, ising_gas_consistency,
                            ising_grand_partition, transfer_matrix_table)
 
 POT = PotentialSpec("standard", 1.0)
+KAC2, KAC3 = PotentialSpec("kac", 1.0, 2), PotentialSpec("kac", 1.0, 3)
+FIXED_BOX = LatticeSpec(2, 3, "fixed", gamma=((-1, 0), (0, -1), (3, 2)))
+TORUS3, TORUS4 = LatticeSpec(2, 3, "periodic"), LatticeSpec(2, 4, "periodic")
 
 
 def test_two_site_chain_table():
@@ -189,3 +199,153 @@ def test_fixed_boundary_table_via_boundary_weights():
                 w *= boundary_weight(x, lat, POT, beta)
             acc += w
         assert math.exp(table.log_z_of(n)) == pytest.approx(acc, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# Brute-force reference: every N-subset, its energy from the model's
+# Hamiltonian, sums in 40-digit mpmath.
+
+@functools.lru_cache(maxsize=None)
+def _subset_energies(lattice, pot, n):
+    """(subset, H) for every n-site subset, H from lattice_gas_hamiltonian."""
+    sites = lattice.sites()
+    return tuple((sub, lattice_gas_hamiltonian([sites[i] for i in sub], lattice, pot))
+                 for sub in itertools.combinations(range(lattice.n_sites), n))
+
+
+def _reference_log_z(lattice, pot, beta, n):
+    with mp.workdps(40):
+        return float(mp.log(mp.fsum(mp.exp(-mp.mpf(beta) * e)
+                                    for _, e in _subset_energies(lattice, pot, n))))
+
+
+def _reference_correlations(lattice, pot, beta, n):
+    """rho1, rho2 and u2 = rho2 - rho1 rho1^T, each rounded once."""
+    S = lattice.n_sites
+    levels = {}  # energy -> [number of subsets, subsets holding each site pair]
+    for sub, e in _subset_energies(lattice, pot, n):
+        occ = np.zeros(S, dtype=np.int64)
+        occ[list(sub)] = 1
+        level = levels.setdefault(e, [0, np.zeros((S, S), dtype=np.int64)])
+        level[0] += 1
+        level[1] += np.outer(occ, occ)
+    with mp.workdps(40):
+        weights = {e: mp.exp(-mp.mpf(beta) * e) for e in levels}
+        z = mp.fsum(count * weights[e] for e, (count, _) in levels.items())
+        moments = [[mp.fsum(int(pairs[i, j]) * weights[e]
+                            for e, (_, pairs) in levels.items()) / z
+                    for j in range(S)] for i in range(S)]
+        rho1 = [moments[i][i] for i in range(S)]
+        rho2 = [[moments[i][j] if i != j else mp.mpf(0) for j in range(S)] for i in range(S)]
+        u2 = [[rho2[i][j] - rho1[i] * rho1[j] for j in range(S)] for i in range(S)]
+        return tuple(np.array(a, dtype=float) for a in (rho1, rho2, u2))
+
+
+@pytest.mark.parametrize("lattice, pot, particles", [
+    (LatticeSpec(1, 10, "periodic"), POT, range(11)),
+    (LatticeSpec(1, 7, "zero"), POT, range(8)),
+    (TORUS3, POT, range(10)),
+    # the middle of the 4x4 torus costs seconds by brute force; N = 8 is the
+    # largest sum, and particle-hole symmetry ties the rest to N <= 7
+    (TORUS4, POT, (0, 1, 2, 3, 8, 13, 14, 15, 16)),
+    (LatticeSpec(1, 8, "zero"), KAC2, range(9)),
+    (LatticeSpec(1, 8, "zero"), KAC3, range(9)),
+    (LatticeSpec(2, 3, "zero"), KAC2, range(10)),
+    (FIXED_BOX, POT, range(10)),
+])
+@pytest.mark.parametrize("beta", [0.35, 25.0])
+def test_table_equals_brute_force(lattice, pot, particles, beta):
+    table = exact_canonical_table(lattice, pot, beta)
+    for n in particles:
+        ref = _reference_log_z(lattice, pot, beta, n)
+        assert abs(table.log_z_of(n) - ref) <= 1e-13 * abs(ref)
+
+
+@pytest.mark.parametrize("lattice, n", [(LatticeSpec(1, 10, "periodic"), 3),
+                                        (LatticeSpec(1, 7, "periodic"), 4),
+                                        (TORUS3, 4), (TORUS4, 8)])
+@pytest.mark.parametrize("beta", [0.0, 0.3, 25.0])
+def test_correlations_equal_brute_force(lattice, n, beta):
+    table = exact_correlations(lattice, POT, beta, n)
+    rho1, rho2, u2 = _reference_correlations(lattice, POT, beta, n)
+    assert table.rho1 == pytest.approx(rho1, rel=1e-13, abs=0)
+    assert table.rho2 == pytest.approx(rho2, rel=1e-13, abs=0)
+    assert table.u2 == pytest.approx(u2, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("lattice, pot", [(LatticeSpec(1, 12, "periodic"), POT),
+                                          (TORUS4, POT), (FIXED_BOX, POT),
+                                          (LatticeSpec(1, 10, "zero"), KAC3)])
+def test_density_of_states_counts_every_subset(lattice, pot):
+    counts = _density_of_states(lattice, pot.support_radius)
+    assert [sum(row) for row in counts] == [comb(lattice.n_sites, n)
+                                             for n in range(lattice.n_sites + 1)]
+
+
+def test_warm_cache_table_is_bit_identical_to_cold():
+    _density_of_states.cache_clear()
+    cold = exact_canonical_table(TORUS4, POT, 0.37)
+    warm = exact_canonical_table(TORUS4, POT, 0.37)
+    assert _density_of_states.cache_info().hits == 1
+    assert warm.log_z.tobytes() == cold.log_z.tobytes()
+
+
+def test_table_is_finite_far_past_the_float_range():
+    # e^{32 x} with x = 4e6 is far past the float range; log Z is not
+    table = exact_canonical_table(TORUS4, POT, 1e6)
+    assert np.all(np.isfinite(table.log_z))
+    assert table.log_z_of(0) == 0.0
+    assert table.log_z_of(16) == 32 * 4e6
+
+
+def test_single_subset_row_is_correctly_rounded():
+    # the full ring has one subset at 10 bonds: log Z(10) = 40 beta, and this
+    # beta puts 40 beta exactly halfway between two floats
+    beta = 0.7873971570789526
+    table = exact_canonical_table(LatticeSpec(1, 10, "periodic"), POT, beta)
+    assert table.log_z_of(10) == float(Fraction(beta) * 40)
+
+
+def _particle_hole_residual(lattice, beta):
+    table = exact_canonical_table(lattice, POT, beta)
+    d, edges = lattice.dimension, lattice.edge_count()
+    worst = 0.0
+    for n in range(lattice.n_sites + 1):
+        expected = table.log_z_of(n) + 4.0 * beta * (edges - 2 * d * n)
+        got = table.log_z_of(lattice.n_sites - n)
+        worst = max(worst, abs(got - expected) / max(1.0, abs(expected)))
+    return worst
+
+
+@settings(max_examples=30, deadline=None)
+@given(lattice=st.one_of(st.integers(3, 20).map(lambda L: LatticeSpec(1, L, "periodic")),
+                         st.sampled_from([TORUS3, TORUS4])),
+       beta=st.floats(0.0, 30.0))
+def test_particle_hole_symmetry(lattice, beta):
+    # log Z(|L| - N) = log Z(N) + 4 beta J (|E| - 2 d N) on periodic boxes
+    assert _particle_hole_residual(lattice, beta) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(side=st.integers(4, 16), beta=st.floats(0.0, 30.0),
+       case=st.sampled_from([(POT, "zero"), (POT, "periodic"),
+                             (PotentialSpec("kac", 1.0, 1), "zero"),
+                             (KAC2, "zero"), (KAC3, "zero")]))
+def test_enumeration_equals_transfer_matrix(side, beta, case):
+    pot, boundary = case
+    en = exact_canonical_table(LatticeSpec(1, side, boundary), pot, beta)
+    tm = transfer_matrix_table(side, pot, beta, boundary)
+    assert np.all(np.abs(en.log_z - tm.log_z) <= 1e-12 * np.maximum(1.0, np.abs(tm.log_z)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(lattice=st.one_of(st.integers(4, 12).map(lambda L: LatticeSpec(1, L, "periodic")),
+                         st.sampled_from([TORUS3, TORUS4])),
+       beta=st.floats(0.0, 60.0), data=st.data())
+def test_correlation_sum_rules_at_any_beta(lattice, beta, data):
+    n = data.draw(st.integers(2, lattice.n_sites))
+    t = exact_correlations(lattice, POT, beta, n)
+    assert np.all(np.isfinite(t.rho1)) and np.all(np.isfinite(t.rho2))
+    assert np.all(np.isfinite(t.u2))
+    assert abs(t.rho1.sum() - n) <= 1e-13 * n
+    assert np.allclose(t.rho2.sum(axis=1), (n - 1) * t.rho1, rtol=1e-13, atol=0)

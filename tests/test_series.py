@@ -97,6 +97,10 @@ def test_coefficients_past_float_range_round_to_infinity():
     # beta = 60: f = e^240, and the exact sums lie beyond the largest float
     assert connected_coefficient(5, 1, POT, 60.0) == math.inf
     assert irreducible_coefficient(4, 1, POT, 60.0) == -math.inf
+    # beta = 200: f = e^800 itself is past the float range
+    assert connected_coefficient(2, 1, POT, 200.0) == math.inf
+    assert irreducible_coefficient(1, 2, POT, 200.0) == math.inf
+    assert irreducible_coefficient(2, 1, POT, 200.0) == -math.inf
 
 
 def test_falling_p_examples():
@@ -267,6 +271,16 @@ def test_tree_graph_small_orders():
         assert rep.lhs_total <= rep.rhs_total
     rep0 = tree_graph_check(3, 1, POT, 0.0)
     assert rep0.violations == 0  # hard-core indicators only
+
+
+def test_tree_graph_check_past_float_range_is_guarded():
+    rep = tree_graph_check(5, 1, POT, 5.0)
+    assert rep.holds and rep.violations == 0
+    # beta = 17.6, 17.7: the totals and the pattern sums overflow; beta = 20
+    # and 60: so does e^{beta B n} itself
+    for beta in (17.6, 17.7, 20.0, 60.0):
+        with pytest.raises(GuardError):
+            tree_graph_check(5, 1, POT, beta)
 
 
 def test_partition_recursion_equals_graph_sum():

@@ -13,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -120,7 +119,7 @@ def _beta_grid(cfg: dict) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
-def cmd_radii(cfg: dict, out: Path, threads: int) -> None:
+def cmd_radii(cfg: dict, out: Path) -> None:
     betas = _beta_grid(cfg)
     pairs = _get(cfg, "pairs", [[1, 1.0], [2, 1.0], [3, 1.0], [1, 2.0]])
     for pair in pairs:
@@ -129,13 +128,7 @@ def cmd_radii(cfg: dict, out: Path, threads: int) -> None:
             raise ConfigError("key 'pairs' must be a list of [dimension, coupling]")
     for d, coupling in pairs:
         d = int(d)
-        pot = PotentialSpec("standard", float(coupling))
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as ex:
-                reports = list(ex.map(lambda b: radii.radius_report(d, pot, float(b)),
-                                      betas))
-        else:
-            reports = radii.sweep_radii(d, pot, betas)
+        reports = radii.sweep_radii(d, PotentialSpec("standard", float(coupling)), betas)
         rows = [radii.CSV_HEADER] + [r.csv_row() for r in reports]
         write_csv(out / f"radii_d{d}_J{float(coupling):g}.csv", rows)
 
@@ -150,7 +143,7 @@ def _canonical_table(lattice: LatticeSpec, pot: PotentialSpec, beta: float,
     return exact_canonical_table(lattice, pot, beta)
 
 
-def cmd_oracle(cfg: dict, out: Path, threads: int) -> None:
+def cmd_oracle(cfg: dict, out: Path) -> None:
     lattice, pot, beta = _parse_model(cfg)
     method = _get(cfg, "method", "auto")
     if method not in ("auto", "enumeration", "transfer-matrix"):
@@ -162,7 +155,7 @@ def cmd_oracle(cfg: dict, out: Path, threads: int) -> None:
         write_csv(out / "probabilities.csv", gc.csv_rows())
 
 
-def cmd_series(cfg: dict, out: Path, threads: int) -> None:
+def cmd_series(cfg: dict, out: Path) -> None:
     lattice, pot, beta = _parse_model(cfg)
     order = int(_get(cfg, "order", 4))
     if not 1 <= order <= lattice.n_sites - 1:
@@ -182,7 +175,7 @@ def cmd_series(cfg: dict, out: Path, threads: int) -> None:
     write_csv(out / "series.csv", rows)
 
 
-def cmd_correlate(cfg: dict, out: Path, threads: int) -> None:
+def cmd_correlate(cfg: dict, out: Path) -> None:
     lattice, pot, beta = _parse_model(cfg)
     particles = _need(cfg, "particles", int, "an integer in [2, |Lambda|]")
     table = exact_correlations(lattice, pot, beta, particles)
@@ -195,7 +188,7 @@ def cmd_correlate(cfg: dict, out: Path, threads: int) -> None:
     write_csv(out / "correlation_bound.csv", report.csv_rows())
 
 
-def cmd_deviate(cfg: dict, out: Path, threads: int) -> None:
+def cmd_deviate(cfg: dict, out: Path) -> None:
     lattice, pot, beta = _parse_model(cfg)
     table = _canonical_table(lattice, pot, beta)
     if "mu0" in cfg:
@@ -218,7 +211,7 @@ def cmd_deviate(cfg: dict, out: Path, threads: int) -> None:
     write_csv(out / "deviations.csv", rows)
 
 
-def cmd_accept(cfg: dict, out: Path, threads: int) -> int:
+def cmd_accept(cfg: dict, out: Path) -> int:
     results = acceptance.run_all()
     # timings go to stdout only, keeping the CSV byte-identical across runs
     rows = [("index", "criterion", "passed", "detail")]
@@ -252,7 +245,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", help="JSON configuration file")
     parser.add_argument("--out", default=".", help="output directory for CSV files")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for sweeps (radii)")
+                        help="accepted for compatibility; has no effect")
     args = parser.parse_args(argv)
 
     try:
@@ -261,8 +254,8 @@ def main(argv=None) -> int:
         if args.threads < 1:
             raise ConfigError("--threads must be >= 1")
         if args.command == "accept":
-            return cmd_accept(cfg, out, args.threads)
-        COMMANDS[args.command](cfg, out, args.threads)
+            return cmd_accept(cfg, out)
+        COMMANDS[args.command](cfg, out)
         return 0
     except GuardError as e:
         print(f"guard violation: {e}", file=sys.stderr)

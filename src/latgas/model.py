@@ -206,7 +206,8 @@ def model_constants(dimension: int, pot: PotentialSpec, beta: float) -> ModelCon
 
     For the Kac kernel the closed forms are B_R = 8Rd,
     C_{d,R} = 2dR(e^{4 beta} - 1) + 1 and C-bar_{d,R} = 1 + 2dR(1 - e^{-4 beta});
-    they count neighbours exactly in d = 1.
+    they count neighbours exactly in d = 1.  Raises ``GuardError`` once C
+    leaves the float range (beta J > ~177 in the standard form).
     """
     if beta < 0:
         raise ValueError("beta must be >= 0")
@@ -214,14 +215,19 @@ def model_constants(dimension: int, pot: PotentialSpec, beta: float) -> ModelCon
     if pot.kind == "standard":
         J = pot.coupling
         B = 8.0 * J * d
-        C = 2.0 * d * math.expm1(4.0 * beta * J) + 1.0
-        C_bar = 1.0 + 2.0 * d * (-math.expm1(-4.0 * beta * J))
+        nbrs, bond = 2.0 * d, 4.0 * beta * J
     else:
         R = pot.range_
         B = 8.0 * R * d
-        C = 2.0 * d * R * math.expm1(4.0 * beta) + 1.0
-        C_bar = 1.0 + 2.0 * d * R * (-math.expm1(-4.0 * beta))
-    return ModelConstants(stability_B=B, regularity_C=C, tree_C_bar=C_bar)
+        nbrs, bond = 2.0 * d * R, 4.0 * beta
+    try:
+        C = nbrs * math.expm1(bond) + 1.0
+    except OverflowError:
+        C = math.inf
+    if C == math.inf:
+        raise GuardError(f"C = {nbrs:g}(e^{bond:g} - 1) + 1 exceeds the float range")
+    return ModelConstants(stability_B=B, regularity_C=C,
+                          tree_C_bar=1.0 + nbrs * (-math.expm1(-bond)))
 
 
 def _check_spins(spins: dict[Site, int], lattice: LatticeSpec) -> None:

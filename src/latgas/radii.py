@@ -9,11 +9,10 @@ All five bounds are explicit functions of (d, J or R, beta):
 * fugacity threshold M_LG    = -(1/beta) log(e^{beta B + 1} C-bar)
 * virial radius      R_V     = 1 / (2 e^{1 + beta(B + 4J)} C-bar)
 
-with F(u) = max_{a>0} ln(1 + u(1-e^{-a})) / (e^a (1 + u(1-e^{-a}))).
-The maximizer collapses like (e-1)/u for large u, far below any linear
-grid, so the pre-scan is geometric in a before golden-section refinement.
+with F(u) = max_{a>0} ln s / (e^a s), s = 1 + u(1 - e^{-a}), found as the
+unique root of its stationarity condition (proof in ``maximize_big_f``).
 At beta = 0 the two threshold chemical potentials are reported as explicit
--inf sentinels.
+-inf sentinels; a radius whose true value underflows is reported as 0.0.
 """
 
 from __future__ import annotations
@@ -25,55 +24,49 @@ import numpy as np
 
 from .model import PotentialSpec, model_constants
 
-A_MIN = 1e-60
-A_MAX = 20.0
-PRESCAN_POINTS = 120_001
+
+def _exp(x: float) -> float:
+    """e^x, +inf past the float range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
-def _g_of_a(a: np.ndarray, u: float) -> np.ndarray:
-    t = u * (-np.expm1(-a))
-    return np.log1p(t) / (np.exp(a) * (1.0 + t))
+def _over_exp(num: float, x: float, c: float) -> float:
+    """num / (e^x c), through e^{-x} (down to 0.0) once e^x c overflows."""
+    den = _exp(x) * c
+    return num / den if den < math.inf else num * math.exp(-x) / c
 
 
 def maximize_big_f(u: float) -> tuple[float, float]:
-    """argmax and value of F(u); tolerance ~1e-12 (absolute and relative) in a."""
-    if u <= 0:
-        raise ValueError("u must be positive")
-    grid = np.geomspace(A_MIN, A_MAX, PRESCAN_POINTS)
-    vals = _g_of_a(grid, u)
-    k = int(np.argmax(vals))
-    best = vals[k]
-    # multimodality guard: a second local-max region near the global one
-    interior = (vals[1:-1] > vals[:-2]) & (vals[1:-1] >= vals[2:])
-    peaks = np.nonzero(interior & (vals[1:-1] > best * (1.0 - 1e-6)))[0] + 1
-    candidates = [k] if len(peaks) <= 1 else sorted(set(peaks) | {k})
+    """(a*, F(u)) for g(a) = ln s / (e^a s), s = 1 + u(1 - e^{-a}).
 
-    best_a, best_v = grid[k], best
-    for c in candidates:
-        lo = math.log(grid[max(c - 1, 0)])
-        hi = math.log(grid[min(c + 1, len(grid) - 1)])
-        phi = (math.sqrt(5.0) - 1.0) / 2.0
-        x1 = hi - phi * (hi - lo)
-        x2 = lo + phi * (hi - lo)
-        f1 = float(_g_of_a(np.array([math.exp(x1)]), u)[0])
-        f2 = float(_g_of_a(np.array([math.exp(x2)]), u)[0])
-        for _ in range(300):
-            # 5e-14 log-space width: <= 1e-12 absolute in a over the whole domain
-            if hi - lo < 5e-14:
-                break
-            if f1 < f2:
-                lo, x1, f1 = x1, x2, f2
-                x2 = lo + phi * (hi - lo)
-                f2 = float(_g_of_a(np.array([math.exp(x2)]), u)[0])
-            else:
-                hi, x2, f2 = x2, x1, f1
-                x1 = hi - phi * (hi - lo)
-                f1 = float(_g_of_a(np.array([math.exp(x1)]), u)[0])
-        a = math.exp((lo + hi) / 2.0)
-        v = float(_g_of_a(np.array([a]), u)[0])
-        if v > best_v:
-            best_a, best_v = a, v
-    return best_a, best_v
+    Write r = 1 - e^{-a}, t = u r = s - 1 and L = ln s.  Then d ln g/da =
+    h - 1 with h = (u e^{-a}/s)(1/L - 1), and as u e^{-a} = u - t, h - 1 has
+    the sign of q(r) = 1 - L - r - L/u.  L = log1p(u r) grows with r, so q
+    strictly decreases: the maximum is unique, at the one root r* of q.  It
+    lies in [1/(2 + u), (e - 1)/max(u, 2(e - 1))], whose ends are within a
+    factor e: L <= t gives q(1/(2 + u)) >= 0, ln(1 + v) >= v/(1 + v) gives
+    q(1/2) <= 1/2 - (1 + u)/(2 + u) <= 0, and L = 1 at r = (e - 1)/u.
+    Bisection in r reaches adjacent floats in ~54 steps; in a, the
+    cancellation in 1 - L ~ e/u would cost the large-u root its digits.
+    For u below ~2e-16 the bracket is closed at r = 1/2 from the start,
+    which gives the limit (ln 2, 0) at u = 0; at u = +inf it is (0, 1/e).
+    """
+    if not u >= 0.0:
+        raise ValueError("u must be >= 0")
+    if u == math.inf:
+        return 0.0, 1.0 / math.e
+    lo, hi = 1.0 / (2.0 + u), (math.e - 1.0) / max(u, 2.0 * (math.e - 1.0))
+    while lo < (r := 0.5 * (lo + hi)) < hi:
+        ln_s = math.log1p(u * r)
+        if 1.0 - ln_s - r - ln_s / u > 0.0:
+            lo = r
+        else:
+            hi = r
+    x = u * r
+    return -math.log1p(-r), math.log1p(x) * (1.0 - r) / (1.0 + x)
 
 
 def _ising_coupling(pot: PotentialSpec) -> float:
@@ -84,14 +77,14 @@ def radius_canonical(d: int, pot: PotentialSpec, beta: float) -> tuple[float, fl
     """(R_C, a*) from the refined tree-graph route."""
     c = model_constants(d, pot, beta)
     a_star, f_val = maximize_big_f(math.exp(-beta * c.stability_B))
-    return f_val / (math.exp(beta * c.stability_B) * c.tree_C_bar), a_star
+    return _over_exp(f_val, beta * c.stability_B, c.tree_C_bar), a_star
 
 
 def radius_canonical_penrose(d: int, pot: PotentialSpec, beta: float) -> tuple[float, float]:
     """(R-bar_C, a*) from the classical Penrose tree-graph route."""
     c = model_constants(d, pot, beta)
-    a_star, f_val = maximize_big_f(math.exp(2.0 * beta * c.stability_B))
-    return f_val / (math.exp(2.0 * beta * c.stability_B) * c.regularity_C), a_star
+    a_star, f_val = maximize_big_f(_exp(2.0 * beta * c.stability_B))
+    return _over_exp(f_val, 2.0 * beta * c.stability_B, c.regularity_C), a_star
 
 
 def contour_threshold(d: int, pot: PotentialSpec, beta: float) -> tuple[float, float]:
@@ -115,7 +108,7 @@ def radius_virial(d: int, pot: PotentialSpec, beta: float) -> float:
     """R_V; the exponent beta(B + B*) equals 4 beta J(2d+1) for range 1."""
     c = model_constants(d, pot, beta)
     b_star = 4.0 * _ising_coupling(pot)
-    return 1.0 / (2.0 * math.exp(1.0 + beta * (c.stability_B + b_star)) * c.tree_C_bar)
+    return _over_exp(1.0, 1.0 + beta * (c.stability_B + b_star), 2.0 * c.tree_C_bar)
 
 
 @dataclass(frozen=True)

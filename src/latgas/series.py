@@ -177,9 +177,13 @@ def beta1_closed_form(d: int, pot: PotentialSpec, beta: float) -> float:
     """beta_1 = 2d(e^{-beta*v1} - 1) - 1 with v1 the bond energy.
 
     For the Kac kernel the 2d neighbour count becomes the in-range count;
-    exact in d = 1 (2dR sites within range R).
+    exact in d = 1 (2dR sites within range R).  +inf once e^{-beta*v1}
+    leaves the float range, like ``irreducible_coefficient(1, ...)``.
     """
-    f1 = math.expm1(-beta * pot.bond_energy)
+    try:
+        f1 = math.expm1(-beta * pot.bond_energy)
+    except OverflowError:
+        f1 = math.inf
     if pot.kind == "standard":
         nbrs = 2 * d
     else:

@@ -92,11 +92,22 @@ def test_radii_command_figure_files(tmp_path):
         lines = (tmp_path / name).read_text().splitlines()
         assert lines[0] == "beta,R_C,R_C_bar,M_IS,M_LG,R_V,a_star_RC,a_star_RCbar"
         assert len(lines) == 6
-    # thread count must not change the output
+    # --threads is accepted and has no effect
     single = tmp_path / "single"
     assert main(["radii", "--config", cfg, "--out", str(single)]) == 0
     assert (single / "radii_d1_J1.csv").read_bytes() == \
         (tmp_path / "radii_d1_J1.csv").read_bytes()
+
+
+def test_radii_past_float_range_exits_zero(tmp_path):
+    # e^{-beta B} underflows and e^{2 beta B} overflows on this whole grid
+    cfg = write_cfg(tmp_path, {"beta_grid": {"start": 100, "stop": 140, "count": 5},
+                               "pairs": [[1, 1.0]]})
+    assert main(["radii", "--config", cfg, "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "radii_d1_J1.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 5
+    assert all(math.isfinite(float(v)) for row in rows for v in row.values())
 
 
 def test_radii_rejects_empty_grid(tmp_path):
@@ -129,7 +140,7 @@ def test_series_uses_transfer_matrix_past_enumeration_guard(tmp_path):
 
 
 def test_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
-    def overflow(cfg, out, threads):
+    def overflow(cfg, out):
         raise OverflowError("math range error")
     monkeypatch.setitem(cli.COMMANDS, "oracle", overflow)
     assert main(["oracle", "--out", str(tmp_path)]) == 5

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from latgas.model import (LatticeSpec, PotentialSpec,
+from latgas.model import (GuardError, LatticeSpec, PotentialSpec,
                           boltzmann_weight, boundary_weight, field_from_mu,
                           ising_hamiltonian, lattice_gas_hamiltonian,
                           model_constants, mu_from_field,
@@ -142,6 +142,14 @@ def test_model_constants_examples():
     kac = model_constants(1, PotentialSpec("kac", 1.0, 3), 0.5)
     assert kac.stability_B == 24.0
     assert kac.tree_C_bar == pytest.approx(1 + 6 * (1 - math.exp(-2)))
+
+
+def test_model_constants_guard_past_float_range():
+    # C = 2d expm1(4 beta J) + 1 leaves the float range at beta J ~ 177.4
+    for pot in (POT, PotentialSpec("kac", 1.0, 2)):
+        with pytest.raises(GuardError):
+            model_constants(1, pot, 200.0)
+        assert math.isfinite(model_constants(1, pot, 170.0).regularity_C)
 
 
 def test_constants_ordering_on_grid():

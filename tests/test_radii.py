@@ -1,9 +1,12 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from latgas.model import PotentialSpec
+from latgas.model import PotentialSpec, model_constants
 from latgas.radii import (cluster_sum_margin, contour_threshold,
                           lattice_gas_threshold, maximize_big_f,
                           radius_canonical, radius_canonical_penrose,
@@ -26,6 +29,61 @@ def test_maximizer_against_grid(u):
     a_star, val = maximize_big_f(u)
     assert a_star > 0
     assert abs(val - grid_oracle(u)) <= 1e-9
+
+
+def reference_argmax(u: float) -> tuple[mp.mpf, mp.mpf]:
+    """(a*, F(u)) by mpmath bisection of h(a) = 1 in log a, with
+    h = (u e^{-a}/s)(1/ln s - 1), on the bracket [min(ln 2, 1/u)/4, 1].
+    At large u, 1/ln s - 1 ~ e a cancels log10(u) digits, so the working
+    precision is 50 digits past that."""
+    with mp.workdps(50 + int(abs(math.log10(u)))):
+        uu = mp.mpf(u)
+
+        def s_of(a):
+            return 1 + uu * -mp.expm1(-a)
+
+        def h(a):
+            return uu * mp.exp(-a) / s_of(a) * (1 / mp.log(s_of(a)) - 1)
+
+        lo, hi = min(mp.log(2), 1 / uu) / 4, mp.mpf(1)
+        for _ in range(240):
+            mid = mp.sqrt(lo * hi)
+            lo, hi = (mid, hi) if h(mid) > 1 else (lo, mid)
+        return +lo, mp.log(s_of(lo)) / (mp.exp(lo) * s_of(lo))
+
+
+@pytest.mark.parametrize("log_u", np.linspace(-20.0, 96.0, 30))
+def test_maximizer_against_mpmath_root(log_u):
+    u = math.exp(log_u)
+    a_star, val = maximize_big_f(u)
+    ref_a, ref_f = reference_argmax(u)
+    assert abs(a_star - ref_a) <= 1e-13 * ref_a
+    assert abs(val - ref_f) <= 1e-15 * ref_f
+
+
+def test_maximizer_one_sided_limits():
+    assert maximize_big_f(0.0) == (math.log(2.0), 0.0)
+    assert maximize_big_f(math.inf) == (0.0, 1.0 / math.e)
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError):
+            maximize_big_f(bad)
+
+
+def _g(a: float, u: float) -> float:
+    t = u * -math.expm1(-a)
+    return math.log1p(t) / (math.exp(a) * (1.0 + t))
+
+
+@settings(max_examples=200, deadline=None)
+@given(log_u=st.floats(-700.0, 700.0))
+def test_maximizer_is_an_interior_maximum(log_u):
+    u = math.exp(log_u)
+    a_star, val = maximize_big_f(u)
+    assert 0.0 < a_star < 1.0
+    peak = _g(a_star, u)
+    assert val == pytest.approx(peak, rel=1e-14)
+    assert peak >= _g(a_star * (1.0 - 1e-6), u)
+    assert peak >= _g(a_star * (1.0 + 1e-6), u)
 
 
 def test_maximizer_monotone_in_u():
@@ -137,3 +195,22 @@ def test_kac_radii_finite_and_positive():
         assert rep.r_c > 0 and rep.r_c_bar > 0 and rep.r_v > 0
         assert math.isfinite(rep.r_c)
     assert lattice_gas_threshold(1, kac, 0.1) < -8.0
+
+
+@pytest.mark.parametrize("beta", [50.0, 59.5, 90.0, 100.0, 140.0])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_radii_past_the_float_range(d, beta):
+    rep = radius_report(d, POT, beta)
+    B = model_constants(d, POT, beta).stability_B
+    # R_C <= e^{-2 beta B}/4 and R-bar_C <= e^{-2 beta B}/e: both underflow here
+    assert 2.0 * beta * B >= 800.0
+    assert rep.r_c == 0.0 and rep.r_c_bar == 0.0
+    # u = e^{-beta B} <= e^{-400} (subnormal at d = 1, beta = 90), so a* is
+    # ln 2 to the last bit, and the Penrose a* ~ (e - 1) e^{-2 beta B} underflows
+    assert rep.a_star_rc == math.log(2.0) and rep.a_star_rcbar == 0.0
+    with mp.workdps(30):
+        b = mp.mpf(beta)
+        c_bar = 1 + 2 * d * -mp.expm1(-4 * b)
+        ref_rv = 1 / (2 * mp.exp(1 + b * (B + 4)) * c_bar)
+    assert rep.r_v == pytest.approx(float(ref_rv), rel=1e-12, abs=5e-323)
+    assert all(math.isfinite(v) for v in (rep.m_is, rep.m_lg, rep.r_v))

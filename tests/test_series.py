@@ -101,6 +101,8 @@ def test_coefficients_past_float_range_round_to_infinity():
     assert connected_coefficient(2, 1, POT, 200.0) == math.inf
     assert irreducible_coefficient(1, 2, POT, 200.0) == math.inf
     assert irreducible_coefficient(2, 1, POT, 200.0) == -math.inf
+    assert beta1_closed_form(1, POT, 200.0) == math.inf
+    assert beta1_closed_form(1, PotentialSpec("kac", 1.0, 2), 200.0) == math.inf
 
 
 def test_falling_p_examples():

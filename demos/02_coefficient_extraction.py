@@ -8,8 +8,7 @@ and watches B(n) drift toward the irreducible coefficients beta_n as the
 box grows.
 """
 
-from latgas import LatticeSpec, PotentialSpec, exact_canonical_table
-from latgas.oracle import transfer_matrix_table
+from latgas import LatticeSpec, PotentialSpec, canonical_table, exact_canonical_table
 from latgas.series import (extract_b_lambda, irreducible_coefficient,
                            reconstruct_log_z)
 
@@ -31,10 +30,7 @@ beta1 = irreducible_coefficient(1, 1, pot, beta)
 beta2 = irreducible_coefficient(2, 1, pot, beta)
 print(f"  beta_1 = {beta1:+.8f}, beta_2 = {beta2:+.8f}")
 for side in (10, 20, 40, 80):
-    if side <= 24:
-        t = exact_canonical_table(LatticeSpec(1, side, "periodic"), pot, beta)
-    else:
-        t = transfer_matrix_table(side, pot, beta, "periodic")
+    t = canonical_table(LatticeSpec(1, side, "periodic"), pot, beta)
     c = extract_b_lambda(t, 2)
     print(f"  L = {side:3d}: |B(1)-beta_1| = {abs(c.value(1)-beta1):.5f}   "
           f"|B(2)-beta_2| = {abs(c.value(2)-beta2):.5f}")

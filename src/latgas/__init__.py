@@ -7,7 +7,7 @@ from .model import (EXCLUDED, GuardError, LatticeSpec, ModelConstants,
                     ising_hamiltonian, lattice_gas_hamiltonian,
                     model_constants, spin_gas_energy_identity)
 from .oracle import (CanonicalTable, CorrelationTable, GrandCanonicalEval,
-                     exact_canonical_table, exact_correlations,
+                     canonical_table, exact_canonical_table, exact_correlations,
                      grand_canonical_eval, ising_gas_consistency,
                      transfer_matrix_table)
 from .series import (CanonicalFreeEnergy, SeriesCoefficients, VirialSeries,

@@ -26,8 +26,8 @@ import numpy as np
 
 from . import correlations, deviations, graphs, radii, series
 from .model import LatticeSpec, PotentialSpec
-from .oracle import (CanonicalTable, exact_canonical_table,
-                     grand_canonical_eval, transfer_matrix_table)
+from .oracle import (CanonicalTable, canonical_table, exact_canonical_table,
+                     exact_correlations, grand_canonical_eval, transfer_matrix_table)
 
 STD_BETA = 0.2
 STD_POT = PotentialSpec("standard", 1.0)
@@ -87,11 +87,7 @@ def criterion_coefficient_convergence() -> tuple[bool, str]:
     beta2 = series.irreducible_coefficient(2, 1, STD_POT, STD_BETA)
     diffs = {1: [], 2: []}
     for side in (10, 20, 40):
-        if side <= 24:
-            table = exact_canonical_table(LatticeSpec(1, side, "periodic"),
-                                          STD_POT, STD_BETA)
-        else:
-            table = transfer_matrix_table(side, STD_POT, STD_BETA, "periodic")
+        table = canonical_table(LatticeSpec(1, side, "periodic"), STD_POT, STD_BETA)
         coeffs = series.extract_b_lambda(table, 2)
         diffs[1].append(abs(coeffs.value(1) - beta1))
         diffs[2].append(abs(coeffs.value(2) - beta2))
@@ -158,7 +154,6 @@ def criterion_figures() -> tuple[bool, str]:
 
 
 def criterion_correlation_bound() -> tuple[bool, str]:
-    from .oracle import exact_correlations
     tables = []
     for side in (10, 12, 14):
         for n in (2, 3):

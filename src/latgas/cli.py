@@ -20,8 +20,8 @@ import numpy as np
 from . import acceptance, correlations, deviations, radii, series
 from .csvfmt import write_csv
 from .model import GuardError, LatticeSpec, PotentialSpec
-from .oracle import (ENUMERATION_MAX_SITES, CanonicalTable, exact_canonical_table,
-                     exact_correlations, grand_canonical_eval, transfer_matrix_table)
+from .oracle import canonical_table, exact_correlations, grand_canonical_eval
+from .oracle import exact_canonical_table  # noqa: F401  read by bench/test_bench.py
 
 
 class ConfigError(ValueError):
@@ -54,12 +54,8 @@ def _need(cfg: dict, key: str, kind, legal: str):
     return v
 
 
-def _get(cfg: dict, key: str, default):
-    return cfg.get(key, default)
-
-
 def _parse_boundary(cfg: dict) -> tuple[str, tuple]:
-    b = _get(cfg, "boundary", "zero")
+    b = cfg.get("boundary", "zero")
     if b in ("zero", "periodic"):
         return b, ()
     if isinstance(b, str) and b.startswith("fixed:"):
@@ -75,16 +71,16 @@ def _parse_boundary(cfg: dict) -> tuple[str, tuple]:
 
 
 def _parse_potential(cfg: dict) -> PotentialSpec:
-    pot_cfg = _get(cfg, "potential", {})
+    pot_cfg = cfg.get("potential", {})
     if not isinstance(pot_cfg, dict):
         raise ConfigError("key 'potential' must be an object with 'kind'/'range'")
-    kind = _get(pot_cfg, "kind", "standard")
+    kind = pot_cfg.get("kind", "standard")
     if kind not in ("standard", "kac"):
         raise ConfigError("key 'potential.kind' must be standard | kac")
-    coupling = float(_get(cfg, "coupling", 1.0))
+    coupling = float(cfg.get("coupling", 1.0))
     if coupling <= 0:
         raise ConfigError("key 'coupling' must be a positive real")
-    rng = int(_get(pot_cfg, "range", 1))
+    rng = int(pot_cfg.get("range", 1))
     if rng < 1:
         raise ConfigError("key 'potential.range' must be a positive integer")
     if kind == "standard":
@@ -109,7 +105,7 @@ def _parse_model(cfg: dict) -> tuple[LatticeSpec, PotentialSpec, float]:
 
 
 def _beta_grid(cfg: dict) -> np.ndarray:
-    grid = _get(cfg, "beta_grid", {"start": 0.0, "stop": 1.0, "count": 101})
+    grid = cfg.get("beta_grid", {"start": 0.0, "stop": 1.0, "count": 101})
     try:
         start, stop, count = float(grid["start"]), float(grid["stop"]), int(grid["count"])
     except (KeyError, TypeError, ValueError) as e:
@@ -121,7 +117,7 @@ def _beta_grid(cfg: dict) -> np.ndarray:
 
 def cmd_radii(cfg: dict, out: Path) -> None:
     betas = _beta_grid(cfg)
-    pairs = _get(cfg, "pairs", [[1, 1.0], [2, 1.0], [3, 1.0], [1, 2.0]])
+    pairs = cfg.get("pairs", [[1, 1.0], [2, 1.0], [3, 1.0], [1, 2.0]])
     for pair in pairs:
         if (not isinstance(pair, (list, tuple)) or len(pair) != 2
                 or int(pair[0]) < 1 or float(pair[1]) <= 0):
@@ -133,22 +129,9 @@ def cmd_radii(cfg: dict, out: Path) -> None:
         write_csv(out / f"radii_d{d}_J{float(coupling):g}.csv", rows)
 
 
-def _canonical_table(lattice: LatticeSpec, pot: PotentialSpec, beta: float,
-                     method: str = "auto") -> CanonicalTable:
-    """The exact oracle table.  ``auto`` picks the transfer matrix for d = 1
-    boxes past the enumeration guard, enumeration otherwise."""
-    if method == "transfer-matrix" or (method == "auto" and lattice.dimension == 1
-                                       and lattice.n_sites > ENUMERATION_MAX_SITES):
-        return transfer_matrix_table(lattice.side, pot, beta, lattice.boundary)
-    return exact_canonical_table(lattice, pot, beta)
-
-
 def cmd_oracle(cfg: dict, out: Path) -> None:
     lattice, pot, beta = _parse_model(cfg)
-    method = _get(cfg, "method", "auto")
-    if method not in ("auto", "enumeration", "transfer-matrix"):
-        raise ConfigError("key 'method' must be auto | enumeration | transfer-matrix")
-    table = _canonical_table(lattice, pot, beta, method)
+    table = canonical_table(lattice, pot, beta, cfg.get("method", "auto"))
     write_csv(out / "canonical_table.csv", table.csv_rows())
     if "mu" in cfg:
         gc = grand_canonical_eval(table, float(cfg["mu"]))
@@ -157,11 +140,11 @@ def cmd_oracle(cfg: dict, out: Path) -> None:
 
 def cmd_series(cfg: dict, out: Path) -> None:
     lattice, pot, beta = _parse_model(cfg)
-    order = int(_get(cfg, "order", 4))
+    order = int(cfg.get("order", 4))
     if not 1 <= order <= lattice.n_sites - 1:
         raise ConfigError("key 'order' must satisfy 1 <= order <= |Lambda|-1")
-    particles = int(_get(cfg, "particles", order + 1))
-    table = _canonical_table(lattice, pot, beta)
+    particles = int(cfg.get("particles", order + 1))
+    table = canonical_table(lattice, pot, beta)
     coeffs = series.extract_b_lambda(table, order)
     rows = [("n", "b_n", "beta_n", "B_Lambda_n", "F_coeff")]
     for n in range(1, order + 1):
@@ -190,16 +173,16 @@ def cmd_correlate(cfg: dict, out: Path) -> None:
 
 def cmd_deviate(cfg: dict, out: Path) -> None:
     lattice, pot, beta = _parse_model(cfg)
-    table = _canonical_table(lattice, pot, beta)
+    table = canonical_table(lattice, pot, beta)
     if "mu0" in cfg:
         mu0 = float(cfg["mu0"])
     else:
         mu0 = radii.lattice_gas_threshold(lattice.dimension, pot, beta) - 1.0
         if not math.isfinite(mu0):
             raise ConfigError("key 'mu0' required when beta = 0 (threshold sentinel)")
-    alphas = _get(cfg, "alphas", [0.5, 1.0])
-    us = _get(cfg, "us", [0.0, 0.5, 1.0])
-    order = int(_get(cfg, "order", 4))
+    alphas = cfg.get("alphas", [0.5, 1.0])
+    us = cfg.get("us", [0.0, 0.5, 1.0])
+    order = int(cfg.get("order", 4))
     fe = series.free_energy_from_extraction(series.extract_b_lambda(table, order))
     rows = [deviations.CSV_HEADER]
     for alpha in alphas:

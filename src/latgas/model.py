@@ -201,6 +201,21 @@ class ModelConstants:
     tree_C_bar: float
 
 
+def _kernel_terms(dimension: int, pot: PotentialSpec, beta: float) -> tuple[float, float, float]:
+    """B = 4J * nbrs, the number nbrs of in-range neighbours, and 4 beta J."""
+    if beta < 0:
+        raise ValueError("beta must be >= 0")
+    J = pot.coupling if pot.kind == "standard" else 1.0
+    nbrs = 2.0 * dimension * pot.range_  # range_ is 1 for the standard form
+    return 4.0 * J * nbrs, nbrs, 4.0 * beta * J
+
+
+def tree_constants(dimension: int, pot: PotentialSpec, beta: float) -> tuple[float, float]:
+    """(B, C-bar_{J,d}(beta)); unlike C, both are finite at every beta."""
+    B, nbrs, bond = _kernel_terms(dimension, pot, beta)
+    return B, 1.0 + nbrs * (-math.expm1(-bond))
+
+
 def model_constants(dimension: int, pot: PotentialSpec, beta: float) -> ModelConstants:
     """B, C_{J,d}(beta) and the tree-graph constant C-bar_{J,d}(beta).
 
@@ -209,25 +224,15 @@ def model_constants(dimension: int, pot: PotentialSpec, beta: float) -> ModelCon
     they count neighbours exactly in d = 1.  Raises ``GuardError`` once C
     leaves the float range (beta J > ~177 in the standard form).
     """
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
-    d = dimension
-    if pot.kind == "standard":
-        J = pot.coupling
-        B = 8.0 * J * d
-        nbrs, bond = 2.0 * d, 4.0 * beta * J
-    else:
-        R = pot.range_
-        B = 8.0 * R * d
-        nbrs, bond = 2.0 * d * R, 4.0 * beta
+    B, c_bar = tree_constants(dimension, pot, beta)
+    _, nbrs, bond = _kernel_terms(dimension, pot, beta)
     try:
         C = nbrs * math.expm1(bond) + 1.0
     except OverflowError:
         C = math.inf
     if C == math.inf:
         raise GuardError(f"C = {nbrs:g}(e^{bond:g} - 1) + 1 exceeds the float range")
-    return ModelConstants(stability_B=B, regularity_C=C,
-                          tree_C_bar=1.0 + nbrs * (-math.expm1(-bond)))
+    return ModelConstants(stability_B=B, regularity_C=C, tree_C_bar=c_bar)
 
 
 def _check_spins(spins: dict[Site, int], lattice: LatticeSpec) -> None:

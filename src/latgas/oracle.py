@@ -9,11 +9,15 @@ Two independent routes to the canonical partition function Z(N):
   (k, site pair) for the torus correlations.  Each beta then costs a
   30-digit decimal evaluation against e^{k x}, x = -beta * bond energy,
   rounded to float once, so no beta overflows;
-* a d = 1 transfer matrix whose payload is the fugacity polynomial
-  Xi(z) = sum_N Z(N) z^N, carried in log-domain (all coefficients are
-  nonnegative, so log-sum-exp accumulation keeps the relative error near
-  machine precision through the L <= 4096 guard).
+* a d = 1 transfer matrix whose state is one log-domain array: log Z_h(N)
+  of the chain so far, per occupancy history h of the last R sites and per
+  particle number N (and per state of site 1 on a ring, for the closing
+  bond).  Each site costs two ``np.logaddexp`` over the columns N that
+  can be occupied yet; all terms are nonnegative, so log-sum-exp
+  accumulation keeps the relative error near machine precision through the
+  L <= 4096 guard.
 
+``canonical_table`` is the one place that picks between the two.
 Everything downstream (grand-canonical probabilities, correlation
 functions, deviation checks) is derived from these tables.
 """
@@ -181,19 +185,16 @@ def exact_canonical_table(lattice: LatticeSpec, pot: PotentialSpec,
                           log_z=np.array(log_z), method="enumeration")
 
 
-def _shift_up(coeffs: np.ndarray) -> np.ndarray:
-    out = np.full_like(coeffs, LOG_ZERO)
-    out[1:] = coeffs[:-1]
-    return out
-
-
 def transfer_matrix_table(side: int, pot: PotentialSpec, beta: float,
                           boundary: str = "zero") -> CanonicalTable:
     """d = 1 fugacity-polynomial transfer matrix; exact Z(N) for large L.
 
-    The state is the occupancy history of the last R sites; each step
-    multiplies by z^s and by one Boltzmann factor per in-range occupied
-    pair.  Periodic chains are supported for range-1 potentials (L >= 3).
+    state[first, h, N] is log Z(N) of the sites placed so far, restricted
+    to the occupancy history h of the last R sites (bit R - 1 the oldest)
+    and, on a ring, to the state of site 1.  Placing a site sends h to
+    2h mod 2^R + s; an occupied one (s = 1) raises N by one and adds one
+    bond per occupied site of h.  Periodic chains are supported for range-1
+    potentials (L >= 3).
     """
     if side > TRANSFER_MAX_SIDE:
         raise GuardError(f"transfer matrix guarded to L <= {TRANSFER_MAX_SIDE}")
@@ -207,52 +208,41 @@ def transfer_matrix_table(side: int, pot: PotentialSpec, beta: float,
     if side <= R:
         raise GuardError("side must exceed the interaction range")
     log_b = -beta * pot.bond_energy  # log of one occupied-pair factor
+    periodic = boundary == "periodic"
 
-    lattice = LatticeSpec(dimension=1, side=side, boundary=boundary)
-    size = side + 1
+    # a zero-wall chain has one "first" state; a ring keeps site 1 apart
+    state = np.full((1 + periodic, 1 << R, side + 1), LOG_ZERO)
+    state[0, 0, 0] = state[-1, 1, 1] = 0.0  # site 1 empty or occupied
+    half = 1 << (R - 1)
+    bonds = log_b * np.bitwise_count(np.arange(1 << R))[:, None]
+    for n in range(1, side):
+        # n sites placed, so only N <= n is live; h and h + 2^(R-1) (oldest
+        # site empty, occupied) both lead to 2h mod 2^R + s.  The cells left
+        # unwritten (N = 0 with the new site occupied, N > n + 1) stay log 0
+        lo, hi = state[:, :half, :n + 1], state[:, half:, :n + 1]
+        empty = np.logaddexp(lo, hi)
+        full = np.logaddexp(lo + bonds[:half], hi + bonds[half:])
+        state[:, 0::2, :n + 1] = empty
+        state[:, 1::2, 1:n + 2] = full
+    if periodic:
+        state[1, 1] += log_b  # sites L and 1 both occupied
+    log_z = np.logaddexp.reduce(state.reshape(-1, side + 1), axis=0)
+    return CanonicalTable(lattice=LatticeSpec(dimension=1, side=side, boundary=boundary),
+                          beta=beta, pot=pot, log_z=log_z, method="transfer-matrix")
 
-    def run_chain(first: int | None) -> dict[tuple[int, ...], np.ndarray]:
-        """Coefficient vectors per history after placing sites 1..L."""
-        states: dict[tuple[int, ...], np.ndarray] = {}
-        empty = (0,) * R
-        if first is None:
-            choices = (0, 1)
-        else:
-            choices = (first,)
-        for s in choices:
-            v = np.full(size, LOG_ZERO)
-            v[s] = 0.0
-            states[empty[1:] + (s,)] = v
-        for _ in range(side - 1):
-            nxt: dict[tuple[int, ...], np.ndarray] = {}
-            for hist, v in states.items():
-                for s in (0, 1):
-                    w = v
-                    if s == 1:
-                        w = _shift_up(v) + log_b * sum(hist)
-                    key = hist[1:] + (s,)
-                    if key in nxt:
-                        nxt[key] = np.logaddexp(nxt[key], w)
-                    else:
-                        nxt[key] = w.copy()
-            states = nxt
-        return states
 
-    if boundary == "zero":
-        states = run_chain(None)
-        log_z = np.full(size, LOG_ZERO)
-        for v in states.values():
-            log_z = np.logaddexp(log_z, v)
-    else:
-        log_z = np.full(size, LOG_ZERO)
-        for first in (0, 1):
-            states = run_chain(first)
-            for hist, v in states.items():
-                last = hist[-1]
-                closing = log_b * (first * last)
-                log_z = np.logaddexp(log_z, v + closing)
-    return CanonicalTable(lattice=lattice, beta=beta, pot=pot,
-                          log_z=log_z, method="transfer-matrix")
+def canonical_table(lattice: LatticeSpec, pot: PotentialSpec, beta: float,
+                    method: str = "auto") -> CanonicalTable:
+    """The exact oracle table.  ``auto`` picks the transfer matrix for d = 1
+    boxes past the enumeration guard, enumeration otherwise."""
+    if method not in ("auto", "enumeration", "transfer-matrix"):
+        raise ValueError("method must be auto | enumeration | transfer-matrix")
+    if method == "transfer-matrix" or (method == "auto" and lattice.dimension == 1
+                                       and lattice.n_sites > ENUMERATION_MAX_SITES):
+        if lattice.dimension != 1:
+            raise GuardError("transfer matrix supports d = 1")
+        return transfer_matrix_table(lattice.side, pot, beta, lattice.boundary)
+    return exact_canonical_table(lattice, pot, beta)
 
 
 def grand_canonical_eval(table: CanonicalTable, mu: float) -> GrandCanonicalEval:

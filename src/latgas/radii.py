@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PotentialSpec, model_constants
+from .model import GuardError, PotentialSpec, model_constants, tree_constants
 
 
 def _exp(x: float) -> float:
@@ -75,14 +75,17 @@ def _ising_coupling(pot: PotentialSpec) -> float:
 
 def radius_canonical(d: int, pot: PotentialSpec, beta: float) -> tuple[float, float]:
     """(R_C, a*) from the refined tree-graph route."""
-    c = model_constants(d, pot, beta)
-    a_star, f_val = maximize_big_f(math.exp(-beta * c.stability_B))
-    return _over_exp(f_val, beta * c.stability_B, c.tree_C_bar), a_star
+    B, c_bar = tree_constants(d, pot, beta)
+    a_star, f_val = maximize_big_f(math.exp(-beta * B))
+    return _over_exp(f_val, beta * B, c_bar), a_star
 
 
 def radius_canonical_penrose(d: int, pot: PotentialSpec, beta: float) -> tuple[float, float]:
     """(R-bar_C, a*) from the classical Penrose tree-graph route."""
-    c = model_constants(d, pot, beta)
+    try:
+        c = model_constants(d, pot, beta)
+    except GuardError:  # C overflows, and e^{2 beta B} long before it: u = +inf
+        return 0.0, 0.0
     a_star, f_val = maximize_big_f(_exp(2.0 * beta * c.stability_B))
     return _over_exp(f_val, 2.0 * beta * c.stability_B, c.regularity_C), a_star
 
@@ -100,15 +103,15 @@ def lattice_gas_threshold(d: int, pot: PotentialSpec, beta: float) -> float:
     """M_LG; -inf sentinel at beta = 0."""
     if beta == 0.0:
         return -math.inf
-    c = model_constants(d, pot, beta)
-    return -(beta * c.stability_B + 1.0 + math.log(c.tree_C_bar)) / beta
+    B, c_bar = tree_constants(d, pot, beta)
+    return -(beta * B + 1.0 + math.log(c_bar)) / beta
 
 
 def radius_virial(d: int, pot: PotentialSpec, beta: float) -> float:
     """R_V; the exponent beta(B + B*) equals 4 beta J(2d+1) for range 1."""
-    c = model_constants(d, pot, beta)
+    B, c_bar = tree_constants(d, pot, beta)
     b_star = 4.0 * _ising_coupling(pot)
-    return _over_exp(1.0, 1.0 + beta * (c.stability_B + b_star), 2.0 * c.tree_C_bar)
+    return _over_exp(1.0, 1.0 + beta * (B + b_star), 2.0 * c_bar)
 
 
 @dataclass(frozen=True)
@@ -174,15 +177,13 @@ def cluster_sum_margin(n_particles: int, volume: int, d: int,
     |zeta_n| <= n^{n-2} e^{beta B n} C-bar^{n-1} / |Lambda|^{n-1} with
     n <= order_cap, at a = a*(R_C); returns (partial bound, budget, a*).
     """
-    c = model_constants(d, pot, beta)
+    B, c_bar = tree_constants(d, pot, beta)
     _r_c, a_star = radius_canonical(d, pot, beta)
-    a_star_used = a_star
     total = 0.0
     for n in range(2, min(n_particles, order_cap) + 1):
-        log_term = (beta * c.stability_B + a_star_used
+        log_term = (beta * B + a_star
                     + (n - 2) * math.log(n)
-                    + (n - 1) * (beta * c.stability_B + a_star_used
-                                 + math.log(c.tree_C_bar) - math.log(volume)))
+                    + (n - 1) * (beta * B + a_star + math.log(c_bar) - math.log(volume)))
         log_term += math.lgamma(n_particles) - math.lgamma(n) - math.lgamma(n_particles - n + 1)
         total += math.exp(log_term)
-    return total, math.expm1(a_star_used), a_star_used
+    return total, math.expm1(a_star), a_star

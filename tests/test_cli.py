@@ -2,6 +2,8 @@ import csv
 import json
 import math
 
+import pytest
+
 from latgas import acceptance, cli
 from latgas.cli import main
 from latgas.model import PotentialSpec
@@ -100,14 +102,22 @@ def test_radii_command_figure_files(tmp_path):
 
 
 def test_radii_past_float_range_exits_zero(tmp_path):
-    # e^{-beta B} underflows and e^{2 beta B} overflows on this whole grid
-    cfg = write_cfg(tmp_path, {"beta_grid": {"start": 100, "stop": 140, "count": 5},
-                               "pairs": [[1, 1.0]]})
-    assert main(["radii", "--config", cfg, "--out", str(tmp_path)]) == 0
-    with open(tmp_path / "radii_d1_J1.csv", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 5
-    assert all(math.isfinite(float(v)) for row in rows for v in row.values())
+    # e^{-beta B} underflows and e^{2 beta B} overflows on both grids; at
+    # beta = 200 the Penrose constant C overflows too
+    for grid in ({"start": 100, "stop": 140, "count": 5},
+                 {"start": 200, "stop": 200, "count": 1}):
+        cfg = write_cfg(tmp_path, {"beta_grid": grid, "pairs": [[1, 1.0]]})
+        assert main(["radii", "--config", cfg, "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "radii_d1_J1.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == grid["count"]
+        assert all(math.isfinite(float(v)) for row in rows for v in row.values())
+        for row in rows:
+            beta = float(row["beta"])
+            assert float(row["R_C"]) == float(row["R_C_bar"]) == float(row["R_V"]) == 0.0
+            # M_LG = -(beta B + 1 + log C-bar)/beta, and C-bar = 3 to the last bit
+            assert float(row["M_LG"]) == pytest.approx(-(8 * beta + 1 + math.log(3)) / beta,
+                                                       rel=1e-14)
 
 
 def test_radii_rejects_empty_grid(tmp_path):

@@ -7,13 +7,13 @@ from math import comb
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from latgas.model import (GuardError, LatticeSpec, PotentialSpec, lattice_gas_hamiltonian,
                           mu_from_field)
-from latgas.oracle import (_density_of_states, exact_canonical_table, exact_correlations,
-                           grand_canonical_eval, ising_gas_consistency,
+from latgas.oracle import (_density_of_states, canonical_table, exact_canonical_table,
+                           exact_correlations, grand_canonical_eval, ising_gas_consistency,
                            ising_grand_partition, transfer_matrix_table)
 
 POT = PotentialSpec("standard", 1.0)
@@ -72,6 +72,19 @@ def test_transfer_matrix_guards():
         transfer_matrix_table(5000, POT, 0.1, "zero")
     with pytest.raises(GuardError):
         transfer_matrix_table(10, PotentialSpec("kac", 1.0, 2), 0.1, "periodic")
+
+
+def test_canonical_table_dispatch():
+    ring = functools.partial(LatticeSpec, 1, boundary="periodic")
+    assert canonical_table(ring(40), POT, 0.2).method == "transfer-matrix"
+    assert canonical_table(ring(24), POT, 0.2).method == "enumeration"
+    assert canonical_table(ring(10), POT, 0.2, "transfer-matrix").method == "transfer-matrix"
+    with pytest.raises(GuardError, match="enumeration guarded"):
+        canonical_table(LatticeSpec(2, 5, "periodic"), POT, 0.2)
+    with pytest.raises(GuardError, match="d = 1"):
+        canonical_table(TORUS3, POT, 0.2, "transfer-matrix")
+    with pytest.raises(ValueError, match="method must be"):
+        canonical_table(ring(10), POT, 0.2, "mc")
 
 
 def test_enumeration_guard():
@@ -326,13 +339,32 @@ def test_particle_hole_symmetry(lattice, beta):
     assert _particle_hole_residual(lattice, beta) <= 1e-12
 
 
+@pytest.mark.parametrize("side", [257, 4096])
+@pytest.mark.parametrize("beta", [0.3, 25.0])
+def test_transfer_matrix_particle_hole_at_scale(side, beta):
+    # log Z(L - N) = log Z(N) + 4 beta J (L - 2N) on the ring; both sides add
+    # up ~L rounded terms, so the error scales with the larger log Z
+    log_z = transfer_matrix_table(side, POT, beta, "periodic").log_z
+    residual = log_z[::-1] - log_z - 4.0 * beta * (side - 2 * np.arange(side + 1))
+    scale = np.maximum(1.0, np.maximum(np.abs(log_z), np.abs(log_z[::-1])))
+    assert np.all(np.abs(residual) <= 1e-12 * scale)
+
+
+def test_transfer_matrix_exact_rows_at_scale():
+    table = transfer_matrix_table(4096, PotentialSpec("kac", 1.0, 4), 0.4, "zero")
+    assert table.log_z_of(0) == 0.0
+    assert table.log_z_of(1) == pytest.approx(math.log(4096), rel=1e-15)
+
+
 @settings(max_examples=40, deadline=None)
 @given(side=st.integers(4, 16), beta=st.floats(0.0, 30.0),
        case=st.sampled_from([(POT, "zero"), (POT, "periodic"),
                              (PotentialSpec("kac", 1.0, 1), "zero"),
-                             (KAC2, "zero"), (KAC3, "zero")]))
+                             (KAC2, "zero"), (KAC3, "zero"),
+                             (PotentialSpec("kac", 1.0, 4), "zero")]))
 def test_enumeration_equals_transfer_matrix(side, beta, case):
     pot, boundary = case
+    assume(side > pot.support_radius)
     en = exact_canonical_table(LatticeSpec(1, side, boundary), pot, beta)
     tm = transfer_matrix_table(side, pot, beta, boundary)
     assert np.all(np.abs(en.log_z - tm.log_z) <= 1e-12 * np.maximum(1.0, np.abs(tm.log_z)))

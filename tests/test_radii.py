@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latgas.model import PotentialSpec, model_constants
+from latgas.model import PotentialSpec, tree_constants
 from latgas.radii import (cluster_sum_margin, contour_threshold,
                           lattice_gas_threshold, maximize_big_f,
                           radius_canonical, radius_canonical_penrose,
@@ -197,11 +197,11 @@ def test_kac_radii_finite_and_positive():
     assert lattice_gas_threshold(1, kac, 0.1) < -8.0
 
 
-@pytest.mark.parametrize("beta", [50.0, 59.5, 90.0, 100.0, 140.0])
+@pytest.mark.parametrize("beta", [50.0, 59.5, 90.0, 100.0, 140.0, 200.0])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_radii_past_the_float_range(d, beta):
     rep = radius_report(d, POT, beta)
-    B = model_constants(d, POT, beta).stability_B
+    B, _ = tree_constants(d, POT, beta)
     # R_C <= e^{-2 beta B}/4 and R-bar_C <= e^{-2 beta B}/e: both underflow here
     assert 2.0 * beta * B >= 800.0
     assert rep.r_c == 0.0 and rep.r_c_bar == 0.0

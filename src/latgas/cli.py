@@ -47,9 +47,11 @@ def _need(cfg: dict, key: str, kind, legal: str):
     if key not in cfg:
         raise ConfigError(f"missing key '{key}' ({legal})")
     v = cfg[key]
-    if kind is float and isinstance(v, int):
+    if kind is float and type(v) is int:
         v = float(v)
-    if not isinstance(v, kind):
+    # exact types, since isinstance counts JSON's true and false as ints; and
+    # JSON admits NaN and Infinity, which would run through to all-nan CSVs
+    if type(v) is not kind or (kind is float and not math.isfinite(v)):
         raise ConfigError(f"key '{key}' must be {legal}, got {v!r}")
     return v
 
@@ -77,7 +79,7 @@ def _parse_potential(cfg: dict) -> PotentialSpec:
     kind = pot_cfg.get("kind", "standard")
     if kind not in ("standard", "kac"):
         raise ConfigError("key 'potential.kind' must be standard | kac")
-    coupling = float(cfg.get("coupling", 1.0))
+    coupling = _need(cfg, "coupling", float, "a positive real") if "coupling" in cfg else 1.0
     if coupling <= 0:
         raise ConfigError("key 'coupling' must be a positive real")
     rng = int(pot_cfg.get("range", 1))
@@ -95,7 +97,7 @@ def _parse_model(cfg: dict) -> tuple[LatticeSpec, PotentialSpec, float]:
     side = _need(cfg, "side", int, "an integer >= 2")
     if side < 2:
         raise ConfigError("key 'side' must be >= 2")
-    beta = _need(cfg, "beta", float, "a real >= 0")
+    beta = _need(cfg, "beta", float, "a finite real >= 0")
     if beta < 0:
         raise ConfigError("key 'beta' must be >= 0")
     boundary, gamma = _parse_boundary(cfg)
@@ -131,10 +133,11 @@ def cmd_radii(cfg: dict, out: Path) -> None:
 
 def cmd_oracle(cfg: dict, out: Path) -> None:
     lattice, pot, beta = _parse_model(cfg)
+    mu = _need(cfg, "mu", float, "a finite real") if "mu" in cfg else None
     table = canonical_table(lattice, pot, beta, cfg.get("method", "auto"))
     write_csv(out / "canonical_table.csv", table.csv_rows())
-    if "mu" in cfg:
-        gc = grand_canonical_eval(table, float(cfg["mu"]))
+    if mu is not None:
+        gc = grand_canonical_eval(table, mu)
         write_csv(out / "probabilities.csv", gc.csv_rows())
 
 
@@ -163,7 +166,8 @@ def cmd_correlate(cfg: dict, out: Path) -> None:
     particles = _need(cfg, "particles", int, "an integer in [2, |Lambda|]")
     table = exact_correlations(lattice, pot, beta, particles)
     if "c_const" in cfg and "c1_const" in cfg:
-        c_val, c1_val = float(cfg["c_const"]), float(cfg["c1_const"])
+        c_val, c1_val = (_need(cfg, key, float, "a finite real")
+                         for key in ("c_const", "c1_const"))
     else:
         cal = correlations.calibrate_constants([table])
         c_val, c1_val = cal.c_min, cal.c1_min
@@ -175,13 +179,15 @@ def cmd_deviate(cfg: dict, out: Path) -> None:
     lattice, pot, beta = _parse_model(cfg)
     table = canonical_table(lattice, pot, beta)
     if "mu0" in cfg:
-        mu0 = float(cfg["mu0"])
+        mu0 = _need(cfg, "mu0", float, "a finite real")
     else:
         mu0 = radii.lattice_gas_threshold(lattice.dimension, pot, beta) - 1.0
         if not math.isfinite(mu0):
             raise ConfigError("key 'mu0' required when beta = 0 (threshold sentinel)")
     alphas = cfg.get("alphas", [0.5, 1.0])
-    us = cfg.get("us", [0.0, 0.5, 1.0])
+    # at the default mu0, u = 0.5 already puts the alpha = 1 target past
+    # deviations.DENSITY_HARD_CAP on chains of 64 to 1024 sites
+    us = cfg.get("us", [0.0, 0.05])
     order = int(cfg.get("order", 4))
     fe = series.free_energy_from_extraction(series.extract_b_lambda(table, order))
     rows = [deviations.CSV_HEADER]

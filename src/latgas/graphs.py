@@ -25,18 +25,10 @@ MAX_TREE_ORDER = 8
 
 @dataclass(frozen=True)
 class LabeledGraph:
-    """A labeled simple graph, optionally two-colored.
-
-    The first ``n_white`` labels are the white vertices when a coloring is
-    present (``n_white`` is None for uncolored graphs).
-    """
+    """A labeled simple graph."""
 
     n: int
     edges: frozenset[tuple[int, int]]
-    n_white: int | None = None
-
-    def edge_list(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
 
     def adjacency(self) -> list[set[int]]:
         adj: list[set[int]] = [set() for _ in range(self.n)]
@@ -44,13 +36,6 @@ class LabeledGraph:
             adj[i].add(j)
             adj[j].add(i)
         return adj
-
-
-def dump(g: LabeledGraph) -> str:
-    """One-line debug format: ``n=<n> edges=<i-j,...> white=<count>`` (1-based)."""
-    edges = ",".join(f"{i + 1}-{j + 1}" for i, j in g.edge_list())
-    white = g.n_white if g.n_white is not None else 0
-    return f"n={g.n} edges={edges} white={white}"
 
 
 def all_pairs(n: int) -> list[tuple[int, int]]:
@@ -157,56 +142,6 @@ def enumerate_trees(n: int) -> Iterator[LabeledGraph]:
         yield LabeledGraph(n, _tree_from_pruefer(seq, n))
 
 
-def _components_after_removal(g: LabeledGraph, v: int) -> list[set[int]]:
-    adj = g.adjacency()
-    seen = {v}
-    comps = []
-    for start in range(g.n):
-        if start in seen:
-            continue
-        comp = set()
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            if u in seen:
-                continue
-            seen.add(u)
-            comp.add(u)
-            stack.extend(w for w in adj[u] if w not in seen)
-        comps.append(comp)
-    return comps
-
-
-def _strands_white_free_part(g: LabeledGraph, v: int) -> bool:
-    """Does deleting v leave >= 2 components, one without white vertices?"""
-    comps = _components_after_removal(g, v)
-    if len(comps) < 2:
-        return False
-    n_white = g.n_white or 0
-    return any(all(u >= n_white for u in comp) for comp in comps)
-
-
-def enumerate_af_two_colored(n_white: int, k_black: int) -> Iterator[LabeledGraph]:
-    """Connected graphs on n_white + k_black vertices with no articulation
-    vertex whose removal strands a white-free component.
-
-    The first n_white labels are white.
-    """
-    if n_white < 1:
-        raise GuardError("need at least one white vertex")
-    n = n_white + k_black
-    if n > MAX_CLUSTER_ORDER:
-        raise GuardError(f"two-colored enumeration guarded to n <= {MAX_CLUSTER_ORDER}")
-    pairs = all_pairs(n)
-    for mask in range(1 << len(pairs)):
-        edges = _mask_to_edges(mask, pairs)
-        if not _uf_connected(n, edges):
-            continue
-        g = LabeledGraph(n, edges, n_white=n_white)
-        if not any(_strands_white_free_part(g, v) for v in range(n)):
-            yield g
-
-
 def _dfs_connected(g: LabeledGraph) -> bool:
     if g.n == 0:
         return True
@@ -264,13 +199,8 @@ def _articulation_points(g: LabeledGraph) -> set[int]:
 
 
 def classify(g: LabeledGraph) -> dict[str, bool]:
-    """DFS-based predicates for one graph.
-
-    ``biconnected`` keeps the single-edge convention; ``articulation_free``
-    refers to the two-colored definition and reads the graph's coloring
-    (all-white when absent, which reduces it to ordinary biconnectivity for
-    n >= 3).
-    """
+    """DFS-based predicates for one graph; ``biconnected`` keeps the
+    single-edge convention."""
     connected = _dfs_connected(g)
     arts = _articulation_points(g) if connected else set()
     if g.n == 2:
@@ -278,21 +208,9 @@ def classify(g: LabeledGraph) -> dict[str, bool]:
     else:
         biconnected = connected and not arts
     tree = connected and len(g.edges) == g.n - 1
-    af = connected and not any(_strands_white_free_part(g, v) for v in range(g.n))
-    return {
-        "connected": connected,
-        "biconnected": biconnected,
-        "tree": tree,
-        "articulation_free": af,
-    }
+    return {"connected": connected, "biconnected": biconnected, "tree": tree}
 
 
-def brute_force_class(n: int, predicate: str, n_white: int | None = None) -> set[frozenset[tuple[int, int]]]:
+def brute_force_class(n: int, predicate: str) -> set[frozenset[tuple[int, int]]]:
     """Edge sets of all n-vertex graphs passing a ``classify`` predicate."""
-    out = set()
-    for g in enumerate_all_graphs(n):
-        if n_white is not None:
-            g = LabeledGraph(g.n, g.edges, n_white=n_white)
-        if classify(g)[predicate]:
-            out.add(g.edges)
-    return out
+    return {g.edges for g in enumerate_all_graphs(n) if classify(g)[predicate]}

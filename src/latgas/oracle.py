@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .model import (GuardError, LatticeSpec, PotentialSpec,
                     ising_energy_minus_walls, ising_hamiltonian)
@@ -43,8 +42,11 @@ CORRELATION_MAX_SITES = 20
 LOG_ZERO = -math.inf
 
 # 30 digits leave ten to spare after rounding to float; _EXACT only
-# multiplies and adds, where MAX_PREC never rounds
+# multiplies and adds, where MAX_PREC never rounds.  _DECIMAL50 serves the
+# B_Lambda(n) solve of series.extract_b_lambda, whose row n cancels about
+# n log10 |Lambda| digits (18 at |Lambda| = 4096, n = 5)
 _DECIMAL = decimal.Context(prec=30, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+_DECIMAL50 = decimal.Context(prec=50, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
 _EXACT = decimal.Context(prec=decimal.MAX_PREC)
 
 
@@ -245,12 +247,25 @@ def canonical_table(lattice: LatticeSpec, pot: PotentialSpec, beta: float,
     return exact_canonical_table(lattice, pot, beta)
 
 
+def _logsumexp(a: np.ndarray) -> float:
+    """log sum e^a for a 1-d ``a`` with a finite entry, split at the maximum
+    as ``scipy.special.logsumexp`` (1.17) does:
+    log1p(sum_{a != max} e^{a - max} / m) + log m + max, m the number of
+    entries equal to the max.  The sum runs over the whole array with the
+    max entries set to -inf, so numpy's pairwise summation gives the same bits."""
+    top = a.max()
+    at_top = a == top
+    m = np.count_nonzero(at_top)
+    s = np.exp(np.where(at_top, -np.inf, a) - top).sum()
+    return float(np.log1p(s / m) + np.log(m) + top)
+
+
 def grand_canonical_eval(table: CanonicalTable, mu: float) -> GrandCanonicalEval:
     """log Xi and the particle-number distribution at chemical potential mu."""
     beta = table.beta
     ns = np.arange(len(table.log_z))
     terms = beta * mu * ns + table.log_z
-    log_xi = float(logsumexp(terms))
+    log_xi = _logsumexp(terms)
     probs = np.exp(terms - log_xi)
     return GrandCanonicalEval(table=table, mu=mu, log_xi=log_xi, probs=probs)
 
@@ -354,4 +369,4 @@ def ising_grand_partition(lattice: LatticeSpec, pot: PotentialSpec, beta: float,
         spins = {x: (1 if bits >> i & 1 else -1) for i, x in enumerate(sites)}
         mag = sum(spins.values())
         logs.append(beta * h * mag - beta * ising_hamiltonian(spins, lattice, pot))
-    return float(logsumexp(np.array(logs)))
+    return _logsumexp(np.array(logs))

@@ -27,12 +27,13 @@ Conventions
 * Finite-volume coefficients B_Lambda(n) are extracted from an exact
   oracle table by solving the triangular system
       log Z(N) - log(|Lambda|^N / N!) = N * sum_n P_{N,|Lambda|}(n) B(n)/(n+1),
-  which truncates at n = N-1 since P vanishes for n >= N.  The solve is
-  repeated in 50-digit arithmetic for |Lambda| >= 100.
+  which truncates at n = N-1 since P vanishes for n >= N.  The solve runs
+  in 50-digit decimal arithmetic at every volume and rounds each B(n) once.
 """
 
 from __future__ import annotations
 
+import decimal
 import functools
 import itertools
 import math
@@ -43,14 +44,13 @@ import numpy as np
 
 from .graphs import all_pairs, enumerate_biconnected, enumerate_connected, enumerate_trees
 from .model import GuardError, LatticeSpec, PotentialSpec, model_constants
-from .oracle import CanonicalTable
+from .oracle import _DECIMAL50, CanonicalTable
 from .powerseries import ps_compose, ps_exp, ps_mul, ps_revert
 
 MAX_B_ORDER = 5
 MAX_BETA_IRR_ORDER = 4
 MAX_TREE_CHECK_ORDER = 5
 MAX_DERIVATIVE_ORDER = 6
-EXTENDED_PRECISION_SITES = 100
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +248,8 @@ def extract_b_lambda(table: CanonicalTable, n_max: int) -> SeriesCoefficients:
 
     Row N (= 2..n_max+1) reads
         log Z^int(N) = sum_{n=1}^{N-1} N P_{N,|Lambda|}(n) B(n) / (n+1),
-    so each new row determines one new coefficient.  |Lambda| >= 100
-    switches the solve to 50-digit arithmetic.
+    so each new row determines one new coefficient.  The solve runs in
+    50-digit decimal arithmetic from the exact float table entries.
     """
     volume = table.n_sites
     if n_max + 1 >= len(table.log_z):
@@ -260,36 +260,19 @@ def extract_b_lambda(table: CanonicalTable, n_max: int) -> SeriesCoefficients:
         if not math.isfinite(table.log_z_of(n_particles)):
             raise GuardError(f"table has no particles at N = {n_particles}")
 
-    use_mp = volume >= EXTENDED_PRECISION_SITES
-    if use_mp:
-        import mpmath as mp
-        with mp.workdps(50):
-            b = [mp.mpf(0)] * (n_max + 1)
-            for n_particles in range(2, n_max + 2):
-                log_int = (mp.mpf(table.log_z_of(n_particles))
-                           - n_particles * mp.log(volume)
-                           + mp.log(mp.factorial(n_particles)))
-                acc = log_int
-                for n in range(1, n_particles - 1):
-                    p = mp.mpf(1)
-                    for k in range(1, n + 1):
-                        p *= mp.mpf(n_particles - k) / volume
-                    acc -= n_particles * p * b[n] / (n + 1)
-                n = n_particles - 1
-                p = mp.mpf(1)
-                for k in range(1, n + 1):
-                    p *= mp.mpf(n_particles - k) / volume
-                b[n] = acc * (n + 1) / (n_particles * p)
-            vals = np.array([0.0] + [float(x) for x in b[1:]])
-    else:
-        vals = np.zeros(n_max + 1)
+    with decimal.localcontext(_DECIMAL50):
+        log_volume = decimal.Decimal(volume).ln()
+        b = [decimal.Decimal(0)] * (n_max + 1)
         for n_particles in range(2, n_max + 2):
-            log_int = table.log_z_of(n_particles) - _log_z_ideal(n_particles, volume)
-            acc = log_int
-            for n in range(1, n_particles - 1):
-                acc -= n_particles * f_coefficient(n_particles, volume, n, vals[n])
-            n = n_particles - 1
-            vals[n] = acc * (n + 1) / (n_particles * falling_p(n_particles, volume, n))
+            acc = (decimal.Decimal(table.log_z_of(n_particles)) - n_particles * log_volume
+                   + decimal.Decimal(math.factorial(n_particles)).ln())
+            p = decimal.Decimal(1)  # P_{N,|Lambda|}(n), built up factor by factor
+            for n in range(1, n_particles):
+                p *= decimal.Decimal(n_particles - n) / volume
+                if n < n_particles - 1:
+                    acc -= n_particles * p * b[n] / (n + 1)
+            b[n_particles - 1] = acc / p  # the last term is N P(N-1) B(N-1) / N
+        vals = np.array([0.0] + [float(x) for x in b[1:]])
     return SeriesCoefficients(b_lambda=vals, volume=volume, provenance="extracted")
 
 

@@ -1,9 +1,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import latgas
 from latgas import acceptance, cli
 from latgas.cli import main
 from latgas.model import PotentialSpec
@@ -82,6 +87,52 @@ def test_deviate_command(tmp_path):
     lines = (tmp_path / "deviations.csv").read_text().splitlines()
     assert lines[0].startswith("L,mu0,alpha,u,")
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("config", [
+    *({"dimension": 1, "side": side, "beta": beta}
+      for side in (64, 256, 1024) for beta in (0.02, 0.08, 0.15)),
+    {"dimension": 1, "side": 256, "boundary": "periodic", "beta": 0.3}])
+def test_deviate_defaults_stay_under_the_density_cap(tmp_path, config):
+    # model keys only: the default mu0, alphas and us
+    assert main(["deviate", "--config", write_cfg(tmp_path, config),
+                 "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "deviations.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["alpha"], r["u"]) for r in rows] == [
+        (a, u) for a in ("0.5", "1") for u in ("0", "0.050000000000000003")]
+    for r in rows:  # E, the error envelope, is nan by design at alpha = 1
+        assert all(math.isfinite(float(v)) for k, v in r.items() if k != "E")
+        assert math.isnan(float(r["E"])) == (r["alpha"] == "1")
+
+
+@pytest.mark.parametrize("command, key", [("oracle", "beta"), ("oracle", "mu"),
+                                          ("deviate", "mu0"), ("oracle", "coupling"),
+                                          ("correlate", "c_const"), ("correlate", "c1_const")])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_config_numbers_are_config_errors(tmp_path, capsys, command, key, value):
+    cfg = {"dimension": 1, "side": 8, "beta": 0.2, "boundary": "periodic", "particles": 2,
+           "c_const": 1.0, "c1_const": 1.0, key: value}
+    assert main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)]) == 2
+    assert f"key '{key}'" in capsys.readouterr().err
+    assert not any(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("key", ["dimension", "beta"])
+def test_boolean_config_numbers_are_config_errors(tmp_path, key):
+    cfg = {"dimension": 1, "side": 8, "beta": 0.1, key: True}
+    assert main(["series", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)]) == 2
+
+
+def test_import_loads_neither_scipy_nor_mpmath():
+    src = str(Path(latgas.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, latgas.cli; print(*sorted(sys.modules))"],
+        env=env, capture_output=True, text=True, check=True).stdout.split()
+    assert "latgas.cli" in loaded
+    assert not [m for m in loaded if m.split(".")[0] in ("scipy", "mpmath")]
 
 
 def test_radii_command_figure_files(tmp_path):

@@ -1,8 +1,8 @@
 import pytest
 
-from latgas.graphs import (LabeledGraph, brute_force_class, classify, dump,
-                           enumerate_af_two_colored, enumerate_biconnected,
-                           enumerate_connected, enumerate_trees)
+from latgas.graphs import (LabeledGraph, brute_force_class, classify,
+                           enumerate_biconnected, enumerate_connected,
+                           enumerate_trees)
 from latgas.model import GuardError
 
 
@@ -34,20 +34,6 @@ def test_generator_equals_filter():
             brute_force_class(n, "tree")
 
 
-def test_af_two_colored_equals_filter():
-    for n_white, k_black in ((2, 0), (1, 1), (2, 1), (2, 2), (1, 3)):
-        gen = {g.edges for g in enumerate_af_two_colored(n_white, k_black)}
-        filt = brute_force_class(n_white + k_black, "articulation_free",
-                                 n_white=n_white)
-        assert gen == filt
-
-
-def test_af_small_counts():
-    assert sum(1 for _ in enumerate_af_two_colored(2, 0)) == 1
-    assert sum(1 for _ in enumerate_af_two_colored(1, 1)) == 1
-    assert sum(1 for _ in enumerate_af_two_colored(2, 1)) == 2
-
-
 def test_biconnected_subset_of_connected():
     for n in range(2, 6):
         conn = {g.edges for g in enumerate_connected(n)}
@@ -68,11 +54,10 @@ def test_classify_examples():
     assert c["connected"] and c["tree"] and not c["biconnected"]
     triangle = LabeledGraph(3, frozenset({(0, 1), (0, 2), (1, 2)}))
     assert classify(triangle)["biconnected"]
-    # star with white center and black leaves: the center strands
-    # white-free parts, so the colored class rejects it
-    star = LabeledGraph(4, frozenset({(0, 1), (0, 2), (0, 3)}), n_white=1)
+    # the center of a star is an articulation point at the root of the DFS
+    star = LabeledGraph(4, frozenset({(0, 1), (0, 2), (0, 3)}))
     c = classify(star)
-    assert c["connected"] and not c["articulation_free"]
+    assert c["connected"] and c["tree"] and not c["biconnected"]
 
 
 def test_guards():
@@ -82,13 +67,6 @@ def test_guards():
         list(enumerate_biconnected(1))
     with pytest.raises(GuardError):
         list(enumerate_trees(9))
-    with pytest.raises(GuardError):
-        list(enumerate_af_two_colored(0, 2))
-
-
-def test_dump_format():
-    g = LabeledGraph(3, frozenset({(0, 2), (0, 1)}), n_white=2)
-    assert dump(g) == "n=3 edges=1-2,1-3 white=2"
 
 
 def test_generators_are_deterministic():

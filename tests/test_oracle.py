@@ -9,12 +9,15 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.special import logsumexp
 
 from latgas.model import (GuardError, LatticeSpec, PotentialSpec, lattice_gas_hamiltonian,
                           mu_from_field)
-from latgas.oracle import (_density_of_states, canonical_table, exact_canonical_table,
-                           exact_correlations, grand_canonical_eval, ising_gas_consistency,
-                           ising_grand_partition, transfer_matrix_table)
+from latgas.oracle import (_density_of_states, _logsumexp, canonical_table,
+                           exact_canonical_table, exact_correlations, grand_canonical_eval,
+                           ising_gas_consistency, ising_grand_partition,
+                           transfer_matrix_table)
 
 POT = PotentialSpec("standard", 1.0)
 KAC2, KAC3 = PotentialSpec("kac", 1.0, 2), PotentialSpec("kac", 1.0, 3)
@@ -381,3 +384,11 @@ def test_correlation_sum_rules_at_any_beta(lattice, beta, data):
     assert np.all(np.isfinite(t.u2))
     assert abs(t.rho1.sum() - n) <= 1e-13 * n
     assert np.allclose(t.rho2.sum(axis=1), (n - 1) * t.rho1, rtol=1e-13, atol=0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, st.integers(1, 300),
+                  elements=st.floats(-1e3, 1e3) | st.sampled_from([-math.inf, 0.0, 1.0])))
+def test_logsumexp_equals_scipy_bit_for_bit(terms):
+    assume(np.isfinite(terms).any())  # log Z(0) = 0 is finite in every table
+    assert _logsumexp(terms) == float(logsumexp(terms))

@@ -14,6 +14,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 import latgas.series as ls
 from latgas.graphs import brute_force_class, enumerate_connected, enumerate_trees
 from latgas.model import GuardError, LatticeSpec, PotentialSpec
-from latgas.oracle import exact_canonical_table, transfer_matrix_table
+from latgas.oracle import canonical_table, exact_canonical_table, transfer_matrix_table
 from latgas.series import (CanonicalFreeEnergy, b_lambda_1_direct,
                            beta1_closed_form, connected_coefficient,
                            density_poly, extract_b_lambda, f_coefficient,
@@ -144,12 +145,40 @@ def test_extraction_guards():
 
 def test_extended_precision_extraction_path():
     table = transfer_matrix_table(128, POT, BETA, "zero")
-    coeffs = extract_b_lambda(table, 3)  # volume >= 100 triggers mpmath
+    coeffs = extract_b_lambda(table, 3)  # the same 50-digit solve as at any volume
     # open box: B(1) = V log(1 + zeta) with the boundary-depleted pair sum
     direct = b_lambda_1_direct(LatticeSpec(1, 128, "zero"), POT, BETA)
     assert coeffs.value(1) == pytest.approx(direct, abs=1e-11)
     beta1 = irreducible_coefficient(1, 1, POT, BETA)
     assert abs(coeffs.value(1) - beta1) < 0.05  # O(1/L) away
+
+
+def _reference_b_lambda(table, n_max):
+    """The triangular Theorem-1 solve in 120-digit mpmath, rounded once."""
+    volume = table.n_sites
+    with mp.workdps(120):
+        b = [mp.mpf(0)] * (n_max + 1)
+        for n_particles in range(2, n_max + 2):
+            acc = (mp.mpf(table.log_z_of(n_particles)) - n_particles * mp.log(volume)
+                   + mp.log(mp.factorial(n_particles)))
+            for n in range(1, n_particles):
+                p = mp.fprod(mp.mpf(n_particles - k) / volume for k in range(1, n + 1))
+                if n < n_particles - 1:
+                    acc -= n_particles * p * b[n] / (n + 1)
+                else:
+                    b[n] = acc * (n + 1) / (n_particles * p)
+        return [float(x) for x in b[1:]]
+
+
+@pytest.mark.parametrize("lattice", [LatticeSpec(1, side, "periodic")
+                                     for side in (24, 64, 99, 100, 256)]
+                         + [LatticeSpec(2, 3, "periodic")],
+                         ids=lambda lat: f"d{lat.dimension}-side{lat.side}")
+@pytest.mark.parametrize("beta", [0.02, 0.2])
+def test_extraction_is_correctly_rounded(lattice, beta):
+    table = canonical_table(lattice, POT, beta)
+    coeffs = extract_b_lambda(table, 5)
+    assert coeffs.b_lambda[1:].tolist() == _reference_b_lambda(table, 5)
 
 
 def test_coefficient_convergence_trend():

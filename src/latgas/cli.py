@@ -43,17 +43,22 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _need(cfg: dict, key: str, kind, legal: str):
-    if key not in cfg:
-        raise ConfigError(f"missing key '{key}' ({legal})")
-    v = cfg[key]
+def _check(v, key: str, kind, legal: str):
+    """The config value ``v`` of ``key`` as ``kind`` (int or float)."""
     if kind is float and type(v) is int:
         v = float(v)
-    # exact types, since isinstance counts JSON's true and false as ints; and
-    # JSON admits NaN and Infinity, which would run through to all-nan CSVs
+    # exact types, since isinstance counts JSON's true and false as ints and
+    # int() truncates 2.7; and JSON admits NaN and Infinity, which would run
+    # through to all-nan CSVs
     if type(v) is not kind or (kind is float and not math.isfinite(v)):
         raise ConfigError(f"key '{key}' must be {legal}, got {v!r}")
     return v
+
+
+def _need(cfg: dict, key: str, kind, legal: str):
+    if key not in cfg:
+        raise ConfigError(f"missing key '{key}' ({legal})")
+    return _check(cfg[key], key, kind, legal)
 
 
 def _parse_boundary(cfg: dict) -> tuple[str, tuple]:
@@ -82,7 +87,7 @@ def _parse_potential(cfg: dict) -> PotentialSpec:
     coupling = _need(cfg, "coupling", float, "a positive real") if "coupling" in cfg else 1.0
     if coupling <= 0:
         raise ConfigError("key 'coupling' must be a positive real")
-    rng = int(pot_cfg.get("range", 1))
+    rng = _check(pot_cfg.get("range", 1), "potential.range", int, "a positive integer")
     if rng < 1:
         raise ConfigError("key 'potential.range' must be a positive integer")
     if kind == "standard":
@@ -108,10 +113,11 @@ def _parse_model(cfg: dict) -> tuple[LatticeSpec, PotentialSpec, float]:
 
 def _beta_grid(cfg: dict) -> np.ndarray:
     grid = cfg.get("beta_grid", {"start": 0.0, "stop": 1.0, "count": 101})
-    try:
-        start, stop, count = float(grid["start"]), float(grid["stop"]), int(grid["count"])
-    except (KeyError, TypeError, ValueError) as e:
-        raise ConfigError("key 'beta_grid' must be {start, stop, count}") from e
+    if not isinstance(grid, dict) or not {"start", "stop", "count"} <= grid.keys():
+        raise ConfigError("key 'beta_grid' must be {start, stop, count}")
+    start, stop = (_check(grid[k], f"beta_grid.{k}", float, "a finite real")
+                   for k in ("start", "stop"))
+    count = _check(grid["count"], "beta_grid.count", int, "a positive integer")
     if count < 1:
         raise ConfigError("key 'beta_grid.count' must be >= 1")
     return np.linspace(start, stop, count)
@@ -119,16 +125,19 @@ def _beta_grid(cfg: dict) -> np.ndarray:
 
 def cmd_radii(cfg: dict, out: Path) -> None:
     betas = _beta_grid(cfg)
-    pairs = cfg.get("pairs", [[1, 1.0], [2, 1.0], [3, 1.0], [1, 2.0]])
-    for pair in pairs:
-        if (not isinstance(pair, (list, tuple)) or len(pair) != 2
-                or int(pair[0]) < 1 or float(pair[1]) <= 0):
-            raise ConfigError("key 'pairs' must be a list of [dimension, coupling]")
+    legal = "a list of [dimension >= 1, coupling > 0]"
+    pairs = []
+    for pair in cfg.get("pairs", [[1, 1.0], [2, 1.0], [3, 1.0], [1, 2.0]]):
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise ConfigError(f"key 'pairs' must be {legal}, got {pair!r}")
+        d, coupling = _check(pair[0], "pairs", int, legal), _check(pair[1], "pairs", float, legal)
+        if d < 1 or coupling <= 0:
+            raise ConfigError(f"key 'pairs' must be {legal}, got {pair!r}")
+        pairs.append((d, coupling))
     for d, coupling in pairs:
-        d = int(d)
-        reports = radii.sweep_radii(d, PotentialSpec("standard", float(coupling)), betas)
+        reports = radii.sweep_radii(d, PotentialSpec("standard", coupling), betas)
         rows = [radii.CSV_HEADER] + [r.csv_row() for r in reports]
-        write_csv(out / f"radii_d{d}_J{float(coupling):g}.csv", rows)
+        write_csv(out / f"radii_d{d}_J{coupling:g}.csv", rows)
 
 
 def cmd_oracle(cfg: dict, out: Path) -> None:
@@ -143,10 +152,10 @@ def cmd_oracle(cfg: dict, out: Path) -> None:
 
 def cmd_series(cfg: dict, out: Path) -> None:
     lattice, pot, beta = _parse_model(cfg)
-    order = int(cfg.get("order", 4))
+    order = _check(cfg.get("order", 4), "order", int, "an integer in [1, |Lambda|-1]")
     if not 1 <= order <= lattice.n_sites - 1:
         raise ConfigError("key 'order' must satisfy 1 <= order <= |Lambda|-1")
-    particles = int(cfg.get("particles", order + 1))
+    particles = _check(cfg.get("particles", order + 1), "particles", int, "an integer")
     table = canonical_table(lattice, pot, beta)
     coeffs = series.extract_b_lambda(table, order)
     rows = [("n", "b_n", "beta_n", "B_Lambda_n", "F_coeff")]
@@ -188,7 +197,7 @@ def cmd_deviate(cfg: dict, out: Path) -> None:
     # at the default mu0, u = 0.5 already puts the alpha = 1 target past
     # deviations.DENSITY_HARD_CAP on chains of 64 to 1024 sites
     us = cfg.get("us", [0.0, 0.05])
-    order = int(cfg.get("order", 4))
+    order = _check(cfg.get("order", 4), "order", int, "a positive integer")
     fe = series.free_energy_from_extraction(series.extract_b_lambda(table, order))
     rows = [deviations.CSV_HEADER]
     for alpha in alphas:

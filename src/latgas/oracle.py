@@ -3,19 +3,23 @@
 Two independent routes to the canonical partition function Z(N):
 
 * occupancy-subset enumeration over all 2^|Lambda| configurations (any
-  dimension, |Lambda| <= 24).  One bitmask kernel gives each subset its
-  bond level k (in-range occupied pairs plus wall contacts), binned into
-  integer counts per (N, k) for Z(N), cached per (box, range R), and per
-  (k, site pair) for the torus correlations.  Each beta then costs a
+  dimension, |Lambda| <= 24).  One bitmask kernel, run in blocks of 2^16
+  masks so memory stays flat, gives each subset its bond level k
+  (in-range occupied pairs plus wall contacts), binned into integer counts
+  per (N, k) for Z(N), cached per (box, range R), and per (k, site pair)
+  for the torus correlations.  Each beta then costs a
   30-digit decimal evaluation against e^{k x}, x = -beta * bond energy,
   rounded to float once, so no beta overflows;
-* a d = 1 transfer matrix whose state is one log-domain array: log Z_h(N)
-  of the chain so far, per occupancy history h of the last R sites and per
-  particle number N (and per state of site 1 on a ring, for the closing
-  bond).  Each site costs two ``np.logaddexp`` over the columns N that
-  can be occupied yet; all terms are nonnegative, so log-sum-exp
-  accumulation keeps the relative error near machine precision through the
-  L <= 4096 guard.
+* a d = 1 transfer matrix over Z_h(N) of the chain so far, per occupancy
+  history h of the last R sites and per particle number N (and per state
+  of site 1 on a ring, for the closing bond).  Each cell is a float
+  mantissa m and a binary exponent E, Z = m 2^E, so no beta overflows.  A
+  site multiplies by the bond weight, split once into mantissa and
+  exponent, and adds two cells after an exact ``np.ldexp`` shift to the
+  larger exponent: one rounding per product and per sum on nonnegative
+  terms, so Z(N) is good to about L eps relative through the L <= 4096
+  guard, and log Z = log m + E ln 2 is formed once, at the end, with no
+  transcendental per cell and site.
 
 ``canonical_table`` is the one place that picks between the two.
 Everything downstream (grand-canonical probabilities, correlation
@@ -38,6 +42,14 @@ from .model import (GuardError, LatticeSpec, PotentialSpec,
 ENUMERATION_MAX_SITES = 24
 TRANSFER_MAX_SIDE = 4096
 CORRELATION_MAX_SITES = 20
+RENORMALIZE_SITES = 256
+SUBSET_BLOCK = 1 << 16
+
+_FLOAT_MAX = float(np.finfo(np.float64).max)
+# ln 2 = _LN2_HI + _LN2_LO, with E * _LN2_HI exact for |E| < 2^20 (fdlibm's
+# split), so E ln 2 + log m rounds about once
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
 
 LOG_ZERO = -math.inf
 
@@ -135,31 +147,41 @@ def _interaction_pairs(lattice: LatticeSpec, radius: int) -> list[tuple[int, int
                     if 0 < sum((p - q) ** 2 for p, q in zip(x, g)) <= radius ** 2]
 
 
-def _subset_bonds(lattice: LatticeSpec, radius: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every occupancy bitmask of the box and its bond level."""
-    # int32 holds both the masks (S <= 24) and the bond counts at half the memory
-    masks = np.arange(1 << lattice.n_sites, dtype=np.int32)
-    bonds = np.zeros(len(masks), dtype=np.int32)
-    for i, j in _interaction_pairs(lattice, radius):
-        bonds += (masks >> i) & (masks >> j) & 1
-    return masks, bonds
+def _subset_bonds(lattice: LatticeSpec, radius: int):
+    """Every occupancy bitmask of the box and its bond level, in blocks of
+    SUBSET_BLOCK masks, so memory stays flat at every size."""
+    pairs = _interaction_pairs(lattice, radius)
+    total = 1 << lattice.n_sites
+    for start in range(0, total, SUBSET_BLOCK):
+        # int32 holds both the masks (S <= 24) and the bond counts at half the memory
+        masks = np.arange(start, min(start + SUBSET_BLOCK, total), dtype=np.int32)
+        bonds = np.zeros(len(masks), dtype=np.int32)
+        for i, j in pairs:
+            bonds += (masks >> i) & (masks >> j) & 1
+        yield masks, bonds
 
 
 @functools.lru_cache(maxsize=16)
 def _density_of_states(lattice: LatticeSpec, radius: int) -> tuple[tuple[int, ...], ...]:
     """c(N, k): the number of N-subsets at bond level k, as Python ints."""
-    masks, bonds = _subset_bonds(lattice, radius)
-    levels = int(bonds.max()) + 1
-    index = np.bitwise_count(masks).astype(np.int32) * levels + bonds
-    del masks, bonds  # bincount copies index to int64: free what it no longer needs
-    counts = np.bincount(index, minlength=(lattice.n_sites + 1) * levels)
+    # the full box holds every pair, so it sets the top level
+    levels = len(_interaction_pairs(lattice, radius)) + 1
+    counts = np.zeros((lattice.n_sites + 1) * levels, dtype=np.int64)
+    for masks, bonds in _subset_bonds(lattice, radius):
+        counts += np.bincount(np.bitwise_count(masks).astype(np.int32) * levels + bonds,
+                              minlength=len(counts))
     return tuple(map(tuple, counts.reshape(-1, levels).tolist()))
+
+
+def _bond_exponent(pot: PotentialSpec, beta: float) -> decimal.Decimal:
+    """x = -beta * bond energy, exactly: one bond weighs e^x."""
+    return _EXACT.multiply(decimal.Decimal(beta), decimal.Decimal(-pot.bond_energy))
 
 
 def _level_weights(pot: PotentialSpec, beta: float, depth: int) -> tuple[decimal.Decimal, list]:
     """x = -beta * bond energy, exactly, and e^{-j x} for j < depth: the
     weight of bond level top - j relative to the top level, to 30 digits."""
-    x = _EXACT.multiply(decimal.Decimal(beta), decimal.Decimal(-pot.bond_energy))
+    x = _bond_exponent(pot, beta)
     with decimal.localcontext(_DECIMAL):
         return x, [(-j * x).exp() for j in range(depth)]
 
@@ -187,16 +209,39 @@ def exact_canonical_table(lattice: LatticeSpec, pot: PotentialSpec,
                           log_z=np.array(log_z), method="enumeration")
 
 
+def _binary_power(t: decimal.Decimal) -> tuple[float, float]:
+    """e^t = m 2^E for t >= 0: E = floor(t / ln 2) as an integral float
+    (the largest float past the float range) and m in [1, 2), rounded from
+    30 digits.  The working precision grows with the digits of t, so the
+    reduction t - E ln 2 keeps 30."""
+    ctx = decimal.Context(prec=30 + max(0, t.adjusted()), Emax=decimal.MAX_EMAX,
+                          Emin=decimal.MIN_EMIN)
+    ln2 = ctx.ln(2)
+    e = ctx.divide_int(t, ln2)
+    return float(ctx.exp(ctx.subtract(t, ctx.multiply(e, ln2)))), min(float(e), _FLOAT_MAX)
+
+
+def _shifts(expo: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """expo - top as int32 ldexp shifts, flushed to -1100 below that: a term
+    2^1100 below the one it joins does not reach its last bit.  An empty
+    cell (-inf, or nan against another empty cell) flushes too."""
+    return np.fmax(expo - top, -1100.0).astype(np.int32)
+
+
 def transfer_matrix_table(side: int, pot: PotentialSpec, beta: float,
                           boundary: str = "zero") -> CanonicalTable:
     """d = 1 fugacity-polynomial transfer matrix; exact Z(N) for large L.
 
-    state[first, h, N] is log Z(N) of the sites placed so far, restricted
-    to the occupancy history h of the last R sites (bit R - 1 the oldest)
-    and, on a ring, to the state of site 1.  Placing a site sends h to
-    2h mod 2^R + s; an occupied one (s = 1) raises N by one and adds one
-    bond per occupied site of h.  Periodic chains are supported for range-1
-    potentials (L >= 3).
+    Cell [first, h, N] holds Z(N) = m 2^E of the sites placed so far,
+    restricted to the occupancy history h of the last R sites (bit R - 1
+    the newest, bit 0 the oldest) and, on a ring, to the state of site 1.
+    Placing a site sends h to s 2^(R-1) + h // 2; an occupied one (s = 1)
+    raises N by one and multiplies by b^{popcount h}, b = e^{-beta * bond
+    energy}, split once per h into a mantissa and a binary exponent.  So a
+    site costs one rounding per product and per sum (the sum aligned by an
+    exact ldexp shift), Z(N) carries a relative error of about L eps, and
+    log Z = log m + E ln 2 is formed once, at the end.  Periodic chains are
+    supported for range-1 potentials (L >= 3).
     """
     if side > TRANSFER_MAX_SIDE:
         raise GuardError(f"transfer matrix guarded to L <= {TRANSFER_MAX_SIDE}")
@@ -209,26 +254,52 @@ def transfer_matrix_table(side: int, pot: PotentialSpec, beta: float,
         raise GuardError("periodic transfer matrix needs L >= 3")
     if side <= R:
         raise GuardError("side must exceed the interaction range")
-    log_b = -beta * pot.bond_energy  # log of one occupied-pair factor
-    periodic = boundary == "periodic"
+    x = _bond_exponent(pot, beta)
+    powers = [_binary_power(_EXACT.multiply(x, p)) for p in range(R + 1)]
+    bond_m, bond_e = np.array([powers[p] for p in np.bitwise_count(np.arange(1 << R))]).T
+    bond_m, bond_e = bond_m[:, None], bond_e[:, None]
 
-    # a zero-wall chain has one "first" state; a ring keeps site 1 apart
-    state = np.full((1 + periodic, 1 << R, side + 1), LOG_ZERO)
-    state[0, 0, 0] = state[-1, 1, 1] = 0.0  # site 1 empty or occupied
-    half = 1 << (R - 1)
-    bonds = log_b * np.bitwise_count(np.arange(1 << R))[:, None]
-    for n in range(1, side):
-        # n sites placed, so only N <= n is live; h and h + 2^(R-1) (oldest
-        # site empty, occupied) both lead to 2h mod 2^R + s.  The cells left
-        # unwritten (N = 0 with the new site occupied, N > n + 1) stay log 0
-        lo, hi = state[:, :half, :n + 1], state[:, half:, :n + 1]
-        empty = np.logaddexp(lo, hi)
-        full = np.logaddexp(lo + bonds[:half], hi + bonds[half:])
-        state[:, 0::2, :n + 1] = empty
-        state[:, 1::2, 1:n + 2] = full
-    if periodic:
-        state[1, 1] += log_b  # sites L and 1 both occupied
-    log_z = np.logaddexp.reduce(state.reshape(-1, side + 1), axis=0)
+    # [first, s, h, N]: s = 0 the state, s = 1 its terms times b^{popcount h}
+    # one column up, which feed an occupied site.  A zero-wall chain has one
+    # "first" state; a ring keeps site 1 apart.  An empty cell is m = 0,
+    # E = -inf
+    first, half = 1 + (boundary == "periodic"), 1 << (R - 1)
+    mant = np.zeros((first, 2, 1 << R, side + 2))
+    expo = np.full(mant.shape, -math.inf)
+    mant[0, 0, 0, 0] = mant[-1, 0, half, 1] = 1.0  # site 1 empty or occupied
+    expo[0, 0, 0, 0] = expo[-1, 0, half, 1] = 0.0
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        for n in range(1, side):
+            # n sites placed, so only N <= n is live, and N <= n + 1 next.
+            # h = 2q and 2q + 1 (oldest site empty, occupied) both lead to
+            # s 2^(R-1) + q, the sum aligned to the larger exponent
+            cols = n + 2
+            np.multiply(mant[:, 0, :, :n + 1], bond_m, out=mant[:, 1, :, 1:cols])
+            np.add(expo[:, 0, :, :n + 1], bond_e, out=expo[:, 1, :, 1:cols])
+            e_even, e_odd = expo[..., 0::2, :cols], expo[..., 1::2, :cols]
+            top = np.maximum(e_even, e_odd)
+            mant[:, 0, :, :cols] = (np.ldexp(mant[..., 0::2, :cols], _shifts(e_even, top))
+                                    + np.ldexp(mant[..., 1::2, :cols], _shifts(e_odd, top))
+                                    ).reshape(first, 1 << R, cols)
+            expo[:, 0, :, :cols] = top.reshape(first, 1 << R, cols)
+            if n % RENORMALIZE_SITES == 0:
+                # bond mantissas lie in [1, 2) and an aligned sum at most
+                # doubles its larger term, so between two passes the
+                # mantissas stay in [1/2, 2^(2 RENORMALIZE_SITES)]
+                frac, bump = np.frexp(mant[:, 0])
+                mant[:, 0] = frac
+                expo[:, 0] += bump
+        mant, expo = mant[:, 0, :, :side + 1], expo[:, 0, :, :side + 1]
+        if boundary == "periodic":  # sites L and 1 both occupied
+            mant[1, half:] *= powers[1][0]
+            expo[1, half:] += powers[1][1]
+        mant, expo = mant.reshape(-1, side + 1), expo.reshape(-1, side + 1)
+        top = expo.max(axis=0)
+        frac, bump = np.frexp(np.ldexp(mant, _shifts(expo, top)).sum(axis=0))
+        e = top + bump
+        log_z = e * _LN2_HI + (e * _LN2_LO + np.log(frac))
+    # an exponent at the end of the float range: log Z >= 1.2e308 reads inf
+    log_z[e >= _FLOAT_MAX] = math.inf
     return CanonicalTable(lattice=LatticeSpec(dimension=1, side=side, boundary=boundary),
                           beta=beta, pot=pot, log_z=log_z, method="transfer-matrix")
 
@@ -302,9 +373,10 @@ def exact_correlations(lattice: LatticeSpec, pot: PotentialSpec, beta: float,
         raise GuardError(f"correlations guarded to |Lambda| <= {CORRELATION_MAX_SITES}")
     if not 2 <= n_particles <= S:
         raise ValueError("need 2 <= N <= |Lambda|")
-    masks, bonds = _subset_bonds(lattice, pot.support_radius)
-    chosen = np.bitwise_count(masks) == n_particles
-    masks, bonds = masks[chosen], bonds[chosen]
+    chosen = [(masks[keep], bonds[keep])
+              for masks, bonds in _subset_bonds(lattice, pot.support_radius)
+              for keep in [np.bitwise_count(masks) == n_particles]]
+    masks, bonds = (np.concatenate(part) for part in zip(*chosen))
     bits = (masks[:, None] >> np.arange(S, dtype=np.int32)) & 1
     top = int(bonds.max())
     _, weights = _level_weights(pot, beta, top + 1)

@@ -124,6 +124,27 @@ def test_boolean_config_numbers_are_config_errors(tmp_path, key):
     assert main(["series", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("command, key, cfg", [
+    ("series", "order", {"order": 2.7}), ("series", "order", {"order": True}),
+    ("series", "particles", {"particles": 3.5}), ("series", "particles", {"particles": True}),
+    ("deviate", "order", {"side": 32, "beta": 0.0258, "alphas": [0.5], "us": [0.0],
+                          "order": 3.0}),
+    ("oracle", "potential.range", {"potential": {"kind": "kac", "range": 2.5}}),
+    ("oracle", "potential.range", {"potential": {"kind": "kac", "range": True}}),
+    ("radii", "beta_grid.count", {"beta_grid": {"start": 0.0, "stop": 1.0, "count": 5.5}}),
+    ("radii", "beta_grid.count", {"beta_grid": {"start": 0.0, "stop": 1.0, "count": True}}),
+    ("radii", "pairs", {"beta_grid": {"start": 0.0, "stop": 1.0, "count": 5},
+                        "pairs": [[1.5, 1.0]]}),
+    ("radii", "pairs", {"beta_grid": {"start": 0.0, "stop": 1.0, "count": 5},
+                        "pairs": [[True, 1.0]]})])
+def test_integer_config_keys_take_only_integers(tmp_path, capsys, command, key, cfg):
+    # int() would truncate 2.7 to 2 and read true as 1
+    cfg = {"dimension": 1, "side": 8, "beta": 0.1, **cfg}
+    assert main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)]) == 2
+    assert f"key '{key}'" in capsys.readouterr().err
+    assert not any(tmp_path.glob("*.csv"))
+
+
 def test_import_loads_neither_scipy_nor_mpmath():
     src = str(Path(latgas.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

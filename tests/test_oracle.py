@@ -1,3 +1,4 @@
+import decimal
 import functools
 import itertools
 import math
@@ -12,11 +13,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import logsumexp
 
+from latgas import oracle
 from latgas.model import (GuardError, LatticeSpec, PotentialSpec, lattice_gas_hamiltonian,
                           mu_from_field)
-from latgas.oracle import (_density_of_states, _logsumexp, canonical_table,
-                           exact_canonical_table, exact_correlations, grand_canonical_eval,
-                           ising_gas_consistency, ising_grand_partition,
+from latgas.oracle import (_density_of_states, _interaction_pairs, _logsumexp,
+                           canonical_table, exact_canonical_table, exact_correlations,
+                           grand_canonical_eval, ising_gas_consistency, ising_grand_partition,
                            transfer_matrix_table)
 
 POT = PotentialSpec("standard", 1.0)
@@ -298,6 +300,38 @@ def test_density_of_states_counts_every_subset(lattice, pot):
                                              for n in range(lattice.n_sites + 1)]
 
 
+def _whole_array_density_of_states(lattice, radius):
+    """The kernel before blocking: every mask of the box in one array."""
+    masks = np.arange(1 << lattice.n_sites, dtype=np.int64)
+    bonds = np.zeros(len(masks), dtype=np.int64)
+    for i, j in _interaction_pairs(lattice, radius):
+        bonds += (masks >> i) & (masks >> j) & 1
+    levels = int(bonds.max()) + 1
+    counts = np.bincount(np.bitwise_count(masks).astype(np.int64) * levels + bonds,
+                         minlength=(lattice.n_sites + 1) * levels)
+    return tuple(map(tuple, counts.reshape(-1, levels).tolist()))
+
+
+@pytest.mark.parametrize("lattice, radius", [
+    (LatticeSpec(1, 18, "periodic"), 1), (LatticeSpec(1, 17, "zero"), 3), (TORUS4, 1),
+    (LatticeSpec(2, 4, "zero"), 2), (FIXED_BOX, 1),
+    (LatticeSpec(1, 10, "fixed", gamma=((-1,), (10,))), 1)])
+@pytest.mark.parametrize("block", [1 << 10, oracle.SUBSET_BLOCK])
+def test_blocked_density_of_states_equals_whole_array(monkeypatch, lattice, radius, block):
+    monkeypatch.setattr(oracle, "SUBSET_BLOCK", block)
+    assert (_density_of_states.__wrapped__(lattice, radius)
+            == _whole_array_density_of_states(lattice, radius))
+
+
+@pytest.mark.parametrize("lattice, n", [(LatticeSpec(1, 12, "periodic"), 5), (TORUS3, 4)])
+def test_blocked_correlations_equal_one_block(monkeypatch, lattice, n):
+    whole = exact_correlations(lattice, POT, 0.4, n)  # one block below 2^16 masks
+    monkeypatch.setattr(oracle, "SUBSET_BLOCK", 1 << 5)
+    blocked = exact_correlations(lattice, POT, 0.4, n)
+    for a, b in ((whole.rho1, blocked.rho1), (whole.rho2, blocked.rho2), (whole.u2, blocked.u2)):
+        assert a.tobytes() == b.tobytes()
+
+
 def test_warm_cache_table_is_bit_identical_to_cold():
     _density_of_states.cache_clear()
     cold = exact_canonical_table(TORUS4, POT, 0.37)
@@ -345,18 +379,85 @@ def test_particle_hole_symmetry(lattice, beta):
 @pytest.mark.parametrize("side", [257, 4096])
 @pytest.mark.parametrize("beta", [0.3, 25.0])
 def test_transfer_matrix_particle_hole_at_scale(side, beta):
-    # log Z(L - N) = log Z(N) + 4 beta J (L - 2N) on the ring; both sides add
-    # up ~L rounded terms, so the error scales with the larger log Z
+    # log Z(L - N) = log Z(N) + 4 beta J (L - 2N) on the ring.  Z(N) carries
+    # ~L eps relative error, a few ulps of log Z; the residual is formed from
+    # terms as large as the larger log Z, so it scales with that
     log_z = transfer_matrix_table(side, POT, beta, "periodic").log_z
     residual = log_z[::-1] - log_z - 4.0 * beta * (side - 2 * np.arange(side + 1))
     scale = np.maximum(1.0, np.maximum(np.abs(log_z), np.abs(log_z[::-1])))
-    assert np.all(np.abs(residual) <= 1e-12 * scale)
+    assert np.all(np.abs(residual) <= 1e-15 * scale)
 
 
 def test_transfer_matrix_exact_rows_at_scale():
     table = transfer_matrix_table(4096, PotentialSpec("kac", 1.0, 4), 0.4, "zero")
     assert table.log_z_of(0) == 0.0
     assert table.log_z_of(1) == pytest.approx(math.log(4096), rel=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# The standard ring in closed form: a third oracle, independent of both the
+# subset kernel and the transfer matrix, at any L.
+
+def _ring_density_of_states(side):
+    """{k: c(N, k)} per N on the ring: an N-subset with r = N - k runs of
+    occupied sites is counted (L / r) C(N - 1, r - 1) C(L - N - 1, r - 1) times."""
+    return ([{0: 1}]
+            + [{n - r: side * comb(n - 1, r - 1) * comb(side - n - 1, r - 1) // r
+                for r in range(1, min(n, side - n) + 1)} for n in range(1, side)]
+            + [{side: 1}])
+
+
+def _ring_log_z(side, beta):
+    """log Z(N) of the standard ring to 30 digits, as Decimals."""
+    x = decimal.Decimal(beta) * 4  # exact
+    with decimal.localcontext(decimal.Context(prec=30)):
+        return [top * x + sum(c * (-(top - k) * x).exp() for k, c in row.items()).ln()
+                for row in _ring_density_of_states(side) for top in [max(row)]]
+
+
+@pytest.mark.parametrize("side", [8, 13, 20])
+def test_ring_closed_form_equals_density_of_states(side):
+    counts = _density_of_states(LatticeSpec(1, side, "periodic"), 1)
+    assert [{k: c for k, c in enumerate(row) if c} for row in counts] == \
+        _ring_density_of_states(side)
+
+
+@pytest.mark.parametrize("beta", [0.3, 25.0, 200.0])
+def test_transfer_matrix_is_within_ulps_of_the_closed_form_ring(beta):
+    # Z(N) good to about L eps relative is a few ulps of log Z at L = 257
+    side = 257
+    log_z = transfer_matrix_table(side, POT, beta, "periodic").log_z
+    ulps = [abs(decimal.Decimal(float(a)) - ref) / decimal.Decimal(math.ulp(float(ref)))
+            for a, ref in zip(log_z, _ring_log_z(side, beta)) if ref]
+    assert log_z[0] == 0.0
+    assert max(ulps) <= 4
+
+
+@pytest.mark.parametrize("beta", [1e4, 1e8, 1e300])
+def test_transfer_matrix_ground_states_at_huge_beta(beta):
+    # one bond-maximal configuration class dominates each row
+    side, n = 1024, np.arange(1025)
+    ring = transfer_matrix_table(side, POT, beta, "periodic").log_z
+    kac = transfer_matrix_table(side, PotentialSpec("kac", 1.0, 4), beta, "zero").log_z
+    assert np.all(np.isfinite(ring)) and np.all(np.isfinite(kac))
+    assert ring[1:-1] == pytest.approx(4 * beta * (n[1:-1] - 1) + math.log(side), rel=1e-12)
+    assert kac[6:] == pytest.approx(4 * beta * (4 * n[6:] - 10) + np.log(side - n[6:] + 1.0),
+                                    rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(beta=st.floats(0.0, 1.7976931348623157e308),
+       case=st.sampled_from([(POT, "periodic"), (KAC3, "zero")]))
+def test_transfer_matrix_is_never_nan(beta, case):
+    # rows past 1.2e308 read inf, where the enumeration oracle reads inf or
+    # a value at the end of the float range
+    pot, boundary = case
+    en = exact_canonical_table(LatticeSpec(1, 12, boundary), pot, beta).log_z
+    tm = transfer_matrix_table(12, pot, beta, boundary).log_z
+    assert not np.isnan(tm).any()
+    with np.errstate(invalid="ignore"):  # inf - inf
+        agree = np.abs(en - tm) <= 1e-12 * np.maximum(1.0, np.abs(tm))
+    assert np.all(agree | ((tm == math.inf) & (en >= 1.2e308)))
 
 
 @settings(max_examples=40, deadline=None)

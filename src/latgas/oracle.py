@@ -16,10 +16,11 @@ Two independent routes to the canonical partition function Z(N):
   mantissa m and a binary exponent E, Z = m 2^E, so no beta overflows.  A
   site multiplies by the bond weight, split once into mantissa and
   exponent, and adds two cells after an exact ``np.ldexp`` shift to the
-  larger exponent: one rounding per product and per sum on nonnegative
-  terms, so Z(N) is good to about L eps relative through the L <= 4096
-  guard, and log Z = log m + E ln 2 is formed once, at the end, with no
-  transcendental per cell and site.
+  larger exponent.  A cell whose newest site is empty is a running sum
+  over the whole chain, so it also keeps the exact rounding error of each
+  of its sums in a second mantissa; Z(N) is then good to a few eps at any
+  L up to the 4096 guard, and log Z = log m + E ln 2 is formed once, at
+  the end, with no transcendental per cell and site.
 
 ``canonical_table`` is the one place that picks between the two.
 Everything downstream (grand-canonical probabilities, correlation
@@ -221,11 +222,15 @@ def _binary_power(t: decimal.Decimal) -> tuple[float, float]:
     return float(ctx.exp(ctx.subtract(t, ctx.multiply(e, ln2)))), min(float(e), _FLOAT_MAX)
 
 
-def _shifts(expo: np.ndarray, top: np.ndarray) -> np.ndarray:
+def _shifts(expo: np.ndarray, top: np.ndarray, scratch: np.ndarray,
+            out: np.ndarray) -> np.ndarray:
     """expo - top as int32 ldexp shifts, flushed to -1100 below that: a term
     2^1100 below the one it joins does not reach its last bit.  An empty
     cell (-inf, or nan against another empty cell) flushes too."""
-    return np.fmax(expo - top, -1100.0).astype(np.int32)
+    np.subtract(expo, top, out=scratch)
+    np.fmax(scratch, -1100.0, out=scratch)
+    np.copyto(out, scratch, casting="unsafe")
+    return out
 
 
 def transfer_matrix_table(side: int, pot: PotentialSpec, beta: float,
@@ -237,11 +242,16 @@ def transfer_matrix_table(side: int, pot: PotentialSpec, beta: float,
     the newest, bit 0 the oldest) and, on a ring, to the state of site 1.
     Placing a site sends h to s 2^(R-1) + h // 2; an occupied one (s = 1)
     raises N by one and multiplies by b^{popcount h}, b = e^{-beta * bond
-    energy}, split once per h into a mantissa and a binary exponent.  So a
-    site costs one rounding per product and per sum (the sum aligned by an
-    exact ldexp shift), Z(N) carries a relative error of about L eps, and
-    log Z = log m + E ln 2 is formed once, at the end.  Periodic chains are
-    supported for range-1 potentials (L >= 3).
+    energy}, split once per h into a mantissa and a binary exponent.  Sums
+    align their two terms by an exact ldexp shift to the larger exponent.
+    A cell whose newest site is empty is a running sum over the whole
+    chain, and its terms can share their low bits (Z(2) of a ring adds ~L
+    terms n + b), so plain rounding would drift by up to ~L eps, all one
+    way.  Such a cell therefore also carries the exact rounding error of
+    each of its sums (Fast2Sum) in a second mantissa c, Z = (m + c) 2^E,
+    and every Z(N) stays good to a few eps through the L <= 4096 guard.
+    log Z = log(m + c) + E ln 2 is formed once, at the end.  Periodic
+    chains are supported for range-1 potentials (L >= 3).
     """
     if side > TRANSFER_MAX_SIDE:
         raise GuardError(f"transfer matrix guarded to L <= {TRANSFER_MAX_SIDE}")
@@ -262,26 +272,54 @@ def transfer_matrix_table(side: int, pot: PotentialSpec, beta: float,
     # [first, s, h, N]: s = 0 the state, s = 1 its terms times b^{popcount h}
     # one column up, which feed an occupied site.  A zero-wall chain has one
     # "first" state; a ring keeps site 1 apart.  An empty cell is m = 0,
-    # E = -inf
+    # E = -inf; c is 0 where the newest site is occupied.  Two buffers take
+    # turns as state and next state, so no step copies the state
     first, half = 1 + (boundary == "periodic"), 1 << (R - 1)
-    mant = np.zeros((first, 2, 1 << R, side + 2))
-    expo = np.full(mant.shape, -math.inf)
+    shape = (first, 2, 1 << R, side + 2)
+    mant, next_mant = np.zeros(shape), np.zeros(shape)
+    expo, next_expo = np.full(shape, -math.inf), np.full(shape, -math.inf)
+    comp, next_comp = np.zeros(shape[:1] + shape[2:]), np.zeros(shape[:1] + shape[2:])
     mant[0, 0, 0, 0] = mant[-1, 0, half, 1] = 1.0  # site 1 empty or occupied
     expo[0, 0, 0, 0] = expo[-1, 0, half, 1] = 0.0
+    # [first, s, q, parity, N] views split h = 2q + parity, the two terms of
+    # each sum; work buffers hold their shifts and aligned mantissas
+    pair = (first, 2, half, 2)
+    terms = np.empty((first << (R + 1)) * (side + 2))
+    shifts = np.empty(len(terms), dtype=np.int32)
+    carry = np.empty(len(terms) // 2)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         for n in range(1, side):
             # n sites placed, so only N <= n is live, and N <= n + 1 next.
             # h = 2q and 2q + 1 (oldest site empty, occupied) both lead to
-            # s 2^(R-1) + q, the sum aligned to the larger exponent
+            # [s, q] of the next state
             cols = n + 2
-            np.multiply(mant[:, 0, :, :n + 1], bond_m, out=mant[:, 1, :, 1:cols])
+            occupied = mant[:, 1, :, 1:cols]
+            np.multiply(mant[:, 0, :, :n + 1], bond_m, out=occupied)
+            occupied[:, :half] += comp[:, :half, :n + 1] * bond_m[:half]
             np.add(expo[:, 0, :, :n + 1], bond_e, out=expo[:, 1, :, 1:cols])
-            e_even, e_odd = expo[..., 0::2, :cols], expo[..., 1::2, :cols]
-            top = np.maximum(e_even, e_odd)
-            mant[:, 0, :, :cols] = (np.ldexp(mant[..., 0::2, :cols], _shifts(e_even, top))
-                                    + np.ldexp(mant[..., 1::2, :cols], _shifts(e_odd, top))
-                                    ).reshape(first, 1 << R, cols)
-            expo[:, 0, :, :cols] = top.reshape(first, 1 << R, cols)
+            new_m = next_mant[:, 0, :, :cols].reshape(pair[:3] + (cols,))
+            new_e = next_expo[:, 0, :, :cols].reshape(pair[:3] + (cols,))
+            e_pair = expo[..., :cols].reshape(pair + (cols,))
+            np.maximum(e_pair[..., 0, :], e_pair[..., 1, :], out=new_e)
+            t = terms[:2 * new_m.size].reshape(pair + (cols,))
+            sh = shifts[:t.size].reshape(t.shape)
+            _shifts(e_pair, new_e[..., None, :], t, sh)
+            np.ldexp(mant[..., :cols].reshape(t.shape), sh, out=t)
+            np.add(t[..., 0, :], t[..., 1, :], out=new_m)
+            # the exact rounding error of the empty-site sums (Fast2Sum on
+            # the larger and the smaller term), plus their terms' own c
+            s0, a0, b0 = new_m[:, 0], t[:, 0, :, 0], t[:, 0, :, 1]
+            big, err0 = carry[:s0.size].reshape(s0.shape), next_comp[:, :half, :cols]
+            np.maximum(a0, b0, out=big)
+            np.minimum(a0, b0, out=a0)
+            np.subtract(s0, big, out=err0)
+            np.subtract(a0, err0, out=err0)
+            c = np.ldexp(comp[..., :cols].reshape(pair[:1] + pair[2:] + (cols,)), sh[:, 0],
+                         out=t[:, 0])
+            err0 += c[..., 0, :]
+            err0 += c[..., 1, :]
+            mant, next_mant, expo, next_expo = next_mant, mant, next_expo, expo
+            comp, next_comp = next_comp, comp
             if n % RENORMALIZE_SITES == 0:
                 # bond mantissas lie in [1, 2) and an aligned sum at most
                 # doubles its larger term, so between two passes the
@@ -289,13 +327,16 @@ def transfer_matrix_table(side: int, pot: PotentialSpec, beta: float,
                 frac, bump = np.frexp(mant[:, 0])
                 mant[:, 0] = frac
                 expo[:, 0] += bump
-        mant, expo = mant[:, 0, :, :side + 1], expo[:, 0, :, :side + 1]
+                comp[...] = np.ldexp(comp, -bump)
+        mant = mant[:, 0, :, :side + 1] + comp[..., :side + 1]
+        expo = expo[:, 0, :, :side + 1]
         if boundary == "periodic":  # sites L and 1 both occupied
             mant[1, half:] *= powers[1][0]
             expo[1, half:] += powers[1][1]
         mant, expo = mant.reshape(-1, side + 1), expo.reshape(-1, side + 1)
         top = expo.max(axis=0)
-        frac, bump = np.frexp(np.ldexp(mant, _shifts(expo, top)).sum(axis=0))
+        shifts = _shifts(expo, top, np.empty(expo.shape), np.empty(expo.shape, dtype=np.int32))
+        frac, bump = np.frexp(np.ldexp(mant, shifts).sum(axis=0))
         e = top + bump
         log_z = e * _LN2_HI + (e * _LN2_LO + np.log(frac))
     # an exponent at the end of the float range: log Z >= 1.2e308 reads inf

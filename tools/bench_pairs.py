@@ -1,10 +1,10 @@
 """Paired benchmark runs of two latgas checkouts, summarised as one JSON file.
 
-    python3 tools/bench_pairs.py --parent DIR --change DIR --out BENCH_<n>.json \\
-        [--pairs 10] [--seed 7] [--seconds 20] [--workloads accept beta-scan cli-oneshot]
+    python3 tools/bench_pairs.py --parent DIR --change DIR --out BENCH_<n>.json
 
-Each pair runs ``python3 bench/run.py --workload W --seed S --seconds T`` once
-in each checkout, with the parent first in even pairs and the change first in
+Each of PAIRS pairs runs ``python3 bench/run.py --workload W --seed 7 --seconds T``
+once in each checkout, for every workload W of ``BENCHMARK.json``, at its
+``run_seconds`` T, with the parent first in even pairs and the change first in
 odd ones, so a slow spell of a shared machine does not fall on one side.  The
 file holds every run's end-to-end metrics and failed-operation counts, and per
 workload and metric both sides' quartiles and the pairs the change won.  Both
@@ -25,11 +25,16 @@ from pathlib import Path
 import numpy as np
 
 METRICS = ("wall_s", "cpu_s", "setup_s", "peak_rss_mb")  # all lower is better
+PAIRS = 10
+SEED = 7
+BENCHMARK = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
+SECONDS = BENCHMARK["run_seconds"]
 
 
-def _run(root: Path, workload: str, seed: int, seconds: float) -> dict:
+def _run(root: Path, workload: str) -> dict:
     proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", str(seconds)],
+                           "--seed", str(SEED), "--seconds", str(SECONDS)],
                           cwd=root, capture_output=True, text=True, check=True)
     last = json.loads(proc.stdout.splitlines()[-1])
     return {"failed": last["failed"], "attempted": last["attempted"],
@@ -60,26 +65,21 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--workloads", nargs="+",
-                        default=["accept", "beta-scan", "cli-oneshot"])
     args = parser.parse_args(argv)
 
-    runs = {w: {"parent": [], "change": []} for w in args.workloads}
-    for i in range(args.pairs):
-        for workload in args.workloads:
+    runs = {w: {"parent": [], "change": []} for w in WORKLOADS}
+    for i in range(PAIRS):
+        for workload in WORKLOADS:
             sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in sides:
                 root = getattr(args, side)
-                runs[workload][side].append(_run(root, workload, args.seed, args.seconds))
+                runs[workload][side].append(_run(root, workload))
             print(f"pair {i}, {workload}: parent {runs[workload]['parent'][-1]}, "
                   f"change {runs[workload]['change'][-1]}", file=sys.stderr, flush=True)
 
     record = {
         "command": "python3 bench/run.py --workload W --seed S --seconds T",
-        "seed": args.seed, "seconds": args.seconds, "pairs": args.pairs,
+        "seed": SEED, "seconds": SECONDS, "pairs": PAIRS,
         # the src tree hash names the measured code across later amends
         "environment": {**{f"{side}_{what}": _rev(getattr(args, side), rev)
                            for side in ("parent", "change")

@@ -19,8 +19,8 @@ Two independent routes to the canonical partition function Z(N):
   larger exponent.  A cell whose newest site is empty is a running sum
   over the whole chain, so it also keeps the exact rounding error of each
   of its sums in a second mantissa; Z(N) is then good to a few eps at any
-  L up to the 4096 guard, and log Z = log m + E ln 2 is formed once, at
-  the end, with no transcendental per cell and site.
+  L up to the 4096 guard, and log Z = log(mantissa) + E ln 2 is formed
+  once, at the end, with no transcendental per cell and site.
 
 ``canonical_table`` is the one place that picks between the two.
 Everything downstream (grand-canonical probabilities, correlation
@@ -286,7 +286,7 @@ def transfer_matrix_table(side: int, pot: PotentialSpec, beta: float,
     pair = (first, 2, half, 2)
     terms = np.empty((first << (R + 1)) * (side + 2))
     shifts = np.empty(len(terms), dtype=np.int32)
-    carry = np.empty(len(terms) // 2)
+    larger = np.empty(len(terms) // 2)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         for n in range(1, side):
             # n sites placed, so only N <= n is live, and N <= n + 1 next.
@@ -309,7 +309,7 @@ def transfer_matrix_table(side: int, pot: PotentialSpec, beta: float,
             # the exact rounding error of the empty-site sums (Fast2Sum on
             # the larger and the smaller term), plus their terms' own c
             s0, a0, b0 = new_m[:, 0], t[:, 0, :, 0], t[:, 0, :, 1]
-            big, err0 = carry[:s0.size].reshape(s0.shape), next_comp[:, :half, :cols]
+            big, err0 = larger[:s0.size].reshape(s0.shape), next_comp[:, :half, :cols]
             np.maximum(a0, b0, out=big)
             np.minimum(a0, b0, out=a0)
             np.subtract(s0, big, out=err0)

@@ -410,8 +410,9 @@ def _ring_density_of_states(side):
 def _ring_log_z(side, beta):
     """log Z(N) of the standard ring to 30 digits, as Decimals: the terms
     c(N, N - r) e^{(N - r) x} of the closed form, summed by their ratios
-    c(N, N - r - 1) / c(N, N - r) = (N - r)(L - N - r) / (r (r + 1)), which
-    fall once past 1 and stop mattering below 1e-35 of the sum."""
+    c(N, N - r - 1) / c(N, N - r) = (N - r)(L - N - r) / (r (r + 1)).  The
+    ratios fall with r, so once one is below 1 the terms only shrink, and
+    the sum stops when they drop below 1e-35 of it."""
     x = decimal.Decimal(beta) * 4  # exact
     with decimal.localcontext(decimal.Context(prec=30)):
         q, log_z = (-x).exp(), [decimal.Decimal(0)]
@@ -438,7 +439,8 @@ def test_ring_closed_form_equals_density_of_states(side):
 @pytest.mark.parametrize("beta", [0.3, 1.0, 25.0, 200.0])
 def test_transfer_matrix_is_within_an_ulp_of_the_closed_form_ring(side, beta):
     # the compensated running sums keep Z(N) to a few eps at any L; without
-    # them Z(2) drifts ~L/2 ulps one way (5.9 ulps of log Z at L = 1024)
+    # them Z(2) drifts by up to ~L eps, all one way (5.9 ulps of log Z at
+    # L = 1024)
     log_z = transfer_matrix_table(side, POT, beta, "periodic").log_z
     ulps = [abs(decimal.Decimal(float(a)) - ref) / decimal.Decimal(math.ulp(float(ref)))
             for a, ref in zip(log_z, _ring_log_z(side, beta)) if ref]

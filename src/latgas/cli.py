@@ -184,8 +184,22 @@ def cmd_correlate(cfg: dict, out: Path) -> None:
     write_csv(out / "correlation_bound.csv", report.csv_rows())
 
 
+def _reals(cfg: dict, key: str, default: list) -> list[float]:
+    """The config list ``key`` (``default`` if absent), each entry a finite real."""
+    values = cfg.get(key, default)
+    if not isinstance(values, list):
+        raise ConfigError(f"key '{key}' must be a list of finite reals, got {values!r}")
+    return [_check(v, key, float, "a list of finite reals") for v in values]
+
+
 def cmd_deviate(cfg: dict, out: Path) -> None:
     lattice, pot, beta = _parse_model(cfg)
+    alphas = _reals(cfg, "alphas", [0.5, 1.0])
+    if not all(0.5 <= a <= 1.0 for a in alphas):
+        raise ConfigError("key 'alphas' entries must lie in [1/2, 1]")
+    # at the default mu0, u = 0.5 already puts the alpha = 1 target past
+    # deviations.DENSITY_HARD_CAP on chains of 64 to 1024 sites
+    us = _reals(cfg, "us", [0.0, 0.05])
     table = canonical_table(lattice, pot, beta)
     if "mu0" in cfg:
         mu0 = _need(cfg, "mu0", float, "a finite real")
@@ -193,18 +207,12 @@ def cmd_deviate(cfg: dict, out: Path) -> None:
         mu0 = radii.lattice_gas_threshold(lattice.dimension, pot, beta) - 1.0
         if not math.isfinite(mu0):
             raise ConfigError("key 'mu0' required when beta = 0 (threshold sentinel)")
-    alphas = cfg.get("alphas", [0.5, 1.0])
-    # at the default mu0, u = 0.5 already puts the alpha = 1 target past
-    # deviations.DENSITY_HARD_CAP on chains of 64 to 1024 sites
-    us = cfg.get("us", [0.0, 0.05])
     order = _check(cfg.get("order", 4), "order", int, "a positive integer")
     fe = series.free_energy_from_extraction(series.extract_b_lambda(table, order))
     rows = [deviations.CSV_HEADER]
     for alpha in alphas:
-        if not 0.5 <= float(alpha) <= 1.0:
-            raise ConfigError("key 'alphas' entries must lie in [1/2, 1]")
         for u in us:
-            rep = deviations.formula_probability(table, mu0, alpha, float(u), fe)
+            rep = deviations.formula_probability(table, mu0, alpha, u, fe)
             rows.append(rep.csv_row())
     write_csv(out / "deviations.csv", rows)
 

@@ -15,12 +15,16 @@ Two independent routes to the canonical partition function Z(N):
   of site 1 on a ring, for the closing bond).  Each cell is a float
   mantissa m and a binary exponent E, Z = m 2^E, so no beta overflows.  A
   site multiplies by the bond weight, split once into mantissa and
-  exponent, and adds two cells after an exact ``np.ldexp`` shift to the
-  larger exponent.  A cell whose newest site is empty is a running sum
-  over the whole chain, so it also keeps the exact rounding error of each
-  of its sums in a second mantissa; Z(N) is then good to a few eps at any
-  L up to the 4096 guard, and log Z = log(mantissa) + E ln 2 is formed
-  once, at the end, with no transcendental per cell and site.
+  exponent, and adds two cells.  The chain goes in windows of 64 sites:
+  in the bulk columns a cell keeps its exponent for the window, so each
+  term is scaled to it by a factor fixed for the window; the frontier
+  columns, where cells turn live, align each sum by an exact ``np.ldexp``
+  shift to the larger exponent.  A cell whose newest site is empty is a
+  running sum over the whole chain, so it also keeps the exact rounding
+  error of each of its sums in a second mantissa; Z(N) is then good to a
+  few eps at any L up to the 4096 guard, and log Z = log(mantissa) +
+  E ln 2 is formed once, at the end, with no transcendental per cell and
+  site.  The windows change no bit of Z(N).
 
 ``canonical_table`` is the one place that picks between the two.
 Everything downstream (grand-canonical probabilities, correlation
@@ -43,7 +47,7 @@ from .model import (GuardError, LatticeSpec, PotentialSpec,
 ENUMERATION_MAX_SITES = 24
 TRANSFER_MAX_SIDE = 4096
 CORRELATION_MAX_SITES = 20
-RENORMALIZE_SITES = 256
+WINDOW_SITES = 64
 SUBSET_BLOCK = 1 << 16
 
 _FLOAT_MAX = float(np.finfo(np.float64).max)
@@ -233,6 +237,119 @@ def _shifts(expo: np.ndarray, top: np.ndarray, scratch: np.ndarray,
     return out
 
 
+def _band_site(state, new, expo, lo: int, hi: int, bond, work):
+    """One site of the columns lo <= N < hi of ``state`` into ``new``, as a
+    callable with its views bound once per window.  Each sum aligns its two
+    terms by an exact ldexp shift to the larger exponent, and the cell
+    takes that exponent in ``expo``."""
+    (mant, comp), (next_mant, next_comp) = state, new
+    (bond_m, bond_e), (band_e, terms, shifts, larger) = bond, work
+    first, _, rows, _ = mant.shape
+    half, a, w = rows // 2, max(lo, 1), hi - lo
+    # [first, s, q, parity, N] views split h = 2q + parity, the two terms of
+    # each sum; h = 2q and 2q + 1 (oldest site empty, occupied) both lead to
+    # [s, q] of the next state.  Column 0 of s = 1 stays empty
+    pair = (first, 2, half, 2, w)
+    occupied, source = mant[:, 1, :, a:hi], mant[:, 0, :, a - 1:hi - 1]
+    c_source, c_occupied, bond_half = comp[..., a - 1:hi - 1], occupied[:, :half], bond_m[:half]
+    c_term = larger[:c_source.size].reshape(c_source.shape)
+    # the exponents of both terms of each sum, in ``band_e``
+    e_old, e_source = expo[..., lo:hi], expo[..., a - 1:hi - 1]
+    e_state, e_occupied = band_e[:, 0, :, :w], band_e[:, 1, :, a - lo:w]
+    e_pair = band_e[..., :w].reshape(pair)
+    e0, e1 = e_pair[..., 0, :], e_pair[..., 1, :]
+    new_e = e_old.reshape(pair[:3] + (w,))
+    top = new_e[..., None, :]
+    t = terms[:math.prod(pair)].reshape(pair)
+    sh = shifts[:t.size].reshape(pair)
+    m_pair, t0, t1 = mant[..., lo:hi].reshape(pair), t[..., 0, :], t[..., 1, :]
+    new_m = next_mant[:, 0, :, lo:hi].reshape(pair[:3] + (w,))
+    # Fast2Sum of the empty-site sums, from the larger and the smaller term,
+    # then the c of their terms: only h < half carries one, into q = h // 2
+    s0, a0, b0 = new_m[:, 0], t[:, 0, :, 0], t[:, 0, :, 1]
+    big, err0 = larger[:s0.size].reshape(s0.shape), next_comp[..., lo:hi]
+    c, c_t = comp[..., lo:hi], t[:, 0].reshape(first, rows, w)[:, :half]
+    c_sh = sh[:, 0].reshape(first, rows, w)[:, :half]
+    even, odd = err0[:, :(half + 1) // 2], err0[:, :half // 2]
+    c_even, c_odd = c_t[:, 0::2], c_t[:, 1::2]
+
+    def step():
+        np.multiply(source, bond_m, out=occupied)
+        np.multiply(c_source, bond_half, out=c_term)
+        np.add(c_occupied, c_term, out=c_occupied)
+        np.copyto(e_state, e_old)
+        np.add(e_source, bond_e, out=e_occupied)
+        np.maximum(e0, e1, out=new_e)
+        _shifts(e_pair, top, t, sh)
+        np.ldexp(m_pair, sh, out=t)
+        np.add(t0, t1, out=new_m)
+        np.maximum(a0, b0, out=big)
+        np.minimum(a0, b0, out=a0)
+        np.subtract(s0, big, out=err0)
+        np.subtract(a0, err0, out=err0)
+        np.ldexp(c, c_sh, out=c_t)
+        np.add(even, c_even, out=even)
+        np.add(odd, c_odd, out=odd)
+    return step
+
+
+def _bulk_site(state, new, lo: int, scale: np.ndarray, larger: np.ndarray):
+    """One site of the columns N < lo of ``state`` into ``new``, as a
+    callable with its views bound once per window: the sums of the band,
+    each term scaled to its cell's frozen exponent by the window's factors
+    ``scale``.  It scales the state in place, so it runs after the band,
+    which reads column lo - 1 unscaled."""
+    (mant, comp), (next_mant, next_comp) = state, new
+    first, _, rows, _ = mant.shape
+    half, pair = rows // 2, (first, 2, rows // 2, 2, lo)
+    occupied, source = mant[:, 1, :, 1:lo], mant[:, 0, :, :lo - 1]
+    s_occupied = scale[:, 1, :, 1:lo]
+    c_source, c_occupied, c_scale = comp[..., :lo - 1], occupied[:, :half], s_occupied[:, :half]
+    c_term = larger[:c_source.size].reshape(c_source.shape)
+    m, s_empty = mant[:, 0, :, :lo], scale[:, 0, :, :lo]
+    t, new_m = mant[..., :lo].reshape(pair), next_mant[:, 0, :, :lo].reshape(pair[:3] + (lo,))
+    t0, t1 = t[..., 0, :], t[..., 1, :]
+    s0, a0, b0 = new_m[:, 0], t[:, 0, :, 0], t[:, 0, :, 1]
+    big, err0 = larger[:s0.size].reshape(s0.shape), next_comp[..., :lo]
+    c, s_c = comp[..., :lo], scale[:, 0, :half, :lo]
+    even, odd = err0[:, :(half + 1) // 2], err0[:, :half // 2]
+    c_even, c_odd = c[:, 0::2], c[:, 1::2]
+
+    def step():
+        np.multiply(source, s_occupied, out=occupied)
+        np.multiply(c_source, c_scale, out=c_term)
+        np.add(c_occupied, c_term, out=c_occupied)
+        np.multiply(m, s_empty, out=m)
+        np.add(t0, t1, out=new_m)
+        np.maximum(a0, b0, out=big)
+        np.minimum(a0, b0, out=a0)
+        np.subtract(s0, big, out=err0)
+        np.subtract(a0, err0, out=err0)
+        np.multiply(c, s_c, out=c)
+        np.add(even, c_even, out=even)
+        np.add(odd, c_odd, out=odd)
+    return step
+
+
+def _freeze(expo: np.ndarray, lo: int, bond, scale: np.ndarray, ints: np.ndarray) -> None:
+    """The window's factors for the bulk N < lo, from the exponents E it
+    freezes: scale[:, 0, h, N] = 2^(E[h, N] - E[h // 2, N]) takes cell
+    [h, N] into its sum for cell [h // 2, N], and scale[:, 1, h, N] =
+    b^{popcount h} 2^(E[h, N - 1] - E[half + h // 2, N]) takes cell
+    [h, N - 1] into cell [half + h // 2, N].  An empty cell's factor is
+    flushed, as in ``_shifts``."""
+    first, rows, _ = expo.shape
+    half, e = rows // 2, expo[..., :lo]
+    s0, s1, sh = scale[:, 0, :, :lo], scale[:, 1, :, 1:lo], ints[..., :lo]
+    pairs = (first, half, 2, lo)
+    _shifts(e.reshape(pairs), e[:, :half, None], s0.reshape(pairs), sh.reshape(pairs))
+    np.ldexp(1.0, sh, out=s0)
+    np.add(e[..., :-1], bond[1], out=s1)
+    pairs, sh = pairs[:3] + (lo - 1,), sh[..., 1:]
+    _shifts(s1.reshape(pairs), e[:, half:, None, 1:], s1.reshape(pairs), sh.reshape(pairs))
+    np.ldexp(bond[0], sh, out=s1)
+
+
 def transfer_matrix_table(side: int, pot: PotentialSpec, beta: float,
                           boundary: str = "zero") -> CanonicalTable:
     """d = 1 fugacity-polynomial transfer matrix; exact Z(N) for large L.
@@ -251,8 +368,36 @@ def transfer_matrix_table(side: int, pot: PotentialSpec, beta: float,
     each of its sums (Fast2Sum) in a second mantissa c, Z = (m + c) 2^E,
     and every Z(N) stays good to a few eps through the L <= 4096 guard.
     log Z = log(m + c) + E ln 2 is formed once, at the end.  Periodic
-    chains are supported for range-1 potentials (L >= 3).
+    chains are supported for range-1 potentials (L >= 3); beta is >= 0.
+
+    The chain goes in windows of W = WINDOW_SITES sites.  A window starts
+    with n0 sites placed by bringing every mantissa to [1/2, 1).  The bulk
+    cells, N < lo = n0 - R - 2, then keep their exponents for the whole
+    window: each term of a sum is scaled to its cell by a factor fixed for
+    the window, 2^(E_src - E_cell) or b_m 2^(E_src + b_e - E_cell), so a
+    bulk site is a multiply and an add per term, with no exponent work.
+    Scaling by a power of two changes no rounding, so every Z(N) is the same
+    float as when each sum aligns to its larger exponent.  (The two differ
+    only in terms over 2^1000 below their cell, which both flush; such a
+    term reaches no bit of Z(N) save in an exact tie.)  The band N >= lo
+    keeps that alignment at every site: there cells turn live within the
+    window, and on a ring the cell N = n shrinks.
+
+    Why the bulk mantissas stay in range: b >= 1 for both potentials at
+    beta >= 0.  An (n + 1)-site configuration of a bulk cell (N < n - R)
+    has an empty site other than site 1 and the last R sites.  Deleting
+    the first such site gives an n-site configuration of the same cell
+    that weighs no less, since sites only come closer, and each n-site
+    configuration comes from at most n + 1 such insertions.  So a bulk
+    cell grows by at most n + 1 <= 4096 = 2^12 per site, and a mantissa
+    below 1 at the window's start stays below 2^(12 W) = 2^768.  Inserting
+    an empty site beside an empty one shows it never shrinks either.  The
+    factors are exact while every exponent is an integer below 2^53, that
+    is while L (log2 b^R + 3) < 2^52; past that (beta ~ 1e11) every column
+    is band.
     """
+    if not beta >= 0:
+        raise ValueError("transfer matrix needs beta >= 0")
     if side > TRANSFER_MAX_SIDE:
         raise GuardError(f"transfer matrix guarded to L <= {TRANSFER_MAX_SIDE}")
     if boundary not in ("zero", "periodic"):
@@ -267,69 +412,59 @@ def transfer_matrix_table(side: int, pot: PotentialSpec, beta: float,
     x = _bond_exponent(pot, beta)
     powers = [_binary_power(_EXACT.multiply(x, p)) for p in range(R + 1)]
     bond_m, bond_e = np.array([powers[p] for p in np.bitwise_count(np.arange(1 << R))]).T
-    bond_m, bond_e = bond_m[:, None], bond_e[:, None]
+    bond = bond_m[:, None], bond_e[:, None]
+    # every exponent is an integer below 2^53: |E| <= log2 Z + 768 and
+    # log2 Z <= L (log2 b^R + 1)
+    frozen = side * (powers[R][1] + 3) < 2.0 ** 52
 
-    # [first, s, h, N]: s = 0 the state, s = 1 its terms times b^{popcount h}
-    # one column up, which feed an occupied site.  A zero-wall chain has one
-    # "first" state; a ring keeps site 1 apart.  An empty cell is m = 0,
-    # E = -inf; c is 0 where the newest site is occupied.  Two buffers take
-    # turns as state and next state, so no step copies the state
+    # mantissas [first, s, h, N]: s = 0 the state, s = 1 its terms times
+    # b^{popcount h} one column up, which feed an occupied site.  A zero-wall
+    # chain has one "first" state; a ring keeps site 1 apart.  Two buffers
+    # take turns as state and next state, with c [first, h < half, N] (0
+    # where the newest site is occupied); one array holds the exponents.  An
+    # empty cell is m = 0, E = -inf
     first, half = 1 + (boundary == "periodic"), 1 << (R - 1)
     shape = (first, 2, 1 << R, side + 2)
-    mant, next_mant = np.zeros(shape), np.zeros(shape)
-    expo, next_expo = np.full(shape, -math.inf), np.full(shape, -math.inf)
-    comp, next_comp = np.zeros(shape[:1] + shape[2:]), np.zeros(shape[:1] + shape[2:])
-    mant[0, 0, 0, 0] = mant[-1, 0, half, 1] = 1.0  # site 1 empty or occupied
-    expo[0, 0, 0, 0] = expo[-1, 0, half, 1] = 0.0
-    # [first, s, q, parity, N] views split h = 2q + parity, the two terms of
-    # each sum; work buffers hold their shifts and aligned mantissas
-    pair = (first, 2, half, 2)
-    terms = np.empty((first << (R + 1)) * (side + 2))
-    shifts = np.empty(len(terms), dtype=np.int32)
-    larger = np.empty(len(terms) // 2)
+    state = np.zeros(shape), np.zeros((first, half, side + 2))
+    new = np.zeros(shape), np.zeros((first, half, side + 2))
+    expo = np.full((first, 1 << R, side + 2), -math.inf)
+    state[0][0, 0, 0, 0] = state[0][-1, 0, half, 1] = 1.0  # site 1 empty or occupied
+    expo[0, 0, 0] = expo[-1, half, 1] = 0.0
+    # the bulk's factors (see _freeze), and the band's work buffers: it is
+    # at most W + R + 3 columns wide once the bulk starts
+    scale, ints = np.empty(shape), np.empty(expo.shape, dtype=np.int32)
+    width = min(side + 2, WINDOW_SITES + R + 4) if frozen else side + 2
+    work = (np.full((first, 2, 1 << R, width), -math.inf),
+            np.empty((first << (R + 1)) * width), np.empty((first << (R + 1)) * width, np.int32),
+            np.empty(first * half * (side + 2)))
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        for n in range(1, side):
-            # n sites placed, so only N <= n is live, and N <= n + 1 next.
-            # h = 2q and 2q + 1 (oldest site empty, occupied) both lead to
-            # [s, q] of the next state
-            cols = n + 2
-            occupied = mant[:, 1, :, 1:cols]
-            np.multiply(mant[:, 0, :, :n + 1], bond_m, out=occupied)
-            occupied[:, :half] += comp[:, :half, :n + 1] * bond_m[:half]
-            np.add(expo[:, 0, :, :n + 1], bond_e, out=expo[:, 1, :, 1:cols])
-            new_m = next_mant[:, 0, :, :cols].reshape(pair[:3] + (cols,))
-            new_e = next_expo[:, 0, :, :cols].reshape(pair[:3] + (cols,))
-            e_pair = expo[..., :cols].reshape(pair + (cols,))
-            np.maximum(e_pair[..., 0, :], e_pair[..., 1, :], out=new_e)
-            t = terms[:2 * new_m.size].reshape(pair + (cols,))
-            sh = shifts[:t.size].reshape(t.shape)
-            _shifts(e_pair, new_e[..., None, :], t, sh)
-            np.ldexp(mant[..., :cols].reshape(t.shape), sh, out=t)
-            np.add(t[..., 0, :], t[..., 1, :], out=new_m)
-            # the exact rounding error of the empty-site sums (Fast2Sum on
-            # the larger and the smaller term), plus their terms' own c
-            s0, a0, b0 = new_m[:, 0], t[:, 0, :, 0], t[:, 0, :, 1]
-            big, err0 = larger[:s0.size].reshape(s0.shape), next_comp[:, :half, :cols]
-            np.maximum(a0, b0, out=big)
-            np.minimum(a0, b0, out=a0)
-            np.subtract(s0, big, out=err0)
-            np.subtract(a0, err0, out=err0)
-            c = np.ldexp(comp[..., :cols].reshape(pair[:1] + pair[2:] + (cols,)), sh[:, 0],
-                         out=t[:, 0])
-            err0 += c[..., 0, :]
-            err0 += c[..., 1, :]
-            mant, next_mant, expo, next_expo = next_mant, mant, next_expo, expo
-            comp, next_comp = next_comp, comp
-            if n % RENORMALIZE_SITES == 0:
-                # bond mantissas lie in [1, 2) and an aligned sum at most
-                # doubles its larger term, so between two passes the
-                # mantissas stay in [1/2, 2^(2 RENORMALIZE_SITES)]
-                frac, bump = np.frexp(mant[:, 0])
-                mant[:, 0] = frac
-                expo[:, 0] += bump
-                comp[...] = np.ldexp(comp, -bump)
-        mant = mant[:, 0, :, :side + 1] + comp[..., :side + 1]
-        expo = expo[:, 0, :, :side + 1]
+        for n0 in range(1, side, WINDOW_SITES):
+            # n0 sites placed, so N <= n0 is live.  The window places sites
+            # n0 + 1 .. stop: first every live mantissa goes to [1/2, 1),
+            # then the bulk columns N < lo freeze their exponents
+            stop, (mant, comp) = min(side, n0 + WINDOW_SITES), state
+            live, bump = mant[:, 0, :, :n0 + 1], ints[..., :n0 + 1]
+            np.frexp(live, out=(live, bump))
+            expo[..., :n0 + 1] += bump
+            np.negative(bump, out=bump)
+            np.ldexp(comp[..., :n0 + 1], bump[:, :half], out=comp[..., :n0 + 1])
+            lo = max(0, n0 - R - 2) if frozen else 0
+            if lo:
+                _freeze(expo, lo, bond, scale, ints)
+            # the band is N in [lo, stop + 1), the columns of the window's
+            # last site; past a site's live columns its cells are empty
+            steps = [[_band_site(a, b, expo, lo, stop + 1, bond, work)]
+                     + ([_bulk_site(a, b, lo, scale, work[3])] if lo else [])
+                     for a, b in ((state, new), (new, state))]
+            for n in range(n0, stop):
+                for step in steps[(n - n0) % 2]:
+                    step()
+            if (stop - n0) % 2:
+                state, new = new, state
+        mant, comp = state
+        mant = mant[:, 0, :, :side + 1]
+        mant[:, :half] += comp[..., :side + 1]
+        expo = expo[..., :side + 1]
         if boundary == "periodic":  # sites L and 1 both occupied
             mant[1, half:] *= powers[1][0]
             expo[1, half:] += powers[1][1]
@@ -414,19 +549,24 @@ def exact_correlations(lattice: LatticeSpec, pot: PotentialSpec, beta: float,
         raise GuardError(f"correlations guarded to |Lambda| <= {CORRELATION_MAX_SITES}")
     if not 2 <= n_particles <= S:
         raise ValueError("need 2 <= N <= |Lambda|")
-    chosen = [(masks[keep], bonds[keep])
-              for masks, bonds in _subset_bonds(lattice, pot.support_radius)
-              for keep in [np.bitwise_count(masks) == n_particles]]
-    masks, bonds = (np.concatenate(part) for part in zip(*chosen))
-    bits = (masks[:, None] >> np.arange(S, dtype=np.int32)) & 1
-    top = int(bonds.max())
+    # per bond level k: the number of N-subsets and their summed bits_k.T @
+    # bits_k, block by block, so memory stays flat at every size
+    levels, sites = {}, np.arange(S, dtype=np.int64)
+    for masks, bonds in _subset_bonds(lattice, pot.support_radius):
+        keep = np.bitwise_count(masks) == n_particles
+        masks, bonds = masks[keep], bonds[keep]
+        for k in np.unique(bonds).tolist():
+            bits_k = (masks[bonds == k, None] >> sites) & 1
+            count, pairs = levels.get(k, (0, 0))
+            levels[k] = count + len(bits_k), pairs + bits_k.T @ bits_k
+    top = max(levels)
     _, weights = _level_weights(pot, beta, top + 1)
     with decimal.localcontext(_DECIMAL):
         z, moments = 0, 0
-        for k in np.unique(bonds).tolist():
-            bits_k = bits[bonds == k].astype(np.int64)
-            z += len(bits_k) * weights[top - k]
-            moments = moments + (bits_k.T @ bits_k).astype(object) * weights[top - k]
+        for k in sorted(levels):
+            count, pairs = levels[k]
+            z += count * weights[top - k]
+            moments = moments + pairs.astype(object) * weights[top - k]
         moments = moments / z
         rho1 = moments.diagonal().copy()
         np.fill_diagonal(moments, 0)

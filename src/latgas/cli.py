@@ -185,11 +185,12 @@ def cmd_correlate(cfg: dict, out: Path) -> None:
 
 
 def _reals(cfg: dict, key: str, default: list) -> list[float]:
-    """The config list ``key`` (``default`` if absent), each entry a finite real."""
+    """The config list ``key`` (``default`` if absent), each entry a finite
+    real; an empty list would write a CSV of headers only."""
     values = cfg.get(key, default)
-    if not isinstance(values, list):
-        raise ConfigError(f"key '{key}' must be a list of finite reals, got {values!r}")
-    return [_check(v, key, float, "a list of finite reals") for v in values]
+    if not isinstance(values, list) or not values:
+        raise ConfigError(f"key '{key}' must be a non-empty list of finite reals, got {values!r}")
+    return [_check(v, key, float, "a non-empty list of finite reals") for v in values]
 
 
 def cmd_deviate(cfg: dict, out: Path) -> None:

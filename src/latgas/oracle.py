@@ -391,10 +391,11 @@ def transfer_matrix_table(side: int, pot: PotentialSpec, beta: float,
     configuration comes from at most n + 1 such insertions.  So a bulk
     cell grows by at most n + 1 <= 4096 = 2^12 per site, and a mantissa
     below 1 at the window's start stays below 2^(12 W) = 2^768.  Inserting
-    an empty site beside an empty one shows it never shrinks either.  The
-    factors are exact while every exponent is an integer below 2^53, that
-    is while L (log2 b^R + 3) < 2^52; past that (beta ~ 1e11) every column
-    is band.
+    an empty site beside an empty one shows it never shrinks either.  A
+    band mantissa at most quadruples per site over the largest of its
+    terms' (b_m < 2), so it stays below 2^(768 + 2 W) = 2^896.  The factors
+    are exact while every exponent is an integer below 2^53, that is while
+    L (log2 b^R + 3) < 2^52; past that (beta ~ 1e11) every column is band.
     """
     if not beta >= 0:
         raise ValueError("transfer matrix needs beta >= 0")
@@ -413,7 +414,7 @@ def transfer_matrix_table(side: int, pot: PotentialSpec, beta: float,
     powers = [_binary_power(_EXACT.multiply(x, p)) for p in range(R + 1)]
     bond_m, bond_e = np.array([powers[p] for p in np.bitwise_count(np.arange(1 << R))]).T
     bond = bond_m[:, None], bond_e[:, None]
-    # every exponent is an integer below 2^53: |E| <= log2 Z + 768 and
+    # every exponent is an integer below 2^53: |E| < log2 Z + 1024 and
     # log2 Z <= L (log2 b^R + 1)
     frozen = side * (powers[R][1] + 3) < 2.0 ** 52
 

@@ -147,10 +147,12 @@ def test_integer_config_keys_take_only_integers(tmp_path, capsys, command, key, 
 
 @pytest.mark.parametrize("key, entries", [
     ("alphas", {"alphas": [True], "us": [0.05]}), ("alphas", {"alphas": 0.5}),
-    ("us", {"alphas": [0.5], "us": ["0.05"]}), ("us", {"alphas": [0.5], "us": [math.nan]})])
+    ("us", {"alphas": [0.5], "us": ["0.05"]}), ("us", {"alphas": [0.5], "us": [math.nan]}),
+    ("us", {"us": []})])
 def test_deviate_list_entries_are_finite_reals(tmp_path, capsys, key, entries):
-    # float() would read true as alpha = 1 and "0.05" as u = 0.05, and a nan u
-    # failed deep in the deviation formula without naming the key
+    # float() would read true as alpha = 1 and "0.05" as u = 0.05, a nan u
+    # failed deep in the deviation formula without naming the key, and an
+    # empty list wrote a CSV of headers only
     cfg = {"dimension": 1, "side": 32, "beta": 0.0258, **entries}
     assert main(["deviate", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)]) == 2
     assert f"key '{key}'" in capsys.readouterr().err

@@ -18,6 +18,7 @@ Parameters the criteria leave open are frozen here:
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -177,13 +178,15 @@ def criterion_correlation_bound() -> tuple[bool, str]:
                 f"{[f'{r:.2f}' for r in rates]} all > 0 (N=5 mediators)")
 
 
-def _ladder_tables() -> list[tuple[CanonicalTable, object]]:
+@functools.cache
+def _ladder_tables() -> tuple[tuple[CanonicalTable, object], ...]:
+    """(table, free energy) per ladder side, built once for criteria 8-10."""
     out = []
     for side in LADDER_SIDES:
         table = transfer_matrix_table(side, STD_POT, LADDER_BETA, "zero")
         fe = series.free_energy_from_extraction(series.extract_b_lambda(table, 4))
         out.append((table, fe))
-    return out
+    return tuple(out)
 
 
 def _ladder_mu0() -> float:
@@ -217,10 +220,8 @@ def criterion_precise_ld() -> tuple[bool, str]:
 
 
 def criterion_appendix() -> tuple[bool, str]:
-    suite: list[tuple[CanonicalTable, float]] = []
     mu0 = _ladder_mu0()
-    for table, _fe in _ladder_tables():
-        suite.append((table, mu0))
+    suite = [(table, mu0) for table, _fe in _ladder_tables()]
     suite.append((exact_canonical_table(LatticeSpec(1, 10, "periodic"),
                                         STD_POT, STD_BETA), -2.0))
     suite.append((exact_canonical_table(LatticeSpec(2, 3, "periodic"),

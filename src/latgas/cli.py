@@ -90,9 +90,7 @@ def _parse_potential(cfg: dict) -> PotentialSpec:
     rng = _check(pot_cfg.get("range", 1), "potential.range", int, "a positive integer")
     if rng < 1:
         raise ConfigError("key 'potential.range' must be a positive integer")
-    if kind == "standard":
-        return PotentialSpec("standard", coupling)
-    return PotentialSpec("kac", 1.0, rng)
+    return PotentialSpec(kind, coupling, rng)
 
 
 def _parse_model(cfg: dict) -> tuple[LatticeSpec, PotentialSpec, float]:

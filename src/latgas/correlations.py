@@ -70,21 +70,22 @@ class CorrelationBoundReport:
         return out
 
 
+def _pairs(table: CorrelationTable):
+    """(q1, q2, minimum-image distance, exact |u2|) for every ordered site pair."""
+    sites = table.lattice.sites()
+    for i, q1 in enumerate(sites):
+        for j, q2 in enumerate(sites):
+            yield q1, q2, torus_distance(table.lattice, q1, q2), abs(float(table.u2[i, j]))
+
+
 def pair_rows(table: CorrelationTable, c_const: float, c1_const: float) -> CorrelationBoundReport:
     """Exact |u2| vs the bound for every ordered site pair of one case."""
     lattice = table.lattice
-    sites = lattice.sites()
-    u2 = table.u2
     rows = []
-    J = table.pot.coupling if table.pot.kind == "standard" else 1.0
-    for i, q1 in enumerate(sites):
-        for j, q2 in enumerate(sites):
-            dist = torus_distance(lattice, q1, q2)
-            rhs = bound_rhs(dist, table.n_particles, lattice.n_sites,
-                            table.beta, J, c_const, c1_const)
-            exact = abs(float(u2[i, j]))
-            rows.append(PairRow(q1, q2, dist, exact, rhs,
-                                exact <= rhs * (1 + 1e-12)))
+    for q1, q2, dist, exact in _pairs(table):
+        rhs = bound_rhs(dist, table.n_particles, lattice.n_sites,
+                        table.beta, table.pot.coupling, c_const, c1_const)
+        rows.append(PairRow(q1, q2, dist, exact, rhs, exact <= rhs * (1 + 1e-12)))
     return CorrelationBoundReport(lattice=lattice, beta=table.beta,
                                   n_particles=table.n_particles,
                                   c_const=c_const, c1_const=c1_const, rows=rows)
@@ -98,33 +99,25 @@ class Calibration:
     feasible: bool
 
 
-def calibrate_constants(tables: list[CorrelationTable],
-                        c_grid=None, c1_cap: float = 50.0,
-                        c1_step: float = 0.05) -> Calibration:
+def calibrate_constants(tables: list[CorrelationTable]) -> Calibration:
     """Smallest (C, C1) on a grid making the bound hold for every pair.
 
-    Scans C ascending and takes the least grid C1 that closes all remaining
-    slack; a case where even (C_cap, C1_cap) fails is a diagnostic failure
-    (reported with feasible=False).  Ordering: minimal C first, then C1.
+    Scans C = 0, 0.05, ..., 20 ascending and takes the least C1 on the
+    0.05 grid that closes all remaining slack; a case where even
+    (C, C1) = (20, 50) fails is a diagnostic failure (reported with
+    feasible=False).  Ordering: minimal C first, then C1.
     """
-    if c_grid is None:
-        c_grid = np.arange(0.0, 20.0 + 1e-9, 0.05)
+    c_grid = np.arange(0.0, 20.0 + 1e-9, 0.05)
     constraints = []  # (coef_C, coef_C1, required, case_tag)
     for t in tables:
-        lattice = t.lattice
-        sites = lattice.sites()
-        volume = lattice.n_sites
+        volume = t.lattice.n_sites
         rho = t.n_particles / volume
-        J = t.pot.coupling if t.pot.kind == "standard" else 1.0
-        u2 = t.u2
-        for i, q1 in enumerate(sites):
-            for j, q2 in enumerate(sites):
-                dist = torus_distance(lattice, q1, q2)
-                base = bound_rhs(dist, t.n_particles, volume, t.beta, J, 0.0, 0.0)
-                slack = abs(float(u2[i, j])) - base
-                if slack > 0:
-                    constraints.append((rho * rho * math.exp(-dist), 1.0 / volume,
-                                        slack, (volume, t.n_particles, t.beta, dist)))
+        for _q1, _q2, dist, exact in _pairs(t):
+            base = bound_rhs(dist, t.n_particles, volume, t.beta, t.pot.coupling, 0.0, 0.0)
+            slack = exact - base
+            if slack > 0:
+                constraints.append((rho * rho * math.exp(-dist), 1.0 / volume,
+                                    slack, (volume, t.n_particles, t.beta, dist)))
     if not constraints:
         return Calibration(0.0, 0.0, (), True)
     for c_val in c_grid:
@@ -136,8 +129,8 @@ def calibrate_constants(tables: list[CorrelationTable],
             if c1_here > needed:
                 needed = c1_here
                 binding = tag
-        c1_val = math.ceil(needed / c1_step - 1e-12) * c1_step
-        if c1_val <= c1_cap:
+        c1_val = math.ceil(needed / 0.05 - 1e-12) * 0.05
+        if c1_val <= 50.0:
             return Calibration(float(c_val), float(c1_val), binding, True)
     return Calibration(float(c_grid[-1]), math.inf, (), False)
 

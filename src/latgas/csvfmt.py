@@ -1,30 +1,17 @@
 """Deterministic CSV emission shared by the CLI commands.
 
-Comma-delimited with a header row; numbers rendered with 17 significant
-digits so repeated runs are byte-identical and round-trip exactly.
+Comma-delimited with a header row.  Every cell arrives as a string, its
+numbers rendered by the caller with 17 significant digits, so repeated
+runs are byte-identical and round-trip exactly.
 """
 
 from __future__ import annotations
 
-import math
 from pathlib import Path
-
-
-def render_value(v) -> str:
-    if isinstance(v, str):
-        return v
-    if isinstance(v, int):
-        return str(v)
-    x = float(v)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return format(x, ".17g")
 
 
 def write_csv(path: str | Path, rows) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(render_value(v) for v in row) for row in rows]
+    lines = [",".join(row) for row in rows]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -14,17 +14,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import GuardError
-from .oracle import CanonicalTable, grand_canonical_eval
+from .oracle import CanonicalTable, GrandCanonicalEval, grand_canonical_eval
 from .series import MAX_DERIVATIVE_ORDER, CanonicalFreeEnergy
 
 DENSITY_HARD_CAP = 0.4
 
 
+def _occupation(gc: GrandCanonicalEval) -> tuple[float, int]:
+    rho = gc.mean_particles() / gc.table.n_sites
+    return rho, int(math.floor(rho * gc.table.n_sites))
+
+
 def mean_occupation(table: CanonicalTable, mu0: float) -> tuple[float, int]:
     """(rho_bar, N_bar): exact mean density and its floor particle count."""
-    gc = grand_canonical_eval(table, mu0)
-    rho = gc.mean_particles() / table.n_sites
-    return rho, int(math.floor(rho * table.n_sites))
+    return _occupation(grand_canonical_eval(table, mu0))
 
 
 def find_n_star(table: CanonicalTable, mu0: float) -> int:
@@ -38,9 +41,9 @@ def find_n_star(table: CanonicalTable, mu0: float) -> int:
     return best_n
 
 
-def tilted_potential(table: CanonicalTable, n_tilde: float,
-                     tol: float = 1e-12) -> float:
-    """mu with E_mu[N] = n_tilde, by bisection on the strictly increasing map.
+def tilted_potential(table: CanonicalTable, n_tilde: float) -> float:
+    """mu with E_mu[N] = n_tilde, by bisection on the strictly increasing map
+    down to a bracket of width 1e-12.
 
     Boundary targets (n_tilde <= 0 or >= |Lambda|) have no finite solution
     and return signed infinity sentinels.
@@ -63,7 +66,7 @@ def tilted_potential(table: CanonicalTable, n_tilde: float,
     while mean(hi) < n_tilde:
         hi += span
         span *= 2.0
-    while hi - lo > tol:
+    while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         if mean(mid) < n_tilde:
             lo = mid
@@ -72,21 +75,23 @@ def tilted_potential(table: CanonicalTable, n_tilde: float,
     return 0.5 * (lo + hi)
 
 
+def _rate(table: CanonicalTable, gc0: GrandCanonicalEval, n_tilde: float,
+          mu_tilde: float) -> float:
+    gct = grand_canonical_eval(table, mu_tilde)
+    return (table.beta * (n_tilde / table.n_sites) * (mu_tilde - gc0.mu)
+            - (gct.log_xi - gc0.log_xi) / table.n_sites)
+
+
 def rate_function(table: CanonicalTable, mu0: float, n_tilde: float) -> float:
     """I^GC(rho_tilde; rho_bar) from exact finite-volume pressures.
 
     Collapses to beta*rho_tilde*(mu_tilde - mu0) - (log Xi(mu_tilde)
     - log Xi(mu0))/|Lambda|; the rho_bar terms cancel identically.
     """
-    volume = table.n_sites
-    rho_tilde = n_tilde / volume
     mu_tilde = tilted_potential(table, n_tilde)
     if not math.isfinite(mu_tilde):
         raise ValueError("rate function needs an interior target density")
-    gc0 = grand_canonical_eval(table, mu0)
-    gct = grand_canonical_eval(table, mu_tilde)
-    return (table.beta * rho_tilde * (mu_tilde - mu0)
-            - (gct.log_xi - gc0.log_xi) / volume)
+    return _rate(table, grand_canonical_eval(table, mu0), n_tilde, mu_tilde)
 
 
 def m_of_alpha(alpha) -> int:
@@ -210,8 +215,8 @@ def formula_probability(table: CanonicalTable, mu0: float, alpha, u: float,
     if not 0.5 <= alpha_f <= 1.0:
         raise ValueError("alpha must lie in [1/2, 1]")
     volume = table.n_sites
-    beta = table.beta
-    rho_bar, n_bar = mean_occupation(table, mu0)
+    gc0 = grand_canonical_eval(table, mu0)
+    _rho_bar, n_bar = _occupation(gc0)
     n_star = find_n_star(table, mu0)
     # center on N* with u as the seed deviation (u' ~ u), then make u'
     # exact for the integral target
@@ -222,37 +227,24 @@ def formula_probability(table: CanonicalTable, mu0: float, alpha, u: float,
     if n_tilde / volume > DENSITY_HARD_CAP:
         raise GuardError("deviation target density beyond the validated cap")
 
-    gc0 = grand_canonical_eval(table, mu0)
-    p_exact = float(gc0.probs[n_tilde])
     mu_tilde = tilted_potential(table, n_tilde)
-
+    rate = _rate(table, gc0, n_tilde, mu_tilde)
     if alpha_f == 1.0:
-        rate = rate_function(table, mu0, n_tilde)
-        n_tilde_star = find_n_star(table, mu_tilde)
-        rho_ts = n_tilde_star / volume
-        d_plain = 1.0 / fe.derivative(rho_ts, 2)
-        p_formula = math.exp(-volume * rate) / math.sqrt(
-            2.0 * math.pi * d_plain * volume)
-        return DeviationReport(volume=volume, mu0=mu0, alpha=1.0, u=u,
-                               u_prime=u_prime, n_bar=n_bar, n_star=n_star,
-                               n_tilde=n_tilde, mu_tilde=mu_tilde, rate=rate,
-                               d_plain=d_plain, d_alpha=d_plain,
-                               d_alpha_plus=d_plain, m_alpha=0,
-                               error_term=math.nan, p_exact=p_exact,
-                               p_formula=p_formula)
-
-    rho_star = n_star / volume
-    vt = variance_terms(fe, rho_star, alpha, u_prime, volume, beta, mu0)
-    exponent = u_prime ** 2 * volume ** (2.0 * alpha_f - 1.0) / (2.0 * vt.d_alpha)
-    p_formula = math.exp(-exponent) / math.sqrt(
-        2.0 * math.pi * vt.d_alpha_plus * volume)
-    rate = rate_function(table, mu0, n_tilde)
+        d_plain = 1.0 / fe.derivative(find_n_star(table, mu_tilde) / volume, 2)
+        vt = VarianceTerms(d_plain=d_plain, d_alpha=d_plain, d_alpha_plus=d_plain,
+                           m_alpha=0, error_term=math.nan)
+        p_formula = math.exp(-volume * rate) / math.sqrt(2.0 * math.pi * d_plain * volume)
+    else:
+        vt = variance_terms(fe, n_star / volume, alpha, u_prime, volume, table.beta, mu0)
+        exponent = u_prime ** 2 * volume ** (2.0 * alpha_f - 1.0) / (2.0 * vt.d_alpha)
+        p_formula = math.exp(-exponent) / math.sqrt(
+            2.0 * math.pi * vt.d_alpha_plus * volume)
     return DeviationReport(volume=volume, mu0=mu0, alpha=alpha_f, u=u,
                            u_prime=u_prime, n_bar=n_bar, n_star=n_star,
                            n_tilde=n_tilde, mu_tilde=mu_tilde, rate=rate,
                            d_plain=vt.d_plain, d_alpha=vt.d_alpha,
                            d_alpha_plus=vt.d_alpha_plus, m_alpha=vt.m_alpha,
-                           error_term=vt.error_term, p_exact=p_exact,
+                           error_term=vt.error_term, p_exact=float(gc0.probs[n_tilde]),
                            p_formula=p_formula)
 
 

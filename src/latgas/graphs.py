@@ -135,9 +135,6 @@ def enumerate_trees(n: int) -> Iterator[LabeledGraph]:
     if n == 1:
         yield LabeledGraph(1, frozenset())
         return
-    if n == 2:
-        yield LabeledGraph(2, frozenset({(0, 1)}))
-        return
     for seq in itertools.product(range(n), repeat=n - 2):
         yield LabeledGraph(n, _tree_from_pruefer(seq, n))
 
@@ -200,13 +197,9 @@ def _articulation_points(g: LabeledGraph) -> set[int]:
 
 def classify(g: LabeledGraph) -> dict[str, bool]:
     """DFS-based predicates for one graph; ``biconnected`` keeps the
-    single-edge convention."""
+    single-edge convention, as a single edge has no articulation point."""
     connected = _dfs_connected(g)
-    arts = _articulation_points(g) if connected else set()
-    if g.n == 2:
-        biconnected = connected
-    else:
-        biconnected = connected and not arts
+    biconnected = connected and not _articulation_points(g)
     tree = connected and len(g.edges) == g.n - 1
     return {"connected": connected, "biconnected": biconnected, "tree": tree}
 

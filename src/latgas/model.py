@@ -9,7 +9,7 @@ Lambda = {0,...,L-1}^d carries one of three wall types:
                    remaining exterior sites empty (sigma = -1).
 
 Pair interactions are hard-core at distance 0 and -4J at distance 1
-(``standard``), or -4 within Euclidean distance R (``kac``).  Excluded
+(``standard``), or -4 within Euclidean distance R (``kac``, J = 1).  Excluded
 configurations are reported with an infinite-energy sentinel; Boltzmann
 weights treat that sentinel as an indicator, so the weight is exactly 0
 even at beta = 0.
@@ -42,7 +42,8 @@ class PotentialSpec:
     """Pair potential: ``standard`` (coupling J, range 1) or ``kac`` (range R).
 
     The Kac kernel is the normalized indicator J(|Rx - Rx'|) = 1_{|x-x'|<=R}/R^d,
-    which makes the pair energy -4 within Euclidean distance R.
+    which makes the pair energy -4 within Euclidean distance R; its
+    coupling is therefore 1.
     """
 
     kind: str = "standard"
@@ -56,19 +57,19 @@ class PotentialSpec:
             raise ValueError("standard potential has range 1")
         if self.coupling <= 0:
             raise ValueError("coupling must be positive")
+        if self.kind == "kac" and self.coupling != 1.0:
+            raise ValueError("the Kac potential has coupling 1")
         if self.range_ < 1:
             raise ValueError("range must be a positive integer")
 
     @property
     def bond_energy(self) -> float:
-        """Energy of one in-range pair (-4J standard, -4 Kac)."""
-        if self.kind == "standard":
-            return -4.0 * self.coupling
-        return -4.0
+        """Energy of one in-range pair, -4J."""
+        return -4.0 * self.coupling
 
     @property
     def support_radius(self) -> int:
-        return 1 if self.kind == "standard" else self.range_
+        return self.range_
 
     def pair_energy(self, diff: Site) -> float:
         """V(x - x') for a displacement on Z^d (no wrapping)."""
@@ -205,9 +206,8 @@ def _kernel_terms(dimension: int, pot: PotentialSpec, beta: float) -> tuple[floa
     """B = 4J * nbrs, the number nbrs of in-range neighbours, and 4 beta J."""
     if beta < 0:
         raise ValueError("beta must be >= 0")
-    J = pot.coupling if pot.kind == "standard" else 1.0
     nbrs = 2.0 * dimension * pot.range_  # range_ is 1 for the standard form
-    return 4.0 * J * nbrs, nbrs, 4.0 * beta * J
+    return 4.0 * pot.coupling * nbrs, nbrs, 4.0 * beta * pot.coupling
 
 
 def tree_constants(dimension: int, pot: PotentialSpec, beta: float) -> tuple[float, float]:
@@ -277,27 +277,6 @@ def ising_hamiltonian(spins: dict[Site, int], lattice: LatticeSpec,
     return -J * total
 
 
-def ising_energy_minus_walls(spins: dict[Site, int], lattice: LatticeSpec,
-                             pot: PotentialSpec) -> float:
-    """Ising energy with uniform sigma = -1 walls (all wall bonds included).
-
-    This is the spin-side counterpart of the zero-boundary lattice gas:
-    empty exterior occupancy is sigma = -1 outside the box.
-    """
-    if pot.kind != "standard":
-        raise ValueError("defined for the standard potential")
-    _check_spins(spins, lattice)
-    if lattice.boundary == "periodic":
-        raise ValueError("minus walls make no sense on a torus")
-    J = pot.coupling
-    total = 0.0
-    for x, y in lattice.interior_bonds():
-        total += spins[x] * spins[y]
-    for x, _y in lattice.wall_bonds():
-        total += -spins[x]
-    return -J * total
-
-
 def lattice_gas_hamiltonian(particles: list[Site], lattice: LatticeSpec,
                             pot: PotentialSpec) -> float:
     """Pairwise gas energy plus the interaction with the gamma walls.
@@ -320,9 +299,16 @@ def lattice_gas_hamiltonian(particles: list[Site], lattice: LatticeSpec,
             total += e
     if lattice.boundary == "fixed":
         for x in particles:
-            for g in lattice.gamma:
-                e = pot.pair_energy(tuple(a - b for a, b in zip(x, g)))
-                total += 0.0 if math.isinf(e) else e
+            total += _wall_energy(x, lattice, pot)
+    return total
+
+
+def _wall_energy(x: Site, lattice: LatticeSpec, pot: PotentialSpec) -> float:
+    """sum_j V(x - gamma_j) over the occupied wall sites gamma_j."""
+    total = 0.0
+    for g in lattice.gamma:
+        e = pot.pair_energy(tuple(a - b for a, b in zip(x, g)))
+        total += 0.0 if math.isinf(e) else e
     return total
 
 
@@ -330,20 +316,24 @@ def spin_gas_energy_identity(spins: dict[Site, int], lattice: LatticeSpec,
                              pot: PotentialSpec) -> tuple[float, float]:
     """Ising energy with -1 walls versus its exact lattice-gas rewriting.
 
-    The rewriting is 4*J*d*N - J*|E_Lambda| - 4*J*sum(eta*eta') with the
-    full bond set (interior + walls).  The two sides agree exactly for
-    every configuration; 4*J*d*N equals 4*J*m'*|E_Lambda| only when
+    The -1 walls are the spin side of the zero-boundary gas: empty exterior
+    occupancy is sigma = -1, i.e. fixed walls with no gamma.  The rewriting
+    is 4*J*d*N - J*|E_Lambda| - 4*J*sum(eta*eta') with the full bond set
+    (interior + walls).  The two sides agree exactly for every
+    configuration; 4*J*d*N equals 4*J*m'*|E_Lambda| only when
     |E_Lambda| = d*|Lambda| (torus), so the site-degree form is used.
     """
-    lhs = ising_energy_minus_walls(spins, lattice, pot)
+    if lattice.boundary == "periodic":
+        raise ValueError("minus walls make no sense on a torus")
+    walls = LatticeSpec(lattice.dimension, lattice.side, "fixed")
+    lhs = ising_hamiltonian(spins, walls, pot)
     eta = occupancy_from_spins(spins)
     J = pot.coupling
     n_particles = sum(eta.values())
     pair_sum = 0.0
     for x, y in lattice.interior_bonds():
         pair_sum += eta[x] * eta[y]
-    edges = len(lattice.interior_bonds()) + len(lattice.wall_bonds())
-    rhs = 4.0 * J * lattice.dimension * n_particles - J * edges - 4.0 * J * pair_sum
+    rhs = 4.0 * J * lattice.dimension * n_particles - J * walls.edge_count() - 4.0 * J * pair_sum
     return lhs, rhs
 
 
@@ -356,11 +346,7 @@ def boundary_weight(x: Site, lattice: LatticeSpec, pot: PotentialSpec,
     """
     if lattice.boundary != "fixed":
         raise ValueError("boundary weight needs fixed walls")
-    total = 0.0
-    for g in lattice.gamma:
-        e = pot.pair_energy(tuple(a - b for a, b in zip(x, g)))
-        total += 0.0 if math.isinf(e) else e
-    return math.exp(-beta * total)
+    return math.exp(-beta * _wall_energy(x, lattice, pot))
 
 
 def mu_from_field(h: float, lattice: LatticeSpec, pot: PotentialSpec) -> float:

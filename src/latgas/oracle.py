@@ -41,8 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (GuardError, LatticeSpec, PotentialSpec,
-                    ising_energy_minus_walls, ising_hamiltonian)
+from .model import GuardError, LatticeSpec, PotentialSpec, ising_hamiltonian
 
 ENUMERATION_MAX_SITES = 24
 TRANSFER_MAX_SIDE = 4096
@@ -586,9 +585,10 @@ def ising_gas_consistency(lattice: LatticeSpec, pot: PotentialSpec, beta: float,
     """Fixed-magnetization Ising sum versus its lattice-gas factorization.
 
     Left: sum of exp(-beta H) over spin configurations at magnetization m,
-    with uniform -1 walls.  Right: exp(-beta(4JdN - J|E|)) * Z(N) with the
-    zero-boundary gas partition function, N = (m+1)/2 * |Lambda| and |E|
-    counting interior plus wall bonds.  The two agree exactly.
+    with uniform -1 walls (fixed walls with no gamma).  Right:
+    exp(-beta(4JdN - J|E|)) * Z(N) with the zero-boundary gas partition
+    function, N = (m+1)/2 * |Lambda| and |E| counting interior plus wall
+    bonds.  The two agree exactly.
     """
     if lattice.boundary == "periodic":
         raise ValueError("consistency check uses -1 walls on an open box")
@@ -601,17 +601,18 @@ def ising_gas_consistency(lattice: LatticeSpec, pot: PotentialSpec, beta: float,
         raise ValueError(f"magnetization {m} gives non-integral particle number")
 
     sites = lattice.sites()
+    walls = LatticeSpec(lattice.dimension, lattice.side, "fixed")
     lhs = 0.0
     for subset in itertools.combinations(range(S), n_particles):
         occ = set(subset)
         spins = {x: (1 if i in occ else -1) for i, x in enumerate(sites)}
-        lhs += math.exp(-beta * ising_energy_minus_walls(spins, lattice, pot))
+        lhs += math.exp(-beta * ising_hamiltonian(spins, walls, pot))
 
     open_box = LatticeSpec(lattice.dimension, lattice.side, "zero")
     z_gas = math.exp(exact_canonical_table(open_box, pot, beta).log_z_of(n_particles))
     J = pot.coupling
-    edges = len(lattice.interior_bonds()) + len(lattice.wall_bonds())
-    prefactor = math.exp(-beta * (4.0 * J * lattice.dimension * n_particles - J * edges))
+    prefactor = math.exp(-beta * (4.0 * J * lattice.dimension * n_particles
+                                  - J * walls.edge_count()))
     return lhs, prefactor * z_gas
 
 

@@ -69,10 +69,6 @@ def maximize_big_f(u: float) -> tuple[float, float]:
     return -math.log1p(-r), math.log1p(x) * (1.0 - r) / (1.0 + x)
 
 
-def _ising_coupling(pot: PotentialSpec) -> float:
-    return pot.coupling if pot.kind == "standard" else 1.0
-
-
 def radius_canonical(d: int, pot: PotentialSpec, beta: float) -> tuple[float, float]:
     """(R_C, a*) from the refined tree-graph route."""
     B, c_bar = tree_constants(d, pot, beta)
@@ -94,9 +90,8 @@ def contour_threshold(d: int, pot: PotentialSpec, beta: float) -> tuple[float, f
     """(h_IS, M_IS); -inf sentinels at beta = 0."""
     if beta == 0.0:
         return -math.inf, -math.inf
-    J = _ising_coupling(pot)
     h_is = -(2 * d + 1 + 2 * math.log(2 * d) + math.log(2.0)) / (2.0 * beta)
-    return h_is, 2.0 * h_is - 4.0 * d * J
+    return h_is, 2.0 * h_is - 4.0 * d * pot.coupling
 
 
 def lattice_gas_threshold(d: int, pot: PotentialSpec, beta: float) -> float:
@@ -110,8 +105,7 @@ def lattice_gas_threshold(d: int, pot: PotentialSpec, beta: float) -> float:
 def radius_virial(d: int, pot: PotentialSpec, beta: float) -> float:
     """R_V; the exponent beta(B + B*) equals 4 beta J(2d+1) for range 1."""
     B, c_bar = tree_constants(d, pot, beta)
-    b_star = 4.0 * _ising_coupling(pot)
-    return _over_exp(1.0, 1.0 + beta * (B + b_star), 2.0 * c_bar)
+    return _over_exp(1.0, 1.0 + beta * (B + 4.0 * pot.coupling), 2.0 * c_bar)
 
 
 @dataclass(frozen=True)
@@ -169,18 +163,17 @@ def sign_change_count(values) -> int:
 
 
 def cluster_sum_margin(n_particles: int, volume: int, d: int,
-                       pot: PotentialSpec, beta: float,
-                       order_cap: int = 5) -> tuple[float, float, float]:
+                       pot: PotentialSpec, beta: float) -> tuple[float, float, float]:
     """Partial polymer-sum bound versus the e^a - 1 budget at the reported a*.
 
     Assembles sum_{V ni i} |zeta(V)| e^{a|V|} from the per-size bounds
     |zeta_n| <= n^{n-2} e^{beta B n} C-bar^{n-1} / |Lambda|^{n-1} with
-    n <= order_cap, at a = a*(R_C); returns (partial bound, budget, a*).
+    n <= 5, at a = a*(R_C); returns (partial bound, budget, a*).
     """
     B, c_bar = tree_constants(d, pot, beta)
     _r_c, a_star = radius_canonical(d, pot, beta)
     total = 0.0
-    for n in range(2, min(n_particles, order_cap) + 1):
+    for n in range(2, min(n_particles, 5) + 1):
         log_term = (beta * B + a_star
                     + (n - 2) * math.log(n)
                     + (n - 1) * (beta * B + a_star + math.log(c_bar) - math.log(volume)))

@@ -184,14 +184,9 @@ def beta1_closed_form(d: int, pot: PotentialSpec, beta: float) -> float:
         f1 = math.expm1(-beta * pot.bond_energy)
     except OverflowError:
         f1 = math.inf
-    if pot.kind == "standard":
-        nbrs = 2 * d
-    else:
-        R = pot.support_radius
-        nbrs = 2 * d * R if d == 1 else None
-        if nbrs is None:
-            raise ValueError("Kac closed form implemented for d = 1 only")
-    return nbrs * f1 - 1.0
+    if pot.kind == "kac" and d != 1:
+        raise ValueError("Kac closed form implemented for d = 1 only")
+    return 2 * d * pot.support_radius * f1 - 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -205,17 +200,6 @@ def falling_p(n_particles: int, volume: int, n: int) -> float:
     for k in range(1, n + 1):
         num *= (n_particles - k) / volume
     return num
-
-
-def density_poly(rho: float, volume: int, n: int) -> float:
-    """P_{n+1,|Lambda|}(rho) = rho(rho - 1/|Lambda|)...(rho - n/|Lambda|), cut
-    off to 0 when rho < n/|Lambda|."""
-    if rho < n / volume:
-        return 0.0
-    out = 1.0
-    for k in range(n + 1):
-        out *= rho - k / volume
-    return out
 
 
 def f_coefficient(n_particles: int, volume: int, n: int, b_lambda_n: float) -> float:
@@ -318,14 +302,14 @@ class CanonicalFreeEnergy:
 
     coeffs: np.ndarray
     volume: int | None = None
-    source: str = "extracted"
 
     @property
     def n_max(self) -> int:
         return len(self.coeffs) - 1
 
     def _interaction_poly(self, n: int) -> np.ndarray:
-        """Ascending coefficients of the degree-(n+1) factor for order n."""
+        """Ascending coefficients of the degree-(n+1) factor for order n:
+        P_{n+1,|Lambda|}(rho) = rho(rho - 1/|Lambda|)...(rho - n/|Lambda|)."""
         if self.volume is None:
             c = np.zeros(n + 2)
             c[n + 1] = 1.0
@@ -358,14 +342,12 @@ class CanonicalFreeEnergy:
 
 
 def free_energy_from_extraction(coeffs: SeriesCoefficients) -> CanonicalFreeEnergy:
-    return CanonicalFreeEnergy(coeffs=coeffs.b_lambda.copy(), volume=coeffs.volume,
-                               source="extracted")
+    return CanonicalFreeEnergy(coeffs=coeffs.b_lambda.copy(), volume=coeffs.volume)
 
 
 def free_energy_thermodynamic(beta_irr: np.ndarray) -> CanonicalFreeEnergy:
     """TFE series: beta f(rho) = rho(log rho - 1) - sum beta_n rho^{n+1}/(n+1)."""
-    return CanonicalFreeEnergy(coeffs=np.asarray(beta_irr, dtype=float),
-                               volume=None, source="thermodynamic")
+    return CanonicalFreeEnergy(coeffs=np.asarray(beta_irr, dtype=float), volume=None)
 
 
 def stirling_remainder(n_particles: int, volume: int) -> float:
@@ -428,13 +410,14 @@ class VirialSeries:
     def pressure_fugacity(self) -> np.ndarray:
         return ps_compose(self.pressure_rho(), self.rho_of_z(), self.order)
 
-    def rho_of_z_numeric(self, z: float, tol: float = 1e-14, max_iter: int = 500) -> float:
-        """Fixed point rho = z * exp(sum beta_n rho^n) for small |z|."""
+    def rho_of_z_numeric(self, z: float) -> float:
+        """Fixed point rho = z * exp(sum beta_n rho^n) for small |z|, to a
+        relative step of 1e-14 within 500 iterations."""
         rho = z
-        for _ in range(max_iter):
+        for _ in range(500):
             s = sum(self.beta_irr[n] * rho ** n for n in range(1, len(self.beta_irr)))
             new = z * math.exp(s)
-            if abs(new - rho) <= tol * max(1.0, abs(new)):
+            if abs(new - rho) <= 1e-14 * max(1.0, abs(new)):
                 return new
             rho = new
         raise RuntimeError("fugacity fixed point did not converge")

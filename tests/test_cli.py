@@ -145,6 +145,17 @@ def test_integer_config_keys_take_only_integers(tmp_path, capsys, command, key, 
     assert not any(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("cfg", [{"potential": {"kind": "standard", "range": 2}},
+                                 {"coupling": 2.0, "potential": {"kind": "kac", "range": 3}}])
+def test_potential_keys_the_model_cannot_take_are_config_errors(tmp_path, capsys, cfg):
+    # the standard potential has range 1 and the Kac potential coupling 1:
+    # dropping either key would write a table of another model than asked for
+    cfg = {"dimension": 1, "side": 8, "beta": 0.1, **cfg}
+    assert main(["oracle", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not any(tmp_path.glob("*.csv"))
+
+
 @pytest.mark.parametrize("key, entries", [
     ("alphas", {"alphas": [True], "us": [0.05]}), ("alphas", {"alphas": 0.5}),
     ("us", {"alphas": [0.5], "us": ["0.05"]}), ("us", {"alphas": [0.5], "us": [math.nan]}),

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latgas.deviations import (appendix_normalization, appendix_ratio,
                                find_n_star, formula_probability,
@@ -174,6 +176,24 @@ def test_formula_probability_ld_branch():
     q = abs(math.log(rep.p_exact) + 128 * rep.rate
             + 0.5 * math.log(2 * math.pi * rep.d_plain * 128))
     assert q < 0.05
+
+
+@settings(max_examples=40, deadline=None)
+@given(alpha=st.sampled_from([0.5, 0.75, 1.0]), u=st.sampled_from([0.0, 0.05, 0.3]),
+       side=st.integers(20, 64), beta=st.floats(0.02, 0.15))
+def test_report_fields_equal_the_public_functions_bit_for_bit(alpha, u, side, beta):
+    # the report tilts once and shares mu0's grand-canonical evaluation; its
+    # fields must still be the numbers the public functions give
+    mu0 = lattice_gas_threshold(1, POT, beta) - 1.0
+    try:
+        table, fe = ladder_table(side, beta)
+        rep = formula_probability(table, mu0, alpha, u, fe)
+    except ValueError:  # GuardError included: a target past the density cap
+        return
+    assert rep.mu_tilde == tilted_potential(table, rep.n_tilde)
+    assert rep.rate == rate_function(table, mu0, rep.n_tilde)
+    assert rep.p_exact == float(grand_canonical_eval(table, mu0).probs[rep.n_tilde])
+    assert rep.n_bar == mean_occupation(table, mu0)[1]
 
 
 def test_formula_probability_guards():

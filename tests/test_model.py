@@ -9,6 +9,7 @@ from latgas.model import (GuardError, LatticeSpec, PotentialSpec,
                           model_constants, mu_from_field,
                           occupancy_from_spins, spin_gas_energy_identity,
                           spins_from_occupancy)
+from latgas.oracle import ising_gas_consistency
 
 POT = PotentialSpec("standard", 1.0)
 
@@ -95,6 +96,27 @@ def test_spin_gas_identity_fuzz():
             spins = {x: int(2 * b - 1) for x, b in zip(sites, bits)}
             lhs, rhs = spin_gas_energy_identity(spins, lat, POT)
             assert lhs == pytest.approx(rhs, abs=1e-9)
+
+
+def test_ising_hamiltonian_on_minus_walls():
+    # fixed walls with no gamma are uniform -1 walls: each wall bond adds -sigma_x
+    pot = PotentialSpec("standard", 1.5)
+    for d, L in ((1, 5), (2, 3)):
+        lat = LatticeSpec(d, L, "fixed")
+        sites = lat.sites()
+        for bits in range(1 << len(sites)):
+            spins = {x: 1 if bits >> i & 1 else -1 for i, x in enumerate(sites)}
+            interior = sum(spins[x] * spins[y] for x, y in lat.interior_bonds())
+            walls = sum(spins[x] for x, _y in lat.wall_bonds())
+            assert ising_hamiltonian(spins, lat, pot) == -1.5 * (interior - walls)
+
+
+def test_minus_wall_identities_reject_the_torus():
+    lat = LatticeSpec(2, 3, "periodic")
+    with pytest.raises(ValueError):
+        spin_gas_energy_identity(all_plus(lat), lat, POT)
+    with pytest.raises(ValueError):
+        ising_gas_consistency(lat, POT, 0.5, -1.0)
 
 
 def test_occupancy_round_trip():
@@ -198,3 +220,7 @@ def test_lattice_guards():
         LatticeSpec(1, 4, "fixed", gamma=((2,),))  # inside the box
     with pytest.raises(ValueError):
         PotentialSpec("standard", -1.0)
+    with pytest.raises(ValueError):
+        PotentialSpec("standard", 1.0, 2)
+    with pytest.raises(ValueError):  # the Kac kernel fixes J = 1
+        PotentialSpec("kac", 2.0, 3)

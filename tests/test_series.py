@@ -26,7 +26,7 @@ from latgas.model import GuardError, LatticeSpec, PotentialSpec
 from latgas.oracle import canonical_table, exact_canonical_table, transfer_matrix_table
 from latgas.series import (CanonicalFreeEnergy, b_lambda_1_direct,
                            beta1_closed_form, connected_coefficient,
-                           density_poly, extract_b_lambda, f_coefficient,
+                           extract_b_lambda, f_coefficient,
                            falling_p, free_energy_from_extraction,
                            free_energy_thermodynamic, irreducible_coefficient,
                            legendre_sides, reconstruct_log_z,
@@ -110,8 +110,9 @@ def test_falling_p_examples():
     assert falling_p(3, 10, 2) == pytest.approx(0.02)
     assert falling_p(3, 10, 3) == 0.0
     assert falling_p(3, 10, 5) == 0.0
-    # P_{n+1,|L|}(N/|L|) = (N/|L|) P_{N,|L|}(n)
-    assert density_poly(0.3, 10, 2) == pytest.approx(0.3 * falling_p(3, 10, 2))
+    # P_{n+1,|L|}(N/|L|) = (N/|L|) P_{N,|L|}(n), P_{n+1} the free energy's factor
+    poly = CanonicalFreeEnergy(coeffs=np.zeros(3), volume=10)._interaction_poly(2)
+    assert np.polynomial.polynomial.polyval(0.3, poly) == pytest.approx(0.3 * falling_p(3, 10, 2))
     assert f_coefficient(3, 10, 2, 5.0) == pytest.approx(0.02 * 5.0 / 3.0)
 
 

@@ -68,7 +68,8 @@ def _parse_boundary(cfg: dict) -> tuple[str, tuple]:
     if isinstance(b, str) and b.startswith("fixed:"):
         try:
             sites = json.loads(b[len("fixed:"):])
-            return "fixed", tuple(tuple(int(c) for c in s) for s in sites)
+            return "fixed", tuple(tuple(_check(c, "boundary", int, "integer coordinates")
+                                        for c in s) for s in sites)
         except (json.JSONDecodeError, TypeError, ValueError) as e:
             raise ConfigError(
                 "key 'boundary' fixed form must be 'fixed:<JSON site list>', "
@@ -153,7 +154,10 @@ def cmd_series(cfg: dict, out: Path) -> None:
     order = _check(cfg.get("order", 4), "order", int, "an integer in [1, |Lambda|-1]")
     if not 1 <= order <= lattice.n_sites - 1:
         raise ConfigError("key 'order' must satisfy 1 <= order <= |Lambda|-1")
-    particles = _check(cfg.get("particles", order + 1), "particles", int, "an integer")
+    particles = _check(cfg.get("particles", order + 1), "particles", int,
+                       "an integer in [1, |Lambda|]")
+    if not 1 <= particles <= lattice.n_sites:
+        raise ConfigError("key 'particles' must satisfy 1 <= particles <= |Lambda|")
     table = canonical_table(lattice, pot, beta)
     coeffs = series.extract_b_lambda(table, order)
     rows = [("n", "b_n", "beta_n", "B_Lambda_n", "F_coeff")]
@@ -171,8 +175,10 @@ def cmd_series(cfg: dict, out: Path) -> None:
 def cmd_correlate(cfg: dict, out: Path) -> None:
     lattice, pot, beta = _parse_model(cfg)
     particles = _need(cfg, "particles", int, "an integer in [2, |Lambda|]")
+    if ("c_const" in cfg) != ("c1_const" in cfg):
+        raise ConfigError("keys 'c_const' and 'c1_const' go together: give both or neither")
     table = exact_correlations(lattice, pot, beta, particles)
-    if "c_const" in cfg and "c1_const" in cfg:
+    if "c_const" in cfg:
         c_val, c1_val = (_need(cfg, key, float, "a finite real")
                          for key in ("c_const", "c1_const"))
     else:

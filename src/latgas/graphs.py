@@ -2,9 +2,9 @@
 
 Vertices are 0-based internally.  The generators stream graphs in a fixed
 canonical order (edge bitmask ascending, Pruefer sequence lexicographic),
-so downstream sums are bit-stable.  Connectivity inside the generators is
-decided with union-find; the ``classify`` predicates use DFS, so the
-generator/filter equivalence tests exercise two independent routes.
+so downstream sums are bit-stable.  The generators decide connectivity by
+bitmask reachability, the ``classify`` filter by DFS and articulation
+points, so the generator/filter equivalence tests compare two routes.
 
 By convention the single edge on two vertices counts as 2-connected: it is
 the first irreducible graph, giving the standard leading Mayer coefficient.
@@ -12,7 +12,6 @@ the first irreducible graph, giving the standard leading Mayer coefficient.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass
 from typing import Iterator
@@ -42,41 +41,28 @@ def all_pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[ri] = rj
-
-    def n_components(self) -> int:
-        return len({self.find(i) for i in range(len(self.parent))})
-
-
 def _mask_to_edges(mask: int, pairs: list[tuple[int, int]]) -> frozenset[tuple[int, int]]:
     return frozenset(p for b, p in enumerate(pairs) if mask >> b & 1)
 
 
-def _uf_connected(n: int, edges: frozenset[tuple[int, int]],
-                  skip: int | None = None) -> bool:
-    """Union-find connectivity, optionally with one vertex deleted."""
-    keep = [v for v in range(n) if v != skip]
-    if len(keep) <= 1:
-        return True
-    index = {v: k for k, v in enumerate(keep)}
-    uf = _UnionFind(len(keep))
+def _neighbours(n: int, edges: frozenset[tuple[int, int]]) -> list[int]:
+    nb = [0] * n
     for i, j in edges:
-        if i != skip and j != skip:
-            uf.union(index[i], index[j])
-    return uf.n_components() == 1
+        nb[i] |= 1 << j
+        nb[j] |= 1 << i
+    return nb
+
+
+def _spans(neighbours: list[int], keep: int) -> bool:
+    """Whether the vertex set ``keep`` (a bitmask) induces a connected graph."""
+    reached = todo = keep & -keep
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        new = neighbours[low.bit_length() - 1] & keep & ~reached
+        reached |= new
+        todo |= new
+    return reached == keep
 
 
 def enumerate_all_graphs(n: int) -> Iterator[LabeledGraph]:
@@ -90,10 +76,10 @@ def enumerate_connected(n: int) -> Iterator[LabeledGraph]:
     """All labeled connected graphs on n vertices, 1 <= n <= 6."""
     if not 1 <= n <= MAX_CLUSTER_ORDER:
         raise GuardError(f"connected enumeration guarded to n <= {MAX_CLUSTER_ORDER}")
-    pairs = all_pairs(n)
+    pairs, everyone = all_pairs(n), (1 << n) - 1
     for mask in range(1 << len(pairs)):
         edges = _mask_to_edges(mask, pairs)
-        if _uf_connected(n, edges):
+        if _spans(_neighbours(n, edges), everyone):
             yield LabeledGraph(n, edges)
 
 
@@ -101,12 +87,11 @@ def enumerate_biconnected(n: int) -> Iterator[LabeledGraph]:
     """Labeled graphs on n vertices staying connected after any one deletion."""
     if not 2 <= n <= MAX_CLUSTER_ORDER:
         raise GuardError(f"biconnected enumeration guarded to 2 <= n <= {MAX_CLUSTER_ORDER}")
-    pairs = all_pairs(n)
+    pairs, everyone = all_pairs(n), (1 << n) - 1
     for mask in range(1 << len(pairs)):
         edges = _mask_to_edges(mask, pairs)
-        if not _uf_connected(n, edges):
-            continue
-        if all(_uf_connected(n, edges, skip=v) for v in range(n)):
+        nb = _neighbours(n, edges)
+        if _spans(nb, everyone) and all(_spans(nb, everyone ^ (1 << v)) for v in range(n)):
             yield LabeledGraph(n, edges)
 
 
@@ -115,16 +100,13 @@ def _tree_from_pruefer(seq: tuple[int, ...], n: int) -> frozenset[tuple[int, int
     for v in seq:
         degree[v] += 1
     edges = []
-    leaves = [v for v in range(n) if degree[v] == 1]
-    heapq.heapify(leaves)
     for v in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((min(leaf, v), max(leaf, v)))
+        leaf = degree.index(1)  # the smallest leaf; a removed leaf has degree 0
+        edges.append((leaf, v) if leaf < v else (v, leaf))
+        degree[leaf] = 0
         degree[v] -= 1
-        if degree[v] == 1:
-            heapq.heappush(leaves, v)
-    u, v = heapq.heappop(leaves), heapq.heappop(leaves)
-    edges.append((min(u, v), max(u, v)))
+    u = degree.index(1)
+    edges.append((u, degree.index(1, u + 1)))
     return frozenset(edges)
 
 
@@ -195,15 +177,20 @@ def _articulation_points(g: LabeledGraph) -> set[int]:
     return points
 
 
+_PREDICATES = {
+    "connected": _dfs_connected,
+    "biconnected": lambda g: _dfs_connected(g) and not _articulation_points(g),
+    "tree": lambda g: len(g.edges) == g.n - 1 and _dfs_connected(g),
+}
+
+
 def classify(g: LabeledGraph) -> dict[str, bool]:
     """DFS-based predicates for one graph; ``biconnected`` keeps the
     single-edge convention, as a single edge has no articulation point."""
-    connected = _dfs_connected(g)
-    biconnected = connected and not _articulation_points(g)
-    tree = connected and len(g.edges) == g.n - 1
-    return {"connected": connected, "biconnected": biconnected, "tree": tree}
+    return {name: test(g) for name, test in _PREDICATES.items()}
 
 
 def brute_force_class(n: int, predicate: str) -> set[frozenset[tuple[int, int]]]:
-    """Edge sets of all n-vertex graphs passing a ``classify`` predicate."""
-    return {g.edges for g in enumerate_all_graphs(n) if classify(g)[predicate]}
+    """Edge sets of all n-vertex graphs passing one ``classify`` predicate."""
+    test = _PREDICATES[predicate]
+    return {g.edges for g in enumerate_all_graphs(n) if test(g)}

@@ -217,7 +217,6 @@ class SeriesCoefficients:
 
     b_lambda: np.ndarray
     volume: int
-    provenance: str
 
     @property
     def n_max(self) -> int:
@@ -257,7 +256,7 @@ def extract_b_lambda(table: CanonicalTable, n_max: int) -> SeriesCoefficients:
                     acc -= n_particles * p * b[n] / (n + 1)
             b[n_particles - 1] = acc / p  # the last term is N P(N-1) B(N-1) / N
         vals = np.array([0.0] + [float(x) for x in b[1:]])
-    return SeriesCoefficients(b_lambda=vals, volume=volume, provenance="extracted")
+    return SeriesCoefficients(b_lambda=vals, volume=volume)
 
 
 def reconstruct_log_z(coeffs: SeriesCoefficients, n_particles: int) -> float:

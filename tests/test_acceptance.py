@@ -28,8 +28,7 @@ def test_corrupted_coefficient_fails_reconstruction(monkeypatch):
         coeffs = original(table, n_max)
         bad = coeffs.b_lambda.copy()
         bad[1] += 1e-3
-        return series.SeriesCoefficients(b_lambda=bad, volume=coeffs.volume,
-                                         provenance=coeffs.provenance)
+        return series.SeriesCoefficients(b_lambda=bad, volume=coeffs.volume)
 
     monkeypatch.setattr(series, "extract_b_lambda", corrupted)
     passed, _detail = acceptance.criterion_reconstruction()

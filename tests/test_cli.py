@@ -136,12 +136,30 @@ def test_boolean_config_numbers_are_config_errors(tmp_path, key):
     ("radii", "pairs", {"beta_grid": {"start": 0.0, "stop": 1.0, "count": 5},
                         "pairs": [[1.5, 1.0]]}),
     ("radii", "pairs", {"beta_grid": {"start": 0.0, "stop": 1.0, "count": 5},
-                        "pairs": [[True, 1.0]]})])
+                        "pairs": [[True, 1.0]]}),
+    ("oracle", "boundary", {"side": 4, "boundary": "fixed:[[-1.7],[4]]"}),
+    ("oracle", "boundary", {"side": 4, "boundary": "fixed:[[true],[4]]"})])
 def test_integer_config_keys_take_only_integers(tmp_path, capsys, command, key, cfg):
     # int() would truncate 2.7 to 2 and read true as 1
     cfg = {"dimension": 1, "side": 8, "beta": 0.1, **cfg}
     assert main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)]) == 2
     assert f"key '{key}'" in capsys.readouterr().err
+    assert not any(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command, key, cfg", [
+    ("correlate", "c1_const", {"particles": 2, "c_const": 1.0}),
+    ("correlate", "c_const", {"particles": 2, "c1_const": 1.0}),
+    ("series", "particles", {"particles": -5}), ("series", "particles", {"particles": 0}),
+    ("series", "particles", {"particles": 11}), ("series", "particles", {"particles": 500})])
+def test_config_keys_that_would_be_ignored_are_config_errors(tmp_path, capsys, command, key,
+                                                             cfg):
+    # a lone c_const or c1_const would be dropped while both constants are
+    # calibrated, and an N outside [1, |Lambda|] would write F_coeff from an
+    # undefined P_{N,|Lambda|}
+    cfg = {"dimension": 1, "side": 10, "beta": 0.2, "boundary": "periodic", **cfg}
+    assert main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)]) == 2
+    assert f"'{key}'" in capsys.readouterr().err
     assert not any(tmp_path.glob("*.csv"))
 
 

@@ -1,8 +1,12 @@
-import pytest
+import itertools
 
-from latgas.graphs import (LabeledGraph, brute_force_class, classify,
-                           enumerate_biconnected, enumerate_connected,
-                           enumerate_trees)
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from latgas.graphs import (LabeledGraph, _neighbours, _spans, all_pairs,
+                           brute_force_class, classify, enumerate_biconnected,
+                           enumerate_connected, enumerate_trees)
 from latgas.model import GuardError
 
 
@@ -73,3 +77,40 @@ def test_generators_are_deterministic():
     first = [g.edges for g in enumerate_connected(4)]
     second = [g.edges for g in enumerate_connected(4)]
     assert first == second
+
+
+def _pruefer_code(edges, n):
+    """Encode a tree by removing its smallest leaf and recording the neighbour."""
+    nb = {v: set() for v in range(n)}
+    for i, j in edges:
+        nb[i].add(j)
+        nb[j].add(i)
+    code = []
+    for _ in range(n - 2):
+        leaf = min(v for v, s in nb.items() if len(s) == 1)
+        (parent,) = nb.pop(leaf)
+        nb[parent].discard(leaf)
+        code.append(parent)
+    return tuple(code)
+
+
+def test_pruefer_round_trip():
+    # every sequence comes back, in lexicographic order: a bijection in the
+    # order the generator promises
+    for n in range(2, 8):
+        codes = [_pruefer_code(g.edges, n) for g in enumerate_trees(n)]
+        assert codes == list(itertools.product(range(n), repeat=n - 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_bitmask_route_equals_dfs_route(data):
+    # a uniform edge count mixes sparse, near-threshold and dense graphs
+    n = data.draw(st.integers(1, 7))
+    pairs = data.draw(st.permutations(all_pairs(n)))
+    g = LabeledGraph(n, frozenset(pairs[:data.draw(st.integers(0, len(pairs)))]))
+    nb, everyone = _neighbours(n, g.edges), (1 << n) - 1
+    flags = classify(g)
+    assert _spans(nb, everyone) == flags["connected"]
+    assert (_spans(nb, everyone) and all(_spans(nb, everyone ^ (1 << v)) for v in range(n))) \
+        == flags["biconnected"]

@@ -3,11 +3,14 @@
 Two independent routes to the canonical partition function Z(N):
 
 * occupancy-subset enumeration over all 2^|Lambda| configurations (any
-  dimension, |Lambda| <= 24).  One bitmask kernel, run in blocks of 2^16
-  masks so memory stays flat, gives each subset its bond level k
-  (in-range occupied pairs plus wall contacts), binned into integer counts
-  per (N, k) for Z(N), cached per (box, range R), and per (k, site pair)
-  for the torus correlations.  Each beta then costs a
+  dimension, |Lambda| <= 24).  The bond level k of a subset (in-range
+  occupied pairs plus wall contacts) is one bitmask formula, a popcount
+  per group of pairs of equal index offset.  The integer counts per
+  (N, k) for Z(N), cached per (box, range R), split each mask into its
+  low 16 bits and its high bits: one histogram over the low parts per
+  pattern of bonds crossing to the high part, shifted once per high part.
+  The torus correlations bin per (k, site pair), over masks in blocks of
+  2^16 so memory stays flat.  Each beta then costs a
   30-digit decimal evaluation against e^{k x}, x = -beta * bond energy,
   rounded to float once, so no beta overflows;
 * a d = 1 transfer matrix over Z_h(N) of the chain so far, per occupancy
@@ -151,29 +154,78 @@ def _interaction_pairs(lattice: LatticeSpec, radius: int) -> list[tuple[int, int
                     if 0 < sum((p - q) ** 2 for p, q in zip(x, g)) <= radius ** 2]
 
 
+def _bond_groups(lattice: LatticeSpec, radius: int) -> list[tuple[int, int]]:
+    """The pairs of ``_interaction_pairs`` as (d, mask) groups: bit i of mask
+    marks the pair (i, i + d), d = 0 for a wall contact.  A pair met again
+    (the L = 2 torus, a second wall contact) opens a further group of the
+    same offset, so a subset m holds
+    sum over groups of popcount(m & (m >> d) & mask) bonds."""
+    groups = []
+    for i, j in _interaction_pairs(lattice, radius):
+        for g, (d, mask) in enumerate(groups):
+            if d == j - i and not mask >> i & 1:
+                groups[g] = (d, mask | 1 << i)
+                break
+        else:
+            groups.append((j - i, 1 << i))
+    return groups
+
+
+def _bonds(masks: np.ndarray, groups) -> np.ndarray:
+    """The bond level of each int32 mask, per ``_bond_groups``."""
+    bonds = np.zeros(len(masks), dtype=np.int32)
+    for d, mask in groups:
+        bonds += np.bitwise_count(masks & (masks >> d) & mask)
+    return bonds
+
+
 def _subset_bonds(lattice: LatticeSpec, radius: int):
     """Every occupancy bitmask of the box and its bond level, in blocks of
     SUBSET_BLOCK masks, so memory stays flat at every size."""
-    pairs = _interaction_pairs(lattice, radius)
+    groups = _bond_groups(lattice, radius)
     total = 1 << lattice.n_sites
     for start in range(0, total, SUBSET_BLOCK):
         # int32 holds both the masks (S <= 24) and the bond counts at half the memory
         masks = np.arange(start, min(start + SUBSET_BLOCK, total), dtype=np.int32)
-        bonds = np.zeros(len(masks), dtype=np.int32)
-        for i, j in pairs:
-            bonds += (masks >> i) & (masks >> j) & 1
-        yield masks, bonds
+        yield masks, _bonds(masks, groups)
 
 
 @functools.lru_cache(maxsize=16)
 def _density_of_states(lattice: LatticeSpec, radius: int) -> tuple[tuple[int, ...], ...]:
-    """c(N, k): the number of N-subsets at bond level k, as Python ints."""
+    """c(N, k): the number of N-subsets at bond level k, as Python ints.
+
+    Each mask m splits into its low B bits L and its high bits H, kept in
+    place.  A bond lies within H, within L, or crosses from L to H, so
+    bonds(m) = bonds(H) + bonds(L) + sum over groups of popcount(L & X),
+    with the cross pattern X = (H >> d) & mask & (2^B - 1) fixed by H.  One
+    histogram over the 2^B low parts per distinct pattern, shifted by
+    popcount(H) rows and bonds(H) levels for each high part of that
+    pattern, then counts every mask once.
+    """
+    groups = _bond_groups(lattice, radius)
     # the full box holds every pair, so it sets the top level
-    levels = len(_interaction_pairs(lattice, radius)) + 1
+    levels = sum(mask.bit_count() for _, mask in groups) + 1
     counts = np.zeros((lattice.n_sites + 1) * levels, dtype=np.int64)
-    for masks, bonds in _subset_bonds(lattice, radius):
-        counts += np.bincount(np.bitwise_count(masks).astype(np.int32) * levels + bonds,
-                              minlength=len(counts))
+    low_bits = min(lattice.n_sites, SUBSET_BLOCK.bit_length() - 1)
+    # int32 holds both the masks (S <= 24) and the bond counts at half the memory
+    lows = np.arange(1 << low_bits, dtype=np.int32)
+    low_keys = np.bitwise_count(lows).astype(np.int32) * levels + _bonds(lows, groups)
+    highs = np.arange(1 << (lattice.n_sites - low_bits), dtype=np.int32) << low_bits
+    shifts = np.bitwise_count(highs).astype(np.int32) * levels + _bonds(highs, groups)
+    # the high sites a low site bonds to: H & crossing fixes every pattern
+    crossing = 0
+    for d, mask in groups:
+        crossing |= (mask & (1 << low_bits) - 1) << d
+    by_pattern = {}
+    for high, shift in zip((highs & crossing).tolist(), shifts.tolist()):
+        by_pattern.setdefault(high, []).append(shift)
+    for high, pattern_shifts in by_pattern.items():
+        keys = low_keys.copy()
+        for d, mask in groups:
+            keys += np.bitwise_count(lows & (high >> d) & mask)
+        hist = np.bincount(keys)
+        for shift in pattern_shifts:
+            counts[shift:shift + len(hist)] += hist
     return tuple(map(tuple, counts.reshape(-1, levels).tolist()))
 
 

@@ -323,6 +323,46 @@ def test_blocked_density_of_states_equals_whole_array(monkeypatch, lattice, radi
             == _whole_array_density_of_states(lattice, radius))
 
 
+@st.composite
+def _boxes(draw):
+    """A box of at most 12 sites with any wall, a range R <= 3 that the
+    periodic guard allows, and for fixed walls a set of exterior sites each
+    in range of the box."""
+    dimension = draw(st.integers(1, 3))
+    side = draw(st.integers(2, {1: 12, 2: 3, 3: 2}[dimension]))
+    boundary = draw(st.sampled_from(["zero", "periodic", "fixed"]))
+    radius = draw(st.sampled_from([r for r in (1, 2, 3)
+                                   if r == 1 or boundary != "periodic" or side > 2 * r]))
+    gamma = ()
+    if boundary == "fixed":
+        box = LatticeSpec(dimension, side)
+        near = [g for g in itertools.product(range(-radius, side + radius), repeat=dimension)
+                if not box.contains(g)
+                and any(sum((p - q) ** 2 for p, q in zip(x, g)) <= radius ** 2
+                        for x in box.sites())]
+        gamma = tuple(draw(st.lists(st.sampled_from(near), unique=True, max_size=6)))
+    return LatticeSpec(dimension, side, boundary, gamma=gamma), radius
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_boxes(), data=st.data())
+def test_split_density_of_states_equals_whole_array(case, data):
+    # blocks of 2^b masks down to b = 1, so small boxes run many high parts
+    # and cross patterns
+    lattice, radius = case
+    block = 1 << data.draw(st.integers(1, lattice.n_sites))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "SUBSET_BLOCK", block)
+        counts = _density_of_states.__wrapped__(lattice, radius)
+        masks, bonds = map(np.concatenate, zip(*oracle._subset_bonds(lattice, radius)))
+    assert counts == _whole_array_density_of_states(lattice, radius)
+    per_pair = np.zeros(1 << lattice.n_sites, dtype=np.int64)
+    for i, j in _interaction_pairs(lattice, radius):
+        per_pair += (masks >> i) & (masks >> j) & 1
+    assert np.array_equal(masks, np.arange(1 << lattice.n_sites))
+    assert np.array_equal(bonds, per_pair)
+
+
 @pytest.mark.parametrize("lattice, n", [(LatticeSpec(1, 12, "periodic"), 5), (TORUS3, 4)])
 def test_blocked_correlations_equal_one_block(monkeypatch, lattice, n):
     whole = exact_correlations(lattice, POT, 0.4, n)  # one block below 2^16 masks

@@ -57,15 +57,11 @@ def criterion_graph_engine() -> tuple[bool, str]:
     trees = [sum(1 for _ in graphs.enumerate_trees(n)) for n in range(1, 9)]
     ok = connected == [1, 1, 4, 38, 728] and biconn == [1, 1, 10, 238]
     ok = ok and trees == [max(1, n) ** max(0, n - 2) for n in range(1, 9)]
-    for n in range(1, 6):
-        gen = {g.edges for g in graphs.enumerate_connected(n)}
-        ok = ok and gen == graphs.brute_force_class(n, "connected")
-    for n in range(2, 6):
-        gen = {g.edges for g in graphs.enumerate_biconnected(n)}
-        ok = ok and gen == graphs.brute_force_class(n, "biconnected")
-    for n in range(1, 7):
-        gen = {g.edges for g in graphs.enumerate_trees(n)}
-        ok = ok and gen == graphs.brute_force_class(n, "tree")
+    routes = (("connected", graphs.enumerate_connected, range(1, 6)),
+              ("biconnected", graphs.enumerate_biconnected, range(2, 6)),
+              ("tree", graphs.enumerate_trees, range(1, 7)))
+    ok = ok and all(set(generate(n)) == graphs.brute_force_class(n, kind)
+                    for kind, generate, orders in routes for n in orders)
     return ok, f"connected={connected} biconnected={biconn} trees(n<=8) ok"
 
 

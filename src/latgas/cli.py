@@ -122,6 +122,15 @@ def _beta_grid(cfg: dict) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
+def _order(cfg: dict, lattice: LatticeSpec) -> int:
+    """The series order: extracting B(1..order) reads log Z up to
+    N = order + 1, so the order runs from 1 to |Lambda| - 1."""
+    order = _check(cfg.get("order", 4), "order", int, "an integer in [1, |Lambda|-1]")
+    if not 1 <= order <= lattice.n_sites - 1:
+        raise ConfigError("key 'order' must satisfy 1 <= order <= |Lambda|-1")
+    return order
+
+
 def cmd_radii(cfg: dict, out: Path) -> None:
     betas = _beta_grid(cfg)
     legal = "a list of [dimension >= 1, coupling > 0]"
@@ -151,9 +160,7 @@ def cmd_oracle(cfg: dict, out: Path) -> None:
 
 def cmd_series(cfg: dict, out: Path) -> None:
     lattice, pot, beta = _parse_model(cfg)
-    order = _check(cfg.get("order", 4), "order", int, "an integer in [1, |Lambda|-1]")
-    if not 1 <= order <= lattice.n_sites - 1:
-        raise ConfigError("key 'order' must satisfy 1 <= order <= |Lambda|-1")
+    order = _order(cfg, lattice)
     particles = _check(cfg.get("particles", order + 1), "particles", int,
                        "an integer in [1, |Lambda|]")
     if not 1 <= particles <= lattice.n_sites:
@@ -199,6 +206,7 @@ def _reals(cfg: dict, key: str, default: list) -> list[float]:
 
 def cmd_deviate(cfg: dict, out: Path) -> None:
     lattice, pot, beta = _parse_model(cfg)
+    order = _order(cfg, lattice)
     alphas = _reals(cfg, "alphas", [0.5, 1.0])
     if not all(0.5 <= a <= 1.0 for a in alphas):
         raise ConfigError("key 'alphas' entries must lie in [1/2, 1]")
@@ -212,7 +220,6 @@ def cmd_deviate(cfg: dict, out: Path) -> None:
         mu0 = radii.lattice_gas_threshold(lattice.dimension, pot, beta) - 1.0
         if not math.isfinite(mu0):
             raise ConfigError("key 'mu0' required when beta = 0 (threshold sentinel)")
-    order = _check(cfg.get("order", 4), "order", int, "a positive integer")
     fe = series.free_energy_from_extraction(series.extract_b_lambda(table, order))
     rows = [deviations.CSV_HEADER]
     for alpha in alphas:

@@ -1,10 +1,16 @@
 """Exhaustive labeled-graph generators for cluster sums.
 
-Vertices are 0-based internally.  The generators stream graphs in a fixed
-canonical order (edge bitmask ascending, Pruefer sequence lexicographic),
-so downstream sums are bit-stable.  The generators decide connectivity by
-bitmask reachability, the ``classify`` filter by DFS and articulation
-points, so the generator/filter equivalence tests compare two routes.
+A graph on n vertices (0-based) is an ``int`` edge bitmask: bit p marks the
+pair ``all_pairs(n)[p]``, the pairs (i, j), i < j, in lexicographic order.
+The pair of a bit depends on n, so a mask means nothing without its n, and
+every function that takes a graph takes n too.  ``edges(n, graph)`` decodes
+a mask into its pairs.
+
+The generators stream graphs in a fixed canonical order (edge mask
+ascending, Pruefer sequence lexicographic), so downstream sums are
+bit-stable.  The generators decide connectivity by bitmask reachability,
+the ``classify`` filter by DFS and articulation points, so the
+generator/filter equivalence tests compare two routes.
 
 By convention the single edge on two vertices counts as 2-connected: it is
 the first irreducible graph, giving the standard leading Mayer coefficient.
@@ -13,7 +19,6 @@ the first irreducible graph, giving the standard leading Mayer coefficient.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator
 
 from .model import GuardError
@@ -22,32 +27,18 @@ MAX_CLUSTER_ORDER = 6
 MAX_TREE_ORDER = 8
 
 
-@dataclass(frozen=True)
-class LabeledGraph:
-    """A labeled simple graph."""
-
-    n: int
-    edges: frozenset[tuple[int, int]]
-
-    def adjacency(self) -> list[set[int]]:
-        adj: list[set[int]] = [set() for _ in range(self.n)]
-        for i, j in self.edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        return adj
-
-
 def all_pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-def _mask_to_edges(mask: int, pairs: list[tuple[int, int]]) -> frozenset[tuple[int, int]]:
-    return frozenset(p for b, p in enumerate(pairs) if mask >> b & 1)
+def edges(n: int, graph: int) -> list[tuple[int, int]]:
+    """The pairs of the n-vertex ``graph``, in pair order."""
+    return [p for b, p in enumerate(all_pairs(n)) if graph >> b & 1]
 
 
-def _neighbours(n: int, edges: frozenset[tuple[int, int]]) -> list[int]:
+def _neighbours(n: int, graph: int) -> list[int]:
     nb = [0] * n
-    for i, j in edges:
+    for i, j in edges(n, graph):
         nb[i] |= 1 << j
         nb[j] |= 1 << i
     return nb
@@ -65,66 +56,68 @@ def _spans(neighbours: list[int], keep: int) -> bool:
     return reached == keep
 
 
-def enumerate_all_graphs(n: int) -> Iterator[LabeledGraph]:
-    """Every labeled simple graph on n vertices (2^(n(n-1)/2) of them)."""
-    pairs = all_pairs(n)
-    for mask in range(1 << len(pairs)):
-        yield LabeledGraph(n, _mask_to_edges(mask, pairs))
-
-
-def enumerate_connected(n: int) -> Iterator[LabeledGraph]:
+def enumerate_connected(n: int) -> Iterator[int]:
     """All labeled connected graphs on n vertices, 1 <= n <= 6."""
     if not 1 <= n <= MAX_CLUSTER_ORDER:
         raise GuardError(f"connected enumeration guarded to n <= {MAX_CLUSTER_ORDER}")
-    pairs, everyone = all_pairs(n), (1 << n) - 1
-    for mask in range(1 << len(pairs)):
-        edges = _mask_to_edges(mask, pairs)
-        if _spans(_neighbours(n, edges), everyone):
-            yield LabeledGraph(n, edges)
+    everyone = (1 << n) - 1
+    for graph in range(1 << n * (n - 1) // 2):
+        if _spans(_neighbours(n, graph), everyone):
+            yield graph
 
 
-def enumerate_biconnected(n: int) -> Iterator[LabeledGraph]:
+def enumerate_biconnected(n: int) -> Iterator[int]:
     """Labeled graphs on n vertices staying connected after any one deletion."""
     if not 2 <= n <= MAX_CLUSTER_ORDER:
         raise GuardError(f"biconnected enumeration guarded to 2 <= n <= {MAX_CLUSTER_ORDER}")
-    pairs, everyone = all_pairs(n), (1 << n) - 1
-    for mask in range(1 << len(pairs)):
-        edges = _mask_to_edges(mask, pairs)
-        nb = _neighbours(n, edges)
+    everyone = (1 << n) - 1
+    for graph in range(1 << n * (n - 1) // 2):
+        nb = _neighbours(n, graph)
         if _spans(nb, everyone) and all(_spans(nb, everyone ^ (1 << v)) for v in range(n)):
-            yield LabeledGraph(n, edges)
+            yield graph
 
 
-def _tree_from_pruefer(seq: tuple[int, ...], n: int) -> frozenset[tuple[int, int]]:
+def _tree_from_pruefer(seq: tuple[int, ...], n: int, bit: list[list[int]]) -> int:
+    """The tree of ``seq``; ``bit[i][j]`` is the mask bit of the pair {i, j}."""
     degree = [1] * n
     for v in seq:
         degree[v] += 1
-    edges = []
+    graph = 0
     for v in seq:
         leaf = degree.index(1)  # the smallest leaf; a removed leaf has degree 0
-        edges.append((leaf, v) if leaf < v else (v, leaf))
+        graph |= bit[leaf][v]
         degree[leaf] = 0
         degree[v] -= 1
     u = degree.index(1)
-    edges.append((u, degree.index(1, u + 1)))
-    return frozenset(edges)
+    return graph | bit[u][degree.index(1, u + 1)]
 
 
-def enumerate_trees(n: int) -> Iterator[LabeledGraph]:
+def enumerate_trees(n: int) -> Iterator[int]:
     """All n^(n-2) labeled trees via Pruefer sequences, 1 <= n <= 8."""
     if not 1 <= n <= MAX_TREE_ORDER:
         raise GuardError(f"tree enumeration guarded to n <= {MAX_TREE_ORDER}")
     if n == 1:
-        yield LabeledGraph(1, frozenset())
+        yield 0
         return
+    bit = [[0] * n for _ in range(n)]
+    for p, (i, j) in enumerate(all_pairs(n)):
+        bit[i][j] = bit[j][i] = 1 << p
     for seq in itertools.product(range(n), repeat=n - 2):
-        yield LabeledGraph(n, _tree_from_pruefer(seq, n))
+        yield _tree_from_pruefer(seq, n, bit)
 
 
-def _dfs_connected(g: LabeledGraph) -> bool:
-    if g.n == 0:
+def _adjacency(n: int, graph: int) -> list[set[int]]:
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for i, j in edges(n, graph):
+        adj[i].add(j)
+        adj[j].add(i)
+    return adj
+
+
+def _dfs_connected(n: int, graph: int) -> bool:
+    if n == 0:
         return True
-    adj = g.adjacency()
+    adj = _adjacency(n, graph)
     seen = set()
     stack = [0]
     while stack:
@@ -133,17 +126,17 @@ def _dfs_connected(g: LabeledGraph) -> bool:
             continue
         seen.add(u)
         stack.extend(adj[u] - seen)
-    return len(seen) == g.n
+    return len(seen) == n
 
 
-def _articulation_points(g: LabeledGraph) -> set[int]:
+def _articulation_points(n: int, graph: int) -> set[int]:
     """Hopcroft-Tarjan articulation points (iterative low-link DFS)."""
-    adj = [sorted(s) for s in g.adjacency()]
+    adj = [sorted(s) for s in _adjacency(n, graph)]
     disc: dict[int, int] = {}
     low: dict[int, int] = {}
     points: set[int] = set()
     counter = itertools.count()
-    for root in range(g.n):
+    for root in range(n):
         if root in disc:
             continue
         stack: list[tuple[int, int | None, Iterator[int]]] = [(root, None, iter(adj[root]))]
@@ -179,18 +172,18 @@ def _articulation_points(g: LabeledGraph) -> set[int]:
 
 _PREDICATES = {
     "connected": _dfs_connected,
-    "biconnected": lambda g: _dfs_connected(g) and not _articulation_points(g),
-    "tree": lambda g: len(g.edges) == g.n - 1 and _dfs_connected(g),
+    "biconnected": lambda n, g: _dfs_connected(n, g) and not _articulation_points(n, g),
+    "tree": lambda n, g: g.bit_count() == n - 1 and _dfs_connected(n, g),
 }
 
 
-def classify(g: LabeledGraph) -> dict[str, bool]:
-    """DFS-based predicates for one graph; ``biconnected`` keeps the
-    single-edge convention, as a single edge has no articulation point."""
-    return {name: test(g) for name, test in _PREDICATES.items()}
+def classify(n: int, graph: int) -> dict[str, bool]:
+    """DFS-based predicates for one n-vertex graph; ``biconnected`` keeps
+    the single-edge convention, as a single edge has no articulation point."""
+    return {name: test(n, graph) for name, test in _PREDICATES.items()}
 
 
-def brute_force_class(n: int, predicate: str) -> set[frozenset[tuple[int, int]]]:
-    """Edge sets of all n-vertex graphs passing one ``classify`` predicate."""
+def brute_force_class(n: int, predicate: str) -> set[int]:
+    """All n-vertex graphs passing one ``classify`` predicate."""
     test = _PREDICATES[predicate]
-    return {g.edges for g in enumerate_all_graphs(n) if test(g)}
+    return {g for g in range(1 << n * (n - 1) // 2) if test(n, g)}

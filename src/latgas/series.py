@@ -18,7 +18,9 @@ Conventions
   integer multiplicities.  Per pattern, each graph without an
   out-of-range edge contributes (-1)^{#coincident edges} f^{#in-range
   edges}, or w^{#in-range edges} to the tree sum, w = 1 - e^{-beta|V|}:
-  integer polynomials in f and in w.
+  integer polynomials in f and in w.  A graph is its edge bitmask, whose
+  bit p is the pattern's pair p, so the edge counts per category are one
+  integer matrix product of the patterns with the graphs' bits.
 * Each beta then costs one polynomial evaluation.  b_n and beta_n are
   evaluated exactly in rationals at the float f and rounded once: each is
   the correctly rounded lattice sum at that f.  The tree-graph check
@@ -112,11 +114,9 @@ def _graph_polys(kind: str, n_points: int, d: int, radius: int
                 "tree": enumerate_trees}[kind]
     coincident = 1 if kind == "tree" else -1  # w = 1, f = -1 on a coincident pair
     cats, mult = _patterns(n_points, d, radius)
-    pairs = {e: p for p, e in enumerate(all_pairs(n_points))}
-    graphs = list(generate(n_points))
-    incidence = np.zeros((len(graphs), len(pairs)), dtype=np.int64)
-    for row, g in enumerate(graphs):
-        incidence[row, [pairs[e] for e in g.edges]] = 1
+    n_pairs = cats.shape[1]
+    graphs = np.fromiter(generate(n_points), np.int64)
+    incidence = graphs[:, None] >> np.arange(n_pairs) & 1
 
     def edges_in(category: int) -> np.ndarray:
         return (cats == category).astype(np.int64) @ incidence.T
@@ -124,7 +124,7 @@ def _graph_polys(kind: str, n_points: int, d: int, radius: int
     pattern, graph = np.nonzero(edges_in(0) == 0)
     degree = edges_in(1)[pattern, graph]
     sign = coincident ** edges_in(2)[pattern, graph]
-    polys = np.zeros((len(cats), len(pairs) + 1), dtype=np.int64)
+    polys = np.zeros((len(cats), n_pairs + 1), dtype=np.int64)
     np.add.at(polys, (pattern, degree), sign)
     polys.flags.writeable = False
     return mult, polys

@@ -151,12 +151,15 @@ def test_integer_config_keys_take_only_integers(tmp_path, capsys, command, key, 
     ("correlate", "c1_const", {"particles": 2, "c_const": 1.0}),
     ("correlate", "c_const", {"particles": 2, "c1_const": 1.0}),
     ("series", "particles", {"particles": -5}), ("series", "particles", {"particles": 0}),
-    ("series", "particles", {"particles": 11}), ("series", "particles", {"particles": 500})])
+    ("series", "particles", {"particles": 11}), ("series", "particles", {"particles": 500}),
+    ("deviate", "order", {"order": 0}), ("deviate", "order", {"order": -3}),
+    ("deviate", "order", {"order": 10}), ("deviate", "order", {"order": 500})])
 def test_config_keys_that_would_be_ignored_are_config_errors(tmp_path, capsys, command, key,
                                                              cfg):
     # a lone c_const or c1_const would be dropped while both constants are
-    # calibrated, and an N outside [1, |Lambda|] would write F_coeff from an
-    # undefined P_{N,|Lambda|}
+    # calibrated, an N outside [1, |Lambda|] would write F_coeff from an
+    # undefined P_{N,|Lambda|}, and a deviate order outside [1, |Lambda|-1]
+    # failed without naming the key, or only once its table was built
     cfg = {"dimension": 1, "side": 10, "beta": 0.2, "boundary": "periodic", **cfg}
     assert main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)]) == 2
     assert f"'{key}'" in capsys.readouterr().err

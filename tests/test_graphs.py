@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latgas.graphs import (LabeledGraph, _neighbours, _spans, all_pairs,
-                           brute_force_class, classify, enumerate_biconnected,
-                           enumerate_connected, enumerate_trees)
+from latgas.graphs import (_neighbours, _spans, all_pairs, brute_force_class, classify,
+                           edges, enumerate_biconnected, enumerate_connected,
+                           enumerate_trees)
 from latgas.model import GuardError
 
 
@@ -28,39 +28,37 @@ def test_tree_counts_cayley():
 
 def test_generator_equals_filter():
     for n in range(1, 6):
-        assert {g.edges for g in enumerate_connected(n)} == \
-            brute_force_class(n, "connected")
+        assert set(enumerate_connected(n)) == brute_force_class(n, "connected")
     for n in range(2, 6):
-        assert {g.edges for g in enumerate_biconnected(n)} == \
-            brute_force_class(n, "biconnected")
+        assert set(enumerate_biconnected(n)) == brute_force_class(n, "biconnected")
     for n in range(1, 7):
-        assert {g.edges for g in enumerate_trees(n)} == \
-            brute_force_class(n, "tree")
+        assert set(enumerate_trees(n)) == brute_force_class(n, "tree")
 
 
 def test_biconnected_subset_of_connected():
     for n in range(2, 6):
-        conn = {g.edges for g in enumerate_connected(n)}
+        conn = set(enumerate_connected(n))
         for g in enumerate_biconnected(n):
-            assert g.edges in conn
+            assert g in conn
 
 
 def test_trees_have_right_edge_count():
     for n in range(2, 7):
         for g in enumerate_trees(n):
-            assert len(g.edges) == n - 1
-            assert classify(g)["connected"]
+            assert len(edges(n, g)) == n - 1
+            assert classify(n, g)["connected"]
+
+
+def _mask(n, pairs):
+    return sum(1 << all_pairs(n).index(e) for e in pairs)
 
 
 def test_classify_examples():
-    path3 = LabeledGraph(3, frozenset({(0, 1), (1, 2)}))
-    c = classify(path3)
+    c = classify(3, _mask(3, [(0, 1), (1, 2)]))
     assert c["connected"] and c["tree"] and not c["biconnected"]
-    triangle = LabeledGraph(3, frozenset({(0, 1), (0, 2), (1, 2)}))
-    assert classify(triangle)["biconnected"]
+    assert classify(3, _mask(3, [(0, 1), (0, 2), (1, 2)]))["biconnected"]
     # the center of a star is an articulation point at the root of the DFS
-    star = LabeledGraph(4, frozenset({(0, 1), (0, 2), (0, 3)}))
-    c = classify(star)
+    c = classify(4, _mask(4, [(0, 1), (0, 2), (0, 3)]))
     assert c["connected"] and c["tree"] and not c["biconnected"]
 
 
@@ -74,9 +72,17 @@ def test_guards():
 
 
 def test_generators_are_deterministic():
-    first = [g.edges for g in enumerate_connected(4)]
-    second = [g.edges for g in enumerate_connected(4)]
+    first = list(enumerate_connected(4))
+    second = list(enumerate_connected(4))
     assert first == second
+    # the promised order, ascending edge mask, keeps downstream sums bit-stable
+    for n in range(1, 6):
+        limit = 1 << len(all_pairs(n))
+        for stream in (enumerate_connected(n), enumerate_biconnected(n) if n >= 2 else ()):
+            graphs = list(stream)
+            assert all(a < b for a, b in zip(graphs, graphs[1:]))
+            assert all(0 <= g < limit for g in graphs)
+        assert all(0 <= g < limit for g in enumerate_trees(n))
 
 
 def _pruefer_code(edges, n):
@@ -98,7 +104,7 @@ def test_pruefer_round_trip():
     # every sequence comes back, in lexicographic order: a bijection in the
     # order the generator promises
     for n in range(2, 8):
-        codes = [_pruefer_code(g.edges, n) for g in enumerate_trees(n)]
+        codes = [_pruefer_code(edges(n, g), n) for g in enumerate_trees(n)]
         assert codes == list(itertools.product(range(n), repeat=n - 2))
 
 
@@ -107,10 +113,14 @@ def test_pruefer_round_trip():
 def test_bitmask_route_equals_dfs_route(data):
     # a uniform edge count mixes sparse, near-threshold and dense graphs
     n = data.draw(st.integers(1, 7))
-    pairs = data.draw(st.permutations(all_pairs(n)))
-    g = LabeledGraph(n, frozenset(pairs[:data.draw(st.integers(0, len(pairs)))]))
-    nb, everyone = _neighbours(n, g.edges), (1 << n) - 1
-    flags = classify(g)
+    bits = data.draw(st.permutations(range(len(all_pairs(n)))))
+    g = sum(1 << b for b in bits[:data.draw(st.integers(0, len(bits)))])
+    # the decode both routes rely on: the pairs, in pair order, give g back
+    pair_bits = [all_pairs(n).index(e) for e in edges(n, g)]
+    assert pair_bits == sorted(pair_bits)
+    assert sum(1 << b for b in pair_bits) == g
+    nb, everyone = _neighbours(n, g), (1 << n) - 1
+    flags = classify(n, g)
     assert _spans(nb, everyone) == flags["connected"]
     assert (_spans(nb, everyone) and all(_spans(nb, everyone ^ (1 << v)) for v in range(n))) \
         == flags["biconnected"]

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import latgas.series as ls
-from latgas.graphs import brute_force_class, enumerate_connected, enumerate_trees
+from latgas.graphs import brute_force_class, edges, enumerate_connected, enumerate_trees
 from latgas.model import GuardError, LatticeSpec, PotentialSpec
 from latgas.oracle import canonical_table, exact_canonical_table, transfer_matrix_table
 from latgas.series import (CanonicalFreeEnergy, b_lambda_1_direct,
@@ -44,9 +44,9 @@ def brute_coefficient(edge_sets, n_points, d, beta, reach):
     for config in itertools.product(itertools.product(box, repeat=d),
                                     repeat=n_points - 1):
         pts = [(0,) * d] + list(config)
-        for edges in edge_sets:
+        for pairs in edge_sets:
             prod = 1.0
-            for i, j in edges:
+            for i, j in pairs:
                 prod *= POT.mayer_f(tuple(a - b for a, b in zip(pts[i], pts[j])), beta)
                 if prod == 0.0:
                     break
@@ -65,8 +65,7 @@ def test_b2_closed_form():
 
 
 def test_b3_against_brute_resummation():
-    graphs = [sorted(es) for es in sorted(brute_force_class(3, "connected"),
-                                          key=sorted)]
+    graphs = sorted(edges(3, g) for g in brute_force_class(3, "connected"))
     brute = brute_coefficient(graphs, 3, 1, BETA, reach=3) / math.factorial(3)
     assert connected_coefficient(3, 1, POT, BETA) == pytest.approx(brute, abs=1e-12)
 
@@ -81,8 +80,7 @@ def test_beta1_closed_form_and_mayer_relation():
 
 
 def test_beta2_against_brute_resummation():
-    graphs = [sorted(es) for es in sorted(brute_force_class(3, "biconnected"),
-                                          key=sorted)]
+    graphs = sorted(edges(3, g) for g in brute_force_class(3, "biconnected"))
     brute = brute_coefficient(graphs, 3, 2, 0.1, reach=4) / math.factorial(2)
     assert irreducible_coefficient(2, 2, POT, 0.1) == pytest.approx(brute, abs=1e-10)
 
@@ -317,7 +315,7 @@ def test_tree_graph_check_past_float_range_is_guarded():
 
 def test_partition_recursion_equals_graph_sum():
     for n in (3, 4):
-        graphs = _graph_indices((g.edges for g in enumerate_connected(n)), n)
+        graphs = _graph_indices(enumerate_connected(n), n)
         polys = _polys_by_pattern("connected", n, 1, POT)
         f = math.expm1(4 * BETA)
         for cats in _config_blocks(n, 1, POT):
@@ -399,17 +397,17 @@ def _f_lut(pot, beta):
     return np.array([0.0, math.expm1(-beta * pot.bond_energy), -1.0])
 
 
-def _graph_indices(edge_sets, n):
+def _graph_indices(masks, n):
     pidx = {e: p for p, e in enumerate(itertools.combinations(range(n), 2))}
-    return [[pidx[e] for e in sorted(edges)] for edges in edge_sets]
+    return [[pidx[e] for e in edges(n, g)] for g in masks]
 
 
 def _graph_product_sum(fvals, graphs):
     """sum over graphs of the product of f over each graph's pair indices."""
     total = np.zeros(fvals.shape[0])
-    for edges in graphs:
+    for graph in graphs:
         prod = np.ones(fvals.shape[0])
-        for e in edges:
+        for e in graph:
             prod = prod * fvals[:, e]
         total += prod
     return total
@@ -465,7 +463,7 @@ def _sweep_tree_check(n, d, pot, beta):
     stability = math.exp(beta * ls.model_constants(d, pot, beta).stability_B * n)
     w_lut = np.array([0.0, -math.expm1(-beta * abs(pot.bond_energy)), 1.0])
     lhs = np.abs(_connected_sum_partition(_f_lut(pot, beta)[cats], n))
-    trees = _graph_indices((t.edges for t in enumerate_trees(n)), n)
+    trees = _graph_indices(enumerate_trees(n), n)
     rhs = stability * _graph_product_sum(w_lut[cats], trees)
     violations = int(np.sum(lhs > rhs * (1 + 1e-12) + 1e-300))
     return float(np.sum(lhs)), float(np.sum(rhs)), violations, swept
@@ -523,8 +521,7 @@ def _graph_terms(cls, n_points, d):
     """Configurations per (in-range edges, coincident edges) over the
     patterns and the DFS-filtered graphs without an out-of-range edge."""
     rows, mult = ls._patterns(n_points, d, POT.support_radius)
-    pidx = {e: p for p, e in enumerate(itertools.combinations(range(n_points), 2))}
-    graphs = [[pidx[e] for e in g] for g in brute_force_class(n_points, cls)]
+    graphs = _graph_indices(brute_force_class(n_points, cls), n_points)
     terms = Counter()  # (in-range edges, coincident edges) -> configurations
     for row, m in zip(rows.tolist(), mult.tolist()):
         for g in graphs:

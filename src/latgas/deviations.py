@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .model import GuardError
 from .oracle import CanonicalTable, GrandCanonicalEval, grand_canonical_eval
 from .series import MAX_DERIVATIVE_ORDER, CanonicalFreeEnergy
@@ -31,13 +33,26 @@ def mean_occupation(table: CanonicalTable, mu0: float) -> tuple[float, int]:
 
 
 def find_n_star(table: CanonicalTable, mu0: float) -> int:
-    """argmax_N of beta*mu0*N + log Z(N); ties resolved to the smaller N."""
-    best_n = 0
-    best_v = table.log_z_of(0)
-    for n in range(1, len(table.log_z)):
-        v = table.beta * mu0 * n + table.log_z_of(n)
-        if v > best_v + 1e-12 * max(1.0, abs(best_v)):
-            best_n, best_v = n, v
+    """argmax_N of beta*mu0*N + log Z(N); ties resolved to the smaller N.
+
+    A new best must beat the best so far by more than 1e-12 relative.  Only
+    a strict prefix maximum can, so until the first such step that falls
+    inside the tolerance the best is the running maximum; from there the
+    rule runs on the remaining strict prefix maxima alone.
+    """
+    v = table.beta * mu0 * np.arange(len(table.log_z)) + table.log_z
+    v[0] = table.log_z_of(0)
+    v[1:][np.isnan(v[1:])] = -np.inf  # a nan never beats the best, nor does -inf
+    top = np.maximum.accumulate(v)
+    climbs = np.flatnonzero(v[1:] > top[:-1]) + 1  # the strict prefix maxima past N = 0
+    below = top[climbs - 1]
+    clear = v[climbs] > below + 1e-12 * np.maximum(1.0, np.abs(below))
+    stall = len(clear) if clear.all() else int(np.argmin(clear))
+    best_n = int(climbs[stall - 1]) if stall else 0
+    best_v = float(v[best_n])
+    for n in climbs[stall:].tolist():
+        if v[n] > best_v + 1e-12 * max(1.0, abs(best_v)):
+            best_n, best_v = n, float(v[n])
     return best_n
 
 

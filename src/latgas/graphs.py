@@ -12,6 +12,14 @@ bit-stable.  The generators decide connectivity by bitmask reachability,
 the ``classify`` filter by DFS and articulation points, so the
 generator/filter equivalence tests compare two routes.
 
+Trees are decoded from their Pruefer sequences a block at a time: the n^4
+sequences that share all but their last four entries (the whole stream for
+n <= 6) form one integer array, one row per sequence.  A row's leaves are
+an n-bit vertex mask, the vertices neither removed nor among the entries
+still to come; the smallest leaf is a lookup in a table of lowest set bits
+and its edge bit a lookup in an n x n pair-bit table.  So a block takes
+O(n) numpy calls, whatever its size, and no Python code runs per tree.
+
 By convention the single edge on two vertices counts as 2-connected: it is
 the first irreducible graph, giving the standard leading Mayer coefficient.
 """
@@ -21,10 +29,13 @@ from __future__ import annotations
 import itertools
 from typing import Iterator
 
+import numpy as np
+
 from .model import GuardError
 
 MAX_CLUSTER_ORDER = 6
 MAX_TREE_ORDER = 8
+_BLOCK_ENTRIES = 4  # Pruefer entries that vary within one block of decoded trees
 
 
 def all_pairs(n: int) -> list[tuple[int, int]]:
@@ -77,21 +88,6 @@ def enumerate_biconnected(n: int) -> Iterator[int]:
             yield graph
 
 
-def _tree_from_pruefer(seq: tuple[int, ...], n: int, bit: list[list[int]]) -> int:
-    """The tree of ``seq``; ``bit[i][j]`` is the mask bit of the pair {i, j}."""
-    degree = [1] * n
-    for v in seq:
-        degree[v] += 1
-    graph = 0
-    for v in seq:
-        leaf = degree.index(1)  # the smallest leaf; a removed leaf has degree 0
-        graph |= bit[leaf][v]
-        degree[leaf] = 0
-        degree[v] -= 1
-    u = degree.index(1)
-    return graph | bit[u][degree.index(1, u + 1)]
-
-
 def enumerate_trees(n: int) -> Iterator[int]:
     """All n^(n-2) labeled trees via Pruefer sequences, 1 <= n <= 8."""
     if not 1 <= n <= MAX_TREE_ORDER:
@@ -99,11 +95,29 @@ def enumerate_trees(n: int) -> Iterator[int]:
     if n == 1:
         yield 0
         return
-    bit = [[0] * n for _ in range(n)]
+    everyone = (1 << n) - 1
+    lowest = np.array([(m & -m).bit_length() - 1 for m in range(1 << n)])
+    pair_bit = np.zeros((n, n), dtype=np.int64)
     for p, (i, j) in enumerate(all_pairs(n)):
-        bit[i][j] = bit[j][i] = 1 << p
-    for seq in itertools.product(range(n), repeat=n - 2):
-        yield _tree_from_pruefer(seq, n, bit)
+        pair_bit[i, j] = pair_bit[j, i] = 1 << p
+    width = n - 2
+    free = min(width, _BLOCK_ENTRIES)
+    seq = np.empty((n ** free, width), dtype=np.intp)
+    seq[:, width - free:] = np.arange(n ** free)[:, None] // n ** np.arange(free - 1, -1, -1) % n
+    for prefix in itertools.product(range(n), repeat=width - free):
+        seq[:, :width - free] = prefix
+        # ahead[:, i]: the vertices among entries i.. as a mask; none is a leaf yet
+        ahead = np.bitwise_or.accumulate(1 << seq[:, ::-1], axis=1)[:, ::-1]
+        removed = np.zeros(len(seq), dtype=np.int64)
+        graph = np.zeros_like(removed)
+        for i in range(width):
+            leaf = lowest[everyone ^ (removed | ahead[:, i])]
+            graph |= pair_bit[leaf, seq[:, i]]
+            removed |= 1 << leaf
+        last = everyone ^ removed
+        first = lowest[last]
+        graph |= pair_bit[first, lowest[last ^ (1 << first)]]
+        yield from graph.tolist()
 
 
 def _adjacency(n: int, graph: int) -> list[set[int]]:

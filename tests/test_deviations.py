@@ -10,7 +10,7 @@ from latgas.deviations import (appendix_normalization, appendix_ratio,
                                m_of_alpha, mean_occupation, rate_function,
                                tilted_potential, variance_terms)
 from latgas.model import GuardError, LatticeSpec, PotentialSpec
-from latgas.oracle import (exact_canonical_table, grand_canonical_eval,
+from latgas.oracle import (CanonicalTable, exact_canonical_table, grand_canonical_eval,
                            transfer_matrix_table)
 from latgas.radii import lattice_gas_threshold
 from latgas.series import (CanonicalFreeEnergy, extract_b_lambda,
@@ -28,6 +28,23 @@ def ladder_table(side, beta=0.0258):
     table = transfer_matrix_table(side, POT, beta, "zero")
     fe = free_energy_from_extraction(extract_b_lambda(table, 4))
     return table, fe
+
+
+def _find_n_star_loop(table, mu0):
+    """The reference: one Python step per N, the tie rule applied at each."""
+    best_n = 0
+    best_v = table.log_z_of(0)
+    for n in range(1, len(table.log_z)):
+        v = table.beta * mu0 * n + table.log_z_of(n)
+        if v > best_v + 1e-12 * max(1.0, abs(best_v)):
+            best_n, best_v = n, v
+    return best_n
+
+
+def _n_star(table, mu0):
+    n_star = find_n_star(table, mu0)
+    assert n_star == _find_n_star_loop(table, mu0)
+    return n_star
 
 
 def test_mean_occupation_hand_value():
@@ -52,8 +69,43 @@ def test_n_star_three_way():
     t = two_site_table()
     for mu0 in (-6.0, -2.0, -1.0, 0.0, 2.0):
         cands = [0.0, BETA * mu0 + math.log(2), 2 * BETA * mu0 + 4 * BETA]
-        assert find_n_star(t, mu0) == int(np.argmax(cands))
-    assert find_n_star(t, -200.0) == 0
+        assert _n_star(t, mu0) == int(np.argmax(cands))
+    assert _n_star(t, -200.0) == 0
+    # the tables the rest of this file builds, over a range of mu0
+    tables = [exact_canonical_table(LatticeSpec(1, 8, "zero"), POT, BETA)]
+    tables += [ladder_table(side)[0] for side in (64, 128, 256, 512)]
+    tables += [transfer_matrix_table(side, POT, 0.0258, "zero") for side in (16, 32)]
+    threshold = lattice_gas_threshold(1, POT, 0.0258)
+    for table in tables:
+        for mu0 in (-200.0, -6.0, -2.0, threshold - 1.0, threshold, 0.0, 2.0, 200.0):
+            _n_star(table, mu0)
+
+
+# a step from the anchor of tol(anchor) = 1e-12 * max(1, |anchor|) times one
+# of these: ties, steps just inside and just outside the tie tolerance, drops
+_STEP_FACTORS = (0.0, 0.5, 0.999, 1.0, 1.001, 1.5, 3.0, 1e6, -0.5, -1e6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(start=st.sampled_from([0.0, 1.0, -1.0, 1e3]) | st.floats(-1e4, 1e4),
+       steps=st.lists(st.tuples(st.sampled_from(["last", "max", "max", "-inf", "nan"]),
+                                st.sampled_from(_STEP_FACTORS)), max_size=40),
+       mu0=st.sampled_from([0.0, -0.0]) | st.floats(-5.0, 5.0),
+       beta=st.floats(0.01, 2.0))
+def test_find_n_star_equals_the_loop_on_planted_steps(start, steps, mu0, beta):
+    # mu0 = 0 keeps the planted steps exact; other mu0 tilt them
+    log_z = [start]
+    running_max = start
+    for anchor, factor in steps:
+        if anchor in ("-inf", "nan"):
+            log_z.append(float(anchor))
+            continue
+        base = log_z[-1] if anchor == "last" and math.isfinite(log_z[-1]) else running_max
+        log_z.append(base + factor * 1e-12 * max(1.0, abs(base)))
+        running_max = max(running_max, log_z[-1])
+    table = CanonicalTable(LatticeSpec(1, max(2, len(log_z) - 1), "zero"), beta, POT,
+                           np.array(log_z), "planted")
+    _n_star(table, mu0)
 
 
 def test_tilted_potential_closed_form():
@@ -129,7 +181,7 @@ def test_variance_terms_ideal_gas():
 
 def test_variance_terms_alpha_34_uses_corrections():
     table, fe = ladder_table(128)
-    n_star = find_n_star(table, lattice_gas_threshold(1, POT, 0.0258) - 1.0)
+    n_star = _n_star(table, lattice_gas_threshold(1, POT, 0.0258) - 1.0)
     vt = variance_terms(fe, n_star / 128, 0.75, 0.5, 128, 0.0258, -50.0)
     assert vt.m_alpha == 5
     assert vt.d_alpha != vt.d_plain
@@ -209,7 +261,7 @@ def test_mean_vs_argmax_stay_close():
     for side in (16, 32, 64, 128, 256):
         table = transfer_matrix_table(side, POT, 0.0258, "zero")
         _rho, n_bar = mean_occupation(table, mu0)
-        assert abs(n_bar - find_n_star(table, mu0)) <= 3
+        assert abs(n_bar - _n_star(table, mu0)) <= 3
 
 
 def test_appendix_identities():
@@ -260,7 +312,7 @@ def test_chemical_potential_identity_ladder_trend():
     mismatches = []
     for side in (64, 128, 256, 512):
         table, fe = ladder_table(side)
-        n_star = find_n_star(table, mu0)
+        n_star = _n_star(table, mu0)
         gap = abs(0.0258 * mu0 - fe.derivative(n_star / side, 1)) / 0.0258
         mismatches.append((side, gap))
         assert gap * side < 20.0

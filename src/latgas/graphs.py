@@ -26,6 +26,7 @@ the first irreducible graph, giving the standard leading Mayer coefficient.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterator
 
@@ -38,13 +39,20 @@ MAX_TREE_ORDER = 8
 _BLOCK_ENTRIES = 4  # Pruefer entries that vary within one block of decoded trees
 
 
+@functools.lru_cache(maxsize=16)
+def _pair_table(n: int) -> tuple[tuple[int, int], ...]:
+    """The pairs of ``all_pairs(n)``, built once per n and immutable, so
+    every caller shares one."""
+    return tuple((i, j) for i in range(n) for j in range(i + 1, n))
+
+
 def all_pairs(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return list(_pair_table(n))
 
 
 def edges(n: int, graph: int) -> list[tuple[int, int]]:
     """The pairs of the n-vertex ``graph``, in pair order."""
-    return [p for b, p in enumerate(all_pairs(n)) if graph >> b & 1]
+    return [p for b, p in enumerate(_pair_table(n)) if graph >> b & 1]
 
 
 def _neighbours(n: int, graph: int) -> list[int]:
@@ -98,7 +106,7 @@ def enumerate_trees(n: int) -> Iterator[int]:
     everyone = (1 << n) - 1
     lowest = np.array([(m & -m).bit_length() - 1 for m in range(1 << n)])
     pair_bit = np.zeros((n, n), dtype=np.int64)
-    for p, (i, j) in enumerate(all_pairs(n)):
+    for p, (i, j) in enumerate(_pair_table(n)):
         pair_bit[i, j] = pair_bit[j, i] = 1 << p
     width = n - 2
     free = min(width, _BLOCK_ENTRIES)

@@ -22,7 +22,9 @@ Two independent routes to the canonical partition function Z(N):
   in the bulk columns a cell keeps its exponent for the window, so each
   term is scaled to it by a factor fixed for the window; the frontier
   columns, where cells turn live, align each sum by an exact ``np.ldexp``
-  shift to the larger exponent.  A cell whose newest site is empty is a
+  shift to the larger exponent.  Only that exponent work is the
+  frontier's own: each site then multiplies, sums and compensates every
+  column in one pass.  A cell whose newest site is empty is a
   running sum over the whole chain, so it also keeps the exact rounding
   error of each of its sums in a second mantissa; Z(N) is then good to a
   few eps at any L up to the 4096 guard, and log Z = log(mantissa) +
@@ -288,95 +290,69 @@ def _shifts(expo: np.ndarray, top: np.ndarray, scratch: np.ndarray,
     return out
 
 
-def _band_site(state, new, expo, lo: int, hi: int, bond, work):
-    """One site of the columns lo <= N < hi of ``state`` into ``new``, as a
-    callable with its views bound once per window.  Each sum aligns its two
-    terms by an exact ldexp shift to the larger exponent, and the cell
-    takes that exponent in ``expo``."""
+def _site(state, new, expo, lo: int, hi: int, bond_e, scale, work):
+    """One site of the columns N < hi of ``state`` into ``new``, as a
+    callable with its views bound once per window.  Each term of a sum is
+    scaled to its cell: over the bulk N < lo by the window's factors
+    ``scale`` (see ``_freeze``), over the band lo <= N < hi by an exact
+    ldexp shift to the larger exponent, which the cell takes in ``expo``.
+    The multiplies, sums and Fast2Sum then run once over every column."""
     (mant, comp), (next_mant, next_comp) = state, new
-    (bond_m, bond_e), (band_e, terms, shifts, larger) = bond, work
-    first, _, rows, _ = mant.shape
+    band_e, scratch, shifts, larger = work
+    first, _, rows, size = mant.shape
     half, a, w = rows // 2, max(lo, 1), hi - lo
     # [first, s, q, parity, N] views split h = 2q + parity, the two terms of
     # each sum; h = 2q and 2q + 1 (oldest site empty, occupied) both lead to
     # [s, q] of the next state.  Column 0 of s = 1 stays empty
-    pair = (first, 2, half, 2, w)
-    occupied, source = mant[:, 1, :, a:hi], mant[:, 0, :, a - 1:hi - 1]
-    c_source, c_occupied, bond_half = comp[..., a - 1:hi - 1], occupied[:, :half], bond_m[:half]
+    pair = (first, 2, half, 2)
+    terms = mant.reshape(pair + (size,))
+    # the occupied terms, cells one column down times their factors (b_m
+    # over the band), with the c of their sources folded in
+    occupied, source = mant[:, 1, :, 1:hi], mant[:, 0, :, :hi - 1]
+    s_occupied = scale[:, 1, :, 1:hi]
+    c_source, c_occupied, c_scale = comp[..., :hi - 1], occupied[:, :half], s_occupied[:, :half]
     c_term = larger[:c_source.size].reshape(c_source.shape)
-    # the exponents of both terms of each sum, in ``band_e``
+    # the band's exponents of both terms of each sum, in ``band_e``
     e_old, e_source = expo[..., lo:hi], expo[..., a - 1:hi - 1]
     e_state, e_occupied = band_e[:, 0, :, :w], band_e[:, 1, :, a - lo:w]
-    e_pair = band_e[..., :w].reshape(pair)
+    e_pair = band_e[..., :w].reshape(pair + (w,))
     e0, e1 = e_pair[..., 0, :], e_pair[..., 1, :]
     new_e = e_old.reshape(pair[:3] + (w,))
     top = new_e[..., None, :]
-    t = terms[:math.prod(pair)].reshape(pair)
-    sh = shifts[:t.size].reshape(pair)
-    m_pair, t0, t1 = mant[..., lo:hi].reshape(pair), t[..., 0, :], t[..., 1, :]
-    new_m = next_mant[:, 0, :, lo:hi].reshape(pair[:3] + (w,))
+    diff = scratch[:e_pair.size].reshape(e_pair.shape)
+    sh = shifts[:e_pair.size].reshape(e_pair.shape)
+    m_band, c_band = terms[..., lo:hi], comp[..., lo:hi]
+    c_sh = sh[:, 0].reshape(first, rows, w)[:, :half]
+    # the bulk's empty terms and their c
+    m, s_empty = mant[:, 0, :, :lo], scale[:, 0, :, :lo]
+    c, s_c = comp[..., :lo], scale[:, 0, :half, :lo]
     # Fast2Sum of the empty-site sums, from the larger and the smaller term,
     # then the c of their terms: only h < half carries one, into q = h // 2
-    s0, a0, b0 = new_m[:, 0], t[:, 0, :, 0], t[:, 0, :, 1]
-    big, err0 = larger[:s0.size].reshape(s0.shape), next_comp[..., lo:hi]
-    c, c_t = comp[..., lo:hi], t[:, 0].reshape(first, rows, w)[:, :half]
-    c_sh = sh[:, 0].reshape(first, rows, w)[:, :half]
-    even, odd = err0[:, :(half + 1) // 2], err0[:, :half // 2]
-    c_even, c_odd = c_t[:, 0::2], c_t[:, 1::2]
-
-    def step():
-        np.multiply(source, bond_m, out=occupied)
-        np.multiply(c_source, bond_half, out=c_term)
-        np.add(c_occupied, c_term, out=c_occupied)
-        np.copyto(e_state, e_old)
-        np.add(e_source, bond_e, out=e_occupied)
-        np.maximum(e0, e1, out=new_e)
-        _shifts(e_pair, top, t, sh)
-        np.ldexp(m_pair, sh, out=t)
-        np.add(t0, t1, out=new_m)
-        np.maximum(a0, b0, out=big)
-        np.minimum(a0, b0, out=a0)
-        np.subtract(s0, big, out=err0)
-        np.subtract(a0, err0, out=err0)
-        np.ldexp(c, c_sh, out=c_t)
-        np.add(even, c_even, out=even)
-        np.add(odd, c_odd, out=odd)
-    return step
-
-
-def _bulk_site(state, new, lo: int, scale: np.ndarray, larger: np.ndarray):
-    """One site of the columns N < lo of ``state`` into ``new``, as a
-    callable with its views bound once per window: the sums of the band,
-    each term scaled to its cell's frozen exponent by the window's factors
-    ``scale``.  It scales the state in place, so it runs after the band,
-    which reads column lo - 1 unscaled."""
-    (mant, comp), (next_mant, next_comp) = state, new
-    first, _, rows, _ = mant.shape
-    half, pair = rows // 2, (first, 2, rows // 2, 2, lo)
-    occupied, source = mant[:, 1, :, 1:lo], mant[:, 0, :, :lo - 1]
-    s_occupied = scale[:, 1, :, 1:lo]
-    c_source, c_occupied, c_scale = comp[..., :lo - 1], occupied[:, :half], s_occupied[:, :half]
-    c_term = larger[:c_source.size].reshape(c_source.shape)
-    m, s_empty = mant[:, 0, :, :lo], scale[:, 0, :, :lo]
-    t, new_m = mant[..., :lo].reshape(pair), next_mant[:, 0, :, :lo].reshape(pair[:3] + (lo,))
+    t, new_m = terms[..., :hi], next_mant[:, 0, :, :hi].reshape(pair[:3] + (hi,))
     t0, t1 = t[..., 0, :], t[..., 1, :]
     s0, a0, b0 = new_m[:, 0], t[:, 0, :, 0], t[:, 0, :, 1]
-    big, err0 = larger[:s0.size].reshape(s0.shape), next_comp[..., :lo]
-    c, s_c = comp[..., :lo], scale[:, 0, :half, :lo]
+    big, err0 = larger[:s0.size].reshape(s0.shape), next_comp[..., :hi]
     even, odd = err0[:, :(half + 1) // 2], err0[:, :half // 2]
-    c_even, c_odd = c[:, 0::2], c[:, 1::2]
+    c_even, c_odd = comp[:, 0::2, :hi], comp[:, 1::2, :hi]
 
     def step():
         np.multiply(source, s_occupied, out=occupied)
         np.multiply(c_source, c_scale, out=c_term)
         np.add(c_occupied, c_term, out=c_occupied)
-        np.multiply(m, s_empty, out=m)
+        np.copyto(e_state, e_old)
+        np.add(e_source, bond_e, out=e_occupied)
+        np.maximum(e0, e1, out=new_e)
+        _shifts(e_pair, top, diff, sh)
+        np.ldexp(m_band, sh, out=m_band)
+        np.ldexp(c_band, c_sh, out=c_band)
+        if lo:
+            np.multiply(m, s_empty, out=m)
+            np.multiply(c, s_c, out=c)
         np.add(t0, t1, out=new_m)
         np.maximum(a0, b0, out=big)
         np.minimum(a0, b0, out=a0)
         np.subtract(s0, big, out=err0)
         np.subtract(a0, err0, out=err0)
-        np.multiply(c, s_c, out=c)
         np.add(even, c_even, out=even)
         np.add(odd, c_odd, out=odd)
     return step
@@ -432,7 +408,14 @@ def transfer_matrix_table(side: int, pot: PotentialSpec, beta: float,
     only in terms over 2^1000 below their cell, which both flush; such a
     term reaches no bit of Z(N) save in an exact tie.)  The band N >= lo
     keeps that alignment at every site: there cells turn live within the
-    window, and on a ring the cell N = n shrinks.
+    window, and on a ring the cell N = n shrinks.  Its occupied terms take
+    the bond mantissa alone as their factor, and each site shifts the
+    band's mantissas and c in place by ldexp before the one pass of
+    multiplies, sums and Fast2Sum over band and bulk.  The shifts go on
+    the mantissas, not on factors of 1 or b_m: the not-yet-live band cells
+    carry the -1100 flush, and an ldexp whose result underflows costs
+    ~13 ns an element against under 1 ns; a zero mantissa does not
+    underflow.
 
     Why the bulk mantissas stay in range: b >= 1 for both potentials at
     beta >= 0.  An (n + 1)-site configuration of a bulk cell (N < n - R)
@@ -508,13 +491,14 @@ def transfer_matrix_table(side: int, pot: PotentialSpec, beta: float,
             if lo:
                 _freeze(expo, lo, bond, scale, ints)
             # the band is N in [lo, stop + 1), the columns of the window's
-            # last site; past a site's live columns its cells are empty
-            steps = [[_band_site(a, b, expo, lo, stop + 1, bond, work)]
-                     + ([_bulk_site(a, b, lo, scale, work[3])] if lo else [])
+            # last site; past a site's live columns its cells are empty.  Its
+            # occupied terms take the bond mantissa alone, and their
+            # exponents go into the per-site alignment
+            scale[:, 1, :, lo:stop + 1] = bond[0]
+            steps = [_site(a, b, expo, lo, stop + 1, bond[1], scale, work)
                      for a, b in ((state, new), (new, state))]
             for n in range(n0, stop):
-                for step in steps[(n - n0) % 2]:
-                    step()
+                steps[(n - n0) % 2]()
             if (stop - n0) % 2:
                 state, new = new, state
         mant, comp = state

@@ -128,3 +128,32 @@ def test_bitmask_route_equals_dfs_route(data):
     assert _spans(nb, everyone) == flags["connected"]
     assert (_spans(nb, everyone) and all(_spans(nb, everyone ^ (1 << v)) for v in range(n))) \
         == flags["biconnected"]
+
+
+def _uncached_edges(n, graph):
+    """``edges`` as a comprehension over pairs built afresh on each call."""
+    return [p for b, p in enumerate([(i, j) for i in range(n) for j in range(i + 1, n)])
+            if graph >> b & 1]
+
+
+def test_cached_pairs_equal_a_fresh_table_at_every_small_mask():
+    for n in range(0, 6):
+        assert all(edges(n, g) == _uncached_edges(n, g) for g in range(1 << n * (n - 1) // 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, (1 << 28) - 1))
+def test_cached_pairs_equal_a_fresh_table_at_n8(graph):
+    assert edges(8, graph) == _uncached_edges(8, graph)
+
+
+def test_mutating_a_returned_list_leaves_the_pair_table_alone():
+    full = (1 << 10) - 1
+    expected = _uncached_edges(5, full)
+    pairs, decoded = all_pairs(5), edges(5, full)
+    pairs.clear()
+    decoded[0] = (4, 4)
+    decoded.append((9, 9))
+    assert all_pairs(5) == expected
+    assert edges(5, full) == expected
+    assert [edges(5, g) for g in range(1 << 10)] == [_uncached_edges(5, g) for g in range(1 << 10)]

@@ -516,6 +516,26 @@ def test_windowed_transfer_matrix_equals_aligned_bit_for_bit(pot, boundary, beta
                 == _aligned_transfer_matrix(side, pot, beta, boundary).tobytes()), side
 
 
+@pytest.mark.parametrize("pot, boundary",
+                         [(POT, "periodic"), (PotentialSpec("kac", 1.0, 4), "zero")])
+def test_windowed_transfer_matrix_equals_aligned_bit_for_bit_over_16_windows(pot, boundary):
+    assert (transfer_matrix_table(1024, pot, 0.14, boundary).log_z.tobytes()
+            == _aligned_transfer_matrix(1024, pot, 0.14, boundary).tobytes())
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=st.sampled_from([(POT, "zero"), (POT, "periodic"),
+                             *[(PotentialSpec("kac", 1.0, r), "zero") for r in (1, 2, 3, 4)]]),
+       beta=st.one_of(st.just(0.0), st.floats(-3.0, 3.0).map(lambda u: 10.0 ** u),
+                      st.just(1e300)),
+       data=st.data())
+def test_windowed_transfer_matrix_equals_aligned_at_any_side(case, beta, data):
+    pot, boundary = case
+    side = data.draw(st.integers(max(pot.support_radius + 1, 3), 400))
+    assert (transfer_matrix_table(side, pot, beta, boundary).log_z.tobytes()
+            == _aligned_transfer_matrix(side, pot, beta, boundary).tobytes())
+
+
 # ---------------------------------------------------------------------------
 # The standard ring in closed form: a third oracle, independent of both the
 # subset kernel and the transfer matrix, at any L.

@@ -27,8 +27,8 @@ import numpy as np
 
 from . import correlations, deviations, graphs, radii, series
 from .model import LatticeSpec, PotentialSpec
-from .oracle import (CanonicalTable, canonical_table, exact_canonical_table,
-                     exact_correlations, grand_canonical_eval, transfer_matrix_table)
+from .oracle import CanonicalTable, canonical_table, exact_correlations, grand_canonical_eval
+from .oracle import exact_canonical_table  # noqa: F401  read by bench/test_bench.py
 
 STD_BETA = 0.2
 STD_POT = PotentialSpec("standard", 1.0)
@@ -68,7 +68,7 @@ def criterion_graph_engine() -> tuple[bool, str]:
 def criterion_reconstruction() -> tuple[bool, str]:
     worst = 0.0
     for lattice in (LatticeSpec(1, 10, "periodic"), LatticeSpec(2, 3, "periodic")):
-        table = exact_canonical_table(lattice, STD_POT, STD_BETA)
+        table = canonical_table(lattice, STD_POT, STD_BETA)
         coeffs = series.extract_b_lambda(table, 5)
         for n_particles in range(2, 7):
             err = abs(series.reconstruct_log_z(coeffs, n_particles)
@@ -179,7 +179,7 @@ def _ladder_tables() -> tuple[tuple[CanonicalTable, object], ...]:
     """(table, free energy) per ladder side, built once for criteria 8-10."""
     out = []
     for side in LADDER_SIDES:
-        table = transfer_matrix_table(side, STD_POT, LADDER_BETA, "zero")
+        table = canonical_table(LatticeSpec(1, side, "zero"), STD_POT, LADDER_BETA)
         fe = series.free_energy_from_extraction(series.extract_b_lambda(table, 4))
         out.append((table, fe))
     return tuple(out)
@@ -218,10 +218,8 @@ def criterion_precise_ld() -> tuple[bool, str]:
 def criterion_appendix() -> tuple[bool, str]:
     mu0 = _ladder_mu0()
     suite = [(table, mu0) for table, _fe in _ladder_tables()]
-    suite.append((exact_canonical_table(LatticeSpec(1, 10, "periodic"),
-                                        STD_POT, STD_BETA), -2.0))
-    suite.append((exact_canonical_table(LatticeSpec(2, 3, "periodic"),
-                                        STD_POT, STD_BETA), -2.0))
+    suite += [(canonical_table(lattice, STD_POT, STD_BETA), -2.0)
+              for lattice in (LatticeSpec(1, 10, "periodic"), LatticeSpec(2, 3, "periodic"))]
     worst = 0.0
     for table, mu in suite:
         gc = grand_canonical_eval(table, mu)

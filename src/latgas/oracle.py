@@ -13,23 +13,16 @@ Two independent routes to the canonical partition function Z(N):
   2^16 so memory stays flat.  Each beta then costs a
   30-digit decimal evaluation against e^{k x}, x = -beta * bond energy,
   rounded to float once, so no beta overflows;
-* a d = 1 transfer matrix over Z_h(N) of the chain so far, per occupancy
-  history h of the last R sites and per particle number N (and per state
-  of site 1 on a ring, for the closing bond).  Each cell is a float
-  mantissa m and a binary exponent E, Z = m 2^E, so no beta overflows.  A
-  site multiplies by the bond weight, split once into mantissa and
-  exponent, and adds two cells.  The chain goes in windows of 64 sites:
-  in the bulk columns a cell keeps its exponent for the window, so each
-  term is scaled to it by a factor fixed for the window; the frontier
-  columns, where cells turn live, align each sum by an exact ``np.ldexp``
-  shift to the larger exponent.  Only that exponent work is the
-  frontier's own: each site then multiplies, sums and compensates every
-  column in one pass.  A cell whose newest site is empty is a
-  running sum over the whole chain, so it also keeps the exact rounding
-  error of each of its sums in a second mantissa; Z(N) is then good to a
-  few eps at any L up to the 4096 guard, and log Z = log(mantissa) +
-  E ln 2 is formed once, at the end, with no transcendental per cell and
-  site.  The windows change no bit of Z(N).
+* a d = 1 transfer matrix over Z_h(N) of a zero-wall chain, per occupancy
+  history h of the last R sites and per particle number N.  Each cell is a
+  float mantissa and a binary exponent, so no beta overflows, and a
+  running sum keeps the exact rounding error of each of its sums, so Z(N)
+  is good to a few eps at any L up to the 4096 guard.  It goes in windows
+  of 64 sites, where only the frontier columns align exponents at every
+  site; the windows change no bit of Z(N).  A ring of L sites is the chain
+  of L - 1: rotations keep each configuration's weight, so site 1 is empty
+  in a share (L - N)/L of Z_ring(N), and then no range-1 bond touches it,
+  so Z_ring(N) = L/(L - N) Z_chain(L - 1, N) for N < L.
 
 ``canonical_table`` is the one place that picks between the two.
 Everything downstream (grand-canonical probabilities, correlation
@@ -299,41 +292,41 @@ def _site(state, new, expo, lo: int, hi: int, bond_e, scale, work):
     The multiplies, sums and Fast2Sum then run once over every column."""
     (mant, comp), (next_mant, next_comp) = state, new
     band_e, scratch, shifts, larger = work
-    first, _, rows, size = mant.shape
+    _, rows, size = mant.shape
     half, a, w = rows // 2, max(lo, 1), hi - lo
-    # [first, s, q, parity, N] views split h = 2q + parity, the two terms of
-    # each sum; h = 2q and 2q + 1 (oldest site empty, occupied) both lead to
+    # [s, q, parity, N] views split h = 2q + parity, the two terms of each
+    # sum; h = 2q and 2q + 1 (oldest site empty, occupied) both lead to
     # [s, q] of the next state.  Column 0 of s = 1 stays empty
-    pair = (first, 2, half, 2)
+    pair = (2, half, 2)
     terms = mant.reshape(pair + (size,))
     # the occupied terms, cells one column down times their factors (b_m
     # over the band), with the c of their sources folded in
-    occupied, source = mant[:, 1, :, 1:hi], mant[:, 0, :, :hi - 1]
-    s_occupied = scale[:, 1, :, 1:hi]
-    c_source, c_occupied, c_scale = comp[..., :hi - 1], occupied[:, :half], s_occupied[:, :half]
+    occupied, source = mant[1, :, 1:hi], mant[0, :, :hi - 1]
+    s_occupied = scale[1, :, 1:hi]
+    c_source, c_occupied, c_scale = comp[:, :hi - 1], occupied[:half], s_occupied[:half]
     c_term = larger[:c_source.size].reshape(c_source.shape)
     # the band's exponents of both terms of each sum, in ``band_e``
-    e_old, e_source = expo[..., lo:hi], expo[..., a - 1:hi - 1]
-    e_state, e_occupied = band_e[:, 0, :, :w], band_e[:, 1, :, a - lo:w]
+    e_old, e_source = expo[:, lo:hi], expo[:, a - 1:hi - 1]
+    e_state, e_occupied = band_e[0, :, :w], band_e[1, :, a - lo:w]
     e_pair = band_e[..., :w].reshape(pair + (w,))
     e0, e1 = e_pair[..., 0, :], e_pair[..., 1, :]
-    new_e = e_old.reshape(pair[:3] + (w,))
+    new_e = e_old.reshape(pair[:2] + (w,))
     top = new_e[..., None, :]
     diff = scratch[:e_pair.size].reshape(e_pair.shape)
     sh = shifts[:e_pair.size].reshape(e_pair.shape)
-    m_band, c_band = terms[..., lo:hi], comp[..., lo:hi]
-    c_sh = sh[:, 0].reshape(first, rows, w)[:, :half]
+    m_band, c_band = terms[..., lo:hi], comp[:, lo:hi]
+    c_sh = sh[0].reshape(rows, w)[:half]
     # the bulk's empty terms and their c
-    m, s_empty = mant[:, 0, :, :lo], scale[:, 0, :, :lo]
-    c, s_c = comp[..., :lo], scale[:, 0, :half, :lo]
+    m, s_empty = mant[0, :, :lo], scale[0, :, :lo]
+    c, s_c = comp[:, :lo], scale[0, :half, :lo]
     # Fast2Sum of the empty-site sums, from the larger and the smaller term,
     # then the c of their terms: only h < half carries one, into q = h // 2
-    t, new_m = terms[..., :hi], next_mant[:, 0, :, :hi].reshape(pair[:3] + (hi,))
+    t, new_m = terms[..., :hi], next_mant[0, :, :hi].reshape(pair[:2] + (hi,))
     t0, t1 = t[..., 0, :], t[..., 1, :]
-    s0, a0, b0 = new_m[:, 0], t[:, 0, :, 0], t[:, 0, :, 1]
-    big, err0 = larger[:s0.size].reshape(s0.shape), next_comp[..., :hi]
-    even, odd = err0[:, :(half + 1) // 2], err0[:, :half // 2]
-    c_even, c_odd = comp[:, 0::2, :hi], comp[:, 1::2, :hi]
+    s0, a0, b0 = new_m[0], t[0, :, 0], t[0, :, 1]
+    big, err0 = larger[:s0.size].reshape(s0.shape), next_comp[:, :hi]
+    even, odd = err0[:(half + 1) // 2], err0[:half // 2]
+    c_even, c_odd = comp[0::2, :hi], comp[1::2, :hi]
 
     def step():
         np.multiply(source, s_occupied, out=occupied)
@@ -360,76 +353,144 @@ def _site(state, new, expo, lo: int, hi: int, bond_e, scale, work):
 
 def _freeze(expo: np.ndarray, lo: int, bond, scale: np.ndarray, ints: np.ndarray) -> None:
     """The window's factors for the bulk N < lo, from the exponents E it
-    freezes: scale[:, 0, h, N] = 2^(E[h, N] - E[h // 2, N]) takes cell
-    [h, N] into its sum for cell [h // 2, N], and scale[:, 1, h, N] =
+    freezes: scale[0, h, N] = 2^(E[h, N] - E[h // 2, N]) takes cell [h, N]
+    into its sum for cell [h // 2, N], and scale[1, h, N] =
     b^{popcount h} 2^(E[h, N - 1] - E[half + h // 2, N]) takes cell
     [h, N - 1] into cell [half + h // 2, N].  An empty cell's factor is
     flushed, as in ``_shifts``."""
-    first, rows, _ = expo.shape
-    half, e = rows // 2, expo[..., :lo]
-    s0, s1, sh = scale[:, 0, :, :lo], scale[:, 1, :, 1:lo], ints[..., :lo]
-    pairs = (first, half, 2, lo)
-    _shifts(e.reshape(pairs), e[:, :half, None], s0.reshape(pairs), sh.reshape(pairs))
+    half, e = len(expo) // 2, expo[:, :lo]
+    s0, s1, sh = scale[0, :, :lo], scale[1, :, 1:lo], ints[:, :lo]
+    pairs = (half, 2, lo)
+    _shifts(e.reshape(pairs), e[:half, None], s0.reshape(pairs), sh.reshape(pairs))
     np.ldexp(1.0, sh, out=s0)
-    np.add(e[..., :-1], bond[1], out=s1)
-    pairs, sh = pairs[:3] + (lo - 1,), sh[..., 1:]
-    _shifts(s1.reshape(pairs), e[:, half:, None, 1:], s1.reshape(pairs), sh.reshape(pairs))
+    np.add(e[:, :-1], bond[1], out=s1)
+    pairs, sh = pairs[:2] + (lo - 1,), sh[:, 1:]
+    _shifts(s1.reshape(pairs), e[half:, None, 1:], s1.reshape(pairs), sh.reshape(pairs))
     np.ldexp(bond[0], sh, out=s1)
+
+
+def _chain_sums(side: int, radius: int, x: decimal.Decimal) -> tuple[np.ndarray, np.ndarray]:
+    """Z(N) = total[N] 2^top[N], N = 0..side, of the zero-wall chain of
+    ``side`` sites, range ``radius`` and bond weight b = e^x >= 1.
+
+    Cell [h, N] holds Z(N) = m 2^E of the sites placed so far, restricted
+    to the occupancy history h of the last R sites (bit R - 1 the newest).
+    Placing a site sends h to s 2^(R-1) + h // 2; an occupied one (s = 1)
+    raises N by one and multiplies by b^{popcount h}, split once per h into
+    a mantissa and a binary exponent, and sums align their two terms by an
+    exact ldexp shift to the larger exponent.  A cell whose newest site is
+    empty is a running sum over the whole chain, whose terms can share
+    their low bits (Z(2) adds ~L terms n + b), so plain rounding would
+    drift by up to ~L eps, all one way: such a cell also carries the exact
+    rounding error of each of its sums (Fast2Sum) in a second mantissa c,
+    Z = (m + c) 2^E.  A row's cells are summed once, at the end, each
+    shifted to the row's largest exponent ``top``.
+
+    The chain goes in windows of W = WINDOW_SITES sites.  A window starts
+    with n0 sites placed by bringing every mantissa to [1/2, 1).  The bulk
+    cells, N < lo = n0 - R - 2, then keep their exponents for the window:
+    each term of a sum is scaled to its cell by a factor fixed for the
+    window, 2^(E_src - E_cell) or b_m 2^(E_src + b_e - E_cell), so a bulk
+    site does no exponent work.  Scaling by a power of two changes no
+    rounding, so every Z(N) is the same float as when each sum aligns to
+    its larger exponent (both flush terms over 2^1000 below their cell;
+    such a term reaches no bit of Z(N) save in an exact tie).  The band
+    N >= lo, where cells turn live within the window, keeps that alignment
+    at every site: its occupied terms take the bond mantissa alone as their
+    factor, and each site shifts the band's mantissas and c in place by
+    ldexp before the one pass of multiplies, sums and Fast2Sum over band
+    and bulk.  The shifts go on the mantissas, not on factors of 1 or b_m:
+    the not-yet-live band cells carry the -1100 flush, and an ldexp whose
+    result underflows costs ~13 ns an element against under 1 ns; a zero
+    mantissa does not underflow.
+
+    Why the bulk mantissas stay in range: b >= 1.  An (n + 1)-site
+    configuration of a bulk cell (N < n - R) has an empty site before the
+    last R sites; deleting the first one gives an n-site configuration of
+    the same cell that weighs no less (sites only come closer), and each
+    n-site configuration comes from at most n + 1 such insertions.  So a
+    bulk cell grows by at most n + 1 <= 2^12 per site, and a mantissa below
+    1 at the window's start stays below 2^(12 W) = 2^768; inserting an
+    empty site beside an empty one shows it never shrinks.  A band mantissa
+    at most quadruples per site over the largest of its terms' (b_m < 2),
+    so it stays below 2^(768 + 2 W) = 2^896.  The factors are exact while
+    every exponent is an integer below 2^53, that is while
+    L (log2 b^R + 3) < 2^52; past that (beta ~ 1e11) every column is band.
+    """
+    R = radius
+    powers = [_binary_power(_EXACT.multiply(x, p)) for p in range(R + 1)]
+    bond_m, bond_e = np.array([powers[p] for p in np.bitwise_count(np.arange(1 << R))]).T
+    bond = bond_m[:, None], bond_e[:, None]
+    # every exponent is an integer below 2^53: |E| < log2 Z + 1024 and
+    # log2 Z <= L (log2 b^R + 1)
+    frozen = side * (powers[R][1] + 3) < 2.0 ** 52
+
+    # mantissas [s, h, N]: s = 0 the state, s = 1 its terms times
+    # b^{popcount h} one column up, which feed an occupied site.  Two
+    # buffers take turns as state and next state, with c [h < half, N] (0
+    # where the newest site is occupied); one array holds the exponents.
+    # An empty cell is m = 0, E = -inf
+    half = 1 << (R - 1)
+    shape = (2, 1 << R, side + 2)
+    state = np.zeros(shape), np.zeros((half, side + 2))
+    new = np.zeros(shape), np.zeros((half, side + 2))
+    expo = np.full(shape[1:], -math.inf)
+    state[0][0, 0, 0] = state[0][0, half, 1] = 1.0  # site 1 empty or occupied
+    expo[0, 0] = expo[half, 1] = 0.0
+    # the bulk's factors (see _freeze), and the band's work buffers: it is
+    # at most W + R + 3 columns wide once the bulk starts
+    scale, ints = np.empty(shape), np.empty(expo.shape, dtype=np.int32)
+    width = min(side + 2, WINDOW_SITES + R + 4) if frozen else side + 2
+    work = (np.full((2, 1 << R, width), -math.inf), np.empty((2 << R) * width),
+            np.empty((2 << R) * width, np.int32), np.empty(half * (side + 2)))
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        # a ufunc on strided rows copies them through numpy's buffer (8192
+        # elements by default); a buffer shorter than the bulk's rows makes
+        # it run on the rows in place, ~12% faster.  errstate restores it
+        np.setbufsize(1024)
+        for n0 in range(1, side, WINDOW_SITES):
+            # n0 sites placed, so N <= n0 is live.  The window places sites
+            # n0 + 1 .. stop: first every live mantissa goes to [1/2, 1),
+            # then the bulk columns N < lo freeze their exponents
+            stop, (mant, comp) = min(side, n0 + WINDOW_SITES), state
+            live, bump = mant[0, :, :n0 + 1], ints[:, :n0 + 1]
+            np.frexp(live, out=(live, bump))
+            expo[:, :n0 + 1] += bump
+            np.negative(bump, out=bump)
+            np.ldexp(comp[:, :n0 + 1], bump[:half], out=comp[:, :n0 + 1])
+            lo = max(0, n0 - R - 2) if frozen else 0
+            if lo:
+                _freeze(expo, lo, bond, scale, ints)
+            # the band is N in [lo, stop + 1), the columns of the window's
+            # last site; past a site's live columns its cells are empty.  Its
+            # occupied terms take the bond mantissa alone, and their
+            # exponents go into the per-site alignment
+            scale[1, :, lo:stop + 1] = bond[0]
+            steps = [_site(a, b, expo, lo, stop + 1, bond[1], scale, work)
+                     for a, b in ((state, new), (new, state))]
+            for n in range(n0, stop):
+                steps[(n - n0) % 2]()
+            if (stop - n0) % 2:
+                state, new = new, state
+        mant = state[0][0, :, :side + 1]
+        mant[:half] += state[1][:, :side + 1]
+        expo = expo[:, :side + 1]
+        top = expo.max(axis=0)
+        shifts = _shifts(expo, top, np.empty(expo.shape), np.empty(expo.shape, dtype=np.int32))
+        return np.ldexp(mant, shifts).sum(axis=0), top
 
 
 def transfer_matrix_table(side: int, pot: PotentialSpec, beta: float,
                           boundary: str = "zero") -> CanonicalTable:
     """d = 1 fugacity-polynomial transfer matrix; exact Z(N) for large L.
 
-    Cell [first, h, N] holds Z(N) = m 2^E of the sites placed so far,
-    restricted to the occupancy history h of the last R sites (bit R - 1
-    the newest, bit 0 the oldest) and, on a ring, to the state of site 1.
-    Placing a site sends h to s 2^(R-1) + h // 2; an occupied one (s = 1)
-    raises N by one and multiplies by b^{popcount h}, b = e^{-beta * bond
-    energy}, split once per h into a mantissa and a binary exponent.  Sums
-    align their two terms by an exact ldexp shift to the larger exponent.
-    A cell whose newest site is empty is a running sum over the whole
-    chain, and its terms can share their low bits (Z(2) of a ring adds ~L
-    terms n + b), so plain rounding would drift by up to ~L eps, all one
-    way.  Such a cell therefore also carries the exact rounding error of
-    each of its sums (Fast2Sum) in a second mantissa c, Z = (m + c) 2^E,
-    and every Z(N) stays good to a few eps through the L <= 4096 guard.
-    log Z = log(m + c) + E ln 2 is formed once, at the end.  Periodic
-    chains are supported for range-1 potentials (L >= 3); beta is >= 0.
-
-    The chain goes in windows of W = WINDOW_SITES sites.  A window starts
-    with n0 sites placed by bringing every mantissa to [1/2, 1).  The bulk
-    cells, N < lo = n0 - R - 2, then keep their exponents for the whole
-    window: each term of a sum is scaled to its cell by a factor fixed for
-    the window, 2^(E_src - E_cell) or b_m 2^(E_src + b_e - E_cell), so a
-    bulk site is a multiply and an add per term, with no exponent work.
-    Scaling by a power of two changes no rounding, so every Z(N) is the same
-    float as when each sum aligns to its larger exponent.  (The two differ
-    only in terms over 2^1000 below their cell, which both flush; such a
-    term reaches no bit of Z(N) save in an exact tie.)  The band N >= lo
-    keeps that alignment at every site: there cells turn live within the
-    window, and on a ring the cell N = n shrinks.  Its occupied terms take
-    the bond mantissa alone as their factor, and each site shifts the
-    band's mantissas and c in place by ldexp before the one pass of
-    multiplies, sums and Fast2Sum over band and bulk.  The shifts go on
-    the mantissas, not on factors of 1 or b_m: the not-yet-live band cells
-    carry the -1100 flush, and an ldexp whose result underflows costs
-    ~13 ns an element against under 1 ns; a zero mantissa does not
-    underflow.
-
-    Why the bulk mantissas stay in range: b >= 1 for both potentials at
-    beta >= 0.  An (n + 1)-site configuration of a bulk cell (N < n - R)
-    has an empty site other than site 1 and the last R sites.  Deleting
-    the first such site gives an n-site configuration of the same cell
-    that weighs no less, since sites only come closer, and each n-site
-    configuration comes from at most n + 1 such insertions.  So a bulk
-    cell grows by at most n + 1 <= 4096 = 2^12 per site, and a mantissa
-    below 1 at the window's start stays below 2^(12 W) = 2^768.  Inserting
-    an empty site beside an empty one shows it never shrinks either.  A
-    band mantissa at most quadruples per site over the largest of its
-    terms' (b_m < 2), so it stays below 2^(768 + 2 W) = 2^896.  The factors
-    are exact while every exponent is an integer below 2^53, that is while
-    L (log2 b^R + 3) < 2^52; past that (beta ~ 1e11) every column is band.
+    A ring of L sites runs the zero-wall chain of L - 1 (``_chain_sums``):
+    rotations keep each configuration's weight, so site 1 is empty in a
+    share (L - N)/L of Z_ring(N), and with site 1 empty no range-1 bond
+    touches it.  So Z_ring(N) = L/(L - N) Z_chain(L - 1, N) for N < L.  The
+    full row is one configuration at the top bond level (L on a ring,
+    RL - R(R+1)/2 on a chain), top * x rounded once, x = -beta * bond
+    energy.  Rings need a range-1 potential and L >= 3; beta is >= 0.
     """
     if not beta >= 0:
         raise ValueError("transfer matrix needs beta >= 0")
@@ -444,78 +505,18 @@ def transfer_matrix_table(side: int, pot: PotentialSpec, beta: float,
         raise GuardError("periodic transfer matrix needs L >= 3")
     if side <= R:
         raise GuardError("side must exceed the interaction range")
-    x = _bond_exponent(pot, beta)
-    powers = [_binary_power(_EXACT.multiply(x, p)) for p in range(R + 1)]
-    bond_m, bond_e = np.array([powers[p] for p in np.bitwise_count(np.arange(1 << R))]).T
-    bond = bond_m[:, None], bond_e[:, None]
-    # every exponent is an integer below 2^53: |E| < log2 Z + 1024 and
-    # log2 Z <= L (log2 b^R + 1)
-    frozen = side * (powers[R][1] + 3) < 2.0 ** 52
-
-    # mantissas [first, s, h, N]: s = 0 the state, s = 1 its terms times
-    # b^{popcount h} one column up, which feed an occupied site.  A zero-wall
-    # chain has one "first" state; a ring keeps site 1 apart.  Two buffers
-    # take turns as state and next state, with c [first, h < half, N] (0
-    # where the newest site is occupied); one array holds the exponents.  An
-    # empty cell is m = 0, E = -inf
-    first, half = 1 + (boundary == "periodic"), 1 << (R - 1)
-    shape = (first, 2, 1 << R, side + 2)
-    state = np.zeros(shape), np.zeros((first, half, side + 2))
-    new = np.zeros(shape), np.zeros((first, half, side + 2))
-    expo = np.full((first, 1 << R, side + 2), -math.inf)
-    state[0][0, 0, 0, 0] = state[0][-1, 0, half, 1] = 1.0  # site 1 empty or occupied
-    expo[0, 0, 0] = expo[-1, half, 1] = 0.0
-    # the bulk's factors (see _freeze), and the band's work buffers: it is
-    # at most W + R + 3 columns wide once the bulk starts
-    scale, ints = np.empty(shape), np.empty(expo.shape, dtype=np.int32)
-    width = min(side + 2, WINDOW_SITES + R + 4) if frozen else side + 2
-    work = (np.full((first, 2, 1 << R, width), -math.inf),
-            np.empty((first << (R + 1)) * width), np.empty((first << (R + 1)) * width, np.int32),
-            np.empty(first * half * (side + 2)))
-    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        # a ufunc on strided rows copies them through numpy's buffer (8192
-        # elements by default); a buffer shorter than the bulk's rows makes
-        # it run on the rows in place, ~12% faster.  errstate restores it
-        np.setbufsize(1024)
-        for n0 in range(1, side, WINDOW_SITES):
-            # n0 sites placed, so N <= n0 is live.  The window places sites
-            # n0 + 1 .. stop: first every live mantissa goes to [1/2, 1),
-            # then the bulk columns N < lo freeze their exponents
-            stop, (mant, comp) = min(side, n0 + WINDOW_SITES), state
-            live, bump = mant[:, 0, :, :n0 + 1], ints[..., :n0 + 1]
-            np.frexp(live, out=(live, bump))
-            expo[..., :n0 + 1] += bump
-            np.negative(bump, out=bump)
-            np.ldexp(comp[..., :n0 + 1], bump[:, :half], out=comp[..., :n0 + 1])
-            lo = max(0, n0 - R - 2) if frozen else 0
-            if lo:
-                _freeze(expo, lo, bond, scale, ints)
-            # the band is N in [lo, stop + 1), the columns of the window's
-            # last site; past a site's live columns its cells are empty.  Its
-            # occupied terms take the bond mantissa alone, and their
-            # exponents go into the per-site alignment
-            scale[:, 1, :, lo:stop + 1] = bond[0]
-            steps = [_site(a, b, expo, lo, stop + 1, bond[1], scale, work)
-                     for a, b in ((state, new), (new, state))]
-            for n in range(n0, stop):
-                steps[(n - n0) % 2]()
-            if (stop - n0) % 2:
-                state, new = new, state
-        mant, comp = state
-        mant = mant[:, 0, :, :side + 1]
-        mant[:, :half] += comp[..., :side + 1]
-        expo = expo[..., :side + 1]
-        if boundary == "periodic":  # sites L and 1 both occupied
-            mant[1, half:] *= powers[1][0]
-            expo[1, half:] += powers[1][1]
-        mant, expo = mant.reshape(-1, side + 1), expo.reshape(-1, side + 1)
-        top = expo.max(axis=0)
-        shifts = _shifts(expo, top, np.empty(expo.shape), np.empty(expo.shape, dtype=np.int32))
-        frac, bump = np.frexp(np.ldexp(mant, shifts).sum(axis=0))
-        e = top + bump
+    x, ring = _bond_exponent(pot, beta), boundary == "periodic"
+    total, top = _chain_sums(side - ring, R, x)
+    if ring:
+        total = total * side / (side - np.arange(side))
+    top_level = side if ring else R * side - R * (R + 1) // 2
+    with np.errstate(invalid="ignore", divide="ignore"):
+        frac, bump = np.frexp(total[:side])
+        e = top[:side] + bump
         log_z = e * _LN2_HI + (e * _LN2_LO + np.log(frac))
     # an exponent at the end of the float range: log Z >= 1.2e308 reads inf
     log_z[e >= _FLOAT_MAX] = math.inf
+    log_z = np.append(log_z, float(_EXACT.fma(top_level, x, 0)))
     return CanonicalTable(lattice=LatticeSpec(dimension=1, side=side, boundary=boundary),
                           beta=beta, pot=pot, log_z=log_z, method="transfer-matrix")
 

@@ -54,7 +54,7 @@ def test_transfer_matrix_free_counting():
 
 
 @pytest.mark.parametrize("boundary", ["zero", "periodic"])
-@pytest.mark.parametrize("side", [5, 10, 14])
+@pytest.mark.parametrize("side", [3, 5, 10, 14])
 def test_cross_oracle_agreement(boundary, side):
     beta = 0.35
     tm = transfer_matrix_table(side, POT, beta, boundary)
@@ -434,34 +434,35 @@ def test_transfer_matrix_exact_rows_at_scale():
     assert table.log_z_of(1) == pytest.approx(math.log(4096), rel=1e-15)
 
 
-def _aligned_transfer_matrix(side, pot, beta, boundary):
-    """log Z of the transfer matrix before exponent windows: every site
-    aligns each sum's two terms to the larger exponent, at every column."""
+def _aligned_transfer_matrix(side, pot, beta):
+    """log Z of the zero-wall transfer matrix before exponent windows: every
+    site aligns each sum's two terms to the larger exponent, at every
+    column.  The full row is its one configuration, rounded once."""
     R = pot.support_radius
     x = oracle._bond_exponent(pot, beta)
     powers = [oracle._binary_power(oracle._EXACT.multiply(x, p)) for p in range(R + 1)]
     bond_m, bond_e = np.array([powers[p] for p in np.bitwise_count(np.arange(1 << R))]).T
     bond_m, bond_e = bond_m[:, None], bond_e[:, None]
-    first, half = 1 + (boundary == "periodic"), 1 << (R - 1)
-    shape = (first, 2, 1 << R, side + 2)
+    half = 1 << (R - 1)
+    shape = (2, 1 << R, side + 2)
     mant, next_mant = np.zeros(shape), np.zeros(shape)
     expo, next_expo = np.full(shape, -math.inf), np.full(shape, -math.inf)
-    comp, next_comp = np.zeros(shape[:1] + shape[2:]), np.zeros(shape[:1] + shape[2:])
-    mant[0, 0, 0, 0] = mant[-1, 0, half, 1] = 1.0
-    expo[0, 0, 0, 0] = expo[-1, 0, half, 1] = 0.0
-    pair = (first, 2, half, 2)
-    terms = np.empty((first << (R + 1)) * (side + 2))
+    comp, next_comp = np.zeros(shape[1:]), np.zeros(shape[1:])
+    mant[0, 0, 0] = mant[0, half, 1] = 1.0
+    expo[0, 0, 0] = expo[0, half, 1] = 0.0
+    pair = (2, half, 2)
+    terms = np.empty((2 << R) * (side + 2))
     shifts = np.empty(len(terms), dtype=np.int32)
     larger = np.empty(len(terms) // 2)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         for n in range(1, side):
             cols = n + 2
-            occupied = mant[:, 1, :, 1:cols]
-            np.multiply(mant[:, 0, :, :n + 1], bond_m, out=occupied)
-            occupied[:, :half] += comp[:, :half, :n + 1] * bond_m[:half]
-            np.add(expo[:, 0, :, :n + 1], bond_e, out=expo[:, 1, :, 1:cols])
-            new_m = next_mant[:, 0, :, :cols].reshape(pair[:3] + (cols,))
-            new_e = next_expo[:, 0, :, :cols].reshape(pair[:3] + (cols,))
+            occupied = mant[1, :, 1:cols]
+            np.multiply(mant[0, :, :n + 1], bond_m, out=occupied)
+            occupied[:half] += comp[:half, :n + 1] * bond_m[:half]
+            np.add(expo[0, :, :n + 1], bond_e, out=expo[1, :, 1:cols])
+            new_m = next_mant[0, :, :cols].reshape(pair[:2] + (cols,))
+            new_e = next_expo[0, :, :cols].reshape(pair[:2] + (cols,))
             e_pair = expo[..., :cols].reshape(pair + (cols,))
             np.maximum(e_pair[..., 0, :], e_pair[..., 1, :], out=new_e)
             t = terms[:2 * new_m.size].reshape(pair + (cols,))
@@ -469,29 +470,24 @@ def _aligned_transfer_matrix(side, pot, beta, boundary):
             oracle._shifts(e_pair, new_e[..., None, :], t, sh)
             np.ldexp(mant[..., :cols].reshape(t.shape), sh, out=t)
             np.add(t[..., 0, :], t[..., 1, :], out=new_m)
-            s0, a0, b0 = new_m[:, 0], t[:, 0, :, 0], t[:, 0, :, 1]
-            big, err0 = larger[:s0.size].reshape(s0.shape), next_comp[:, :half, :cols]
+            s0, a0, b0 = new_m[0], t[0, :, 0], t[0, :, 1]
+            big, err0 = larger[:s0.size].reshape(s0.shape), next_comp[:half, :cols]
             np.maximum(a0, b0, out=big)
             np.minimum(a0, b0, out=a0)
             np.subtract(s0, big, out=err0)
             np.subtract(a0, err0, out=err0)
-            c = np.ldexp(comp[..., :cols].reshape(pair[:1] + pair[2:] + (cols,)), sh[:, 0],
-                         out=t[:, 0])
+            c = np.ldexp(comp[..., :cols].reshape(pair[1:] + (cols,)), sh[0], out=t[0])
             err0 += c[..., 0, :]
             err0 += c[..., 1, :]
             mant, next_mant, expo, next_expo = next_mant, mant, next_expo, expo
             comp, next_comp = next_comp, comp
             if n % 256 == 0:
-                frac, bump = np.frexp(mant[:, 0])
-                mant[:, 0] = frac
-                expo[:, 0] += bump
+                frac, bump = np.frexp(mant[0])
+                mant[0] = frac
+                expo[0] += bump
                 comp[...] = np.ldexp(comp, -bump)
-        mant = mant[:, 0, :, :side + 1] + comp[..., :side + 1]
-        expo = expo[:, 0, :, :side + 1]
-        if boundary == "periodic":
-            mant[1, half:] *= powers[1][0]
-            expo[1, half:] += powers[1][1]
-        mant, expo = mant.reshape(-1, side + 1), expo.reshape(-1, side + 1)
+        mant = mant[0, :, :side + 1] + comp[..., :side + 1]
+        expo = expo[0, :, :side + 1]
         top = expo.max(axis=0)
         shifts = oracle._shifts(expo, top, np.empty(expo.shape),
                                 np.empty(expo.shape, dtype=np.int32))
@@ -499,9 +495,13 @@ def _aligned_transfer_matrix(side, pot, beta, boundary):
         e = top + bump
         log_z = e * oracle._LN2_HI + (e * oracle._LN2_LO + np.log(frac))
     log_z[e >= oracle._FLOAT_MAX] = math.inf
+    log_z[side] = float(oracle._EXACT.fma(R * side - R * (R + 1) // 2, x, 0))
     return log_z
 
 
+# A ring of L sites runs the zero-wall chain of L - 1 sites, so a periodic
+# case below checks that chain: every side still ends just past a window's
+# edge.
 @pytest.mark.parametrize("pot, boundary", [(POT, "zero"), (POT, "periodic"),
                                            *[(PotentialSpec("kac", 1.0, r), "zero")
                                              for r in (1, 2, 3, 4)]])
@@ -512,15 +512,17 @@ def test_windowed_transfer_matrix_equals_aligned_bit_for_bit(pot, boundary, beta
     # past a window's edge, where the band of aligned columns meets the bulk
     R, w = pot.support_radius, oracle.WINDOW_SITES
     for side in [k * w + R + d for k in (1, 2) for d in (1, 2, 3)] + [300]:
-        assert (transfer_matrix_table(side, pot, beta, boundary).log_z.tobytes()
-                == _aligned_transfer_matrix(side, pot, beta, boundary).tobytes()), side
+        side -= boundary == "periodic"
+        assert (transfer_matrix_table(side, pot, beta).log_z.tobytes()
+                == _aligned_transfer_matrix(side, pot, beta).tobytes()), side
 
 
 @pytest.mark.parametrize("pot, boundary",
                          [(POT, "periodic"), (PotentialSpec("kac", 1.0, 4), "zero")])
 def test_windowed_transfer_matrix_equals_aligned_bit_for_bit_over_16_windows(pot, boundary):
-    assert (transfer_matrix_table(1024, pot, 0.14, boundary).log_z.tobytes()
-            == _aligned_transfer_matrix(1024, pot, 0.14, boundary).tobytes())
+    side = 1024 - (boundary == "periodic")
+    assert (transfer_matrix_table(side, pot, 0.14).log_z.tobytes()
+            == _aligned_transfer_matrix(side, pot, 0.14).tobytes())
 
 
 @settings(max_examples=30, deadline=None)
@@ -532,8 +534,9 @@ def test_windowed_transfer_matrix_equals_aligned_bit_for_bit_over_16_windows(pot
 def test_windowed_transfer_matrix_equals_aligned_at_any_side(case, beta, data):
     pot, boundary = case
     side = data.draw(st.integers(max(pot.support_radius + 1, 3), 400))
-    assert (transfer_matrix_table(side, pot, beta, boundary).log_z.tobytes()
-            == _aligned_transfer_matrix(side, pot, beta, boundary).tobytes())
+    side -= boundary == "periodic"
+    assert (transfer_matrix_table(side, pot, beta).log_z.tobytes()
+            == _aligned_transfer_matrix(side, pot, beta).tobytes())
 
 
 # ---------------------------------------------------------------------------
@@ -577,6 +580,33 @@ def test_ring_closed_form_equals_density_of_states(side):
         _ring_density_of_states(side)
 
 
+def test_ring_is_the_chain_one_site_shorter():
+    # rotations keep a ring configuration's bond level and leave site 1
+    # empty in a share (L - N)/L of the N-subsets; with site 1 empty no bond
+    # touches it, and sites 2..L are a zero-wall chain
+    for side in range(3, 21):
+        ring = _density_of_states(LatticeSpec(1, side, "periodic"), 1)
+        chain = _density_of_states(LatticeSpec(1, side - 1, "zero"), 1)
+        for n, row in enumerate(chain):
+            padded = row + (0,) * (len(ring[n]) - len(row))
+            assert [c * (side - n) for c in ring[n]] == [side * c for c in padded], (side, n)
+        assert ring[side] == (0,) * side + (1,)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from([(POT, "zero"), (POT, "periodic"),
+                             *[(PotentialSpec("kac", 1.0, r), "zero") for r in (1, 2, 3, 4)]]),
+       beta=st.one_of(st.just(0.0), st.floats(-4.0, 300.0).map(lambda u: 10.0 ** u)),
+       data=st.data())
+def test_transfer_matrix_full_row_equals_enumeration_bit_for_bit(case, beta, data):
+    # the full box is one configuration at the top bond level: both oracles
+    # round top * x once
+    pot, boundary = case
+    side = data.draw(st.integers(max(pot.support_radius + 1, 2 + (boundary == "periodic")), 24))
+    en = exact_canonical_table(LatticeSpec(1, side, boundary), pot, beta)
+    assert transfer_matrix_table(side, pot, beta, boundary).log_z[side] == en.log_z[side]
+
+
 @pytest.mark.parametrize("side", [257, 1024])
 @pytest.mark.parametrize("beta", [0.3, 1.0, 25.0, 200.0])
 def test_transfer_matrix_is_within_an_ulp_of_the_closed_form_ring(side, beta):
@@ -618,7 +648,7 @@ def test_transfer_matrix_is_never_nan(beta, case):
 
 
 @settings(max_examples=40, deadline=None)
-@given(side=st.integers(4, 16), beta=st.floats(0.0, 30.0),
+@given(side=st.integers(3, 16), beta=st.floats(0.0, 30.0),
        case=st.sampled_from([(POT, "zero"), (POT, "periodic"),
                              (PotentialSpec("kac", 1.0, 1), "zero"),
                              (KAC2, "zero"), (KAC3, "zero"),

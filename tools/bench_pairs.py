@@ -8,7 +8,9 @@ once in each checkout, for every workload W of ``BENCHMARK.json``, at its
 odd ones, so a slow spell of a shared machine does not fall on one side.  The
 file holds every run's end-to-end metrics and failed-operation counts, and per
 workload and metric both sides' quartiles and the pairs the change won.  Both
-checkouts must hold a ``bench/`` directory; each runs its own.
+checkouts must be git checkouts whose ``src/`` and ``bench/`` match their
+HEAD, so the commits and src trees the file records name the code that ran;
+each runs its own ``bench/``.
 """
 
 from __future__ import annotations
@@ -46,6 +48,16 @@ def _rev(root: Path, rev: str) -> str:
     return proc.stdout.strip() if proc.returncode == 0 else "unknown"
 
 
+def _unclean(root: Path) -> str:
+    """Why the checkout's src/ and bench/ may differ from its HEAD, or ''."""
+    proc = subprocess.run(["git", "status", "--porcelain", "--untracked-files=all",
+                           "--", "src", "bench"], cwd=root, capture_output=True, text=True)
+    if proc.returncode != 0:
+        return "is not a git checkout"
+    changed = proc.stdout.rstrip()
+    return f"differs from its HEAD in src/ or bench/:\n{changed}" if changed else ""
+
+
 def _quartiles(values: list[float]) -> list[float]:
     return statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
 
@@ -66,6 +78,11 @@ def main(argv=None) -> int:
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
+    for side in ("parent", "change"):
+        why = _unclean(getattr(args, side))
+        if why:
+            print(f"bench_pairs: {side} checkout {getattr(args, side)} {why}", file=sys.stderr)
+            return 1
 
     runs = {w: {"parent": [], "change": []} for w in WORKLOADS}
     for i in range(PAIRS):

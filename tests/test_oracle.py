@@ -594,13 +594,15 @@ def test_ring_is_the_chain_one_site_shorter():
 
 
 @settings(max_examples=60, deadline=None)
-@given(case=st.sampled_from([(POT, "zero"), (POT, "periodic"),
-                             *[(PotentialSpec("kac", 1.0, r), "zero") for r in (1, 2, 3, 4)]]),
+@given(case=st.one_of(st.tuples(st.floats(0.1, 10.0).map(lambda j: PotentialSpec("standard", j)),
+                                st.sampled_from(["zero", "periodic"])),
+                      st.tuples(st.integers(1, 4).map(lambda r: PotentialSpec("kac", 1.0, r)),
+                                st.just("zero"))),
        beta=st.one_of(st.just(0.0), st.floats(-4.0, 300.0).map(lambda u: 10.0 ** u)),
        data=st.data())
 def test_transfer_matrix_full_row_equals_enumeration_bit_for_bit(case, beta, data):
     # the full box is one configuration at the top bond level: both oracles
-    # round top * x once
+    # round top * x once (at J = 1, x = 4 beta is already a float)
     pot, boundary = case
     side = data.draw(st.integers(max(pot.support_radius + 1, 2 + (boundary == "periodic")), 24))
     en = exact_canonical_table(LatticeSpec(1, side, boundary), pot, beta)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LatticeSpec, PotentialSpec
+from .model import GuardError, LatticeSpec, PotentialSpec
 from .oracle import CorrelationTable, exact_correlations
 
 
@@ -29,13 +29,20 @@ def bound_rhs(dist: float, n_particles: int, volume: int, beta: float,
 
     rho^2 [ (e^{4 beta J}-1) 1_{dist=1} + 1_{dist=0}
             + ((e^{4 beta J}-1) 1_{dist=1} + 1_{dist=0})/N + C e^{-dist} ]
-    + C1/|Lambda|.
+    + C1/|Lambda|.  Raises ``GuardError`` once that leaves the float range
+    (beta J > ~177 at dist = 1).
     """
     rho = n_particles / volume
-    near = math.expm1(4.0 * beta * coupling) if dist == 1.0 else 0.0
+    try:
+        near = math.expm1(4.0 * beta * coupling) if dist == 1.0 else 0.0
+    except OverflowError:
+        near = math.inf
     same = 1.0 if dist == 0.0 else 0.0
     inner = (near + same) * (1.0 + 1.0 / n_particles) + c_const * math.exp(-dist)
-    return rho * rho * inner + c1_const / volume
+    rhs = rho * rho * inner + c1_const / volume
+    if rhs == math.inf:
+        raise GuardError(f"the bound at beta J = {beta * coupling:g} exceeds the float range")
+    return rhs
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .model import GuardError
-from .oracle import CanonicalTable, GrandCanonicalEval, grand_canonical_eval
+from .oracle import CanonicalTable, GrandCanonicalEval, check_tilt, grand_canonical_eval
 from .series import MAX_DERIVATIVE_ORDER, CanonicalFreeEnergy
 
 DENSITY_HARD_CAP = 0.4
@@ -38,8 +38,10 @@ def find_n_star(table: CanonicalTable, mu0: float) -> int:
     A new best must beat the best so far by more than 1e-12 relative.  Only
     a strict prefix maximum can, so until the first such step that falls
     inside the tolerance the best is the running maximum; from there the
-    rule runs on the remaining strict prefix maxima alone.
+    rule runs on the remaining strict prefix maxima alone.  Raises
+    ``GuardError`` where beta mu0 |Lambda| is not finite.
     """
+    check_tilt(table, mu0)
     v = table.beta * mu0 * np.arange(len(table.log_z)) + table.log_z
     v[0] = table.log_z_of(0)
     v[1:][np.isnan(v[1:])] = -np.inf  # a nan never beats the best, nor does -inf
@@ -61,13 +63,16 @@ def tilted_potential(table: CanonicalTable, n_tilde: float) -> float:
     down to a bracket of width 1e-12.
 
     Boundary targets (n_tilde <= 0 or >= |Lambda|) have no finite solution
-    and return signed infinity sentinels.
+    and return signed infinity sentinels.  At beta = 0 the mean does not
+    depend on mu, so an interior target raises ``ValueError``.
     """
     volume = table.n_sites
     if n_tilde <= 0.0:
         return -math.inf
     if n_tilde >= volume:
         return math.inf
+    if table.beta == 0:
+        raise ValueError("at beta = 0 no mu tilts the mean particle number")
 
     def mean(mu: float) -> float:
         return grand_canonical_eval(table, mu).mean_particles()
@@ -264,7 +269,9 @@ def formula_probability(table: CanonicalTable, mu0: float, alpha, u: float,
 
 
 def appendix_ratio(table: CanonicalTable, mu: float, n: int, n_ref: int) -> float:
-    """J^C_mu(N, N') = e^{beta mu (N - N')} Z(N)/Z(N'); +inf when Z(N') = 0."""
+    """J^C_mu(N, N') = e^{beta mu (N - N')} Z(N)/Z(N'); +inf when Z(N') = 0.
+    Raises ``GuardError`` where beta mu |Lambda| is not finite."""
+    check_tilt(table, mu)
     log_num = table.beta * mu * n + table.log_z_of(n)
     log_den = table.beta * mu * n_ref + table.log_z_of(n_ref)
     if log_den == -math.inf:

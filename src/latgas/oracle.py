@@ -9,8 +9,10 @@ Two independent routes to the canonical partition function Z(N):
   (N, k) for Z(N), cached per (box, range R), split each mask into its
   low 16 bits and its high bits: one histogram over the low parts per
   pattern of bonds crossing to the high part, shifted once per high part.
-  The torus correlations bin per (k, site pair), over masks in blocks of
-  2^16 so memory stays flat.  Each beta then costs a
+  The torus correlations use that every site is alike: one row of integers
+  per level k, the N-subsets holding sites 0 and r, from the masks with bit
+  0 set, in blocks of 2^16 so memory stays flat; u2 comes from integer
+  numerators, not by subtracting rho1^2.  Each beta then costs a
   30-digit decimal evaluation against e^{k x}, x = -beta * bond energy,
   rounded to float once, so no beta overflows;
 * a d = 1 transfer matrix over Z_h(N) of a zero-wall chain, per occupancy
@@ -43,7 +45,6 @@ from .model import GuardError, LatticeSpec, PotentialSpec, ising_hamiltonian
 
 ENUMERATION_MAX_SITES = 24
 TRANSFER_MAX_SIDE = 4096
-CORRELATION_MAX_SITES = 20
 WINDOW_SITES = 64
 SUBSET_BLOCK = 1 << 16
 
@@ -548,8 +549,17 @@ def _logsumexp(a: np.ndarray) -> float:
     return float(np.log1p(s / m) + np.log(m) + top)
 
 
+def check_tilt(table: CanonicalTable, mu: float) -> None:
+    """``GuardError`` unless every exponent beta mu N, N <= |Lambda|, is finite."""
+    if not math.isfinite(table.beta * mu * table.n_sites):
+        raise GuardError(f"beta mu |Lambda| = {table.beta * mu * table.n_sites:g} "
+                         "leaves the float range")
+
+
 def grand_canonical_eval(table: CanonicalTable, mu: float) -> GrandCanonicalEval:
-    """log Xi and the particle-number distribution at chemical potential mu."""
+    """log Xi and the particle-number distribution at chemical potential mu.
+    Raises ``GuardError`` where beta mu |Lambda| is not finite."""
+    check_tilt(table, mu)
     beta = table.beta
     ns = np.arange(len(table.log_z))
     terms = beta * mu * ns + table.log_z
@@ -579,42 +589,41 @@ def exact_correlations(lattice: LatticeSpec, pot: PotentialSpec, beta: float,
                        n_particles: int) -> CorrelationTable:
     """One- and two-point functions by enumerating N-subsets on the torus.
 
-    bits_k.T @ bits_k counts the N-subsets at bond level k holding each
-    site pair (diagonal: each site), of weight e^{(k - top) x} <= 1.  u2
-    is exact to 30 digits of rho1^2, so an entry below ~1e-30 rho1^2 is 0.
-    """
+    Every site is alike, so rho1 = N/|Lambda| and rho2, u2 depend on j - i.
+    p_k[r] counts the N-subsets at bond level k holding sites 0 and r, of
+    weight w_k = e^{(k - top) x} <= 1: rho2(0, r) = sum_k p_k[r] w_k / Z and
+    |Lambda|^2 Z u2(0, r) = sum_k (|Lambda|^2 p_k[r] - N^2 c(N, k)) w_k, from
+    exact integers to 30 digits, so no u2 cancels to 0."""
     if lattice.boundary != "periodic":
         raise ValueError("correlation oracle assumes periodic walls")
-    S = lattice.n_sites
-    if S > CORRELATION_MAX_SITES:
-        raise GuardError(f"correlations guarded to |Lambda| <= {CORRELATION_MAX_SITES}")
-    if not 2 <= n_particles <= S:
+    S, n = lattice.n_sites, n_particles
+    if S > ENUMERATION_MAX_SITES:
+        raise GuardError(f"enumeration guarded to |Lambda| <= {ENUMERATION_MAX_SITES}")
+    if not 2 <= n <= S:
         raise ValueError("need 2 <= N <= |Lambda|")
-    # per bond level k: the number of N-subsets and their summed bits_k.T @
-    # bits_k, block by block, so memory stays flat at every size
-    levels, sites = {}, np.arange(S, dtype=np.int64)
+    counts = _density_of_states(lattice, pot.support_radius)[n]
+    top = max(k for k, c in enumerate(counts) if c)
+    # p_k[r] at [r, k], block by block; r = 0 stays 0, as rho2 is on the diagonal
+    pairs = np.zeros((S, top + 1), dtype=np.int64)
     for masks, bonds in _subset_bonds(lattice, pot.support_radius):
-        keep = np.bitwise_count(masks) == n_particles
+        keep = (masks & 1).astype(bool) & (np.bitwise_count(masks) == n)
         masks, bonds = masks[keep], bonds[keep]
-        for k in np.unique(bonds).tolist():
-            bits_k = (masks[bonds == k, None] >> sites) & 1
-            count, pairs = levels.get(k, (0, 0))
-            levels[k] = count + len(bits_k), pairs + bits_k.T @ bits_k
-    top = max(levels)
+        for r in range(1, S):
+            pairs[r] += np.bincount(bonds[(masks >> r & 1).astype(bool)], minlength=top + 1)
     _, weights = _level_weights(pot, beta, top + 1)
     with decimal.localcontext(_DECIMAL):
-        z, moments = 0, 0
-        for k in sorted(levels):
-            count, pairs = levels[k]
-            z += count * weights[top - k]
-            moments = moments + pairs.astype(object) * weights[top - k]
-        moments = moments / z
-        rho1 = moments.diagonal().copy()
-        np.fill_diagonal(moments, 0)
-        u2 = moments - np.outer(rho1, rho1)
-        return CorrelationTable(lattice=lattice, beta=beta, pot=pot,
-                                n_particles=n_particles, rho1=rho1.astype(float),
-                                rho2=moments.astype(float), u2=u2.astype(float))
+        z = sum(c * weights[top - k] for k, c in enumerate(counts[:top + 1]))
+        rho2 = [sum(p * weights[top - k] for k, p in enumerate(row)) / z
+                for row in pairs.tolist()]
+        u2 = [sum((S * S * p - n * n * c) * weights[top - k]
+                  for k, (p, c) in enumerate(zip(row, counts))) / (z * S * S)
+              for row in pairs.tolist()]
+    u2[0] = -(n * n) / (S * S)
+    sites = np.array(lattice.sites())  # [i, j] reads the rows at the index of x_j - x_i
+    offset = (sites[None] - sites[:, None]) % lattice.side @ lattice.side ** np.arange(
+        lattice.dimension)[::-1]
+    return CorrelationTable(lattice, beta, pot, n, np.full(S, n / S),
+                            *np.array([rho2, u2], dtype=float)[:, offset])
 
 
 def ising_gas_consistency(lattice: LatticeSpec, pot: PotentialSpec, beta: float,
@@ -625,7 +634,8 @@ def ising_gas_consistency(lattice: LatticeSpec, pot: PotentialSpec, beta: float,
     with uniform -1 walls (fixed walls with no gamma).  Right:
     exp(-beta(4JdN - J|E|)) * Z(N) with the zero-boundary gas partition
     function, N = (m+1)/2 * |Lambda| and |E| counting interior plus wall
-    bonds.  The two agree exactly.
+    bonds.  The two agree exactly.  Raises ``GuardError`` once a weight
+    leaves the float range.
     """
     if lattice.boundary == "periodic":
         raise ValueError("consistency check uses -1 walls on an open box")
@@ -640,17 +650,21 @@ def ising_gas_consistency(lattice: LatticeSpec, pot: PotentialSpec, beta: float,
     sites = lattice.sites()
     walls = LatticeSpec(lattice.dimension, lattice.side, "fixed")
     lhs = 0.0
-    for subset in itertools.combinations(range(S), n_particles):
-        occ = set(subset)
-        spins = {x: (1 if i in occ else -1) for i, x in enumerate(sites)}
-        lhs += math.exp(-beta * ising_hamiltonian(spins, walls, pot))
-
     open_box = LatticeSpec(lattice.dimension, lattice.side, "zero")
-    z_gas = math.exp(exact_canonical_table(open_box, pot, beta).log_z_of(n_particles))
     J = pot.coupling
-    prefactor = math.exp(-beta * (4.0 * J * lattice.dimension * n_particles
-                                  - J * walls.edge_count()))
-    return lhs, prefactor * z_gas
+    try:
+        for subset in itertools.combinations(range(S), n_particles):
+            occ = set(subset)
+            spins = {x: (1 if i in occ else -1) for i, x in enumerate(sites)}
+            lhs += math.exp(-beta * ising_hamiltonian(spins, walls, pot))
+        z_gas = math.exp(exact_canonical_table(open_box, pot, beta).log_z_of(n_particles))
+        rhs = math.exp(-beta * (4.0 * J * lattice.dimension * n_particles
+                                - J * walls.edge_count())) * z_gas
+    except OverflowError:
+        lhs = rhs = math.inf
+    if math.inf in (lhs, rhs):
+        raise GuardError(f"spin weights at beta = {beta:g} exceed the float range")
+    return lhs, rhs
 
 
 def ising_grand_partition(lattice: LatticeSpec, pot: PotentialSpec, beta: float,

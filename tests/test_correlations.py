@@ -4,7 +4,7 @@ import pytest
 
 from latgas.correlations import (bound_rhs, calibrate_constants, decay_fit,
                                  pair_rows, torus_distance)
-from latgas.model import LatticeSpec, PotentialSpec
+from latgas.model import GuardError, LatticeSpec, PotentialSpec
 from latgas.oracle import exact_correlations
 
 POT = PotentialSpec("standard", 1.0)
@@ -21,6 +21,15 @@ def test_bound_rhs_structure():
         rho ** 2 * (e4b * (1 + 1 / n) + 2.0 * math.exp(-1)) + 3.0 / vol)
     far = bound_rhs(5.0, n, vol, beta, 1.0, 0.0, 0.0)
     assert far == 0.0
+
+
+def test_bound_rhs_past_the_float_range_raises_guard_error():
+    # e^{4 beta J} - 1 overflows past beta J ~ 177; the parent let OverflowError out
+    with pytest.raises(GuardError):
+        bound_rhs(1.0, 6, 12, 1e300, 1.0, 0.0, 0.0)
+    with pytest.raises(GuardError):
+        bound_rhs(1.0, 6, 12, 177.5, 1.0, 0.0, 0.0)
+    assert math.isfinite(bound_rhs(2.0, 6, 12, 1e300, 1.0, 0.0, 0.0))
 
 
 def test_bound_monotone_in_constants():

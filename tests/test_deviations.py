@@ -285,6 +285,30 @@ def test_appendix_zero_denominator_sentinel():
     assert appendix_normalization(t, -1.0, 3) == 0.0
 
 
+@pytest.mark.parametrize("beta, call", [
+    (0.5, lambda t: grand_canonical_eval(t, 1e308)),
+    (1e300, lambda t: mean_occupation(t, -1e300)),
+    (1e300, lambda t: appendix_ratio(t, 1e300, 3, 6)),
+    (1e300, lambda t: find_n_star(t, 1e10))],
+    ids=["grand_canonical_eval", "mean_occupation", "appendix_ratio", "find_n_star"])
+def test_grand_canonical_layer_raises_guard_error_past_the_float_range(beta, call):
+    # beta mu |Lambda| overflows: the parent gave nan, an untyped ValueError
+    # or, from find_n_star, N = 1 for a maximum at N = 12
+    t = exact_canonical_table(LatticeSpec(1, 12, "periodic"), POT, beta)
+    with pytest.raises(GuardError):
+        call(t)
+    assert math.isfinite(appendix_ratio(t, 1.0, 3, 6))
+
+
+def test_tilted_potential_at_beta_zero_raises_for_an_interior_target():
+    # the beta = 0 mean is |Lambda|/2 at every mu: no mu reaches 5.5
+    t = exact_canonical_table(LatticeSpec(1, 12, "periodic"), POT, 0.0)
+    with pytest.raises(ValueError, match="beta = 0"):
+        tilted_potential(t, 5.5)
+    assert tilted_potential(t, 0.0) == -math.inf
+    assert tilted_potential(t, 12.0) == math.inf
+
+
 def test_clt_gap_shrinks_along_short_ladder():
     mu0 = lattice_gas_threshold(1, POT, 0.0258) - 1.0
     gaps = []

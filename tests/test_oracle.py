@@ -8,7 +8,7 @@ from math import comb
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import logsumexp
@@ -173,6 +173,12 @@ def test_ising_gas_consistency():
         ising_gas_consistency(lat, POT, 0.5, -0.4)  # non-integral N
 
 
+def test_ising_gas_consistency_past_the_float_range_raises_guard_error():
+    # e^{-beta H} of the spin sum overflows; the parent let OverflowError out
+    with pytest.raises(GuardError):
+        ising_gas_consistency(LatticeSpec(1, 8, "zero"), POT, 1000.0, -0.5)
+
+
 def test_grand_canonical_ising_gas_identity():
     # Xi_ising^-(h) = exp(-beta |Lambda| [h - J |E|/|Lambda|]) Xi_gas(mu(h))
     beta = 0.35
@@ -225,9 +231,18 @@ def test_fixed_boundary_table_via_boundary_weights():
 
 @functools.lru_cache(maxsize=None)
 def _subset_energies(lattice, pot, n):
-    """(subset, H) for every n-site subset, H from lattice_gas_hamiltonian."""
+    """(subset, H) for every n-site subset, H from lattice_gas_hamiltonian.
+    That refuses the side-2 torus, whose range-1 H is the bond energy once
+    per torus bond (x, x + e_k mod 2) with both ends occupied."""
     sites = lattice.sites()
-    return tuple((sub, lattice_gas_hamiltonian([sites[i] for i in sub], lattice, pot))
+    if lattice.boundary == "periodic" and lattice.side == 2:
+        def energy(occ):
+            return pot.bond_energy * sum(x in occ and y in occ
+                                         for x, y in lattice.interior_bonds())
+    else:
+        def energy(occ):
+            return lattice_gas_hamiltonian(occ, lattice, pot)
+    return tuple((sub, energy([sites[i] for i in sub]))
                  for sub in itertools.combinations(range(lattice.n_sites), n))
 
 
@@ -238,7 +253,11 @@ def _reference_log_z(lattice, pot, beta, n):
 
 
 def _reference_correlations(lattice, pot, beta, n):
-    """rho1, rho2 and u2 = rho2 - rho1 rho1^T, each rounded once."""
+    """rho1, rho2 and u2, each rounded once.  u2 = rho2 - rho1 rho1^T is not
+    formed by that subtraction, which cancels to 0 at low temperature, but
+    from Z^2 u2 = sum over energy pairs (e, f) of the exact integers
+    C_e P_f - n_e n_f^T times e^{-beta (e + f)}: C_e subsets at energy e,
+    n_e their count per site, P_f per site pair (0 on the diagonal)."""
     S = lattice.n_sites
     levels = {}  # energy -> [number of subsets, subsets holding each site pair]
     for sub, e in _subset_energies(lattice, pot, n):
@@ -247,6 +266,12 @@ def _reference_correlations(lattice, pot, beta, n):
         level = levels.setdefault(e, [0, np.zeros((S, S), dtype=np.int64)])
         level[0] += 1
         level[1] += np.outer(occ, occ)
+    numerators = {}  # e + f -> the integer coefficients of Z^2 u2
+    for e, (count, pairs) in levels.items():
+        for f, (_, other) in levels.items():
+            coef = count * (other - np.diag(other.diagonal()))
+            coef -= np.outer(pairs.diagonal(), other.diagonal())
+            numerators[e + f] = numerators.get(e + f, 0) + coef
     with mp.workdps(40):
         weights = {e: mp.exp(-mp.mpf(beta) * e) for e in levels}
         z = mp.fsum(count * weights[e] for e, (count, _) in levels.items())
@@ -255,7 +280,9 @@ def _reference_correlations(lattice, pot, beta, n):
                     for j in range(S)] for i in range(S)]
         rho1 = [moments[i][i] for i in range(S)]
         rho2 = [[moments[i][j] if i != j else mp.mpf(0) for j in range(S)] for i in range(S)]
-        u2 = [[rho2[i][j] - rho1[i] * rho1[j] for j in range(S)] for i in range(S)]
+        u2 = [[mp.fsum(int(coef[i, j]) * mp.exp(-mp.mpf(beta) * ef)
+                       for ef, coef in numerators.items()) / z ** 2
+               for j in range(S)] for i in range(S)]
         return tuple(np.array(a, dtype=float) for a in (rho1, rho2, u2))
 
 
@@ -281,7 +308,10 @@ def test_table_equals_brute_force(lattice, pot, particles, beta):
 
 @pytest.mark.parametrize("lattice, n", [(LatticeSpec(1, 10, "periodic"), 3),
                                         (LatticeSpec(1, 7, "periodic"), 4),
-                                        (TORUS3, 4), (TORUS4, 8)])
+                                        (TORUS3, 4), (TORUS4, 8),
+                                        # 24 and 8 entries below 1e-30 rho1^2 at beta = 25
+                                        (LatticeSpec(1, 12, "periodic"), 6),
+                                        (LatticeSpec(2, 2, "periodic"), 2)])
 @pytest.mark.parametrize("beta", [0.0, 0.3, 25.0])
 def test_correlations_equal_brute_force(lattice, n, beta):
     table = exact_correlations(lattice, POT, beta, n)
@@ -674,6 +704,47 @@ def test_correlation_sum_rules_at_any_beta(lattice, beta, data):
     assert np.all(np.isfinite(t.u2))
     assert abs(t.rho1.sum() - n) <= 1e-13 * n
     assert np.allclose(t.rho2.sum(axis=1), (n - 1) * t.rho1, rtol=1e-13, atol=0)
+
+
+@st.composite
+def _tori(draw):
+    """A periodic box of at most 16 sites, the standard potential or a Kac
+    range R <= 3 with L > 2R, and N in [2, |Lambda|]."""
+    dimension = draw(st.integers(1, 3))
+    side = draw(st.integers(2, {1: 16, 2: 4, 3: 2}[dimension]))
+    pot = draw(st.sampled_from([POT] + [PotentialSpec("kac", 1.0, r) for r in (1, 2, 3)
+                                        if side > 2 * r]))
+    lattice = LatticeSpec(dimension, side, "periodic")
+    return lattice, pot, draw(st.integers(2, lattice.n_sites))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_tori(), beta=st.just(0.0) | st.floats(-4.0, 300.0).map(lambda e: 10.0 ** e))
+# the 5-ring at N = 2: -(2 / 5) ** 2 rounds twice, to -0.16000000000000003
+@example(case=(LatticeSpec(1, 5, "periodic"), POT, 2), beta=0.3)
+def test_correlations_over_the_guarded_space(case, beta):
+    lattice, pot, n = case
+    S = lattice.n_sites
+    t = exact_correlations(lattice, pot, beta, n)
+    for a in (t.rho1, t.rho2, t.u2):
+        assert np.all(np.isfinite(a))
+    assert np.all(t.rho1 == float(Fraction(n, S)))
+    assert np.all(t.u2.diagonal() == float(Fraction(-n * n, S * S)))
+    sites = lattice.sites()
+    for shift in sites:  # every translation of the torus maps the tables onto themselves
+        moved = [lattice.site_index(tuple((x + a) % lattice.side for x, a in zip(q, shift)))
+                 for q in sites]
+        for a in (t.rho2, t.u2):
+            assert np.array_equal(a[np.ix_(moved, moved)], a)
+    for a in (t.rho2, t.u2):
+        assert np.array_equal(a, a.T)
+    rule = n * (n - 1) / S
+    assert np.all(np.abs(t.rho2.sum(axis=1) - rule) <= 1e-13 * rule)
+    if S - n >= 2:  # particle-hole: Cov(1 - eta_i, 1 - eta_j) = Cov(eta_i, eta_j)
+        off = ~np.eye(S, dtype=bool)
+        holes = exact_correlations(lattice, pot, beta, S - n).u2[off]
+        ulps = np.spacing(np.maximum(np.abs(t.u2[off]), np.abs(holes)))
+        assert np.all(np.abs(t.u2[off] - holes) <= ulps)
 
 
 @settings(max_examples=300, deadline=None)

@@ -64,8 +64,8 @@ def test_guard_violation_exit_code(tmp_path):
 @pytest.mark.parametrize("command, extra", [("oracle", {"beta": 0.5, "mu": 1e308}),
                                             ("correlate", {"beta": 1e300, "particles": 6})])
 def test_float_range_exits_as_a_guard(tmp_path, command, extra):
-    # the parent wrote nan into probabilities.csv with exit 0, and exited 5
-    # on an OverflowError from the correlation bound
+    # unguarded, oracle writes nan into probabilities.csv with exit 0, and
+    # correlate exits 5 on an OverflowError from the correlation bound
     cfg = write_cfg(tmp_path, {"dimension": 1, "side": 12, "boundary": "periodic", **extra})
     assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 3
 

@@ -24,7 +24,7 @@ def test_bound_rhs_structure():
 
 
 def test_bound_rhs_past_the_float_range_raises_guard_error():
-    # e^{4 beta J} - 1 overflows past beta J ~ 177; the parent let OverflowError out
+    # e^{4 beta J} - 1 overflows past beta J ~ 177: no bare OverflowError escapes
     with pytest.raises(GuardError):
         bound_rhs(1.0, 6, 12, 1e300, 1.0, 0.0, 0.0)
     with pytest.raises(GuardError):

@@ -292,8 +292,8 @@ def test_appendix_zero_denominator_sentinel():
     (1e300, lambda t: find_n_star(t, 1e10))],
     ids=["grand_canonical_eval", "mean_occupation", "appendix_ratio", "find_n_star"])
 def test_grand_canonical_layer_raises_guard_error_past_the_float_range(beta, call):
-    # beta mu |Lambda| overflows: the parent gave nan, an untyped ValueError
-    # or, from find_n_star, N = 1 for a maximum at N = 12
+    # beta mu |Lambda| overflows: unguarded, these give nan, an untyped
+    # ValueError or, from find_n_star, N = 1 for a maximum at N = 12
     t = exact_canonical_table(LatticeSpec(1, 12, "periodic"), POT, beta)
     with pytest.raises(GuardError):
         call(t)

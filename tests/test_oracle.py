@@ -174,7 +174,7 @@ def test_ising_gas_consistency():
 
 
 def test_ising_gas_consistency_past_the_float_range_raises_guard_error():
-    # e^{-beta H} of the spin sum overflows; the parent let OverflowError out
+    # e^{-beta H} of the spin sum overflows: no bare OverflowError escapes
     with pytest.raises(GuardError):
         ising_gas_consistency(LatticeSpec(1, 8, "zero"), POT, 1000.0, -0.5)
 

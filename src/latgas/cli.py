@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Subcommands: ``radii``, ``series``, ``oracle``, ``correlate``, ``deviate``,
-``accept``.  Configuration is a JSON file passed with ``--config``; every
-command writes deterministic CSV (17 significant digits) under ``--out``.
-Exit codes: 0 success, 2 configuration error, 3 guard violation,
-4 acceptance failure, 5 numerical failure (an ``ArithmeticError``).
+``accept``.  Configuration is a JSON file passed with ``--config``.  Each
+command returns {file name: rows}, numbers left as numbers; ``main``
+writes them under ``--out`` once the command has returned, so a run that
+exits 2, 3 or 5 writes no file.  Exit codes: 0 success, 2 configuration
+error, 3 guard violation, 4 acceptance failure, 5 numerical failure (an
+``ArithmeticError``).
 """
 
 from __future__ import annotations
@@ -131,7 +133,7 @@ def _order(cfg: dict, lattice: LatticeSpec) -> int:
     return order
 
 
-def cmd_radii(cfg: dict, out: Path) -> None:
+def cmd_radii(cfg: dict) -> dict:
     betas = _beta_grid(cfg)
     legal = "a list of [dimension >= 1, coupling > 0]"
     pairs = []
@@ -142,23 +144,25 @@ def cmd_radii(cfg: dict, out: Path) -> None:
         if d < 1 or coupling <= 0:
             raise ConfigError(f"key 'pairs' must be {legal}, got {pair!r}")
         pairs.append((d, coupling))
-    for d, coupling in pairs:
-        reports = radii.sweep_radii(d, PotentialSpec("standard", coupling), betas)
-        rows = [radii.CSV_HEADER] + [r.csv_row() for r in reports]
-        write_csv(out / f"radii_d{d}_J{coupling:g}.csv", rows)
+    return {f"radii_d{d}_J{coupling:g}.csv": [
+        ("beta", "R_C", "R_C_bar", "M_IS", "M_LG", "R_V", "a_star_RC", "a_star_RCbar"),
+        *((r.beta, r.r_c, r.r_c_bar, r.m_is, r.m_lg, r.r_v, r.a_star_rc, r.a_star_rcbar)
+          for r in radii.sweep_radii(d, PotentialSpec("standard", coupling), betas))]
+        for d, coupling in pairs}
 
 
-def cmd_oracle(cfg: dict, out: Path) -> None:
+def cmd_oracle(cfg: dict) -> dict:
     lattice, pot, beta = _parse_model(cfg)
     mu = _need(cfg, "mu", float, "a finite real") if "mu" in cfg else None
     table = canonical_table(lattice, pot, beta, cfg.get("method", "auto"))
-    write_csv(out / "canonical_table.csv", table.csv_rows())
+    files = {"canonical_table.csv": [("N", "logZ"), *enumerate(table.log_z.tolist())]}
     if mu is not None:
-        gc = grand_canonical_eval(table, mu)
-        write_csv(out / "probabilities.csv", gc.csv_rows())
+        probs = grand_canonical_eval(table, mu).probs
+        files["probabilities.csv"] = [("N", "prob"), *enumerate(probs.tolist())]
+    return files
 
 
-def cmd_series(cfg: dict, out: Path) -> None:
+def cmd_series(cfg: dict) -> dict:
     lattice, pot, beta = _parse_model(cfg)
     order = _order(cfg, lattice)
     particles = _check(cfg.get("particles", order + 1), "particles", int,
@@ -174,12 +178,11 @@ def cmd_series(cfg: dict, out: Path) -> None:
         beta_n = (series.irreducible_coefficient(n, lattice.dimension, pot, beta)
                   if n <= series.MAX_BETA_IRR_ORDER else math.nan)
         f_val = series.f_coefficient(particles, lattice.n_sites, n, coeffs.value(n))
-        rows.append((str(n), format(b_n, ".17g"), format(beta_n, ".17g"),
-                     format(coeffs.value(n), ".17g"), format(f_val, ".17g")))
-    write_csv(out / "series.csv", rows)
+        rows.append((n, b_n, beta_n, coeffs.value(n), f_val))
+    return {"series.csv": rows}
 
 
-def cmd_correlate(cfg: dict, out: Path) -> None:
+def cmd_correlate(cfg: dict) -> dict:
     lattice, pot, beta = _parse_model(cfg)
     particles = _need(cfg, "particles", int, "an integer in [2, |Lambda|]")
     if ("c_const" in cfg) != ("c1_const" in cfg):
@@ -192,7 +195,10 @@ def cmd_correlate(cfg: dict, out: Path) -> None:
         cal = correlations.calibrate_constants([table])
         c_val, c1_val = cal.c_min, cal.c1_min
     report = correlations.pair_rows(table, c_val, c1_val)
-    write_csv(out / "correlation_bound.csv", report.csv_rows())
+    return {"correlation_bound.csv": [
+        ("q1", "q2", "dist", "u2_exact", "rhs", "feasible"),
+        *(("/".join(map(str, r.q1)), "/".join(map(str, r.q2)), r.dist, r.u2_exact, r.rhs,
+           r.feasible) for r in report.rows)]}
 
 
 def _reals(cfg: dict, key: str, default: list) -> list[float]:
@@ -204,7 +210,7 @@ def _reals(cfg: dict, key: str, default: list) -> list[float]:
     return [_check(v, key, float, "a non-empty list of finite reals") for v in values]
 
 
-def cmd_deviate(cfg: dict, out: Path) -> None:
+def cmd_deviate(cfg: dict) -> dict:
     lattice, pot, beta = _parse_model(cfg)
     order = _order(cfg, lattice)
     alphas = _reals(cfg, "alphas", [0.5, 1.0])
@@ -221,15 +227,18 @@ def cmd_deviate(cfg: dict, out: Path) -> None:
         if not math.isfinite(mu0):
             raise ConfigError("key 'mu0' required when beta = 0 (threshold sentinel)")
     fe = series.free_energy_from_extraction(series.extract_b_lambda(table, order))
-    rows = [deviations.CSV_HEADER]
+    rows = [("L", "mu0", "alpha", "u", "N_bar", "N_star", "N_tilde", "mu_tilde", "I_GC", "D",
+             "D_alpha", "D_alpha_plus", "m_alpha", "E", "p_exact", "p_formula", "gap")]
     for alpha in alphas:
         for u in us:
-            rep = deviations.formula_probability(table, mu0, alpha, u, fe)
-            rows.append(rep.csv_row())
-    write_csv(out / "deviations.csv", rows)
+            r = deviations.formula_probability(table, mu0, alpha, u, fe)
+            rows.append((r.volume, r.mu0, r.alpha, r.u, r.n_bar, r.n_star, r.n_tilde,
+                         r.mu_tilde, r.rate, r.d_plain, r.d_alpha, r.d_alpha_plus,
+                         r.m_alpha, r.error_term, r.p_exact, r.p_formula, r.gap))
+    return {"deviations.csv": rows}
 
 
-def cmd_accept(cfg: dict, out: Path) -> int:
+def cmd_accept(cfg: dict) -> tuple[dict, int]:
     results = acceptance.run_all()
     # timings go to stdout only, keeping the CSV byte-identical across runs
     rows = [("index", "criterion", "passed", "detail")]
@@ -237,11 +246,10 @@ def cmd_accept(cfg: dict, out: Path) -> int:
         status = "PASS" if r.passed else "FAIL"
         print(f"[{status}] {r.index:2d}. {r.name} ({r.seconds:.1f}s)")
         print(f"        {r.detail}")
-        rows.append((str(r.index), r.name, status, r.detail))
-    write_csv(out / "acceptance.csv", rows)
+        rows.append((r.index, r.name, status, r.detail))
     n_fail = sum(1 for r in results if not r.passed)
     print(f"{len(results) - n_fail}/{len(results)} criteria passed")
-    return 0 if n_fail == 0 else 4
+    return {"acceptance.csv": rows}, 0 if n_fail == 0 else 4
 
 
 COMMANDS = {
@@ -268,13 +276,12 @@ def main(argv=None) -> int:
 
     try:
         cfg = _load_config(args.config)
-        out = Path(args.out)
         if args.threads < 1:
             raise ConfigError("--threads must be >= 1")
-        if args.command == "accept":
-            return cmd_accept(cfg, out)
-        COMMANDS[args.command](cfg, out)
-        return 0
+        if args.command == "accept":  # a failed criterion is a result: exit 4 writes its table
+            files, code = cmd_accept(cfg)
+        else:
+            files, code = COMMANDS[args.command](cfg), 0
     except GuardError as e:
         print(f"guard violation: {e}", file=sys.stderr)
         return 3
@@ -284,6 +291,9 @@ def main(argv=None) -> int:
     except ArithmeticError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 5
+    for name, rows in files.items():
+        write_csv(Path(args.out) / name, rows)
+    return code
 
 
 if __name__ == "__main__":

@@ -68,14 +68,6 @@ class CorrelationBoundReport:
     def all_feasible(self) -> bool:
         return all(r.feasible for r in self.rows)
 
-    def csv_rows(self) -> list[tuple[str, ...]]:
-        out = [("q1", "q2", "dist", "u2_exact", "rhs", "feasible")]
-        for r in self.rows:
-            out.append(("/".join(map(str, r.q1)), "/".join(map(str, r.q2)),
-                        format(r.dist, ".17g"), format(r.u2_exact, ".17g"),
-                        format(r.rhs, ".17g"), "1" if r.feasible else "0"))
-        return out
-
 
 def _pairs(table: CorrelationTable):
     """(q1, q2, minimum-image distance, exact |u2|) for every ordered site pair."""

@@ -1,17 +1,23 @@
-"""Deterministic CSV emission shared by the CLI commands.
-
-Comma-delimited with a header row.  Every cell arrives as a string, its
-numbers rendered by the caller with 17 significant digits, so repeated
-runs are byte-identical and round-trip exactly.
+"""Deterministic CSV, the one place a number becomes text: a ``str`` cell is
+written as it is, an integer (a bool too) as its digits, any other number
+with 17 significant digits, so repeated runs are byte-identical and floats
+round-trip exactly.  ``cli.main`` is the only caller.
 """
 
 from __future__ import annotations
 
+import numbers
 from pathlib import Path
+
+
+def _cell(v) -> str:
+    if isinstance(v, numbers.Integral):
+        return str(int(v))
+    return v if isinstance(v, str) else format(v, ".17g")
 
 
 def write_csv(path: str | Path, rows) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(row) for row in rows]
+    lines = [",".join(map(_cell, row)) for row in rows]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -208,19 +208,6 @@ class DeviationReport:
     def relative_gap(self) -> float:
         return self.gap / self.p_exact if self.p_exact > 0 else math.inf
 
-    def csv_row(self) -> tuple[str, ...]:
-        vals = (self.volume, self.mu0, self.alpha, self.u, self.n_bar,
-                self.n_star, self.n_tilde, self.mu_tilde, self.rate,
-                self.d_plain, self.d_alpha, self.d_alpha_plus, self.m_alpha,
-                self.error_term, self.p_exact, self.p_formula, self.gap)
-        return tuple(format(float(v), ".17g") if not isinstance(v, int)
-                     else str(v) for v in vals)
-
-
-CSV_HEADER = ("L", "mu0", "alpha", "u", "N_bar", "N_star", "N_tilde",
-              "mu_tilde", "I_GC", "D", "D_alpha", "D_alpha_plus", "m_alpha",
-              "E", "p_exact", "p_formula", "gap")
-
 
 def formula_probability(table: CanonicalTable, mu0: float, alpha, u: float,
                         fe: CanonicalFreeEnergy) -> DeviationReport:

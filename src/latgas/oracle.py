@@ -86,12 +86,6 @@ class CanonicalTable:
             return LOG_ZERO
         return float(self.log_z[n])
 
-    def csv_rows(self) -> list[tuple[str, ...]]:
-        rows = [("N", "logZ")]
-        for n, v in enumerate(self.log_z):
-            rows.append((str(n), format(float(v), ".17g")))
-        return rows
-
 
 @dataclass(frozen=True)
 class GrandCanonicalEval:
@@ -119,12 +113,6 @@ class GrandCanonicalEval:
         ns = np.arange(len(self.probs))
         m = self.mean_particles()
         return float(np.dot((ns - m) ** 2, self.probs))
-
-    def csv_rows(self) -> list[tuple[str, ...]]:
-        rows = [("N", "prob")]
-        for n, p in enumerate(self.probs):
-            rows.append((str(n), format(float(p), ".17g")))
-        return rows
 
 
 def _interaction_pairs(lattice: LatticeSpec, radius: int) -> list[tuple[int, int]]:

@@ -122,15 +122,6 @@ class RadiusReport:
     m_lg: float
     r_v: float
 
-    def csv_row(self) -> tuple[str, ...]:
-        vals = (self.beta, self.r_c, self.r_c_bar, self.m_is, self.m_lg,
-                self.r_v, self.a_star_rc, self.a_star_rcbar)
-        return tuple(format(v, ".17g") for v in vals)
-
-
-CSV_HEADER = ("beta", "R_C", "R_C_bar", "M_IS", "M_LG", "R_V",
-              "a_star_RC", "a_star_RCbar")
-
 
 def radius_report(d: int, pot: PotentialSpec, beta: float) -> RadiusReport:
     r_c, a_rc = radius_canonical(d, pot, beta)

@@ -11,8 +11,8 @@ import pytest
 import latgas
 from latgas import acceptance, cli
 from latgas.cli import main
-from latgas.model import PotentialSpec
-from latgas.oracle import transfer_matrix_table
+from latgas.model import LatticeSpec, PotentialSpec
+from latgas.oracle import exact_canonical_table, grand_canonical_eval, transfer_matrix_table
 from latgas.series import beta1_closed_form, extract_b_lambda
 
 
@@ -28,11 +28,13 @@ def test_oracle_command_matches_example(tmp_path):
     rc = main(["oracle", "--config", cfg, "--out", str(tmp_path)])
     assert rc == 0
     lines = (tmp_path / "canonical_table.csv").read_text().splitlines()
-    assert lines[0] == "N,logZ"
-    assert len(lines) == 4
-    assert float(lines[3].split(",")[1]) == 1.2
+    # exact bytes: 17 significant digits, integers as their digits
+    assert lines == ["N,logZ", "0,0", "1,0.69314718055994529", "2,1.2"]
     probs = (tmp_path / "probabilities.csv").read_text().splitlines()
     assert probs[0] == "N,prob"
+    gc = grand_canonical_eval(exact_canonical_table(LatticeSpec(1, 2, "zero"), PotentialSpec(),
+                                                    0.3), -1.0)
+    assert [float(line.split(",")[1]) for line in probs[1:]] == gc.probs.tolist()
 
 
 def test_repeated_runs_are_byte_identical(tmp_path):
@@ -65,9 +67,13 @@ def test_guard_violation_exit_code(tmp_path):
                                             ("correlate", {"beta": 1e300, "particles": 6})])
 def test_float_range_exits_as_a_guard(tmp_path, command, extra):
     # unguarded, oracle writes nan into probabilities.csv with exit 0, and
-    # correlate exits 5 on an OverflowError from the correlation bound
+    # correlate exits 5 on an OverflowError from the correlation bound; and
+    # with its write before the guard, oracle leaves canonical_table.csv
     cfg = write_cfg(tmp_path, {"dimension": 1, "side": 12, "boundary": "periodic", **extra})
-    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 3
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main([command, "--config", cfg, "--out", str(out)]) == 3
+    assert not any(out.iterdir())
 
 
 def test_series_command_schema(tmp_path):
@@ -85,6 +91,7 @@ def test_correlate_command(tmp_path):
     assert main(["correlate", "--config", cfg, "--out", str(tmp_path)]) == 0
     lines = (tmp_path / "correlation_bound.csv").read_text().splitlines()
     assert lines[0] == "q1,q2,dist,u2_exact,rhs,feasible"
+    assert len(lines) == 1 + 100  # every ordered pair of the 10 sites
     assert all(line.endswith(",1") for line in lines[1:])
 
 
@@ -221,6 +228,7 @@ def test_radii_command_figure_files(tmp_path):
         lines = (tmp_path / name).read_text().splitlines()
         assert lines[0] == "beta,R_C,R_C_bar,M_IS,M_LG,R_V,a_star_RC,a_star_RCbar"
         assert len(lines) == 6
+        assert all(len(line.split(",")) == 8 for line in lines)
     # --threads is accepted and has no effect
     single = tmp_path / "single"
     assert main(["radii", "--config", cfg, "--out", str(single)]) == 0
@@ -277,7 +285,7 @@ def test_series_uses_transfer_matrix_past_enumeration_guard(tmp_path):
 
 
 def test_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
-    def overflow(cfg, out):
+    def overflow(cfg):
         raise OverflowError("math range error")
     monkeypatch.setitem(cli.COMMANDS, "oracle", overflow)
     assert main(["oracle", "--out", str(tmp_path)]) == 5

@@ -92,11 +92,3 @@ def test_decay_length_grows_with_beta():
     rates = [decay_fit(LatticeSpec(1, 14, "periodic"), POT, b, 5).rate
              for b in (0.1, 0.2, 0.4)]
     assert rates[0] > rates[1] > rates[2] > 0
-
-
-def test_csv_rows_schema():
-    table = exact_correlations(LatticeSpec(1, 10, "periodic"), POT, 0.1, 2)
-    rep = pair_rows(table, 0.5, 0.5)
-    rows = rep.csv_rows()
-    assert rows[0] == ("q1", "q2", "dist", "u2_exact", "rhs", "feasible")
-    assert len(rows) == 1 + 100

@@ -193,17 +193,6 @@ def test_grand_canonical_ising_gas_identity():
         assert log_ising == pytest.approx(expected, abs=1e-10)
 
 
-def test_table_csv_rows():
-    t = exact_canonical_table(LatticeSpec(1, 2, "zero"), POT, 0.3)
-    rows = t.csv_rows()
-    assert rows[0] == ("N", "logZ")
-    assert len(rows) == 4
-    g = grand_canonical_eval(t, -1.0)
-    prows = g.csv_rows()
-    assert prows[0] == ("N", "prob")
-    assert float(prows[1][1]) == pytest.approx(g.probs[0])
-
-
 def test_fixed_boundary_table_via_boundary_weights():
     # Z^gamma(N) = sum over N-subsets of exp(-beta H^0) prod_i nu(x_i|gamma)
     import itertools

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: ``radii``, ``series``, ``oracle``, ``correlate``, ``deviate``,
-``accept``.  Configuration is a JSON file passed with ``--config``.  Each
+``accept``.  Configuration is a JSON file passed with ``--config``; a
+top-level key the command does not name is a configuration error.  Each
 command returns {file name: rows}, numbers left as numbers; ``main``
 writes them under ``--out`` once the command has returned, so a run that
 exits 2, 3 or 5 writes no file.  Exit codes: 0 success, 2 configuration
@@ -55,6 +56,18 @@ def _check(v, key: str, kind, legal: str):
     if type(v) is not kind or (kind is float and not math.isfinite(v)):
         raise ConfigError(f"key '{key}' must be {legal}, got {v!r}")
     return v
+
+
+MODEL_KEYS = ("dimension", "side", "boundary", "beta", "coupling", "potential")
+
+
+def _only(cfg: dict, *keys: str) -> None:
+    """Reject a top-level key the command does not name: a misspelt key
+    would otherwise leave its default in force unnoticed."""
+    unknown = sorted(cfg.keys() - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown key '{unknown[0]}'; this command takes "
+                          f"{', '.join(keys) or 'no keys'}")
 
 
 def _need(cfg: dict, key: str, kind, legal: str):
@@ -144,6 +157,7 @@ def cmd_radii(cfg: dict) -> dict:
         if d < 1 or coupling <= 0:
             raise ConfigError(f"key 'pairs' must be {legal}, got {pair!r}")
         pairs.append((d, coupling))
+    _only(cfg, "beta_grid", "pairs")
     return {f"radii_d{d}_J{coupling:g}.csv": [
         ("beta", "R_C", "R_C_bar", "M_IS", "M_LG", "R_V", "a_star_RC", "a_star_RCbar"),
         *((r.beta, r.r_c, r.r_c_bar, r.m_is, r.m_lg, r.r_v, r.a_star_rc, r.a_star_rcbar)
@@ -154,7 +168,8 @@ def cmd_radii(cfg: dict) -> dict:
 def cmd_oracle(cfg: dict) -> dict:
     lattice, pot, beta = _parse_model(cfg)
     mu = _need(cfg, "mu", float, "a finite real") if "mu" in cfg else None
-    table = canonical_table(lattice, pot, beta, cfg.get("method", "auto"))
+    _only(cfg, *MODEL_KEYS, "mu")
+    table = canonical_table(lattice, pot, beta)
     files = {"canonical_table.csv": [("N", "logZ"), *enumerate(table.log_z.tolist())]}
     if mu is not None:
         probs = grand_canonical_eval(table, mu).probs
@@ -169,6 +184,7 @@ def cmd_series(cfg: dict) -> dict:
                        "an integer in [1, |Lambda|]")
     if not 1 <= particles <= lattice.n_sites:
         raise ConfigError("key 'particles' must satisfy 1 <= particles <= |Lambda|")
+    _only(cfg, *MODEL_KEYS, "order", "particles")
     table = canonical_table(lattice, pot, beta)
     coeffs = series.extract_b_lambda(table, order)
     rows = [("n", "b_n", "beta_n", "B_Lambda_n", "F_coeff")]
@@ -187,10 +203,12 @@ def cmd_correlate(cfg: dict) -> dict:
     particles = _need(cfg, "particles", int, "an integer in [2, |Lambda|]")
     if ("c_const" in cfg) != ("c1_const" in cfg):
         raise ConfigError("keys 'c_const' and 'c1_const' go together: give both or neither")
+    given = [_need(cfg, key, float, "a finite real")
+             for key in ("c_const", "c1_const") if key in cfg]
+    _only(cfg, *MODEL_KEYS, "particles", "c_const", "c1_const")
     table = exact_correlations(lattice, pot, beta, particles)
-    if "c_const" in cfg:
-        c_val, c1_val = (_need(cfg, key, float, "a finite real")
-                         for key in ("c_const", "c1_const"))
+    if given:
+        c_val, c1_val = given
     else:
         cal = correlations.calibrate_constants([table])
         c_val, c1_val = cal.c_min, cal.c1_min
@@ -219,13 +237,14 @@ def cmd_deviate(cfg: dict) -> dict:
     # at the default mu0, u = 0.5 already puts the alpha = 1 target past
     # deviations.DENSITY_HARD_CAP on chains of 64 to 1024 sites
     us = _reals(cfg, "us", [0.0, 0.05])
-    table = canonical_table(lattice, pot, beta)
     if "mu0" in cfg:
         mu0 = _need(cfg, "mu0", float, "a finite real")
     else:
         mu0 = radii.lattice_gas_threshold(lattice.dimension, pot, beta) - 1.0
         if not math.isfinite(mu0):
             raise ConfigError("key 'mu0' required when beta = 0 (threshold sentinel)")
+    _only(cfg, *MODEL_KEYS, "order", "alphas", "us", "mu0")
+    table = canonical_table(lattice, pot, beta)
     fe = series.free_energy_from_extraction(series.extract_b_lambda(table, order))
     rows = [("L", "mu0", "alpha", "u", "N_bar", "N_star", "N_tilde", "mu_tilde", "I_GC", "D",
              "D_alpha", "D_alpha_plus", "m_alpha", "E", "p_exact", "p_formula", "gap")]
@@ -239,6 +258,7 @@ def cmd_deviate(cfg: dict) -> dict:
 
 
 def cmd_accept(cfg: dict) -> tuple[dict, int]:
+    _only(cfg)
     results = acceptance.run_all()
     # timings go to stdout only, keeping the CSV byte-identical across runs
     rows = [("index", "criterion", "passed", "detail")]

@@ -60,7 +60,8 @@ def find_n_star(table: CanonicalTable, mu0: float) -> int:
 
 def tilted_potential(table: CanonicalTable, n_tilde: float) -> float:
     """mu with E_mu[N] = n_tilde, by bisection on the strictly increasing map
-    down to a bracket of width 1e-12.
+    down to a bracket of width 1e-12, or of adjacent floats where they lie
+    further apart.
 
     Boundary targets (n_tilde <= 0 or >= |Lambda|) have no finite solution
     and return signed infinity sentinels.  At beta = 0 the mean does not
@@ -88,6 +89,8 @@ def tilted_potential(table: CanonicalTable, n_tilde: float) -> float:
         span *= 2.0
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # adjacent floats, 1e-12 apart or more past |mu| = 2^13
+            break
         if mean(mid) < n_tilde:
             lo = mid
         else:

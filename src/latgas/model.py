@@ -81,13 +81,17 @@ class PotentialSpec:
         return 0.0
 
     def mayer_f(self, diff: Site, beta: float) -> float:
-        """Mayer function f(x) = exp(-beta*V(x)) - 1, with f(0) = -1."""
+        """Mayer function f(x) = exp(-beta*V(x)) - 1, with f(0) = -1;
+        ``GuardError`` once f leaves the float range."""
         e = self.pair_energy(diff)
         if math.isinf(e):
             return -1.0
         if e == 0.0:
             return 0.0
-        return math.expm1(-beta * e)
+        try:
+            return math.expm1(-beta * e)
+        except OverflowError:
+            raise GuardError(f"Mayer f = e^{-beta * e:g} - 1 exceeds the float range") from None
 
 
 @dataclass(frozen=True)

@@ -510,16 +510,10 @@ def transfer_matrix_table(side: int, pot: PotentialSpec, beta: float,
                           beta=beta, pot=pot, log_z=log_z, method="transfer-matrix")
 
 
-def canonical_table(lattice: LatticeSpec, pot: PotentialSpec, beta: float,
-                    method: str = "auto") -> CanonicalTable:
-    """The exact oracle table.  ``auto`` picks the transfer matrix for d = 1
-    boxes past the enumeration guard, enumeration otherwise."""
-    if method not in ("auto", "enumeration", "transfer-matrix"):
-        raise ValueError("method must be auto | enumeration | transfer-matrix")
-    if method == "transfer-matrix" or (method == "auto" and lattice.dimension == 1
-                                       and lattice.n_sites > ENUMERATION_MAX_SITES):
-        if lattice.dimension != 1:
-            raise GuardError("transfer matrix supports d = 1")
+def canonical_table(lattice: LatticeSpec, pot: PotentialSpec, beta: float) -> CanonicalTable:
+    """The exact oracle table: the transfer matrix for d = 1 boxes past the
+    enumeration guard, enumeration otherwise."""
+    if lattice.dimension == 1 and lattice.n_sites > ENUMERATION_MAX_SITES:
         return transfer_matrix_table(lattice.side, pot, beta, lattice.boundary)
     return exact_canonical_table(lattice, pot, beta)
 

@@ -53,6 +53,10 @@ MAX_B_ORDER = 5
 MAX_BETA_IRR_ORDER = 4
 MAX_TREE_CHECK_ORDER = 5
 MAX_DERIVATIVE_ORDER = 6
+# pinned configurations a lattice sum may grow: d = 3 at n = 5 has 87,061;
+# the Kac range 2 in d = 2 has 522,721 at n = 5 (5 s, 210 MB to grow), and
+# range 3 there exhausts the memory
+MAX_CLUSTER_CONFIGS = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +81,7 @@ def _connected_configs(n_points: int, d: int, radius: int) -> np.ndarray:
     coincides with or is in range of a point already present.  This
     reaches every connected tuple: a connected graph on >= 2 vertices has
     a non-cut vertex other than x_1, and deleting it leaves a smaller
-    connected tuple.
+    connected tuple.  ``GuardError`` past ``MAX_CLUSTER_CONFIGS`` tuples.
     """
     box = range(-radius, radius + 1)
     offsets = [v for v in itertools.product(box, repeat=d)
@@ -90,6 +94,10 @@ def _connected_configs(n_points: int, d: int, radius: int) -> np.ndarray:
             for site in sites:
                 for j in range(1, size + 1):
                     grown.add(cfg[:j] + (site,) + cfg[j:])
+            if len(grown) > MAX_CLUSTER_CONFIGS:
+                raise GuardError(f"cluster sums guarded to {MAX_CLUSTER_CONFIGS:,} pinned "
+                                 f"configurations: n = {n_points}, d = {d}, range {radius} "
+                                 "has more")
         level = grown
     return np.array(list(level), dtype=np.int64).reshape(len(level), n_points, d)
 
@@ -141,7 +149,8 @@ def _horner(polys: np.ndarray, x: float) -> np.ndarray:
 def _lattice_sum(kind: str, n_points: int, d: int, pot: PotentialSpec,
                  beta: float, scale: int) -> float:
     """(1/scale) sum over pinned configurations and graphs of class ``kind``
-    of prod f: exact in rationals at the float f, rounded once."""
+    of prod f: exact in rationals at the float f, rounded once.  Raises
+    ``GuardError`` once f or the sum leaves the float range."""
     mult, polys = _graph_polys(kind, n_points, d, pot.support_radius)
     coeffs = (mult @ polys).tolist()
     try:
@@ -150,8 +159,9 @@ def _lattice_sum(kind: str, n_points: int, d: int, pot: PotentialSpec,
         for c in reversed(coeffs):
             total = total * f + c
         return float(total / scale)
-    except OverflowError:  # f > 0 or the sum (degree >= 1 in f) is past the float range
-        return math.copysign(math.inf, next(c for c in reversed(coeffs) if c))
+    except OverflowError:
+        raise GuardError(f"{kind} graph sum over {n_points} points past the float range "
+                         f"at beta = {beta:g}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -177,16 +187,18 @@ def beta1_closed_form(d: int, pot: PotentialSpec, beta: float) -> float:
     """beta_1 = 2d(e^{-beta*v1} - 1) - 1 with v1 the bond energy.
 
     For the Kac kernel the 2d neighbour count becomes the in-range count;
-    exact in d = 1 (2dR sites within range R).  +inf once e^{-beta*v1}
-    leaves the float range, like ``irreducible_coefficient(1, ...)``.
+    exact in d = 1 (2dR sites within range R).  Raises ``GuardError`` once
+    beta_1 leaves the float range, like ``irreducible_coefficient(1, ...)``.
     """
-    try:
-        f1 = math.expm1(-beta * pot.bond_energy)
-    except OverflowError:
-        f1 = math.inf
     if pot.kind == "kac" and d != 1:
         raise ValueError("Kac closed form implemented for d = 1 only")
-    return 2 * d * pot.support_radius * f1 - 1.0
+    try:
+        beta1 = 2 * d * pot.support_radius * math.expm1(-beta * pot.bond_energy) - 1.0
+    except OverflowError:
+        beta1 = math.inf
+    if beta1 == math.inf:
+        raise GuardError(f"beta_1 past the float range at beta = {beta:g}")
+    return beta1
 
 
 # ---------------------------------------------------------------------------

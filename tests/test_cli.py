@@ -4,12 +4,15 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import latgas
-from latgas import acceptance, cli
+from latgas import acceptance, cli, series
 from latgas.cli import main
 from latgas.model import LatticeSpec, PotentialSpec
 from latgas.oracle import exact_canonical_table, grand_canonical_eval, transfer_matrix_table
@@ -58,8 +61,7 @@ def test_config_error_exit_code(tmp_path):
 
 
 def test_guard_violation_exit_code(tmp_path):
-    cfg = write_cfg(tmp_path, {"dimension": 2, "side": 6, "beta": 0.1,
-                               "method": "enumeration"})
+    cfg = write_cfg(tmp_path, {"dimension": 2, "side": 6, "beta": 0.1})
     assert main(["oracle", "--config", cfg, "--out", str(tmp_path)]) == 3
 
 
@@ -301,11 +303,118 @@ def test_cold_torus_correlate_exits_zero(tmp_path):
         assert all(math.isfinite(float(r["u2_exact"])) for r in csv.DictReader(fh))
 
 
-def test_series_past_float_range_exits_zero(tmp_path):
-    # beta = 200: the Mayer weight f = e^800 is past the float range, and the
-    # coefficients round to infinity
-    cfg = write_cfg(tmp_path, {"dimension": 2, "side": 3, "boundary": "periodic",
-                               "beta": 200.0, "order": 4})
-    assert main(["series", "--config", cfg, "--out", str(tmp_path)]) == 0
-    with open(tmp_path / "series.csv", newline="") as fh:
-        assert next(csv.DictReader(fh))["beta_n"] == "inf"
+@pytest.mark.parametrize("config", [
+    {"dimension": 1, "side": 12, "beta": 1000.0},
+    {"dimension": 2, "side": 3, "beta": 200.0, "order": 4}])
+def test_series_past_float_range_exits_as_a_guard(tmp_path, capsys, config):
+    # the Mayer weight f = e^{4 beta} is past the float range; unguarded, the
+    # coefficients rounded to +-inf and series.csv held inf and -inf with exit 0
+    cfg = write_cfg(tmp_path, {"boundary": "periodic", **config})
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["series", "--config", cfg, "--out", str(out)]) == 3
+    assert "float range" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+_MODEL = {"dimension": 1, "side": 8, "beta": 0.2}
+
+
+@pytest.mark.parametrize("command, key, cfg", [
+    ("oracle", "partcles", {**_MODEL, "partcles": 3}),
+    ("oracle", "method", {**_MODEL, "method": "enumeration"}),
+    ("series", "mu", {**_MODEL, "mu": -1.0}),
+    ("correlate", "order", {**_MODEL, "particles": 2, "order": 3}),
+    ("deviate", "alpha", {**_MODEL, "alpha": [0.5]}),
+    ("radii", "side", {"side": 8}),
+    ("accept", "beta", {"beta": 0.2})])
+def test_unknown_config_keys_are_config_errors(tmp_path, capsys, command, key, cfg):
+    # unguarded, a misspelt or misplaced key was ignored and its default ran
+    assert main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)]) == 2
+    assert f"unknown key '{key}'" in capsys.readouterr().err
+    assert not any(tmp_path.glob("*.csv"))
+
+
+def _documented_sentinel(name: str, row: dict, column: str, value: float) -> bool:
+    """The non-finite cells README documents: radii M_IS and M_LG are -inf at
+    beta = 0 and below beta ~ 1e-307, where -1/beta leaves the float range;
+    deviate's E is nan at alpha = 1; and series b_n and beta_n are nan past
+    the orders their cluster sums are guarded to."""
+    if name.startswith("radii_") and column in ("M_IS", "M_LG"):
+        return value == -math.inf and float(row["beta"]) < 1e-300
+    if name == "deviations.csv" and column == "E":
+        return math.isnan(value) and float(row["alpha"]) == 1.0
+    if name == "series.csv" and column in ("b_n", "beta_n"):
+        cap = series.MAX_B_ORDER if column == "b_n" else series.MAX_BETA_IRR_ORDER
+        return math.isnan(value) and int(row["n"]) > cap
+    return False
+
+
+_BETAS = st.sampled_from([0.0, 5e-324, 0.3, 25.0, 177.0, 200.0, 1e300]) | st.floats(0.0, 1e300)
+_REALS = st.sampled_from([0.0, -1e308, 1e308]) | st.floats(-1e308, 1e308)
+
+
+@st.composite
+def _cli_runs(draw):
+    """A command and a config over the guarded space: beta in [0, 1e300],
+    mu and mu0 up to +-1e308, both potentials, every wall, small boxes."""
+    command = draw(st.sampled_from(["radii", "oracle", "series", "correlate", "deviate"]))
+    if command == "radii":
+        grid = {"start": draw(_BETAS), "stop": draw(_BETAS), "count": draw(st.integers(1, 3))}
+        return command, {"beta_grid": grid, "pairs": [[draw(st.integers(1, 3)),
+                                                        draw(st.sampled_from([0.5, 1.0, 2.0]))]]}
+    d = draw(st.integers(1, 2))
+    side = draw(st.integers(2, 12) if d == 1 else st.integers(2, 3))
+    n_sites = side ** d
+    wall = "fixed:[[-1]]" if d == 1 else "fixed:[[-1,0]]"
+    cfg = {"dimension": d, "side": side, "beta": draw(_BETAS),
+           "boundary": draw(st.sampled_from(["zero", "periodic", "fixed:[]", wall]))}
+    if draw(st.booleans()):
+        cfg["potential"] = {"kind": "kac", "range": draw(st.integers(1, 3))}
+    elif draw(st.booleans()):
+        cfg["coupling"] = draw(st.sampled_from([0.5, 2.0]))
+    if command == "oracle" and draw(st.booleans()):
+        cfg["mu"] = draw(_REALS)
+    if command in ("series", "deviate"):
+        cfg["order"] = draw(st.integers(1, min(6, n_sites - 1) if n_sites > 2 else 1))
+    if command == "series":
+        cfg["particles"] = draw(st.integers(1, n_sites))
+    if command == "correlate":
+        cfg["particles"] = draw(st.integers(2, n_sites))
+    if command == "deviate":
+        cfg.update(alphas=[draw(st.sampled_from([0.5, 0.75, 1.0]))],
+                   us=[draw(st.sampled_from([0.0, 0.05]))])
+        if cfg["beta"] == 0.0 or draw(st.booleans()):
+            cfg["mu0"] = draw(_REALS)
+    return command, cfg
+
+
+@settings(max_examples=100, deadline=None)
+@given(run=_cli_runs())
+def test_cli_contract_over_the_guarded_space(run):
+    # a command succeeds with finite cells, or fails with a typed exit code
+    # and writes nothing; unguarded, a failed oracle left canonical_table.csv
+    # and series wrote inf past the float range with exit 0
+    command, cfg = run
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        out = tmp / "out"
+        out.mkdir()
+        rc = main([command, "--config", write_cfg(tmp, cfg), "--out", str(out)])
+        assert rc in (0, 2, 3, 5)
+        written = sorted(out.iterdir())
+        if rc:
+            assert not written
+            return
+        assert written
+        for path in written:
+            with open(path, newline="") as fh:
+                for row in csv.DictReader(fh):
+                    for column, text in row.items():
+                        try:
+                            value = float(text)
+                        except ValueError:  # site labels such as "0/1"
+                            continue
+                        assert math.isfinite(value) or \
+                            _documented_sentinel(path.name, row, column, value), \
+                            (path.name, column, row)

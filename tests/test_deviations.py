@@ -130,6 +130,15 @@ def test_tilted_potential_monotone_and_sentinels():
     assert tilted_potential(t, 8.0) == math.inf
 
 
+def test_tilted_potential_stops_where_adjacent_floats_exceed_the_bracket():
+    # at beta = 1e-5 the tilt is near -8e4, where adjacent floats lie 1.5e-11
+    # apart: a 1e-12 bracket never closed, and the bisection ran forever
+    t = exact_canonical_table(LatticeSpec(1, 8, "periodic"), POT, 1e-5)
+    mu = tilted_potential(t, 2.5)
+    assert mu < -2.0 ** 13
+    assert grand_canonical_eval(t, mu).mean_particles() == pytest.approx(2.5, rel=1e-9)
+
+
 def test_tilted_measure_consistency():
     table, _fe = ladder_table(64)
     mu_t = tilted_potential(table, 20.0)

@@ -83,13 +83,8 @@ def test_canonical_table_dispatch():
     ring = functools.partial(LatticeSpec, 1, boundary="periodic")
     assert canonical_table(ring(40), POT, 0.2).method == "transfer-matrix"
     assert canonical_table(ring(24), POT, 0.2).method == "enumeration"
-    assert canonical_table(ring(10), POT, 0.2, "transfer-matrix").method == "transfer-matrix"
     with pytest.raises(GuardError, match="enumeration guarded"):
         canonical_table(LatticeSpec(2, 5, "periodic"), POT, 0.2)
-    with pytest.raises(GuardError, match="d = 1"):
-        canonical_table(TORUS3, POT, 0.2, "transfer-matrix")
-    with pytest.raises(ValueError, match="method must be"):
-        canonical_table(ring(10), POT, 0.2, "mc")
 
 
 def test_enumeration_guard():

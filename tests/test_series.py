@@ -92,16 +92,27 @@ def test_order_guards():
         irreducible_coefficient(5, 1, POT, BETA)
 
 
-def test_coefficients_past_float_range_round_to_infinity():
-    # beta = 60: f = e^240, and the exact sums lie beyond the largest float
-    assert connected_coefficient(5, 1, POT, 60.0) == math.inf
-    assert irreducible_coefficient(4, 1, POT, 60.0) == -math.inf
-    # beta = 200: f = e^800 itself is past the float range
-    assert connected_coefficient(2, 1, POT, 200.0) == math.inf
-    assert irreducible_coefficient(1, 2, POT, 200.0) == math.inf
-    assert irreducible_coefficient(2, 1, POT, 200.0) == -math.inf
-    assert beta1_closed_form(1, POT, 200.0) == math.inf
-    assert beta1_closed_form(1, PotentialSpec("kac", 1.0, 2), 200.0) == math.inf
+def test_coefficients_past_float_range_raise_guard_error():
+    # unguarded, the sums and beta_1 read +-inf and the Mayer f raised a bare
+    # OverflowError
+    cases = [
+        # beta = 60: f = e^240, and the exact sums lie beyond the largest float
+        (connected_coefficient, 5, 1, POT, 60.0), (irreducible_coefficient, 4, 1, POT, 60.0),
+        # beta = 200: f = e^800 itself is past the float range
+        (connected_coefficient, 2, 1, POT, 200.0), (irreducible_coefficient, 1, 2, POT, 200.0),
+        (irreducible_coefficient, 2, 1, POT, 200.0), (beta1_closed_form, 1, POT, 200.0),
+        (beta1_closed_form, 1, PotentialSpec("kac", 1.0, 2), 200.0),
+        (POT.mayer_f, (1,), 1000.0)]
+    for function, *args in cases:
+        with pytest.raises(GuardError, match="float range"):
+            function(*args)
+
+
+def test_cluster_sums_past_the_configuration_guard_raise_guard_error():
+    # the Kac range 3 in d = 2 has more than 100,000 pinned configurations at
+    # n = 4; unguarded, n = 5 grew them until the memory ran out
+    with pytest.raises(GuardError, match="pinned configurations"):
+        connected_coefficient(4, 2, PotentialSpec("kac", 1.0, 3), 0.3)
 
 
 def test_falling_p_examples():

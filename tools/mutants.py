@@ -25,10 +25,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 ORACLE, DEVIATIONS = "src/latgas/oracle.py", "src/latgas/deviations.py"
 GRAPHS, CORRELATIONS = "src/latgas/graphs.py", "src/latgas/correlations.py"
+SERIES, MODEL = "src/latgas/series.py", "src/latgas/model.py"
+CLI, CSVFMT = "src/latgas/cli.py", "src/latgas/csvfmt.py"
 T_ORACLE, T_DEVIATIONS = "tests/test_oracle.py::", "tests/test_deviations.py::"
+T_SERIES, T_CLI = "tests/test_series.py::", "tests/test_cli.py::"
 BRUTE = T_ORACLE + "test_correlations_equal_brute_force"
 FIND_N_STAR = (T_DEVIATIONS + "test_find_n_star_equals_the_loop_on_planted_steps",)
 GC_GUARD = T_DEVIATIONS + "test_grand_canonical_layer_raises_guard_error_past_the_float_range"
+SERIES_GUARD = T_SERIES + "test_coefficients_past_float_range_raise_guard_error"
 
 MUTANTS = [
     # the correlation oracle: u2 by cancellation, the diagonal rounded twice,
@@ -81,6 +85,31 @@ MUTANTS = [
      ("tests/test_correlations.py::test_bound_rhs_past_the_float_range_raises_guard_error",)),
     (ORACLE, "        lhs = rhs = math.inf\n", "        raise\n",
      (T_ORACLE + "test_ising_gas_consistency_past_the_float_range_raises_guard_error",)),
+    (SERIES, "    except OverflowError:\n        raise GuardError(f\"{kind} graph sum",
+     "    except OverflowError:\n        return math.inf\n        raise GuardError(f\"{kind} graph sum",
+     (SERIES_GUARD, T_CLI + "test_series_past_float_range_exits_as_a_guard[config1]")),
+    (SERIES, "    if beta1 == math.inf:\n", "    if False:\n", (SERIES_GUARD,)),
+    (MODEL, "            raise GuardError(f\"Mayer f", "            return math.inf\n            raise GuardError(f\"Mayer f",
+     (SERIES_GUARD,)),
+    (SERIES, "            if len(grown) > MAX_CLUSTER_CONFIGS:\n", "            if False:\n",
+     (T_SERIES + "test_cluster_sums_past_the_configuration_guard_raise_guard_error",)),
+    # the series layer: the range test made strict; the last term's division
+    (SERIES, "np.where(r2 <= radius ** 2, 1, 0)", "np.where(r2 < radius ** 2, 1, 0)",
+     (T_SERIES + "test_geometry_counts_are_pinned", T_SERIES + "test_b2_closed_form")),
+    (SERIES, "b[n_particles - 1] = acc / p  #", "b[n_particles - 1] = acc / (n_particles * p)  #",
+     (T_SERIES + "test_extracted_b1_closed_form", T_SERIES + "test_reconstruction_round_trip")),
+    # the CLI: 16 significant digits; a file written before the command runs;
+    # an unknown key let through
+    (CSVFMT, 'format(v, ".17g")', 'format(v, ".16g")',
+     (T_CLI + "test_oracle_command_matches_example",)),
+    (CLI, "        if args.command == \"accept\":",
+     "        write_csv(Path(args.out) / \"canonical_table.csv\", [(\"N\", \"logZ\")])\n"
+     "        if args.command == \"accept\":",
+     (T_CLI + "test_float_range_exits_as_a_guard[oracle-extra0]",
+      T_CLI + "test_series_past_float_range_exits_as_a_guard[config0]")),
+    (CLI, "    if unknown:\n", "    if False:\n",
+     (T_CLI + "test_unknown_config_keys_are_config_errors[oracle-partcles-cfg0]",
+      T_CLI + "test_unknown_config_keys_are_config_errors[accept-beta-cfg6]")),
 ]
 
 
@@ -122,7 +151,8 @@ def main() -> int:
             text = (ROOT / path).read_text(encoding="utf-8")
             removed, added = ([a.strip() for a in x.splitlines() if a not in y.splitlines()]
                               for x, y in ((snippet, replacement), (replacement, snippet)))
-            change = f"{removed[0]!r} -> " + (repr(added[0]) if added else "deleted")
+            change = (f"{removed[0]!r} -> " + (repr(added[0]) if added else "deleted")
+                      if removed else f"inserted {added[0]!r}")
             if text.count(snippet) != 1:
                 print(f"STALE     #{index} {path} {change}: the snippet occurs "
                       f"{text.count(snippet)} times")

@@ -1,19 +1,18 @@
 """Deterministic CSV, the one place a number becomes text: a ``str`` cell is
-written as it is, an integer (a bool too) as its digits, any other number
+written as it is, a Python int (a bool too) as its digits, any other number
 with 17 significant digits, so repeated runs are byte-identical and floats
 round-trip exactly.  ``cli.main`` is the only caller.
 """
 
 from __future__ import annotations
 
-import numbers
 from pathlib import Path
 
 
 def _cell(v) -> str:
-    if isinstance(v, numbers.Integral):
-        return str(int(v))
-    return v if isinstance(v, str) else format(v, ".17g")
+    if isinstance(v, str):
+        return v
+    return str(int(v)) if isinstance(v, int) else format(v, ".17g")
 
 
 def write_csv(path: str | Path, rows) -> None:

@@ -53,9 +53,9 @@ MAX_B_ORDER = 5
 MAX_BETA_IRR_ORDER = 4
 MAX_TREE_CHECK_ORDER = 5
 MAX_DERIVATIVE_ORDER = 6
-# pinned configurations a lattice sum may grow: d = 3 at n = 5 has 87,061;
-# the Kac range 2 in d = 2 has 522,721 at n = 5 (5 s, 210 MB to grow), and
-# range 3 there exhausts the memory
+# pinned configurations a lattice sum may grow.  Range 1 in d = 3 has 87,061
+# at n = 5; the Kac range 2 in d = 2 has 522,721 there (5 s and 210 MB to
+# grow), and range 3 in d = 2 passed 1.7 GB before n = 5 was grown
 MAX_CLUSTER_CONFIGS = 100_000
 
 

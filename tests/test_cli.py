@@ -341,7 +341,7 @@ def _documented_sentinel(name: str, row: dict, column: str, value: float) -> boo
     deviate's E is nan at alpha = 1; and series b_n and beta_n are nan past
     the orders their cluster sums are guarded to."""
     if name.startswith("radii_") and column in ("M_IS", "M_LG"):
-        return value == -math.inf and float(row["beta"]) < 1e-300
+        return value == -math.inf and float(row["beta"]) < 1e-307
     if name == "deviations.csv" and column == "E":
         return math.isnan(value) and float(row["alpha"]) == 1.0
     if name == "series.csv" and column in ("b_n", "beta_n"):

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from latgas import cli
 from latgas.correlations import (bound_rhs, calibrate_constants, decay_fit,
                                  pair_rows, torus_distance)
 from latgas.model import GuardError, LatticeSpec, PotentialSpec
@@ -92,3 +93,12 @@ def test_decay_length_grows_with_beta():
     rates = [decay_fit(LatticeSpec(1, 14, "periodic"), POT, b, 5).rate
              for b in (0.1, 0.2, 0.4)]
     assert rates[0] > rates[1] > rates[2] > 0
+
+
+def test_csv_rows_schema():
+    # the rows cmd_correlate hands to the CSV writer
+    rows = cli.cmd_correlate({"dimension": 1, "side": 10, "beta": 0.1, "boundary": "periodic",
+                              "particles": 2, "c_const": 0.5, "c1_const": 0.5})
+    rows = rows["correlation_bound.csv"]
+    assert rows[0] == ("q1", "q2", "dist", "u2_exact", "rhs", "feasible")
+    assert len(rows) == 1 + 100

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import logsumexp
 
-from latgas import oracle
+from latgas import cli, oracle
 from latgas.model import (GuardError, LatticeSpec, PotentialSpec, lattice_gas_hamiltonian,
                           mu_from_field)
 from latgas.oracle import (_density_of_states, _interaction_pairs, _logsumexp,
@@ -186,6 +186,19 @@ def test_grand_canonical_ising_gas_identity():
         expected = (-beta * (h * lat.n_sites - POT.coupling * lat.edge_count())
                     + gas.log_xi)
         assert log_ising == pytest.approx(expected, abs=1e-10)
+
+
+def test_table_csv_rows():
+    # the rows cmd_oracle hands to the CSV writer
+    files = cli.cmd_oracle({"dimension": 1, "side": 2, "beta": 0.3, "boundary": "zero",
+                            "mu": -1.0})
+    rows = files["canonical_table.csv"]
+    assert rows[0] == ("N", "logZ")
+    assert len(rows) == 4
+    g = grand_canonical_eval(exact_canonical_table(LatticeSpec(1, 2, "zero"), POT, 0.3), -1.0)
+    prows = files["probabilities.csv"]
+    assert prows[0] == ("N", "prob")
+    assert float(prows[1][1]) == pytest.approx(g.probs[0])
 
 
 def test_fixed_boundary_table_via_boundary_weights():

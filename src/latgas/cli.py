@@ -241,8 +241,11 @@ def cmd_deviate(cfg: dict) -> dict:
         mu0 = _need(cfg, "mu0", float, "a finite real")
     else:
         mu0 = radii.lattice_gas_threshold(lattice.dimension, pot, beta) - 1.0
-        if not math.isfinite(mu0):
+        if beta == 0:
             raise ConfigError("key 'mu0' required when beta = 0 (threshold sentinel)")
+        if not math.isfinite(mu0):
+            raise ConfigError(f"key 'mu0' required: its default M_LG - 1 is not finite "
+                              f"at beta = {beta!r}")
     _only(cfg, *MODEL_KEYS, "order", "alphas", "us", "mu0")
     table = canonical_table(lattice, pot, beta)
     fe = series.free_energy_from_extraction(series.extract_b_lambda(table, order))

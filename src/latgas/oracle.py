@@ -20,8 +20,10 @@ Two independent routes to the canonical partition function Z(N):
   float mantissa and a binary exponent, so no beta overflows, and a
   running sum keeps the exact rounding error of each of its sums, so Z(N)
   is good to a few eps at any L up to the 4096 guard.  It goes in windows
-  of 64 sites, where only the frontier columns align exponents at every
-  site; the windows change no bit of Z(N).  A ring of L sites is the chain
+  of 64 sites.  Where a proved bound on b^R allows, a window gives each
+  column one exponent and a site does no exponent work; elsewhere the bulk
+  cells keep theirs and only the frontier columns align exponents at every
+  site.  The windows change no bit of Z(N).  A ring of L sites is the chain
   of L - 1: rotations keep each configuration's weight, so site 1 is empty
   in a share (L - N)/L of Z_ring(N), and then no range-1 bond touches it,
   so Z_ring(N) = L/(L - N) Z_chain(L - 1, N) for N < L.
@@ -278,7 +280,9 @@ def _site(state, new, expo, lo: int, hi: int, bond_e, scale, work):
     scaled to its cell: over the bulk N < lo by the window's factors
     ``scale`` (see ``_freeze``), over the band lo <= N < hi by an exact
     ldexp shift to the larger exponent, which the cell takes in ``expo``.
-    The multiplies, sums and Fast2Sum then run once over every column."""
+    With lo = hi every column is frozen at one exponent (``_freeze_columns``)
+    and an empty term's factor is 1, so a site runs no exponent work.  The
+    multiplies, sums and Fast2Sum then run once over every column."""
     (mant, comp), (next_mant, next_comp) = state, new
     band_e, scratch, shifts, larger = work
     _, rows, size = mant.shape
@@ -321,15 +325,16 @@ def _site(state, new, expo, lo: int, hi: int, bond_e, scale, work):
         np.multiply(source, s_occupied, out=occupied)
         np.multiply(c_source, c_scale, out=c_term)
         np.add(c_occupied, c_term, out=c_occupied)
-        np.copyto(e_state, e_old)
-        np.add(e_source, bond_e, out=e_occupied)
-        np.maximum(e0, e1, out=new_e)
-        _shifts(e_pair, top, diff, sh)
-        np.ldexp(m_band, sh, out=m_band)
-        np.ldexp(c_band, c_sh, out=c_band)
-        if lo:
-            np.multiply(m, s_empty, out=m)
-            np.multiply(c, s_c, out=c)
+        if w:
+            np.copyto(e_state, e_old)
+            np.add(e_source, bond_e, out=e_occupied)
+            np.maximum(e0, e1, out=new_e)
+            _shifts(e_pair, top, diff, sh)
+            np.ldexp(m_band, sh, out=m_band)
+            np.ldexp(c_band, c_sh, out=c_band)
+            if lo:
+                np.multiply(m, s_empty, out=m)
+                np.multiply(c, s_c, out=c)
         np.add(t0, t1, out=new_m)
         np.maximum(a0, b0, out=big)
         np.minimum(a0, b0, out=a0)
@@ -356,6 +361,29 @@ def _freeze(expo: np.ndarray, lo: int, bond, scale: np.ndarray, ints: np.ndarray
     pairs, sh = pairs[:2] + (lo - 1,), sh[:, 1:]
     _shifts(s1.reshape(pairs), e[half:, None, 1:], s1.reshape(pairs), sh.reshape(pairs))
     np.ldexp(bond[0], sh, out=s1)
+
+
+def _freeze_columns(expo: np.ndarray, n0: int, stop: int, step, bond, state,
+                    scale: np.ndarray, ints: np.ndarray) -> None:
+    """One exponent E[N] per column N <= stop for the window: a live column
+    (N <= n0) takes its largest cell's, a column born in the window
+    E[N - 1] + step.  Each mantissa and c moves to its column by an exact
+    ldexp, and scale[1, h, N] = b_m[h] 2^(E[N - 1] + b_e[h] - E[N]) takes
+    cell [h, N - 1] into cell [half + h // 2, N]; an empty term's factor is
+    1.  E goes in scale[0, 0], which the window does not read."""
+    (mant, comp), half = state, len(state[1])
+    top, e, sh = scale[0, 0, :stop + 1], expo[:, :n0 + 1], ints[:, :n0 + 1]
+    e.max(axis=0, out=top[:n0 + 1])
+    top[n0 + 1:] = top[n0] + step * np.arange(1, stop - n0 + 1)
+    _shifts(e, top[:n0 + 1], scale[1, :, :n0 + 1], sh)
+    np.ldexp(mant[0, :, :n0 + 1], sh, out=mant[0, :, :n0 + 1])
+    np.ldexp(comp[:, :n0 + 1], sh[:half], out=comp[:, :n0 + 1])
+    expo[:, :stop + 1] = top
+    factors, shifts = scale[1, :, 1:stop + 1], ints[:, 1:stop + 1]
+    np.add(top[:-1], bond[1], out=factors)
+    np.subtract(factors, top[1:], out=factors)
+    np.copyto(shifts, factors, casting="unsafe")
+    np.ldexp(bond[0], shifts, out=factors)
 
 
 def _chain_sums(side: int, radius: int, x: decimal.Decimal) -> tuple[np.ndarray, np.ndarray]:
@@ -405,6 +433,57 @@ def _chain_sums(side: int, radius: int, x: decimal.Decimal) -> tuple[np.ndarray,
     so it stays below 2^(768 + 2 W) = 2^896.  The factors are exact while
     every exponent is an integer below 2^53, that is while
     L (log2 b^R + 3) < 2^52; past that (beta ~ 1e11) every column is band.
+
+    Where b^R is small the window does better and freezes whole columns
+    (``_freeze_columns``): column N <= stop takes one exponent E[N], a live
+    one its largest cell's, one born in the window E[N - 1] + B, with
+    b^R < 2^B (B the exponent of b^R plus 1); mantissas and c move to their
+    column by an exact ldexp.  An empty term then joins its cell with factor
+    1, so a site runs only the occupied multiply, the c fold, the pair sum,
+    Fast2Sum and the c adds.  After the window a cell still empty takes
+    E = -inf again, so a banded window can follow.
+
+    The bound for frozen columns.  Let n < 2^ell be the sites placed, ell
+    the bit length of L, and g = 2 B + ell.  Moving one particle changes a
+    configuration's weight by at most b^{2R} < 2^{2B} (it has at most 2R
+    bonds), and at most n configurations move to the same one; deleting an
+    empty site never lowers a weight, so every cell grows with n.  Hence,
+    at every site of the window and in exact arithmetic:
+    (a) the two terms of a sum are within 2^g: move the particle on the
+        site leaving the history, or one into it;
+    (b) the nonzero cells of a column are within 2^{R g}: at most R moves
+        turn one history into another;
+    (c) a column's largest cell is at least 2^(E[N] - 1) if it was live;
+        if born, it holds the packed configuration, with at least
+        R N - R(R+1)/2 bonds against at most R n0 in the one configuration
+        of column n0, so it is at least 2^(E[N] - W - (R+1) B/2 - 2);
+    (d) N particles make at most top(N) = R N - R(R+1)/2 bonds, and
+        2^E[N] >= max_h Z_h(N) >= b^top(N) / 2^R (live) or >= b^top(N)
+        (born).  k <= W sites into the window, a configuration with k
+        empty sites outside the history loses the first k to one of the
+        window's start, at most (L + W)^W to each; a cell with fewer
+        has at most (L + W)^W configurations, none above b^top(N).  So
+        every cell is below 2^(R + 1 + W ell'), ell' the bit length of
+        L + W.
+    So, in its column's scale, every nonzero cell and term is at least
+    2^-Lb, Lb = W + 3 + (R + 1)(g + B/2), and below 2^(R + 2 + W ell').
+    A factor lies in [2^-(g + 1), 2^(B + ell + 1)]: removing a particle
+    shows E[N] - E[N - 1] <= g + 1, adding one E[N - 1] - E[N] <= ell + 1.
+    A nonzero c is a sum of exact Fast2Sum errors, each a multiple of its
+    smaller term's last bit, and of the c held at the window's start.  The
+    window freezes its columns only if each such nonzero c is at least
+    2^((R + 1) g - 968) while its mantissa is in [1/2, 1), which (b) puts
+    at 2^-(969 - g) of the column.  So while Lb + g <= 969 and
+    R + 2 + W ell' <= 1022, every mantissa, c, factor and product of the
+    window, c times its factor included, is a normal float: the frozen
+    window scales each value by a power of two and changes no rounding.
+    And no term falls more than 2^(g + 1) below its cell, so while
+    g <= 201 an aligned sum, whose mantissas stay in [1/4, 2^896), shifts
+    it by at most g + 899 <= 1100 and flushes no term either.  The
+    computed values lie within a factor 1 + L eps of the exact ones, which
+    the slack of one bit in each bound covers.  At L = 4096 the bound
+    holds to beta ~ 16 at R = 1, ~ 7.7 at R = 2, ~ 4 at R = 3 and ~ 2.4 at
+    R = 4.
     """
     R = radius
     powers = [_binary_power(_EXACT.multiply(x, p)) for p in range(R + 1)]
@@ -412,7 +491,13 @@ def _chain_sums(side: int, radius: int, x: decimal.Decimal) -> tuple[np.ndarray,
     bond = bond_m[:, None], bond_e[:, None]
     # every exponent is an integer below 2^53: |E| < log2 Z + 1024 and
     # log2 Z <= L (log2 b^R + 1)
-    frozen = side * (powers[R][1] + 3) < 2.0 ** 52
+    exact = side * (powers[R][1] + 3) < 2.0 ** 52
+    # the bound that lets a window freeze its columns (see above)
+    B, W = powers[R][1] + 1, WINDOW_SITES
+    g = 2 * B + side.bit_length()
+    columns = (g <= 201 and W + 3 + (R + 1) * (g + B / 2) + g <= 969
+               and R + 2 + W * (side + W).bit_length() <= 1022)
+    tiny = 2.0 ** ((R + 1) * g - 968) if columns else 0.0
 
     # mantissas [s, h, N]: s = 0 the state, s = 1 its terms times
     # b^{popcount h} one column up, which feed an occupied site.  Two
@@ -429,7 +514,7 @@ def _chain_sums(side: int, radius: int, x: decimal.Decimal) -> tuple[np.ndarray,
     # the bulk's factors (see _freeze), and the band's work buffers: it is
     # at most W + R + 3 columns wide once the bulk starts
     scale, ints = np.empty(shape), np.empty(expo.shape, dtype=np.int32)
-    width = min(side + 2, WINDOW_SITES + R + 4) if frozen else side + 2
+    width = min(side + 2, W + R + 4) if exact else side + 2
     work = (np.full((2, 1 << R, width), -math.inf), np.empty((2 << R) * width),
             np.empty((2 << R) * width, np.int32), np.empty(half * (side + 2)))
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
@@ -437,30 +522,41 @@ def _chain_sums(side: int, radius: int, x: decimal.Decimal) -> tuple[np.ndarray,
         # elements by default); a buffer shorter than the bulk's rows makes
         # it run on the rows in place, ~12% faster.  errstate restores it
         np.setbufsize(1024)
-        for n0 in range(1, side, WINDOW_SITES):
+        for n0 in range(1, side, W):
             # n0 sites placed, so N <= n0 is live.  The window places sites
             # n0 + 1 .. stop: first every live mantissa goes to [1/2, 1),
-            # then the bulk columns N < lo freeze their exponents
-            stop, (mant, comp) = min(side, n0 + WINDOW_SITES), state
+            # then every column N <= stop freezes its exponent, or where the
+            # bound fails the bulk cells N < lo freeze theirs
+            stop, (mant, comp) = min(side, n0 + W), state
             live, bump = mant[0, :, :n0 + 1], ints[:, :n0 + 1]
             np.frexp(live, out=(live, bump))
             expo[:, :n0 + 1] += bump
             np.negative(bump, out=bump)
-            np.ldexp(comp[:, :n0 + 1], bump[:half], out=comp[:, :n0 + 1])
-            lo = max(0, n0 - R - 2) if frozen else 0
-            if lo:
-                _freeze(expo, lo, bond, scale, ints)
-            # the band is N in [lo, stop + 1), the columns of the window's
-            # last site; past a site's live columns its cells are empty.  Its
-            # occupied terms take the bond mantissa alone, and their
-            # exponents go into the per-site alignment
-            scale[1, :, lo:stop + 1] = bond[0]
+            c = comp[:, :n0 + 1]
+            np.ldexp(c, bump[:half], out=c)
+            # frozen columns also need every nonzero c at least tiny
+            size = np.abs(c, out=scale[1, :half, :n0 + 1])
+            if columns and np.count_nonzero(size >= tiny) == np.count_nonzero(size):
+                lo = stop + 1
+                _freeze_columns(expo, n0, stop, B, bond, state, scale, ints)
+            else:
+                lo = max(0, n0 - R - 2) if exact else 0
+                if lo:
+                    _freeze(expo, lo, bond, scale, ints)
+                # the band is N in [lo, stop + 1), the columns of the
+                # window's last site; past a site's live columns its cells
+                # are empty.  Its occupied terms take the bond mantissa
+                # alone, and their exponents go into the per-site alignment
+                scale[1, :, lo:stop + 1] = bond[0]
             steps = [_site(a, b, expo, lo, stop + 1, bond[1], scale, work)
                      for a, b in ((state, new), (new, state))]
             for n in range(n0, stop):
                 steps[(n - n0) % 2]()
             if (stop - n0) % 2:
                 state, new = new, state
+            if lo > stop:
+                # a cell still empty takes E = -inf again
+                np.copyto(expo[:, :stop + 1], -math.inf, where=state[0][0, :, :stop + 1] == 0)
         mant = state[0][0, :, :side + 1]
         mant[:half] += state[1][:, :side + 1]
         expo = expo[:, :side + 1]
@@ -486,7 +582,7 @@ def transfer_matrix_table(side: int, pot: PotentialSpec, beta: float,
     if side > TRANSFER_MAX_SIDE:
         raise GuardError(f"transfer matrix guarded to L <= {TRANSFER_MAX_SIDE}")
     if boundary not in ("zero", "periodic"):
-        raise ValueError("transfer matrix supports zero or periodic walls")
+        raise GuardError("transfer matrix supports zero or periodic walls")
     R = pot.support_radius
     if boundary == "periodic" and R != 1:
         raise GuardError("periodic transfer matrix supports range-1 potentials")

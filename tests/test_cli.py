@@ -78,6 +78,29 @@ def test_float_range_exits_as_a_guard(tmp_path, command, extra):
     assert not any(out.iterdir())
 
 
+def test_fixed_wall_past_the_enumeration_guard_exits_as_a_guard(tmp_path):
+    # 30 sites are past the 24-site enumeration guard, and the transfer
+    # matrix serves zero and periodic walls only; this exited 2, as though
+    # the config were malformed
+    cfg = write_cfg(tmp_path, {"dimension": 1, "side": 30, "beta": 0.2,
+                               "boundary": "fixed:[[-1]]"})
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["oracle", "--config", cfg, "--out", str(out)]) == 3
+    assert not any(out.iterdir())
+
+
+def test_deviate_default_mu0_past_the_float_range_names_its_cause(tmp_path, capsys):
+    # at 0 < beta < ~1e-307, -1/beta leaves the float range, so the default
+    # mu0 = M_LG - 1 is -inf though beta is not 0
+    cfg = write_cfg(tmp_path, {"dimension": 1, "side": 8, "boundary": "periodic",
+                               "beta": 5e-324})
+    assert main(["deviate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "key 'mu0' required: its default M_LG - 1 is not finite at beta = 5e-324" in err
+    assert "beta = 0 (threshold sentinel)" not in err
+
+
 def test_series_command_schema(tmp_path):
     cfg = write_cfg(tmp_path, {"dimension": 1, "side": 8, "beta": 0.2,
                                "boundary": "periodic", "order": 3})

@@ -566,6 +566,56 @@ def test_windowed_transfer_matrix_equals_aligned_at_any_side(case, beta, data):
             == _aligned_transfer_matrix(side, pot, beta).tobytes())
 
 
+@pytest.fixture
+def frozen_windows(monkeypatch):
+    """Per window of each table built after a ``clear()``, whether it froze
+    its columns at one exponent each (``_site`` called with lo = hi, twice
+    per window)."""
+    paths, site = [], oracle._site
+
+    def spy(state, new, expo, lo, hi, *rest):
+        paths.append(lo == hi)
+        return site(state, new, expo, lo, hi, *rest)
+
+    monkeypatch.setattr(oracle, "_site", spy)
+    return paths
+
+
+# the transfer-matrix tables of the benchmark's seed-7 inputs
+# (bench/workloads.py): beta-scan rings, cli-oneshot Kac chains and deviate
+# ring and chains
+SEED7_TABLES = [(4096, POT, 0.3576411265915042, "periodic"),
+                (4096, POT, 0.668387749387861, "periodic"),
+                (4096, KAC3, 0.8302105773917429, "zero"),
+                (4096, PotentialSpec("kac", 1.0, 4), 0.13942353984269842, "zero"),
+                (4096, POT, 0.1382615282086033, "periodic"),
+                (256, POT, 0.031173140379592318, "zero"),
+                (64, POT, 0.07436237967819874, "zero")]
+
+
+def test_window_paths(frozen_windows):
+    # every window of the measured tables runs with no exponent work; past
+    # the bound (b^4 = e^400 at beta = 25, R = 4) every window aligns
+    for side, pot, beta, boundary in SEED7_TABLES:
+        frozen_windows.clear()
+        transfer_matrix_table(side, pot, beta, boundary)
+        assert all(frozen_windows) and frozen_windows, (side, pot, beta)
+    frozen_windows.clear()
+    transfer_matrix_table(300, PotentialSpec("kac", 1.0, 4), 25.0)
+    assert frozen_windows and not any(frozen_windows)
+
+
+@pytest.mark.parametrize("pot, beta, side", [(KAC3, 6.0, 300),
+                                             (PotentialSpec("kac", 1.0, 4), 3.5, 200)])
+def test_banded_windows_equal_aligned_bit_for_bit(frozen_windows, pot, beta, side):
+    # past the frozen-column bound each window aligns its band at every
+    # site; in these tables one Z(N) depends in its last bit on the band's
+    # c moving with its cell
+    log_z = transfer_matrix_table(side, pot, beta).log_z
+    assert not any(frozen_windows)
+    assert log_z.tobytes() == _aligned_transfer_matrix(side, pot, beta).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # The standard ring in closed form: a third oracle, independent of both the
 # subset kernel and the transfer matrix, at any L.
@@ -634,6 +684,14 @@ def test_transfer_matrix_full_row_equals_enumeration_bit_for_bit(case, beta, dat
     side = data.draw(st.integers(max(pot.support_radius + 1, 2 + (boundary == "periodic")), 24))
     en = exact_canonical_table(LatticeSpec(1, side, boundary), pot, beta)
     assert transfer_matrix_table(side, pot, beta, boundary).log_z[side] == en.log_z[side]
+
+
+def test_transfer_matrix_full_row_is_rounded_once():
+    # at J = 0.1, x = 0.4 beta is not a float, and at beta = 0.1 the full
+    # 10-ring's 10 x rounded once differs from 10 * float(x) in its last bit
+    pot = PotentialSpec("standard", 0.1)
+    en = exact_canonical_table(LatticeSpec(1, 10, "periodic"), pot, 0.1)
+    assert transfer_matrix_table(10, pot, 0.1, "periodic").log_z[10] == en.log_z[10]
 
 
 @pytest.mark.parametrize("side", [257, 1024])

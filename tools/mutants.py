@@ -30,6 +30,8 @@ CLI, CSVFMT = "src/latgas/cli.py", "src/latgas/csvfmt.py"
 T_ORACLE, T_DEVIATIONS = "tests/test_oracle.py::", "tests/test_deviations.py::"
 T_SERIES, T_CLI = "tests/test_series.py::", "tests/test_cli.py::"
 BRUTE = T_ORACLE + "test_correlations_equal_brute_force"
+WINDOWED = T_ORACLE + "test_windowed_transfer_matrix_equals_aligned_bit_for_bit"
+BANDED = T_ORACLE + "test_banded_windows_equal_aligned_bit_for_bit"
 FIND_N_STAR = (T_DEVIATIONS + "test_find_n_star_equals_the_loop_on_planted_steps",)
 GC_GUARD = T_DEVIATIONS + "test_grand_canonical_layer_raises_guard_error_past_the_float_range"
 SERIES_GUARD = T_SERIES + "test_coefficients_past_float_range_raise_guard_error"
@@ -48,12 +50,21 @@ MUTANTS = [
      "counts = _density_of_states(lattice, pot.support_radius)[n - 1]\n",
      (BRUTE + "[0.3-lattice0-3]", T_ORACLE + "test_correlation_sum_rules")),
     # the transfer matrix: no band shift of the compensation c; the full row
-    # rounded twice
-    (ORACLE, "        np.ldexp(c_band, c_sh, out=c_band)\n", "",
-     (T_ORACLE + "test_windowed_transfer_matrix_equals_aligned_at_any_side",)),
+    # rounded twice; frozen columns without their c moved to the column,
+    # without the bond exponent in their factors, or past the bound
+    (ORACLE, "            np.ldexp(c_band, c_sh, out=c_band)\n", "",
+     (BANDED + "[pot0-6.0-300]", BANDED + "[pot1-3.5-200]")),
     (ORACLE, "log_z = np.append(log_z, float(_EXACT.fma(top_level, x, 0)))",
      "log_z = np.append(log_z, top_level * float(x))",
-     (T_ORACLE + "test_transfer_matrix_full_row_equals_enumeration_bit_for_bit",)),
+     (T_ORACLE + "test_transfer_matrix_full_row_is_rounded_once",)),
+    (ORACLE, "    np.ldexp(comp[:, :n0 + 1], sh[:half], out=comp[:, :n0 + 1])\n", "",
+     (WINDOWED + "[0.3-pot4-zero]", WINDOWED + "[0.3-pot5-zero]")),
+    (ORACLE, "    np.add(top[:-1], bond[1], out=factors)\n",
+     "    np.copyto(factors, top[:-1])\n", (WINDOWED + "[0.3-pot0-zero]",)),
+    (ORACLE, "            if columns and np.count_nonzero(size >= tiny) == np.count_nonzero(size):\n",
+     "            if True:\n",
+     (T_ORACLE + "test_window_paths", WINDOWED + "[1e+300-pot0-zero]",
+      WINDOWED + "[1e+300-pot5-zero]")),
     # the graph engine: Pruefer block digits reversed; edges out of pair order
     (GRAPHS, "n ** np.arange(free - 1, -1, -1) % n", "n ** np.arange(free) % n",
      ("tests/test_graphs.py::test_pruefer_round_trip",)),
@@ -100,7 +111,7 @@ MUTANTS = [
      (T_SERIES + "test_extracted_b1_closed_form", T_SERIES + "test_reconstruction_round_trip")),
     # the CLI: 16 significant digits; a file written before the command runs;
     # an unknown key let through
-    (CSVFMT, 'format(v, ".17g")', 'format(v, ".16g")',
+    (CSVFMT, '"%.17g"', '"%.16g"',
      (T_CLI + "test_oracle_command_matches_example",)),
     (CLI, "        if args.command == \"accept\":",
      "        write_csv(Path(args.out) / \"canonical_table.csv\", [(\"N\", \"logZ\")])\n"

@@ -458,13 +458,14 @@ def _chain_sums(side: int, radius: int, x: decimal.Decimal) -> tuple[np.ndarray,
         R N - R(R+1)/2 bonds against at most R n0 in the one configuration
         of column n0, so it is at least 2^(E[N] - W - (R+1) B/2 - 2);
     (d) N particles make at most top(N) = R N - R(R+1)/2 bonds, and
-        2^E[N] >= max_h Z_h(N) >= b^top(N) / 2^R (live) or >= b^top(N)
-        (born).  k <= W sites into the window, a configuration with k
-        empty sites outside the history loses the first k to one of the
-        window's start, at most (L + W)^W to each; a cell with fewer
-        has at most (L + W)^W configurations, none above b^top(N).  So
-        every cell is below 2^(R + 1 + W ell'), ell' the bit length of
-        L + W.
+        2^E[N] >= b^top(N) / 2^R (live: the column holds the packed
+        configuration) or 2^E[N] >= b^top(N) (born).  k <= W sites into
+        the window, deleting the first k empty sites outside the history
+        maps a configuration onto one of the same cell at the window's
+        start, no lighter, at most (L + W)^W onto each; a cell with fewer
+        such sites has at most (L + W)^W configurations, none above
+        b^top(N).  So every cell is below 2^(R + 1 + W ell'), ell' the
+        bit length of L + W.
     So, in its column's scale, every nonzero cell and term is at least
     2^-Lb, Lb = W + 3 + (R + 1)(g + B/2), and below 2^(R + 2 + W ell').
     A factor lies in [2^-(g + 1), 2^(B + ell + 1)]: removing a particle

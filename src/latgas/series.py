@@ -13,14 +13,20 @@ Conventions
   all of whose edges are joined exists only if the support graph is
   connected, so the lattice sums run exactly over the pinned
   configurations with connected support.  Those are grown from x_1 = 0
-  once per (n, d, R), independent of beta, and bucketed by their
-  pair-category pattern (out of range, in range, coincident) with
-  integer multiplicities.  Per pattern, each graph without an
-  out-of-range edge contributes (-1)^{#coincident edges} f^{#in-range
-  edges}, or w^{#in-range edges} to the tree sum, w = 1 - e^{-beta|V|}:
-  integer polynomials in f and in w.  A graph is its edge bitmask, whose
-  bit p is the pattern's pair p, so the edge counts per category are one
-  integer matrix product of the patterns with the graphs' bits.
+  once per (n, d, R), independent of beta, as integer arrays: each level
+  inserts every in-range site into every tuple of the last one, a block
+  of parents at a time, and drops repeats by sorting packed int64 keys of
+  the coordinates, so the growth holds at most ``MAX_CLUSTER_CONFIGS``
+  tuples and one block.  They are bucketed by their pair-category
+  pattern (out of range, in range, coincident), in lexicographic row
+  order by a base-3 key, with integer multiplicities.  Per pattern, each
+  graph without an out-of-range edge contributes (-1)^{#coincident edges}
+  f^{#in-range edges}, or w^{#in-range edges} to the tree sum,
+  w = 1 - e^{-beta|V|}: integer polynomials in f and in w.  A graph is
+  its edge bitmask, whose bit p is the pattern's pair p, so its edges in
+  each category are the popcount of its mask and the pattern's mask of
+  that category.  The graph masks of a class are listed once per n, for
+  every (d, R).
 * Each beta then costs one polynomial evaluation.  b_n and beta_n are
   evaluated exactly in rationals at the float f and rounded once: each is
   the correctly rounded lattice sum at that f.  The tree-graph check
@@ -54,9 +60,13 @@ MAX_BETA_IRR_ORDER = 4
 MAX_TREE_CHECK_ORDER = 5
 MAX_DERIVATIVE_ORDER = 6
 # pinned configurations a lattice sum may grow.  Range 1 in d = 3 has 87,061
-# at n = 5; the Kac range 2 in d = 2 has 522,721 there (5 s and 210 MB to
-# grow), and range 3 in d = 2 passed 1.7 GB before n = 5 was grown
+# at n = 5 (about 0.1 s to grow); the Kac range 2 in d = 2 has 522,721 there
+# (1.1 s and 33 MB above the import to grow unguarded), and range 3 in d = 2
+# would insert some 55 million children into its 119,333 tuples of n = 4
 MAX_CLUSTER_CONFIGS = 100_000
+# children per block of the growth: about 1 MB of int8 coordinates and
+# 0.5 MB of keys at n = 5, d = 3
+_GROWTH_BLOCK = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -68,48 +78,109 @@ def _pair_categories(coords: np.ndarray, radius: int) -> np.ndarray:
     m, n, _d = coords.shape
     cats = np.zeros((m, n * (n - 1) // 2), dtype=np.int8)
     for p, (i, j) in enumerate(all_pairs(n)):
-        diff = coords[:, i, :] - coords[:, j, :]
+        diff = coords[:, i, :].astype(np.int64) - coords[:, j, :]
         r2 = np.einsum("md,md->m", diff, diff)
         cats[:, p] = np.where(r2 == 0, 2, np.where(r2 <= radius ** 2, 1, 0))
     return cats
 
 
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """Indices of one row of each distinct row of the (m, W) int64 ``keys``,
+    in lexicographic key order."""
+    order = np.lexsort(keys.T[::-1])
+    ranked = keys[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    return order[first]
+
+
 def _connected_configs(n_points: int, d: int, radius: int) -> np.ndarray:
-    """(m, n_points, d) tuples with x_1 = 0 whose support graph is connected.
+    """(m, n_points, d) tuples with x_1 = 0 whose support graph is connected,
+    in the lexicographic order of their keys.
 
     Grown from (0,) by inserting, at any position j >= 1, a site that
     coincides with or is in range of a point already present.  This
     reaches every connected tuple: a connected graph on >= 2 vertices has
     a non-cut vertex other than x_1, and deleting it leaves a smaller
-    connected tuple.  ``GuardError`` past ``MAX_CLUSTER_CONFIGS`` tuples.
+    connected tuple.
+
+    A level is grown in blocks of parents, each of about ``_GROWTH_BLOCK``
+    children: every parent, with each in-range offset of each of its points
+    inserted at every position j >= 1.  A block joins the distinct tuples
+    grown so far and repeats are dropped by key (``_distinct``).  The key
+    packs the coordinates of x_2..x_n, each shifted by the reach
+    (n - 1) R into [0, 2 (n - 1) R] and given the bit length of 2 (n - 1) R
+    bits, 63 bits to an int64 word and as many words as the tuple needs, so
+    no key overflows: (3, 10, 1) takes one word, (4, 8, 1) two.
+    Coordinates are held in the smallest signed type that holds the reach.
+    ``GuardError`` as soon as the distinct tuples pass
+    ``MAX_CLUSTER_CONFIGS``, so the growth holds at most that many tuples,
+    one block of children and their keys.
     """
+    reach = (n_points - 1) * radius
+    dtype = np.min_scalar_type(-reach - 1)  # holds -reach - 1, so also +reach
+    bits = (2 * reach).bit_length()
+    per_word = 63 // bits
     box = range(-radius, radius + 1)
-    offsets = [v for v in itertools.product(box, repeat=d)
-               if sum(c * c for c in v) <= radius ** 2]
-    level = {((0,) * d,)}
+    offsets = np.array([v for v in itertools.product(box, repeat=d)
+                        if sum(c * c for c in v) <= radius ** 2], dtype=dtype)
+    level = np.zeros((1, 1, d), dtype=dtype)
     for size in range(1, n_points):
-        grown = set()
-        for cfg in level:
-            sites = {tuple(a + b for a, b in zip(x, v)) for x in cfg for v in offsets}
-            for site in sites:
-                for j in range(1, size + 1):
-                    grown.add(cfg[:j] + (site,) + cfg[j:])
+        # child j of a candidate site: the parent's points with the site, the
+        # last of them, moved to position j
+        insert = np.array([[*range(j), size, *range(j, size)] for j in range(1, size + 1)])
+        words = -(-size * d // per_word)
+        grown = np.empty((0, size + 1, d), dtype=dtype)
+        keys = np.empty((0, words), dtype=np.int64)
+        step = max(1, _GROWTH_BLOCK // (size * len(offsets) * size))
+        for start in range(0, len(level), step):
+            parents = level[start:start + step]
+            sites = (parents[:, :, None, :] + offsets).reshape(len(parents), -1, 1, d)
+            spread = np.broadcast_to(parents[:, None], sites.shape[:2] + (size, d))
+            children = np.concatenate([spread, sites], axis=2)[:, :, insert]
+            children = children.reshape(-1, size + 1, d)
+            packed = np.zeros((len(children), words), dtype=np.int64)
+            for t, column in enumerate(children[:, 1:].reshape(len(children), -1).T):
+                field = (column.astype(np.int64) + reach) << bits * (t % per_word)
+                packed[:, t // per_word] += field
+            grown = np.concatenate([grown, children])
+            keys = np.concatenate([keys, packed])
+            keep = _distinct(keys)
+            grown, keys = grown[keep], keys[keep]
             if len(grown) > MAX_CLUSTER_CONFIGS:
                 raise GuardError(f"cluster sums guarded to {MAX_CLUSTER_CONFIGS:,} pinned "
                                  f"configurations: n = {n_points}, d = {d}, range {radius} "
                                  "has more")
         level = grown
-    return np.array(list(level), dtype=np.int64).reshape(len(level), n_points, d)
+    return level
 
 
 @functools.lru_cache(maxsize=16)
 def _patterns(n_points: int, d: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct pair-category rows of the connected configurations, and
-    how many configurations share each row.  Read-only: the cache shares them."""
+    """Distinct pair-category rows of the connected configurations, in
+    lexicographic order, and how many configurations share each row.
+    Read-only: the cache shares them."""
     cats = _pair_categories(_connected_configs(n_points, d, radius), radius)
-    rows, mult = np.unique(cats, axis=0, return_counts=True)
+    # base 3, pair 0 most significant: the key order is the row order
+    # (within int64 up to n = 9 points, 36 pairs)
+    key = np.zeros(len(cats), dtype=np.int64)
+    for column in cats.T:
+        key = key * 3 + column
+    _, first, mult = np.unique(key, return_index=True, return_counts=True)
+    rows = cats[first]
     rows.flags.writeable = mult.flags.writeable = False
     return rows, mult
+
+
+@functools.lru_cache(maxsize=16)
+def _graphs(kind: str, n_points: int) -> np.ndarray:
+    """The edge bitmasks of every graph of class ``kind`` on n_points
+    vertices, shared by every (d, R).  Read-only: the cache shares them."""
+    generate = {"connected": enumerate_connected, "biconnected": enumerate_biconnected,
+                "tree": enumerate_trees}[kind]
+    graphs = np.fromiter(generate(n_points), np.int64)
+    graphs.flags.writeable = False
+    return graphs
 
 
 @functools.lru_cache(maxsize=48)
@@ -118,20 +189,15 @@ def _graph_polys(kind: str, n_points: int, d: int, radius: int
     """Multiplicities (U,) and integer coefficients (U, n(n-1)/2 + 1) of the
     graph sum of class ``kind``, per pattern, as a polynomial in f (in w
     for trees).  Read-only: the cache shares them."""
-    generate = {"connected": enumerate_connected, "biconnected": enumerate_biconnected,
-                "tree": enumerate_trees}[kind]
     coincident = 1 if kind == "tree" else -1  # w = 1, f = -1 on a coincident pair
     cats, mult = _patterns(n_points, d, radius)
     n_pairs = cats.shape[1]
-    graphs = np.fromiter(generate(n_points), np.int64)
-    incidence = graphs[:, None] >> np.arange(n_pairs) & 1
-
-    def edges_in(category: int) -> np.ndarray:
-        return (cats == category).astype(np.int64) @ incidence.T
-
-    pattern, graph = np.nonzero(edges_in(0) == 0)
-    degree = edges_in(1)[pattern, graph]
-    sign = coincident ** edges_in(2)[pattern, graph]
+    graphs = _graphs(kind, n_points)
+    # each pattern's pairs of one category as a bitmask, like the graphs'
+    out, joined, same = ((cats == c) @ (1 << np.arange(n_pairs)) for c in (0, 1, 2))
+    pattern, graph = np.nonzero((out[:, None] & graphs) == 0)
+    degree = np.bitwise_count(joined[pattern] & graphs[graph])
+    sign = coincident ** np.bitwise_count(same[pattern] & graphs[graph]).astype(np.int64)
     polys = np.zeros((len(cats), n_pairs + 1), dtype=np.int64)
     np.add.at(polys, (pattern, degree), sign)
     polys.flags.writeable = False

@@ -5,14 +5,20 @@ table: coefficients are re-summed with plain itertools loops over a
 strictly larger box, with graphs taken from the DFS brute-force filter,
 and the full-box sweep below (every pinned configuration of the l1 ball
 or l-infinity box, float graph sums and the partition recursion per
-configuration) re-derives coefficients and tree-graph reports.
+configuration) re-derives coefficients and tree-graph reports.  The
+geometry table itself is checked against a set-of-tuples growth of the
+same configurations, pattern row for pattern row.
 """
 
 import functools
 import itertools
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -352,13 +358,13 @@ def test_thermodynamic_free_energy_source():
 # ---------------------------------------------------------------------------
 # Full-box reference sweep
 
-def _categories(coords, pot):
+def _categories(coords, radius):
     """Pair categories 0 = out of range, 1 = in range, 2 = coincident."""
     n = coords.shape[1]
     cols = []
     for i, j in itertools.combinations(range(n), 2):
         r2 = np.sum((coords[:, i] - coords[:, j]) ** 2, axis=1)
-        cols.append(np.where(r2 == 0, 2, np.where(r2 <= pot.support_radius ** 2, 1, 0)))
+        cols.append(np.where(r2 == 0, 2, np.where(r2 <= radius ** 2, 1, 0)))
     return np.stack(cols, axis=1).astype(np.int8)
 
 
@@ -376,7 +382,7 @@ def _config_blocks(n_points, d, pot, chunk=200_000):
         for p in range(n_points - 1, 0, -1):
             coords[:, p, :] = ball[rem % k]
             rem //= k
-        yield _categories(coords, pot)
+        yield _categories(coords, pot.support_radius)
 
 
 def _support_connected(cats, n):
@@ -522,10 +528,111 @@ def test_tree_check_equals_full_box_sweep(n, d, pot, beta):
 
 
 def test_geometry_counts_are_pinned():
-    for d, configs, patterns in ((2, 13_081, 466), (1, 541, 271)):
+    # d = 3 is pinned rather than regrown by the reference growth (0.9 s)
+    for d, configs, patterns in ((3, 87_061, 466), (2, 13_081, 466), (1, 541, 271)):
         rows, mult = ls._patterns(5, d, 1)
         assert (int(mult.sum()), len(rows)) == (configs, patterns)
         assert tree_graph_check(5, d, POT, 0.3).n_configs == configs
+
+
+def _reference_configs(n_points, d, radius):
+    """The pinned connected tuples grown as a set of tuples, one parent at a
+    time, with the same guard: the route the array growth replaced."""
+    box = range(-radius, radius + 1)
+    offsets = [v for v in itertools.product(box, repeat=d)
+               if sum(c * c for c in v) <= radius ** 2]
+    level = {((0,) * d,)}
+    for size in range(1, n_points):
+        grown = set()
+        for cfg in level:
+            sites = {tuple(a + b for a, b in zip(x, v)) for x in cfg for v in offsets}
+            for site in sites:
+                for j in range(1, size + 1):
+                    grown.add(cfg[:j] + (site,) + cfg[j:])
+            if len(grown) > ls.MAX_CLUSTER_CONFIGS:
+                raise GuardError("pinned configurations")
+        level = grown
+    return np.array(list(level), dtype=np.int64).reshape(len(level), n_points, d)
+
+
+GROWTH_CASES = ([(n, d, R) for n in range(2, 6) for d in (1, 2) for R in (1, 2, 3)]
+                + [(n, 3, R) for n in range(2, 5) for R in (1, 2, 3)]
+                # (4, 8, 1) packs its keys in two int64 words
+                + [(3, 10, 1), (4, 8, 1), (5, 3, 2), (5, 3, 3)])
+
+
+@pytest.mark.parametrize("n,d,radius", GROWTH_CASES,
+                         ids=[f"n{n}-d{d}-R{R}" for n, d, R in GROWTH_CASES])
+def test_patterns_equal_the_set_growth(n, d, radius):
+    # rows and multiplicities in the same order: tree_graph_check sums
+    # mult @ lhs in floats in this order
+    try:
+        ref_rows, ref_mult = np.unique(_categories(_reference_configs(n, d, radius), radius),
+                                       axis=0, return_counts=True)
+    except GuardError:
+        with pytest.raises(GuardError, match="pinned configurations"):
+            ls._patterns(n, d, radius)
+        return
+    rows, mult = ls._patterns(n, d, radius)
+    assert rows.dtype == ref_rows.dtype and mult.dtype == ref_mult.dtype
+    assert np.array_equal(rows, ref_rows) and np.array_equal(mult, ref_mult)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss counts KiB on Linux only")
+@pytest.mark.parametrize("n,d,radius", [(5, 3, 3), (5, 2, 2)])
+def test_configuration_guard_raises_in_bounded_memory(n, d, radius):
+    # in a fresh process, after the import and a small warm-up: the set of
+    # tuples peaked 19.0 and 15.1 MB above that, the array growth 11.2 and 9.2
+    script = ("import resource, latgas.series as ls\n"
+              "ls._patterns(3, 1, 1)\n"
+              "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+              "try:\n"
+              f"    ls._patterns({n}, {d}, {radius})\n"
+              "except ls.GuardError:\n"
+              "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n")
+    src = str(Path(ls.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert int(out) / 1024 < 14
+
+
+POTENTIALS = st.one_of(st.just(POT), st.builds(PotentialSpec, st.just("kac"), st.just(1.0),
+                                               st.integers(1, 3)))
+BETAS = st.floats(0.0, 1e300)
+
+
+def _finite_or_typed_error(call):
+    try:
+        value = call()
+    except (GuardError, ValueError):
+        return
+    assert all(math.isfinite(v) for v in value), value
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, ls.MAX_B_ORDER), d=st.integers(1, 3), pot=POTENTIALS, beta=BETAS)
+def test_connected_coefficient_over_the_guarded_space(n, d, pot, beta):
+    _finite_or_typed_error(lambda: [connected_coefficient(n, d, pot, beta)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, ls.MAX_BETA_IRR_ORDER), d=st.integers(1, 3), pot=POTENTIALS,
+       beta=BETAS)
+def test_irreducible_coefficient_over_the_guarded_space(n, d, pot, beta):
+    _finite_or_typed_error(lambda: [irreducible_coefficient(n, d, pot, beta)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, ls.MAX_TREE_CHECK_ORDER), d=st.integers(1, 3), pot=POTENTIALS,
+       beta=BETAS)
+def test_tree_graph_check_over_the_guarded_space(n, d, pot, beta):
+    def totals():
+        rep = tree_graph_check(n, d, pot, beta)
+        return [rep.lhs_total, rep.rhs_total]
+
+    _finite_or_typed_error(totals)
 
 
 def _graph_terms(cls, n_points, d):

@@ -35,6 +35,7 @@ BANDED = T_ORACLE + "test_banded_windows_equal_aligned_bit_for_bit"
 FIND_N_STAR = (T_DEVIATIONS + "test_find_n_star_equals_the_loop_on_planted_steps",)
 GC_GUARD = T_DEVIATIONS + "test_grand_canonical_layer_raises_guard_error_past_the_float_range"
 SERIES_GUARD = T_SERIES + "test_coefficients_past_float_range_raise_guard_error"
+GROWTH = T_SERIES + "test_patterns_equal_the_set_growth"
 
 MUTANTS = [
     # the correlation oracle: u2 by cancellation, the diagonal rounded twice,
@@ -103,7 +104,21 @@ MUTANTS = [
     (MODEL, "            raise GuardError(f\"Mayer f", "            return math.inf\n            raise GuardError(f\"Mayer f",
      (SERIES_GUARD,)),
     (SERIES, "            if len(grown) > MAX_CLUSTER_CONFIGS:\n", "            if False:\n",
-     (T_SERIES + "test_cluster_sums_past_the_configuration_guard_raise_guard_error",)),
+     (T_SERIES + "test_cluster_sums_past_the_configuration_guard_raise_guard_error",
+      GROWTH + "[n4-d2-R3]")),
+    # the array growth: insertion before x_1; no coincident site; the
+    # pattern key with pair 0 least significant, out of row order
+    (SERIES, "for j in range(1, size + 1)])", "for j in range(size + 1)])",
+     (GROWTH + "[n3-d1-R1]", T_SERIES + "test_geometry_counts_are_pinned")),
+    (SERIES, "if sum(c * c for c in v) <= radius ** 2], dtype=dtype)",
+     "if 0 < sum(c * c for c in v) <= radius ** 2], dtype=dtype)",
+     (GROWTH + "[n2-d1-R1]", T_SERIES + "test_b2_closed_form")),
+    (SERIES, "    for column in cats.T:\n", "    for column in cats.T[::-1]:\n",
+     (GROWTH + "[n3-d1-R1]", GROWTH + "[n5-d2-R1]")),
+    # the graph sums: in-range and coincident pair masks swapped
+    (SERIES, "for c in (0, 1, 2))", "for c in (0, 2, 1))",
+     (T_SERIES + "test_b2_closed_form",
+      T_SERIES + "test_coefficients_are_correctly_rounded_fraction_sums[1]")),
     # the series layer: the range test made strict; the last term's division
     (SERIES, "np.where(r2 <= radius ** 2, 1, 0)", "np.where(r2 < radius ** 2, 1, 0)",
      (T_SERIES + "test_geometry_counts_are_pinned", T_SERIES + "test_b2_closed_form")),

@@ -65,8 +65,11 @@ def tilted_potential(table: CanonicalTable, n_tilde: float) -> float:
 
     Boundary targets (n_tilde <= 0 or >= |Lambda|) have no finite solution
     and return signed infinity sentinels.  At beta = 0 the mean does not
-    depend on mu, so an interior target raises ``ValueError``.
+    depend on mu, so an interior target raises ``ValueError``, as does a
+    nan target.
     """
+    if math.isnan(n_tilde):
+        raise ValueError("tilted potential needs a target particle number, not nan")
     volume = table.n_sites
     if n_tilde <= 0.0:
         return -math.inf
@@ -260,7 +263,7 @@ def formula_probability(table: CanonicalTable, mu0: float, alpha, u: float,
 
 def appendix_ratio(table: CanonicalTable, mu: float, n: int, n_ref: int) -> float:
     """J^C_mu(N, N') = e^{beta mu (N - N')} Z(N)/Z(N'); +inf when Z(N') = 0.
-    Raises ``GuardError`` where beta mu |Lambda| is not finite."""
+    Raises ``GuardError`` where beta mu |Lambda| or the ratio is not finite."""
     check_tilt(table, mu)
     log_num = table.beta * mu * n + table.log_z_of(n)
     log_den = table.beta * mu * n_ref + table.log_z_of(n_ref)
@@ -268,7 +271,11 @@ def appendix_ratio(table: CanonicalTable, mu: float, n: int, n_ref: int) -> floa
         return math.inf
     if log_num == -math.inf:
         return 0.0
-    return math.exp(log_num - log_den)
+    try:
+        return math.exp(log_num - log_den)
+    except OverflowError:
+        raise GuardError(f"J^C_mu(N, N') = e^{log_num - log_den:g} leaves "
+                         "the float range") from None
 
 
 def appendix_normalization(table: CanonicalTable, mu: float, n_ref: int) -> float:

@@ -21,12 +21,12 @@ Two independent routes to the canonical partition function Z(N):
   running sum keeps the exact rounding error of each of its sums, so Z(N)
   is good to a few eps at any L up to the 4096 guard.  It goes in windows
   of 64 sites.  Where a proved bound on b^R allows, a window gives each
-  column one exponent and a site does no exponent work; elsewhere the bulk
-  cells keep theirs and only the frontier columns align exponents at every
-  site.  The windows change no bit of Z(N).  A ring of L sites is the chain
-  of L - 1: rotations keep each configuration's weight, so site 1 is empty
-  in a share (L - N)/L of Z_ring(N), and then no range-1 bond touches it,
-  so Z_ring(N) = L/(L - N) Z_chain(L - 1, N) for N < L.
+  column one exponent and a site does no exponent work; elsewhere every
+  live column aligns its exponents at every site.  The windows change no
+  bit of Z(N).  A ring of L sites is the chain of L - 1: rotations keep
+  each configuration's weight, so site 1 is empty in a share (L - N)/L of
+  Z_ring(N), and then no range-1 bond touches it, so
+  Z_ring(N) = L/(L - N) Z_chain(L - 1, N) for N < L.
 
 ``canonical_table`` is the one place that picks between the two.
 Everything downstream (grand-canonical probabilities, correlation
@@ -216,7 +216,10 @@ def _density_of_states(lattice: LatticeSpec, radius: int) -> tuple[tuple[int, ..
 
 
 def _bond_exponent(pot: PotentialSpec, beta: float) -> decimal.Decimal:
-    """x = -beta * bond energy, exactly: one bond weighs e^x."""
+    """x = -beta * bond energy, exactly: one bond weighs e^x.  Every oracle
+    table comes through here, so ``ValueError`` unless 0 <= beta < inf."""
+    if not 0 <= beta < math.inf:
+        raise ValueError(f"the oracles need 0 <= beta < inf, not {beta}")
     return _EXACT.multiply(decimal.Decimal(beta), decimal.Decimal(-pot.bond_energy))
 
 
@@ -274,44 +277,30 @@ def _shifts(expo: np.ndarray, top: np.ndarray, scratch: np.ndarray,
     return out
 
 
-def _site(state, new, expo, lo: int, hi: int, bond_e, scale, work):
+def _site(state, new, expo, hi: int, frozen: bool, bond_e, scale, work):
     """One site of the columns N < hi of ``state`` into ``new``, as a
-    callable with its views bound once per window.  Each term of a sum is
-    scaled to its cell: over the bulk N < lo by the window's factors
-    ``scale`` (see ``_freeze``), over the band lo <= N < hi by an exact
-    ldexp shift to the larger exponent, which the cell takes in ``expo``.
-    With lo = hi every column is frozen at one exponent (``_freeze_columns``)
-    and an empty term's factor is 1, so a site runs no exponent work.  The
-    multiplies, sums and Fast2Sum then run once over every column."""
+    callable with its views bound once per window.  In a frozen window
+    (``_freeze_columns``) every column has one exponent and an empty term's
+    factor is 1, so a site runs no exponent work.  Otherwise each term of a
+    sum is scaled to its cell by an exact ldexp shift to the larger
+    exponent, which the cell takes in ``expo``, and an occupied term's
+    factor is the bond mantissa alone.  The multiplies, sums and Fast2Sum
+    then run once over every column."""
     (mant, comp), (next_mant, next_comp) = state, new
     band_e, scratch, shifts, larger = work
     _, rows, size = mant.shape
-    half, a, w = rows // 2, max(lo, 1), hi - lo
+    half = rows // 2
     # [s, q, parity, N] views split h = 2q + parity, the two terms of each
     # sum; h = 2q and 2q + 1 (oldest site empty, occupied) both lead to
     # [s, q] of the next state.  Column 0 of s = 1 stays empty
     pair = (2, half, 2)
     terms = mant.reshape(pair + (size,))
-    # the occupied terms, cells one column down times their factors (b_m
-    # over the band), with the c of their sources folded in
+    # the occupied terms, cells one column down times their factors, with
+    # the c of their sources folded in
     occupied, source = mant[1, :, 1:hi], mant[0, :, :hi - 1]
     s_occupied = scale[1, :, 1:hi]
     c_source, c_occupied, c_scale = comp[:, :hi - 1], occupied[:half], s_occupied[:half]
     c_term = larger[:c_source.size].reshape(c_source.shape)
-    # the band's exponents of both terms of each sum, in ``band_e``
-    e_old, e_source = expo[:, lo:hi], expo[:, a - 1:hi - 1]
-    e_state, e_occupied = band_e[0, :, :w], band_e[1, :, a - lo:w]
-    e_pair = band_e[..., :w].reshape(pair + (w,))
-    e0, e1 = e_pair[..., 0, :], e_pair[..., 1, :]
-    new_e = e_old.reshape(pair[:2] + (w,))
-    top = new_e[..., None, :]
-    diff = scratch[:e_pair.size].reshape(e_pair.shape)
-    sh = shifts[:e_pair.size].reshape(e_pair.shape)
-    m_band, c_band = terms[..., lo:hi], comp[:, lo:hi]
-    c_sh = sh[0].reshape(rows, w)[:half]
-    # the bulk's empty terms and their c
-    m, s_empty = mant[0, :, :lo], scale[0, :, :lo]
-    c, s_c = comp[:, :lo], scale[0, :half, :lo]
     # Fast2Sum of the empty-site sums, from the larger and the smaller term,
     # then the c of their terms: only h < half carries one, into q = h // 2
     t, new_m = terms[..., :hi], next_mant[0, :, :hi].reshape(pair[:2] + (hi,))
@@ -320,21 +309,30 @@ def _site(state, new, expo, lo: int, hi: int, bond_e, scale, work):
     big, err0 = larger[:s0.size].reshape(s0.shape), next_comp[:, :hi]
     even, odd = err0[:(half + 1) // 2], err0[:half // 2]
     c_even, c_odd = comp[0::2, :hi], comp[1::2, :hi]
+    if not frozen:
+        # the exponents of both terms of each sum, in ``band_e``, whose
+        # column 0 of the occupied terms is never written and stays -inf
+        e_old, e_source = expo[:, :hi], expo[:, :hi - 1]
+        e_state, e_occupied = band_e[0, :, :hi], band_e[1, :, 1:hi]
+        e_pair = band_e[..., :hi].reshape(pair + (hi,))
+        e0, e1 = e_pair[..., 0, :], e_pair[..., 1, :]
+        new_e = e_old.reshape(pair[:2] + (hi,))
+        top = new_e[..., None, :]
+        diff = scratch[:e_pair.size].reshape(e_pair.shape)
+        sh = shifts[:e_pair.size].reshape(e_pair.shape)
+        c_band, c_sh = comp[:, :hi], sh[0].reshape(rows, hi)[:half]
 
     def step():
         np.multiply(source, s_occupied, out=occupied)
         np.multiply(c_source, c_scale, out=c_term)
         np.add(c_occupied, c_term, out=c_occupied)
-        if w:
+        if not frozen:
             np.copyto(e_state, e_old)
             np.add(e_source, bond_e, out=e_occupied)
             np.maximum(e0, e1, out=new_e)
             _shifts(e_pair, top, diff, sh)
-            np.ldexp(m_band, sh, out=m_band)
+            np.ldexp(t, sh, out=t)
             np.ldexp(c_band, c_sh, out=c_band)
-            if lo:
-                np.multiply(m, s_empty, out=m)
-                np.multiply(c, s_c, out=c)
         np.add(t0, t1, out=new_m)
         np.maximum(a0, b0, out=big)
         np.minimum(a0, b0, out=a0)
@@ -343,24 +341,6 @@ def _site(state, new, expo, lo: int, hi: int, bond_e, scale, work):
         np.add(even, c_even, out=even)
         np.add(odd, c_odd, out=odd)
     return step
-
-
-def _freeze(expo: np.ndarray, lo: int, bond, scale: np.ndarray, ints: np.ndarray) -> None:
-    """The window's factors for the bulk N < lo, from the exponents E it
-    freezes: scale[0, h, N] = 2^(E[h, N] - E[h // 2, N]) takes cell [h, N]
-    into its sum for cell [h // 2, N], and scale[1, h, N] =
-    b^{popcount h} 2^(E[h, N - 1] - E[half + h // 2, N]) takes cell
-    [h, N - 1] into cell [half + h // 2, N].  An empty cell's factor is
-    flushed, as in ``_shifts``."""
-    half, e = len(expo) // 2, expo[:, :lo]
-    s0, s1, sh = scale[0, :, :lo], scale[1, :, 1:lo], ints[:, :lo]
-    pairs = (half, 2, lo)
-    _shifts(e.reshape(pairs), e[:half, None], s0.reshape(pairs), sh.reshape(pairs))
-    np.ldexp(1.0, sh, out=s0)
-    np.add(e[:, :-1], bond[1], out=s1)
-    pairs, sh = pairs[:2] + (lo - 1,), sh[:, 1:]
-    _shifts(s1.reshape(pairs), e[half:, None, 1:], s1.reshape(pairs), sh.reshape(pairs))
-    np.ldexp(bond[0], sh, out=s1)
 
 
 def _freeze_columns(expo: np.ndarray, n0: int, stop: int, step, bond, state,
@@ -404,44 +384,26 @@ def _chain_sums(side: int, radius: int, x: decimal.Decimal) -> tuple[np.ndarray,
     shifted to the row's largest exponent ``top``.
 
     The chain goes in windows of W = WINDOW_SITES sites.  A window starts
-    with n0 sites placed by bringing every mantissa to [1/2, 1).  The bulk
-    cells, N < lo = n0 - R - 2, then keep their exponents for the window:
-    each term of a sum is scaled to its cell by a factor fixed for the
-    window, 2^(E_src - E_cell) or b_m 2^(E_src + b_e - E_cell), so a bulk
-    site does no exponent work.  Scaling by a power of two changes no
-    rounding, so every Z(N) is the same float as when each sum aligns to
-    its larger exponent (both flush terms over 2^1000 below their cell;
-    such a term reaches no bit of Z(N) save in an exact tie).  The band
-    N >= lo, where cells turn live within the window, keeps that alignment
-    at every site: its occupied terms take the bond mantissa alone as their
-    factor, and each site shifts the band's mantissas and c in place by
-    ldexp before the one pass of multiplies, sums and Fast2Sum over band
-    and bulk.  The shifts go on the mantissas, not on factors of 1 or b_m:
-    the not-yet-live band cells carry the -1100 flush, and an ldexp whose
-    result underflows costs ~13 ns an element against under 1 ns; a zero
-    mantissa does not underflow.
-
-    Why the bulk mantissas stay in range: b >= 1.  An (n + 1)-site
-    configuration of a bulk cell (N < n - R) has an empty site before the
-    last R sites; deleting the first one gives an n-site configuration of
-    the same cell that weighs no less (sites only come closer), and each
-    n-site configuration comes from at most n + 1 such insertions.  So a
-    bulk cell grows by at most n + 1 <= 2^12 per site, and a mantissa below
-    1 at the window's start stays below 2^(12 W) = 2^768; inserting an
-    empty site beside an empty one shows it never shrinks.  A band mantissa
-    at most quadruples per site over the largest of its terms' (b_m < 2),
-    so it stays below 2^(768 + 2 W) = 2^896.  The factors are exact while
-    every exponent is an integer below 2^53, that is while
-    L (log2 b^R + 3) < 2^52; past that (beta ~ 1e11) every column is band.
-
-    Where b^R is small the window does better and freezes whole columns
-    (``_freeze_columns``): column N <= stop takes one exponent E[N], a live
-    one its largest cell's, one born in the window E[N - 1] + B, with
+    with n0 sites placed by bringing every mantissa to [1/2, 1), and then
+    runs one of two ways.  Where the bound below holds, it freezes its
+    columns (``_freeze_columns``): column N <= stop takes one exponent E[N],
+    a live one its largest cell's, one born in the window E[N - 1] + B, with
     b^R < 2^B (B the exponent of b^R plus 1); mantissas and c move to their
     column by an exact ldexp.  An empty term then joins its cell with factor
     1, so a site runs only the occupied multiply, the c fold, the pair sum,
-    Fast2Sum and the c adds.  After the window a cell still empty takes
-    E = -inf again, so a banded window can follow.
+    Fast2Sum and the c adds.  Scaling by a power of two changes no rounding,
+    so every Z(N) is the same float as when each sum aligns to its larger
+    exponent.  After the window a cell still empty takes E = -inf again.
+
+    Otherwise every column keeps that alignment at every site: the occupied
+    terms take the bond mantissa alone as their factor, and each site
+    shifts the mantissas and c in place by ldexp before the one pass of
+    multiplies, sums and Fast2Sum.  The shifts go on the mantissas, not on
+    factors of 1 or b_m: the not-yet-live cells carry the -1100 flush, and
+    an ldexp whose result underflows costs ~13 ns an element against under
+    1 ns; a zero mantissa does not underflow.  A mantissa at most
+    quadruples per site over the largest of its terms' (b_m < 2), so it
+    stays below 2^(2 W) in the window.
 
     The bound for frozen columns.  Let n < 2^ell be the sites placed, ell
     the bit length of L, and g = 2 B + ell.  Moving one particle changes a
@@ -479,8 +441,8 @@ def _chain_sums(side: int, radius: int, x: decimal.Decimal) -> tuple[np.ndarray,
     window, c times its factor included, is a normal float: the frozen
     window scales each value by a power of two and changes no rounding.
     And no term falls more than 2^(g + 1) below its cell, so while
-    g <= 201 an aligned sum, whose mantissas stay in [1/4, 2^896), shifts
-    it by at most g + 899 <= 1100 and flushes no term either.  The
+    g <= 201 an aligned sum, whose mantissas stay in [1/4, 2^(2 W)), shifts
+    it by at most g + 2 W + 3 < 1100 and flushes no term either.  The
     computed values lie within a factor 1 + L eps of the exact ones, which
     the slack of one bit in each bound covers.  At L = 4096 the bound
     holds to beta ~ 16 at R = 1, ~ 7.7 at R = 2, ~ 4 at R = 3 and ~ 2.4 at
@@ -490,9 +452,6 @@ def _chain_sums(side: int, radius: int, x: decimal.Decimal) -> tuple[np.ndarray,
     powers = [_binary_power(_EXACT.multiply(x, p)) for p in range(R + 1)]
     bond_m, bond_e = np.array([powers[p] for p in np.bitwise_count(np.arange(1 << R))]).T
     bond = bond_m[:, None], bond_e[:, None]
-    # every exponent is an integer below 2^53: |E| < log2 Z + 1024 and
-    # log2 Z <= L (log2 b^R + 1)
-    exact = side * (powers[R][1] + 3) < 2.0 ** 52
     # the bound that lets a window freeze its columns (see above)
     B, W = powers[R][1] + 1, WINDOW_SITES
     g = 2 * B + side.bit_length()
@@ -512,22 +471,22 @@ def _chain_sums(side: int, radius: int, x: decimal.Decimal) -> tuple[np.ndarray,
     expo = np.full(shape[1:], -math.inf)
     state[0][0, 0, 0] = state[0][0, half, 1] = 1.0  # site 1 empty or occupied
     expo[0, 0] = expo[half, 1] = 0.0
-    # the bulk's factors (see _freeze), and the band's work buffers: it is
-    # at most W + R + 3 columns wide once the bulk starts
+    # the factors of the occupied terms, and the aligned windows' work
+    # buffers, which a frozen window does not touch
     scale, ints = np.empty(shape), np.empty(expo.shape, dtype=np.int32)
-    width = min(side + 2, W + R + 4) if exact else side + 2
-    work = (np.full((2, 1 << R, width), -math.inf), np.empty((2 << R) * width),
-            np.empty((2 << R) * width, np.int32), np.empty(half * (side + 2)))
+    band_e = np.empty(shape)
+    work = (band_e, np.empty(2 * band_e.size), np.empty(2 * band_e.size, np.int32),
+            np.empty(half * (side + 2)))
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         # a ufunc on strided rows copies them through numpy's buffer (8192
-        # elements by default); a buffer shorter than the bulk's rows makes
-        # it run on the rows in place, ~12% faster.  errstate restores it
+        # elements by default); a buffer shorter than the rows makes it run
+        # on the rows in place, ~12% faster.  errstate restores it
         np.setbufsize(1024)
         for n0 in range(1, side, W):
             # n0 sites placed, so N <= n0 is live.  The window places sites
             # n0 + 1 .. stop: first every live mantissa goes to [1/2, 1),
             # then every column N <= stop freezes its exponent, or where the
-            # bound fails the bulk cells N < lo freeze theirs
+            # bound fails every column aligns at every site
             stop, (mant, comp) = min(side, n0 + W), state
             live, bump = mant[0, :, :n0 + 1], ints[:, :n0 + 1]
             np.frexp(live, out=(live, bump))
@@ -537,25 +496,23 @@ def _chain_sums(side: int, radius: int, x: decimal.Decimal) -> tuple[np.ndarray,
             np.ldexp(c, bump[:half], out=c)
             # frozen columns also need every nonzero c at least tiny
             size = np.abs(c, out=scale[1, :half, :n0 + 1])
-            if columns and np.count_nonzero(size >= tiny) == np.count_nonzero(size):
-                lo = stop + 1
+            frozen = columns and np.count_nonzero(size >= tiny) == np.count_nonzero(size)
+            if frozen:
                 _freeze_columns(expo, n0, stop, B, bond, state, scale, ints)
             else:
-                lo = max(0, n0 - R - 2) if exact else 0
-                if lo:
-                    _freeze(expo, lo, bond, scale, ints)
-                # the band is N in [lo, stop + 1), the columns of the
-                # window's last site; past a site's live columns its cells
-                # are empty.  Its occupied terms take the bond mantissa
-                # alone, and their exponents go into the per-site alignment
-                scale[1, :, lo:stop + 1] = bond[0]
-            steps = [_site(a, b, expo, lo, stop + 1, bond[1], scale, work)
+                # past a site's live columns the cells are empty.  The
+                # occupied terms take the bond mantissa alone, and their
+                # exponents go into the per-site alignment, which reads
+                # those of column 0 unwritten: an empty term
+                scale[1, :, 1:stop + 1] = bond[0]
+                band_e[1, :, 0] = -math.inf
+            steps = [_site(a, b, expo, stop + 1, frozen, bond[1], scale, work)
                      for a, b in ((state, new), (new, state))]
             for n in range(n0, stop):
                 steps[(n - n0) % 2]()
             if (stop - n0) % 2:
                 state, new = new, state
-            if lo > stop:
+            if frozen:
                 # a cell still empty takes E = -inf again
                 np.copyto(expo[:, :stop + 1], -math.inf, where=state[0][0, :, :stop + 1] == 0)
         mant = state[0][0, :, :side + 1]
@@ -576,10 +533,8 @@ def transfer_matrix_table(side: int, pot: PotentialSpec, beta: float,
     touches it.  So Z_ring(N) = L/(L - N) Z_chain(L - 1, N) for N < L.  The
     full row is one configuration at the top bond level (L on a ring,
     RL - R(R+1)/2 on a chain), top * x rounded once, x = -beta * bond
-    energy.  Rings need a range-1 potential and L >= 3; beta is >= 0.
+    energy.  Rings need a range-1 potential and L >= 3.
     """
-    if not beta >= 0:
-        raise ValueError("transfer matrix needs beta >= 0")
     if side > TRANSFER_MAX_SIDE:
         raise GuardError(f"transfer matrix guarded to L <= {TRANSFER_MAX_SIDE}")
     if boundary not in ("zero", "periodic"):

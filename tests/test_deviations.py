@@ -10,8 +10,8 @@ from latgas.deviations import (appendix_normalization, appendix_ratio,
                                m_of_alpha, mean_occupation, rate_function,
                                tilted_potential, variance_terms)
 from latgas.model import GuardError, LatticeSpec, PotentialSpec
-from latgas.oracle import (CanonicalTable, exact_canonical_table, grand_canonical_eval,
-                           transfer_matrix_table)
+from latgas.oracle import (CanonicalTable, canonical_table, exact_canonical_table,
+                           grand_canonical_eval, transfer_matrix_table)
 from latgas.radii import lattice_gas_threshold
 from latgas.series import (CanonicalFreeEnergy, extract_b_lambda,
                            free_energy_from_extraction)
@@ -298,11 +298,14 @@ def test_appendix_zero_denominator_sentinel():
     (0.5, lambda t: grand_canonical_eval(t, 1e308)),
     (1e300, lambda t: mean_occupation(t, -1e300)),
     (1e300, lambda t: appendix_ratio(t, 1e300, 3, 6)),
-    (1e300, lambda t: find_n_star(t, 1e10))],
-    ids=["grand_canonical_eval", "mean_occupation", "appendix_ratio", "find_n_star"])
+    (1e300, lambda t: find_n_star(t, 1e10)),
+    (1e-5, lambda t: appendix_ratio(t, 1e7, 12, 0))],
+    ids=["grand_canonical_eval", "mean_occupation", "appendix_ratio", "find_n_star",
+         "appendix_ratio_quotient"])
 def test_grand_canonical_layer_raises_guard_error_past_the_float_range(beta, call):
-    # beta mu |Lambda| overflows: unguarded, these give nan, an untyped
-    # ValueError or, from find_n_star, N = 1 for a maximum at N = 12
+    # beta mu |Lambda| or the quotient J = e^1200 overflows: unguarded, these
+    # give nan, an untyped ValueError or OverflowError or, from find_n_star,
+    # N = 1 for a maximum at N = 12
     t = exact_canonical_table(LatticeSpec(1, 12, "periodic"), POT, beta)
     with pytest.raises(GuardError):
         call(t)
@@ -316,6 +319,61 @@ def test_tilted_potential_at_beta_zero_raises_for_an_interior_target():
         tilted_potential(t, 5.5)
     assert tilted_potential(t, 0.0) == -math.inf
     assert tilted_potential(t, 12.0) == math.inf
+
+
+def test_a_nan_target_raises_value_error():
+    # a nan target bisected to mu = -0.9999999999995453 on this ring, so the
+    # rate function returned nan; the boundary sentinels stay
+    t = exact_canonical_table(LatticeSpec(1, 12, "periodic"), POT, 0.3)
+    with pytest.raises(ValueError, match="nan"):
+        tilted_potential(t, math.nan)
+    with pytest.raises(ValueError, match="nan"):
+        rate_function(t, -10.0, math.nan)
+    assert tilted_potential(t, -math.inf) == -math.inf
+    assert tilted_potential(t, math.inf) == math.inf
+
+
+# the deviation layer's tables: enumeration up to 24 sites, in one and two
+# dimensions, and the transfer matrix past it
+DEVIATION_BOXES = [(LatticeSpec(1, 12, "periodic"), POT),
+                   (LatticeSpec(1, 9, "zero"), PotentialSpec("kac", 1.0, 2)),
+                   (LatticeSpec(2, 4, "periodic"), PotentialSpec("standard", 0.7)),
+                   (LatticeSpec(1, 24, "periodic"), POT),
+                   (LatticeSpec(1, 100, "zero"), PotentialSpec("kac", 1.0, 3))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(box=st.sampled_from(DEVIATION_BOXES),
+       beta=st.one_of(st.just(0.0), st.floats(0.0, 1e300),
+                      st.floats(-300.0, 300.0).map(lambda u: 10.0 ** u)),
+       mu=st.floats() | st.floats(-20.0, 20.0), data=st.data())
+def test_deviation_layer_over_the_guarded_space(box, beta, mu, data):
+    # each entry point returns a finite value or a documented sentinel, or
+    # raises GuardError or ValueError
+    table = canonical_table(*box, beta)
+    volume = table.n_sites
+    target = data.draw(st.floats() | st.floats(-1.0, volume + 1.0), label="target")
+    n, n_ref = (data.draw(st.integers(-1, volume + 2), label=k) for k in ("n", "n_ref"))
+
+    def outcome(call):
+        try:
+            return call()
+        except ValueError:  # GuardError included
+            return None
+
+    n_star = outcome(lambda: find_n_star(table, mu))
+    assert n_star is None or 0 <= n_star <= volume
+    occupation = outcome(lambda: mean_occupation(table, mu))
+    assert occupation is None or (math.isfinite(occupation[0]) and 0 <= occupation[1] <= volume)
+    mu_tilde = outcome(lambda: tilted_potential(table, target))
+    assert mu_tilde is None or math.isfinite(mu_tilde) or (
+        mu_tilde == (-math.inf if target <= 0 else math.inf) and not 0 < target < volume)
+    rate = outcome(lambda: rate_function(table, mu, target))
+    assert rate is None or math.isfinite(rate)
+    ratio = outcome(lambda: appendix_ratio(table, mu, n, n_ref))
+    assert ratio is None or 0 <= ratio < math.inf or table.log_z_of(n_ref) == -math.inf
+    weight = outcome(lambda: appendix_normalization(table, mu, n_ref))
+    assert weight is None or 0 <= weight <= 1
 
 
 def test_clt_gap_shrinks_along_short_ladder():

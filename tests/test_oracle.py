@@ -25,6 +25,7 @@ POT = PotentialSpec("standard", 1.0)
 KAC2, KAC3 = PotentialSpec("kac", 1.0, 2), PotentialSpec("kac", 1.0, 3)
 FIXED_BOX = LatticeSpec(2, 3, "fixed", gamma=((-1, 0), (0, -1), (3, 2)))
 TORUS3, TORUS4 = LatticeSpec(2, 3, "periodic"), LatticeSpec(2, 4, "periodic")
+RING = functools.partial(LatticeSpec, 1, boundary="periodic")
 
 
 def test_two_site_chain_table():
@@ -80,11 +81,29 @@ def test_transfer_matrix_guards():
 
 
 def test_canonical_table_dispatch():
-    ring = functools.partial(LatticeSpec, 1, boundary="periodic")
-    assert canonical_table(ring(40), POT, 0.2).method == "transfer-matrix"
-    assert canonical_table(ring(24), POT, 0.2).method == "enumeration"
+    assert canonical_table(RING(40), POT, 0.2).method == "transfer-matrix"
+    assert canonical_table(RING(24), POT, 0.2).method == "enumeration"
     with pytest.raises(GuardError, match="enumeration guarded"):
         canonical_table(LatticeSpec(2, 5, "periodic"), POT, 0.2)
+
+
+@pytest.mark.parametrize("beta", [-1.0, -0.5e-300, -math.inf, math.nan, math.inf])
+@pytest.mark.parametrize("call", [
+    lambda beta: exact_canonical_table(RING(20), POT, beta),
+    lambda beta: exact_correlations(RING(20), POT, beta, 10),
+    lambda beta: transfer_matrix_table(20, POT, beta, "periodic"),
+    lambda beta: transfer_matrix_table(30, KAC3, beta, "zero"),
+    lambda beta: canonical_table(RING(20), POT, beta),
+    lambda beta: canonical_table(RING(30), POT, beta)],
+    ids=["enumeration-20", "correlations-20", "transfer-matrix-20", "transfer-matrix-30",
+         "canonical-table-20", "canonical-table-30"])
+def test_oracles_take_beta_from_zero_to_inf(call, beta):
+    # one check for all three oracles, so canonical_table answers alike on
+    # both sides of the enumeration guard; before it an enumeration at
+    # beta = -1 gave a table and at nan all-nan rows, and an infinite beta
+    # raised a bare decimal.InvalidOperation
+    with pytest.raises(ValueError, match="0 <= beta < inf"):
+        call(beta)
 
 
 def test_enumeration_guard():
@@ -534,9 +553,9 @@ def _aligned_transfer_matrix(side, pot, beta):
                                              for r in (1, 2, 3, 4)]])
 @pytest.mark.parametrize("beta", [0.0, 0.3, 25.0, 1e300])
 def test_windowed_transfer_matrix_equals_aligned_bit_for_bit(pot, boundary, beta):
-    # a cell's exponent is frozen for a window of sites only where the power
-    # of two it factors out leaves every rounding as it was; sides end just
-    # past a window's edge, where the band of aligned columns meets the bulk
+    # a column's exponent is frozen for a window of sites only where the
+    # power of two it factors out leaves every rounding as it was; sides end
+    # just past a window's edge
     R, w = pot.support_radius, oracle.WINDOW_SITES
     for side in [k * w + R + d for k in (1, 2) for d in (1, 2, 3)] + [300]:
         side -= boundary == "periodic"
@@ -569,13 +588,13 @@ def test_windowed_transfer_matrix_equals_aligned_at_any_side(case, beta, data):
 @pytest.fixture
 def frozen_windows(monkeypatch):
     """Per window of each table built after a ``clear()``, whether it froze
-    its columns at one exponent each (``_site`` called with lo = hi, twice
-    per window)."""
+    its columns at one exponent each (``_site`` called with frozen true,
+    twice per window)."""
     paths, site = [], oracle._site
 
-    def spy(state, new, expo, lo, hi, *rest):
-        paths.append(lo == hi)
-        return site(state, new, expo, lo, hi, *rest)
+    def spy(state, new, expo, hi, frozen, *rest):
+        paths.append(frozen)
+        return site(state, new, expo, hi, frozen, *rest)
 
     monkeypatch.setattr(oracle, "_site", spy)
     return paths
@@ -608,9 +627,9 @@ def test_window_paths(frozen_windows):
 @pytest.mark.parametrize("pot, beta, side", [(KAC3, 6.0, 300),
                                              (PotentialSpec("kac", 1.0, 4), 3.5, 200)])
 def test_banded_windows_equal_aligned_bit_for_bit(frozen_windows, pot, beta, side):
-    # past the frozen-column bound each window aligns its band at every
-    # site; in these tables one Z(N) depends in its last bit on the band's
-    # c moving with its cell
+    # past the frozen-column bound each window aligns every column at every
+    # site; in these tables one Z(N) depends in its last bit on each c
+    # moving with its cell
     log_z = transfer_matrix_table(side, pot, beta).log_z
     assert not any(frozen_windows)
     assert log_z.tobytes() == _aligned_transfer_matrix(side, pot, beta).tobytes()

@@ -32,7 +32,9 @@ T_SERIES, T_CLI = "tests/test_series.py::", "tests/test_cli.py::"
 BRUTE = T_ORACLE + "test_correlations_equal_brute_force"
 WINDOWED = T_ORACLE + "test_windowed_transfer_matrix_equals_aligned_bit_for_bit"
 BANDED = T_ORACLE + "test_banded_windows_equal_aligned_bit_for_bit"
+GROUND = T_ORACLE + "test_transfer_matrix_ground_states_at_huge_beta"
 FIND_N_STAR = (T_DEVIATIONS + "test_find_n_star_equals_the_loop_on_planted_steps",)
+BETA = T_ORACLE + "test_oracles_take_beta_from_zero_to_inf"
 GC_GUARD = T_DEVIATIONS + "test_grand_canonical_layer_raises_guard_error_past_the_float_range"
 SERIES_GUARD = T_SERIES + "test_coefficients_past_float_range_raise_guard_error"
 GROWTH = T_SERIES + "test_patterns_equal_the_set_growth"
@@ -50,11 +52,15 @@ MUTANTS = [
     (ORACLE, "counts = _density_of_states(lattice, pot.support_radius)[n]\n",
      "counts = _density_of_states(lattice, pot.support_radius)[n - 1]\n",
      (BRUTE + "[0.3-lattice0-3]", T_ORACLE + "test_correlation_sum_rules")),
-    # the transfer matrix: no band shift of the compensation c; the full row
-    # rounded twice; frozen columns without their c moved to the column,
-    # without the bond exponent in their factors, or past the bound
+    # the transfer matrix: no band shift of the compensation c; no -inf
+    # exponent for the band's unwritten column; the full row rounded twice;
+    # frozen columns without their c moved to the column, without the bond
+    # exponent in their factors, or past the bound
     (ORACLE, "            np.ldexp(c_band, c_sh, out=c_band)\n", "",
      (BANDED + "[pot0-6.0-300]", BANDED + "[pot1-3.5-200]")),
+    (ORACLE, "                band_e[1, :, 0] = -math.inf\n", "",
+     (WINDOWED + "[1e+300-pot5-zero]", GROUND + "[10000.0]", GROUND + "[1e+300]",
+      T_ORACLE + "test_transfer_matrix_is_within_an_ulp_of_the_closed_form_ring[200.0-257]")),
     (ORACLE, "log_z = np.append(log_z, float(_EXACT.fma(top_level, x, 0)))",
      "log_z = np.append(log_z, top_level * float(x))",
      (T_ORACLE + "test_transfer_matrix_full_row_is_rounded_once",)),
@@ -62,8 +68,8 @@ MUTANTS = [
      (WINDOWED + "[0.3-pot4-zero]", WINDOWED + "[0.3-pot5-zero]")),
     (ORACLE, "    np.add(top[:-1], bond[1], out=factors)\n",
      "    np.copyto(factors, top[:-1])\n", (WINDOWED + "[0.3-pot0-zero]",)),
-    (ORACLE, "            if columns and np.count_nonzero(size >= tiny) == np.count_nonzero(size):\n",
-     "            if True:\n",
+    (ORACLE, "frozen = columns and np.count_nonzero(size >= tiny) == np.count_nonzero(size)\n",
+     "frozen = True\n",
      (T_ORACLE + "test_window_paths", WINDOWED + "[1e+300-pot0-zero]",
       WINDOWED + "[1e+300-pot5-zero]")),
     # the graph engine: Pruefer block digits reversed; edges out of pair order
@@ -83,7 +89,15 @@ MUTANTS = [
     (DEVIATIONS, "    v[1:][np.isnan(v[1:])] = -np.inf", "    pass", FIND_N_STAR),
     (DEVIATIONS, "stall = len(clear) if clear.all() else int(np.argmin(clear))",
      "stall = len(clear)", FIND_N_STAR),
-    # typed errors past the float range
+    # typed errors: beta outside [0, inf); a nan target; past the float range
+    (ORACLE, "    if not 0 <= beta < math.inf:\n", "    if False:\n",
+     (BETA + "[enumeration-20--1.0]", BETA + "[correlations-20-nan]",
+      BETA + "[transfer-matrix-30-inf]", BETA + "[canonical-table-20-nan]")),
+    (DEVIATIONS, "    if math.isnan(n_tilde):\n", "    if False:\n",
+     (T_DEVIATIONS + "test_a_nan_target_raises_value_error",)),
+    (DEVIATIONS, "    except OverflowError:\n        raise GuardError(f\"J^C_mu",
+     "    except ZeroDivisionError:\n        raise GuardError(f\"J^C_mu",
+     (GC_GUARD + "[appendix_ratio_quotient]",)),
     (ORACLE, "    check_tilt(table, mu)\n    beta = table.beta\n", "    beta = table.beta\n",
      (GC_GUARD + "[grand_canonical_eval]", GC_GUARD + "[mean_occupation]",
       "tests/test_cli.py::test_float_range_exits_as_a_guard[oracle-extra0]")),

@@ -104,15 +104,20 @@ def tilted_potential(table: CanonicalTable, n_tilde: float) -> float:
 def _rate(table: CanonicalTable, gc0: GrandCanonicalEval, n_tilde: float,
           mu_tilde: float) -> float:
     gct = grand_canonical_eval(table, mu_tilde)
-    return (table.beta * (n_tilde / table.n_sites) * (mu_tilde - gc0.mu)
+    rate = (table.beta * (n_tilde / table.n_sites) * (mu_tilde - gc0.mu)
             - (gct.log_xi - gc0.log_xi) / table.n_sites)
+    if not math.isfinite(rate):  # mu_tilde - mu0 past the float range
+        raise GuardError(f"the rate at mu0 = {gc0.mu:g}, mu_tilde = {mu_tilde:g} "
+                         "leaves the float range")
+    return rate
 
 
 def rate_function(table: CanonicalTable, mu0: float, n_tilde: float) -> float:
     """I^GC(rho_tilde; rho_bar) from exact finite-volume pressures.
 
     Collapses to beta*rho_tilde*(mu_tilde - mu0) - (log Xi(mu_tilde)
-    - log Xi(mu0))/|Lambda|; the rho_bar terms cancel identically.
+    - log Xi(mu0))/|Lambda|; the rho_bar terms cancel identically.  Raises
+    ``GuardError`` where that leaves the float range.
     """
     mu_tilde = tilted_potential(table, n_tilde)
     if not math.isfinite(mu_tilde):

@@ -471,8 +471,9 @@ def _chain_sums(side: int, radius: int, x: decimal.Decimal) -> tuple[np.ndarray,
     expo = np.full(shape[1:], -math.inf)
     state[0][0, 0, 0] = state[0][0, half, 1] = 1.0  # site 1 empty or occupied
     expo[0, 0] = expo[half, 1] = 0.0
-    # the factors of the occupied terms, and the aligned windows' work
-    # buffers, which a frozen window does not touch
+    # the factors of the occupied terms; the aligned windows' exponents,
+    # differences and shifts, which a frozen window does not touch; and a
+    # scratch buffer for the c fold and Fast2Sum
     scale, ints = np.empty(shape), np.empty(expo.shape, dtype=np.int32)
     band_e = np.empty(shape)
     work = (band_e, np.empty(2 * band_e.size), np.empty(2 * band_e.size, np.int32),

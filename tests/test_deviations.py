@@ -299,13 +299,14 @@ def test_appendix_zero_denominator_sentinel():
     (1e300, lambda t: mean_occupation(t, -1e300)),
     (1e300, lambda t: appendix_ratio(t, 1e300, 3, 6)),
     (1e300, lambda t: find_n_star(t, 1e10)),
-    (1e-5, lambda t: appendix_ratio(t, 1e7, 12, 0))],
+    (1e-5, lambda t: appendix_ratio(t, 1e7, 12, 0)),
+    (1e-300, lambda t: rate_function(t, 1.7976931108833632e308, 1.0))],
     ids=["grand_canonical_eval", "mean_occupation", "appendix_ratio", "find_n_star",
-         "appendix_ratio_quotient"])
+         "appendix_ratio_quotient", "rate_function"])
 def test_grand_canonical_layer_raises_guard_error_past_the_float_range(beta, call):
-    # beta mu |Lambda| or the quotient J = e^1200 overflows: unguarded, these
-    # give nan, an untyped ValueError or OverflowError or, from find_n_star,
-    # N = 1 for a maximum at N = 12
+    # beta mu |Lambda|, the quotient J = e^1200 or mu_tilde - mu0 overflows:
+    # unguarded, these give nan, -inf, an untyped ValueError or
+    # OverflowError or, from find_n_star, N = 1 for a maximum at N = 12
     t = exact_canonical_table(LatticeSpec(1, 12, "periodic"), POT, beta)
     with pytest.raises(GuardError):
         call(t)
@@ -366,8 +367,8 @@ def test_deviation_layer_over_the_guarded_space(box, beta, mu, data):
     occupation = outcome(lambda: mean_occupation(table, mu))
     assert occupation is None or (math.isfinite(occupation[0]) and 0 <= occupation[1] <= volume)
     mu_tilde = outcome(lambda: tilted_potential(table, target))
-    assert mu_tilde is None or math.isfinite(mu_tilde) or (
-        mu_tilde == (-math.inf if target <= 0 else math.inf) and not 0 < target < volume)
+    assert mu_tilde is None or (math.isfinite(mu_tilde) and 0 < target < volume) or (
+        mu_tilde == (-math.inf if target <= 0 else math.inf if target >= volume else math.nan))
     rate = outcome(lambda: rate_function(table, mu, target))
     assert rate is None or math.isfinite(rate)
     ratio = outcome(lambda: appendix_ratio(table, mu, n, n_ref))

@@ -98,6 +98,7 @@ MUTANTS = [
     (DEVIATIONS, "    except OverflowError:\n        raise GuardError(f\"J^C_mu",
      "    except ZeroDivisionError:\n        raise GuardError(f\"J^C_mu",
      (GC_GUARD + "[appendix_ratio_quotient]",)),
+    (DEVIATIONS, "    if not math.isfinite(rate):", "    if False:", (GC_GUARD + "[rate_function]",)),
     (ORACLE, "    check_tilt(table, mu)\n    beta = table.beta\n", "    beta = table.beta\n",
      (GC_GUARD + "[grand_canonical_eval]", GC_GUARD + "[mean_occupation]",
       "tests/test_cli.py::test_float_range_exits_as_a_guard[oracle-extra0]")),

@@ -3,13 +3,10 @@ canonical ensemble, validated at desk scale against exact enumeration and
 transfer-matrix oracles."""
 
 from .model import (EXCLUDED, GuardError, LatticeSpec, ModelConstants,
-                    PotentialSpec, boundary_weight, boltzmann_weight,
-                    ising_hamiltonian, lattice_gas_hamiltonian,
-                    model_constants, spin_gas_energy_identity)
+                    PotentialSpec, model_constants)
 from .oracle import (CanonicalTable, CorrelationTable, GrandCanonicalEval,
                      canonical_table, exact_canonical_table, exact_correlations,
-                     grand_canonical_eval, ising_gas_consistency,
-                     transfer_matrix_table)
+                     grand_canonical_eval, transfer_matrix_table)
 from .series import (CanonicalFreeEnergy, SeriesCoefficients, VirialSeries,
                      connected_coefficient, extract_b_lambda,
                      free_energy_from_extraction, free_energy_thermodynamic,

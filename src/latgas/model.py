@@ -1,7 +1,8 @@
 """Finite lattice-gas / Ising models on Z^d.
 
-The spin and occupancy pictures are linked by sigma = 2*eta - 1.  A box
-Lambda = {0,...,L-1}^d carries one of three wall types:
+The model is written in occupancy variables eta; the spin picture,
+sigma = 2*eta - 1, is a test-side reference (``tests/references.py``).  A
+box Lambda = {0,...,L-1}^d carries one of three wall types:
 
 * ``zero``      -- free walls, no exterior sites at all;
 * ``periodic``  -- torus bonds (each site keeps its 2d neighbours);
@@ -10,9 +11,9 @@ Lambda = {0,...,L-1}^d carries one of three wall types:
 
 Pair interactions are hard-core at distance 0 and -4J at distance 1
 (``standard``), or -4 within Euclidean distance R (``kac``, J = 1).  Excluded
-configurations are reported with an infinite-energy sentinel; Boltzmann
-weights treat that sentinel as an indicator, so the weight is exactly 0
-even at beta = 0.
+configurations are reported with an infinite-energy sentinel; the Mayer
+function treats that sentinel as an indicator, so f = -1 exactly even at
+beta = 0.
 """
 
 from __future__ import annotations
@@ -28,13 +29,6 @@ EXCLUDED = math.inf
 
 class GuardError(ValueError):
     """A desk-scale size or order guard was violated."""
-
-
-def boltzmann_weight(beta: float, energy: float) -> float:
-    """exp(-beta*energy) with hard-core exclusion as an indicator."""
-    if math.isinf(energy):
-        return 0.0
-    return math.exp(-beta * energy)
 
 
 @dataclass(frozen=True)
@@ -171,31 +165,6 @@ class LatticeSpec:
                     bonds.append((x, tuple(y)))
         return bonds
 
-    def wall_bonds(self) -> list[tuple[Site, Site]]:
-        """Bonds from interior sites to exterior neighbours (non-periodic)."""
-        if self.boundary == "periodic":
-            return []
-        bonds = []
-        for x in self.sites():
-            for k in range(self.dimension):
-                for s in (-1, 1):
-                    y = list(x)
-                    y[k] += s
-                    if not self.contains(tuple(y)):
-                        bonds.append((x, tuple(y)))
-        return bonds
-
-    def edge_count(self) -> int:
-        """|E_Lambda| under this box's wall convention.
-
-        zero: interior bonds only; periodic: d*|Lambda| torus bonds;
-        fixed: interior bonds plus every wall bond (exterior spins exist).
-        """
-        n = len(self.interior_bonds())
-        if self.boundary == "fixed":
-            n += len(self.wall_bonds())
-        return n
-
 
 @dataclass(frozen=True)
 class ModelConstants:
@@ -237,132 +206,3 @@ def model_constants(dimension: int, pot: PotentialSpec, beta: float) -> ModelCon
     if C == math.inf:
         raise GuardError(f"C = {nbrs:g}(e^{bond:g} - 1) + 1 exceeds the float range")
     return ModelConstants(stability_B=B, regularity_C=C, tree_C_bar=c_bar)
-
-
-def _check_spins(spins: dict[Site, int], lattice: LatticeSpec) -> None:
-    sites = lattice.sites()
-    if set(spins) != set(sites):
-        raise ValueError("spins must be defined on exactly the box sites")
-    for v in spins.values():
-        if v not in (-1, 1):
-            raise ValueError(f"spin value {v} outside {{-1,+1}}")
-
-
-def spins_from_occupancy(eta: dict[Site, int]) -> dict[Site, int]:
-    """sigma = 2*eta - 1."""
-    return {x: 2 * v - 1 for x, v in eta.items()}
-
-
-def occupancy_from_spins(spins: dict[Site, int]) -> dict[Site, int]:
-    """eta = (sigma + 1)/2."""
-    return {x: (v + 1) // 2 for x, v in spins.items()}
-
-
-def ising_hamiltonian(spins: dict[Site, int], lattice: LatticeSpec,
-                      pot: PotentialSpec) -> float:
-    """-J sum of sigma*sigma' over the box's bonds.
-
-    zero walls have no exterior spins; periodic uses torus bonds; fixed
-    walls carry sigma = +1 on the listed gamma sites and -1 on every other
-    exterior neighbour.
-    """
-    if pot.kind != "standard":
-        raise ValueError("the Ising Hamiltonian is defined for the standard potential")
-    _check_spins(spins, lattice)
-    J = pot.coupling
-    total = 0.0
-    for x, y in lattice.interior_bonds():
-        total += spins[x] * spins[y]
-    if lattice.boundary == "fixed":
-        occupied = set(lattice.gamma)
-        for x, y in lattice.wall_bonds():
-            sigma_out = 1 if y in occupied else -1
-            total += spins[x] * sigma_out
-    return -J * total
-
-
-def lattice_gas_hamiltonian(particles: list[Site], lattice: LatticeSpec,
-                            pot: PotentialSpec) -> float:
-    """Pairwise gas energy plus the interaction with the gamma walls.
-
-    Returns the infinite-energy sentinel when two coordinates coincide.
-    Periodic boxes use minimum-image displacements and need L > 2R.
-    """
-    for x in particles:
-        if not lattice.contains(x):
-            raise ValueError(f"particle {x} outside the box")
-    if lattice.boundary == "periodic" and lattice.side <= 2 * pot.support_radius:
-        raise GuardError("periodic box too small for the interaction range")
-    total = 0.0
-    n = len(particles)
-    for i in range(n):
-        for j in range(i + 1, n):
-            e = pot.pair_energy(lattice.wrap_diff(particles[i], particles[j]))
-            if math.isinf(e):
-                return EXCLUDED
-            total += e
-    if lattice.boundary == "fixed":
-        for x in particles:
-            total += _wall_energy(x, lattice, pot)
-    return total
-
-
-def _wall_energy(x: Site, lattice: LatticeSpec, pot: PotentialSpec) -> float:
-    """sum_j V(x - gamma_j) over the occupied wall sites gamma_j."""
-    total = 0.0
-    for g in lattice.gamma:
-        e = pot.pair_energy(tuple(a - b for a, b in zip(x, g)))
-        total += 0.0 if math.isinf(e) else e
-    return total
-
-
-def spin_gas_energy_identity(spins: dict[Site, int], lattice: LatticeSpec,
-                             pot: PotentialSpec) -> tuple[float, float]:
-    """Ising energy with -1 walls versus its exact lattice-gas rewriting.
-
-    The -1 walls are the spin side of the zero-boundary gas: empty exterior
-    occupancy is sigma = -1, i.e. fixed walls with no gamma.  The rewriting
-    is 4*J*d*N - J*|E_Lambda| - 4*J*sum(eta*eta') with the full bond set
-    (interior + walls).  The two sides agree exactly for every
-    configuration; 4*J*d*N equals 4*J*m'*|E_Lambda| only when
-    |E_Lambda| = d*|Lambda| (torus), so the site-degree form is used.
-    """
-    if lattice.boundary == "periodic":
-        raise ValueError("minus walls make no sense on a torus")
-    walls = LatticeSpec(lattice.dimension, lattice.side, "fixed")
-    lhs = ising_hamiltonian(spins, walls, pot)
-    eta = occupancy_from_spins(spins)
-    J = pot.coupling
-    n_particles = sum(eta.values())
-    pair_sum = 0.0
-    for x, y in lattice.interior_bonds():
-        pair_sum += eta[x] * eta[y]
-    rhs = 4.0 * J * lattice.dimension * n_particles - J * walls.edge_count() - 4.0 * J * pair_sum
-    return lhs, rhs
-
-
-def boundary_weight(x: Site, lattice: LatticeSpec, pot: PotentialSpec,
-                    beta: float) -> float:
-    """nu_Lambda(x | gamma) = exp(-beta * sum_j V(x - gamma_j)).
-
-    Equals 1 whenever x is farther than the interaction range from the
-    complement; bounded by exp(beta*B) when the walls are fully occupied.
-    """
-    if lattice.boundary != "fixed":
-        raise ValueError("boundary weight needs fixed walls")
-    return math.exp(-beta * _wall_energy(x, lattice, pot))
-
-
-def mu_from_field(h: float, lattice: LatticeSpec, pot: PotentialSpec) -> float:
-    """Chemical potential matching an Ising field: mu = 2h - 4Jd.
-
-    The 4Jd comes from the uniform site degree across interior plus wall
-    bonds, so the map is exact at finite volume for -1 walls (the edge-count
-    form 4J|E|/|Lambda| agrees only on the torus, where |E| = d|Lambda|).
-    """
-    return 2.0 * h - 4.0 * pot.coupling * lattice.dimension
-
-
-def field_from_mu(mu: float, lattice: LatticeSpec, pot: PotentialSpec) -> float:
-    """Inverse map: h = mu/2 + 2Jd."""
-    return mu / 2.0 + 2.0 * pot.coupling * lattice.dimension

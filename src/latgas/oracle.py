@@ -37,13 +37,12 @@ from __future__ import annotations
 
 import decimal
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GuardError, LatticeSpec, PotentialSpec, ising_hamiltonian
+from .model import GuardError, LatticeSpec, PotentialSpec
 
 ENUMERATION_MAX_SITES = 24
 TRANSFER_MAX_SIDE = 4096
@@ -108,13 +107,15 @@ class GrandCanonicalEval:
         return self.log_xi / (self.table.beta * self.table.n_sites)
 
     def mean_particles(self) -> float:
+        """<N> over ``probs`` divided by their float sum, which misses 1 by
+        about eps |log Xi|: undivided, a dense table's mean passes |Lambda|."""
         ns = np.arange(len(self.probs))
-        return float(np.dot(ns, self.probs))
+        return float(np.dot(ns, self.probs) / self.probs.sum())
 
     def variance_particles(self) -> float:
         ns = np.arange(len(self.probs))
         m = self.mean_particles()
-        return float(np.dot((ns - m) ** 2, self.probs))
+        return float(np.dot((ns - m) ** 2, self.probs) / self.probs.sum())
 
 
 def _interaction_pairs(lattice: LatticeSpec, radius: int) -> list[tuple[int, int]]:
@@ -659,59 +660,3 @@ def exact_correlations(lattice: LatticeSpec, pot: PotentialSpec, beta: float,
         lattice.dimension)[::-1]
     return CorrelationTable(lattice, beta, pot, n, np.full(S, n / S),
                             *np.array([rho2, u2], dtype=float)[:, offset])
-
-
-def ising_gas_consistency(lattice: LatticeSpec, pot: PotentialSpec, beta: float,
-                          m: float) -> tuple[float, float]:
-    """Fixed-magnetization Ising sum versus its lattice-gas factorization.
-
-    Left: sum of exp(-beta H) over spin configurations at magnetization m,
-    with uniform -1 walls (fixed walls with no gamma).  Right:
-    exp(-beta(4JdN - J|E|)) * Z(N) with the zero-boundary gas partition
-    function, N = (m+1)/2 * |Lambda| and |E| counting interior plus wall
-    bonds.  The two agree exactly.  Raises ``GuardError`` once a weight
-    leaves the float range.
-    """
-    if lattice.boundary == "periodic":
-        raise ValueError("consistency check uses -1 walls on an open box")
-    S = lattice.n_sites
-    if S > 16:
-        raise GuardError("spin enumeration guarded to |Lambda| <= 16")
-    n_float = (m + 1.0) / 2.0 * S
-    n_particles = round(n_float)
-    if abs(n_float - n_particles) > 1e-9:
-        raise ValueError(f"magnetization {m} gives non-integral particle number")
-
-    sites = lattice.sites()
-    walls = LatticeSpec(lattice.dimension, lattice.side, "fixed")
-    lhs = 0.0
-    open_box = LatticeSpec(lattice.dimension, lattice.side, "zero")
-    J = pot.coupling
-    try:
-        for subset in itertools.combinations(range(S), n_particles):
-            occ = set(subset)
-            spins = {x: (1 if i in occ else -1) for i, x in enumerate(sites)}
-            lhs += math.exp(-beta * ising_hamiltonian(spins, walls, pot))
-        z_gas = math.exp(exact_canonical_table(open_box, pot, beta).log_z_of(n_particles))
-        rhs = math.exp(-beta * (4.0 * J * lattice.dimension * n_particles
-                                - J * walls.edge_count())) * z_gas
-    except OverflowError:
-        lhs = rhs = math.inf
-    if math.inf in (lhs, rhs):
-        raise GuardError(f"spin weights at beta = {beta:g} exceed the float range")
-    return lhs, rhs
-
-
-def ising_grand_partition(lattice: LatticeSpec, pot: PotentialSpec, beta: float,
-                          h: float) -> float:
-    """log of the Ising grand sum with field h (walls per the lattice spec)."""
-    S = lattice.n_sites
-    if S > 16:
-        raise GuardError("spin enumeration guarded to |Lambda| <= 16")
-    sites = lattice.sites()
-    logs = []
-    for bits in range(1 << S):
-        spins = {x: (1 if bits >> i & 1 else -1) for i, x in enumerate(sites)}
-        mag = sum(spins.values())
-        logs.append(beta * h * mag - beta * ising_hamiltonian(spins, lattice, pot))
-    return _logsumexp(np.array(logs))

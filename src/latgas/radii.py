@@ -151,23 +151,3 @@ def sign_change_count(values) -> int:
         if a != b:
             flips += 1
     return flips
-
-
-def cluster_sum_margin(n_particles: int, volume: int, d: int,
-                       pot: PotentialSpec, beta: float) -> tuple[float, float, float]:
-    """Partial polymer-sum bound versus the e^a - 1 budget at the reported a*.
-
-    Assembles sum_{V ni i} |zeta(V)| e^{a|V|} from the per-size bounds
-    |zeta_n| <= n^{n-2} e^{beta B n} C-bar^{n-1} / |Lambda|^{n-1} with
-    n <= 5, at a = a*(R_C); returns (partial bound, budget, a*).
-    """
-    B, c_bar = tree_constants(d, pot, beta)
-    _r_c, a_star = radius_canonical(d, pot, beta)
-    total = 0.0
-    for n in range(2, min(n_particles, 5) + 1):
-        log_term = (beta * B + a_star
-                    + (n - 2) * math.log(n)
-                    + (n - 1) * (beta * B + a_star + math.log(c_bar) - math.log(volume)))
-        log_term += math.lgamma(n_particles) - math.lgamma(n) - math.lgamma(n_particles - n + 1)
-        total += math.exp(log_term)
-    return total, math.expm1(a_star), a_star

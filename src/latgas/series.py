@@ -51,7 +51,7 @@ from fractions import Fraction
 import numpy as np
 
 from .graphs import all_pairs, enumerate_biconnected, enumerate_connected, enumerate_trees
-from .model import GuardError, LatticeSpec, PotentialSpec, model_constants
+from .model import GuardError, PotentialSpec, model_constants
 from .oracle import _DECIMAL50, CanonicalTable
 from .powerseries import ps_compose, ps_exp, ps_mul, ps_revert
 
@@ -348,22 +348,6 @@ def reconstruct_log_z(coeffs: SeriesCoefficients, n_particles: int) -> float:
     return acc
 
 
-def b_lambda_1_direct(lattice: LatticeSpec, pot: PotentialSpec, beta: float) -> float:
-    """Direct polymer-route value B_Lambda(1) = |Lambda| log(1 + zeta({1,2})).
-
-    zeta({1,2}) = |Lambda|^{-2} sum over ordered site pairs of f; the
-    multi-index sum over repeated copies of the single polymer {1,2}
-    resums to the logarithm.
-    """
-    sites = lattice.sites()
-    volume = lattice.n_sites
-    acc = 0.0
-    for x in sites:
-        for y in sites:
-            acc += pot.mayer_f(lattice.wrap_diff(x, y), beta)
-    return volume * math.log1p(acc / volume ** 2)
-
-
 # ---------------------------------------------------------------------------
 # Canonical free energy and Stirling remainder
 
@@ -486,18 +470,6 @@ class VirialSeries:
 
     def pressure_fugacity(self) -> np.ndarray:
         return ps_compose(self.pressure_rho(), self.rho_of_z(), self.order)
-
-    def rho_of_z_numeric(self, z: float) -> float:
-        """Fixed point rho = z * exp(sum beta_n rho^n) for small |z|, to a
-        relative step of 1e-14 within 500 iterations."""
-        rho = z
-        for _ in range(500):
-            s = sum(self.beta_irr[n] * rho ** n for n in range(1, len(self.beta_irr)))
-            new = z * math.exp(s)
-            if abs(new - rho) <= 1e-14 * max(1.0, abs(new)):
-                return new
-            rho = new
-        raise RuntimeError("fugacity fixed point did not converge")
 
 
 def _x_series(order: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -334,6 +335,18 @@ def test_a_nan_target_raises_value_error():
     assert tilted_potential(t, math.inf) == math.inf
 
 
+def test_mean_occupation_is_normalised_on_a_dense_chain():
+    # exp(terms - log Xi) sums to 1 + 2.2e-13 here: the undivided mean read
+    # rho = 1.000000000000115 and N_bar = 100; against the same table's
+    # moments in 50 digits the divided mean is 1 ulp off
+    table = canonical_table(LatticeSpec(1, 100, "zero"), PotentialSpec("kac", 1.0, 3), 2.0)
+    rho, n_bar = mean_occupation(table, 1.0)
+    with mp.workdps(50):
+        weights = [mp.exp(2 * n + mp.mpf(float(log_z))) for n, log_z in enumerate(table.log_z)]
+        exact = float(mp.fsum(n * w for n, w in enumerate(weights)) / (100 * mp.fsum(weights)))
+    assert abs(rho - exact) <= math.ulp(exact) and rho <= 1 and n_bar == 99
+
+
 # the deviation layer's tables: enumeration up to 24 sites, in one and two
 # dimensions, and the transfer matrix past it
 DEVIATION_BOXES = [(LatticeSpec(1, 12, "periodic"), POT),
@@ -365,7 +378,7 @@ def test_deviation_layer_over_the_guarded_space(box, beta, mu, data):
     n_star = outcome(lambda: find_n_star(table, mu))
     assert n_star is None or 0 <= n_star <= volume
     occupation = outcome(lambda: mean_occupation(table, mu))
-    assert occupation is None or (math.isfinite(occupation[0]) and 0 <= occupation[1] <= volume)
+    assert occupation is None or (0 <= occupation[0] <= 1 and 0 <= occupation[1] <= volume)
     mu_tilde = outcome(lambda: tilted_potential(table, target))
     assert mu_tilde is None or (math.isfinite(mu_tilde) and 0 < target < volume) or (
         mu_tilde == (-math.inf if target <= 0 else math.inf if target >= volume else math.nan))

@@ -52,16 +52,22 @@ def _timed(fn):
 
 
 def criterion_graph_engine() -> tuple[bool, str]:
-    connected = [sum(1 for _ in graphs.enumerate_connected(n)) for n in range(1, 6)]
-    biconn = [sum(1 for _ in graphs.enumerate_biconnected(n)) for n in range(2, 6)]
-    trees = [sum(1 for _ in graphs.enumerate_trees(n)) for n in range(1, 9)]
-    ok = connected == [1, 1, 4, 38, 728] and biconn == [1, 1, 10, 238]
-    ok = ok and trees == [max(1, n) ** max(0, n - 2) for n in range(1, 9)]
+    # each stream against the DFS brute force, graph for graph
     routes = (("connected", graphs.enumerate_connected, range(1, 6)),
               ("biconnected", graphs.enumerate_biconnected, range(2, 6)),
               ("tree", graphs.enumerate_trees, range(1, 7)))
-    ok = ok and all(set(generate(n)) == graphs.brute_force_class(n, kind)
-                    for kind, generate, orders in routes for n in orders)
+    found = {(kind, n): sorted(generate(n)) for kind, generate, orders in routes for n in orders}
+    ok = all(found[kind, n] == sorted(graphs.brute_force_class(n, kind)) for kind, n in found)
+    connected = [len(found["connected", n]) for n in range(1, 6)]
+    biconn = [len(found["biconnected", n]) for n in range(2, 6)]
+    ok = ok and connected == [1, 1, 4, 38, 728] and biconn == [1, 1, 10, 238]
+    # every decoded tree has n - 1 edges, also past the brute force
+    trees = [0] * 8
+    for n in range(1, 9):
+        for block in graphs.tree_blocks(n):
+            trees[n - 1] += len(block)
+            ok = ok and bool((np.bitwise_count(block) == n - 1).all())
+    ok = ok and trees == [max(1, n) ** max(0, n - 2) for n in range(1, 9)]
     return ok, f"connected={connected} biconnected={biconn} trees(n<=8) ok"
 
 

@@ -1,24 +1,27 @@
-"""Exhaustive labeled-graph generators for cluster sums.
+"""Exhaustive labeled-graph classes for cluster sums.
 
 A graph on n vertices (0-based) is an ``int`` edge bitmask: bit p marks the
-pair ``all_pairs(n)[p]``, the pairs (i, j), i < j, in lexicographic order.
-The pair of a bit depends on n, so a mask means nothing without its n, and
-every function that takes a graph takes n too.  ``edges(n, graph)`` decodes
-a mask into its pairs.
+pair ``all_pairs(n)[p]``, the pairs (i, j), i < j, in lexicographic order,
+so p = i (2n - 3 - i) / 2 + j - 1.  The pair of a bit depends on n, so a
+mask means nothing without its n, and every function that takes a graph
+takes n too.  ``edges(n, graph)`` decodes a mask into its pairs.
 
-The generators stream graphs in a fixed canonical order (edge mask
+Each class is one int64 array in a fixed canonical order (edge mask
 ascending, Pruefer sequence lexicographic), so downstream sums are
-bit-stable.  The generators decide connectivity by bitmask reachability,
-the ``classify`` filter by DFS and articulation points, so the
-generator/filter equivalence tests compare two routes.
+bit-stable; ``enumerate_*`` stream the same arrays lazily.  Connected and
+2-connected graphs are decided by bitmask reachability run over all
+2^(n(n-1)/2) masks at once, the ``classify`` filter by DFS and
+articulation points, so the array/filter equivalence tests compare two
+routes.
 
 Trees are decoded from their Pruefer sequences a block at a time: the n^4
-sequences that share all but their last four entries (the whole stream for
+sequences that share all but their last four entries (the whole class for
 n <= 6) form one integer array, one row per sequence.  A row's leaves are
 an n-bit vertex mask, the vertices neither removed nor among the entries
-still to come; the smallest leaf is a lookup in a table of lowest set bits
-and its edge bit a lookup in an n x n pair-bit table.  So a block takes
-O(n) numpy calls, whatever its size, and no Python code runs per tree.
+still to come; the smallest leaf is the lowest set bit, its vertex the
+bit count below it, and its edge bit follows from the pair-index formula.
+So a block takes O(n) numpy calls, whatever its size, with no table
+lookup and no Python code per tree.
 
 By convention the single edge on two vertices counts as 2-connected: it is
 the first irreducible graph, giving the standard leading Mayer coefficient.
@@ -52,87 +55,136 @@ def all_pairs(n: int) -> list[tuple[int, int]]:
 
 def edges(n: int, graph: int) -> list[tuple[int, int]]:
     """The pairs of the n-vertex ``graph``, in pair order."""
-    return [p for b, p in enumerate(_pair_table(n)) if graph >> b & 1]
+    pairs, found = _pair_table(n), []
+    while graph:
+        low = graph & -graph
+        found.append(pairs[low.bit_length() - 1])
+        graph ^= low
+    return found
 
 
-def _neighbours(n: int, graph: int) -> list[int]:
-    nb = [0] * n
-    for i, j in edges(n, graph):
-        nb[i] |= 1 << j
-        nb[j] |= 1 << i
+def _neighbours(n: int, graphs: np.ndarray) -> np.ndarray:
+    """(n, m) int64: row v holds the neighbours of vertex v in each of the
+    m n-vertex ``graphs`` as a vertex bitmask."""
+    nb = np.zeros((n, len(graphs)), dtype=np.int64)
+    for p, (i, j) in enumerate(_pair_table(n)):
+        bit = graphs >> p & 1
+        nb[i] |= bit << j
+        nb[j] |= bit << i
     return nb
 
 
-def _spans(neighbours: list[int], keep: int) -> bool:
-    """Whether the vertex set ``keep`` (a bitmask) induces a connected graph."""
-    reached = todo = keep & -keep
-    while todo:
-        low = todo & -todo
-        todo ^= low
-        new = neighbours[low.bit_length() - 1] & keep & ~reached
-        reached |= new
-        todo |= new
+def _spans(neighbours: np.ndarray, keep: int) -> np.ndarray:
+    """Per graph, whether the vertex set ``keep`` (a bitmask) induces a
+    connected subgraph.  Reachability from its lowest vertex grows by one
+    step a round in every graph at once; every vertex of a connected k-set
+    lies within k - 1 steps, so k - 1 rounds decide."""
+    inside = [v for v in range(len(neighbours)) if keep >> v & 1]
+    shifts = np.array(inside)[:, None]
+    steps = neighbours[inside] & keep
+    reached = np.full(neighbours.shape[1], keep & -keep)
+    for _ in range(len(inside) - 1):
+        reached = reached | np.bitwise_or.reduce(steps * (reached >> shifts & 1), axis=0)
     return reached == keep
 
 
-def enumerate_connected(n: int) -> Iterator[int]:
-    """All labeled connected graphs on n vertices, 1 <= n <= 6."""
+def _connected(n: int, graphs: np.ndarray) -> np.ndarray:
+    return _spans(_neighbours(n, graphs), (1 << n) - 1)
+
+
+def _biconnected(n: int, graphs: np.ndarray) -> np.ndarray:
+    """Connected, and still connected after any one vertex is deleted."""
+    nb, everyone = _neighbours(n, graphs), (1 << n) - 1
+    flags = _spans(nb, everyone)
+    for v in range(n):
+        flags &= _spans(nb, everyone ^ 1 << v)
+    return flags
+
+
+def connected_graphs(n: int) -> np.ndarray:
+    """All labeled connected graphs on n vertices, 1 <= n <= 6, ascending."""
     if not 1 <= n <= MAX_CLUSTER_ORDER:
         raise GuardError(f"connected enumeration guarded to n <= {MAX_CLUSTER_ORDER}")
-    everyone = (1 << n) - 1
-    for graph in range(1 << n * (n - 1) // 2):
-        if _spans(_neighbours(n, graph), everyone):
-            yield graph
+    graphs = np.arange(1 << n * (n - 1) // 2, dtype=np.int64)
+    return graphs[_connected(n, graphs)]
 
 
-def enumerate_biconnected(n: int) -> Iterator[int]:
-    """Labeled graphs on n vertices staying connected after any one deletion."""
+def biconnected_graphs(n: int) -> np.ndarray:
+    """Labeled graphs on n vertices staying connected after any one
+    deletion, 2 <= n <= 6, ascending."""
     if not 2 <= n <= MAX_CLUSTER_ORDER:
         raise GuardError(f"biconnected enumeration guarded to 2 <= n <= {MAX_CLUSTER_ORDER}")
-    everyone = (1 << n) - 1
-    for graph in range(1 << n * (n - 1) // 2):
-        nb = _neighbours(n, graph)
-        if _spans(nb, everyone) and all(_spans(nb, everyone ^ (1 << v)) for v in range(n)):
-            yield graph
+    graphs = np.arange(1 << n * (n - 1) // 2, dtype=np.int64)
+    return graphs[_biconnected(n, graphs)]
 
 
-def enumerate_trees(n: int) -> Iterator[int]:
-    """All n^(n-2) labeled trees via Pruefer sequences, 1 <= n <= 8."""
+def _pair_bits(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The int32 edge bits of the pairs {u, v}, u != v, of an n-vertex
+    graph, from uint8 vertex arrays."""
+    i = np.minimum(u, v)
+    return np.int32(1) << (i * (2 * n - 3 - i) >> 1) + np.maximum(u, v) - 1
+
+
+def tree_blocks(n: int) -> Iterator[np.ndarray]:
+    """All n^(n-2) labeled trees, 1 <= n <= 8, in Pruefer order, as int64
+    arrays of at most n^4 masks each.  Vertices and vertex masks are uint8
+    and the masks are built in int32, which n <= 8 (28 pairs) fits."""
     if not 1 <= n <= MAX_TREE_ORDER:
         raise GuardError(f"tree enumeration guarded to n <= {MAX_TREE_ORDER}")
     if n == 1:
-        yield 0
+        yield np.zeros(1, dtype=np.int64)
         return
-    everyone = (1 << n) - 1
-    lowest = np.array([(m & -m).bit_length() - 1 for m in range(1 << n)])
-    pair_bit = np.zeros((n, n), dtype=np.int64)
-    for p, (i, j) in enumerate(_pair_table(n)):
-        pair_bit[i, j] = pair_bit[j, i] = 1 << p
+    everyone, one = np.uint8((1 << n) - 1), np.uint8(1)
     width = n - 2
     free = min(width, _BLOCK_ENTRIES)
-    seq = np.empty((n ** free, width), dtype=np.intp)
-    seq[:, width - free:] = np.arange(n ** free)[:, None] // n ** np.arange(free - 1, -1, -1) % n
+    seq = np.empty((width, n ** free), dtype=np.uint8)  # one row per entry
+    seq[width - free:] = np.arange(n ** free) // n ** np.arange(free - 1, -1, -1)[:, None] % n
     for prefix in itertools.product(range(n), repeat=width - free):
-        seq[:, :width - free] = prefix
-        # ahead[:, i]: the vertices among entries i.. as a mask; none is a leaf yet
-        ahead = np.bitwise_or.accumulate(1 << seq[:, ::-1], axis=1)[:, ::-1]
-        removed = np.zeros(len(seq), dtype=np.int64)
-        graph = np.zeros_like(removed)
-        for i in range(width):
-            leaf = lowest[everyone ^ (removed | ahead[:, i])]
-            graph |= pair_bit[leaf, seq[:, i]]
-            removed |= 1 << leaf
+        seq[:width - free] = np.array(prefix, dtype=np.uint8)[:, None]
+        # ahead[i]: the vertices among entries i.. as a mask; none is a leaf yet
+        ahead = [np.zeros(seq.shape[1], dtype=np.uint8)]
+        for entry in seq[::-1]:
+            ahead.insert(0, ahead[0] | one << entry)
+        removed = np.zeros(seq.shape[1], dtype=np.uint8)
+        graph = np.zeros(seq.shape[1], dtype=np.int32)
+        for entry, later in zip(seq, ahead):
+            leaf = everyone ^ (removed | later)
+            leaf &= -leaf  # the lowest leaf's bit
+            graph |= _pair_bits(n, np.bitwise_count(leaf - one), entry)
+            removed |= leaf
         last = everyone ^ removed
-        first = lowest[last]
-        graph |= pair_bit[first, lowest[last ^ (1 << first)]]
-        yield from graph.tolist()
+        first = last & -last
+        graph |= _pair_bits(n, np.bitwise_count(first - one), np.bitwise_count((last ^ first) - one))
+        yield graph.astype(np.int64)
 
 
-def _adjacency(n: int, graph: int) -> list[set[int]]:
-    adj: list[set[int]] = [set() for _ in range(n)]
+def tree_graphs(n: int) -> np.ndarray:
+    """All n^(n-2) labeled trees on n vertices, 1 <= n <= 8, in Pruefer order."""
+    return np.concatenate(list(tree_blocks(n)))
+
+
+def enumerate_connected(n: int) -> Iterator[int]:
+    """``connected_graphs(n)``, streamed."""
+    yield from connected_graphs(n).tolist()
+
+
+def enumerate_biconnected(n: int) -> Iterator[int]:
+    """``biconnected_graphs(n)``, streamed."""
+    yield from biconnected_graphs(n).tolist()
+
+
+def enumerate_trees(n: int) -> Iterator[int]:
+    """``tree_graphs(n)``, streamed a block at a time."""
+    for block in tree_blocks(n):
+        yield from block.tolist()
+
+
+def _adjacency(n: int, graph: int) -> list[list[int]]:
+    """Each vertex's neighbours, ascending, as the pairs come in pair order."""
+    adj: list[list[int]] = [[] for _ in range(n)]
     for i, j in edges(n, graph):
-        adj[i].add(j)
-        adj[j].add(i)
+        adj[i].append(j)
+        adj[j].append(i)
     return adj
 
 
@@ -140,20 +192,19 @@ def _dfs_connected(n: int, graph: int) -> bool:
     if n == 0:
         return True
     adj = _adjacency(n, graph)
-    seen = set()
+    seen = {0}
     stack = [0]
     while stack:
-        u = stack.pop()
-        if u in seen:
-            continue
-        seen.add(u)
-        stack.extend(adj[u] - seen)
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
     return len(seen) == n
 
 
 def _articulation_points(n: int, graph: int) -> set[int]:
     """Hopcroft-Tarjan articulation points (iterative low-link DFS)."""
-    adj = [sorted(s) for s in _adjacency(n, graph)]
+    adj = _adjacency(n, graph)
     disc: dict[int, int] = {}
     low: dict[int, int] = {}
     points: set[int] = set()

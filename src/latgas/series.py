@@ -50,7 +50,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import all_pairs, enumerate_biconnected, enumerate_connected, enumerate_trees
+from .graphs import all_pairs, biconnected_graphs, connected_graphs, tree_graphs
 from .model import GuardError, PotentialSpec, model_constants
 from .oracle import _DECIMAL50, CanonicalTable
 from .powerseries import ps_compose, ps_exp, ps_mul, ps_revert
@@ -176,9 +176,8 @@ def _patterns(n_points: int, d: int, radius: int) -> tuple[np.ndarray, np.ndarra
 def _graphs(kind: str, n_points: int) -> np.ndarray:
     """The edge bitmasks of every graph of class ``kind`` on n_points
     vertices, shared by every (d, R).  Read-only: the cache shares them."""
-    generate = {"connected": enumerate_connected, "biconnected": enumerate_biconnected,
-                "tree": enumerate_trees}[kind]
-    graphs = np.fromiter(generate(n_points), np.int64)
+    graphs = {"connected": connected_graphs, "biconnected": biconnected_graphs,
+              "tree": tree_graphs}[kind](n_points)
     graphs.flags.writeable = False
     return graphs
 
@@ -195,7 +194,13 @@ def _graph_polys(kind: str, n_points: int, d: int, radius: int
     graphs = _graphs(kind, n_points)
     # each pattern's pairs of one category as a bitmask, like the graphs'
     out, joined, same = ((cats == c) @ (1 << np.arange(n_pairs)) for c in (0, 1, 2))
-    pattern, graph = np.nonzero((out[:, None] & graphs) == 0)
+    # the patterns-by-graphs test in slices of about 2^17 entries, so its
+    # temporaries stay near 1 MB whatever the order
+    step = max(1, (1 << 17) // len(graphs))
+    starts = range(0, len(out), step)
+    hits = [np.nonzero((out[lo:lo + step, None] & graphs) == 0) for lo in starts]
+    pattern = np.concatenate([p + lo for lo, (p, _) in zip(starts, hits)])
+    graph = np.concatenate([g for _, g in hits])
     degree = np.bitwise_count(joined[pattern] & graphs[graph])
     sign = coincident ** np.bitwise_count(same[pattern] & graphs[graph]).astype(np.int64)
     polys = np.zeros((len(cats), n_pairs + 1), dtype=np.int64)

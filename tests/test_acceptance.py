@@ -1,13 +1,13 @@
 """Run every acceptance criterion at its stated tolerance.
 
 One pass/fail line is printed per criterion (run pytest with ``-s`` to see
-them).  The negative control at the end corrupts an extracted coefficient
-and confirms the reconstruction criterion fails loudly.
+them).  The negative controls at the end corrupt an extracted coefficient
+or one decoded tree and confirm that the criterion fails loudly.
 """
 
 import pytest
 
-from latgas import acceptance, series
+from latgas import acceptance, graphs, series
 
 
 @pytest.mark.parametrize("index", range(1, len(acceptance.CRITERIA) + 1),
@@ -32,4 +32,22 @@ def test_corrupted_coefficient_fails_reconstruction(monkeypatch):
 
     monkeypatch.setattr(series, "extract_b_lambda", corrupted)
     passed, _detail = acceptance.criterion_reconstruction()
+    assert not passed
+
+
+@pytest.mark.parametrize("order", [7, 8])
+def test_a_tree_short_of_an_edge_fails_the_graph_engine(monkeypatch, order):
+    # past the brute force the count alone is n^(n-2) by construction, so
+    # only the edge count of each decoded mask can catch a bad decode
+    original = graphs.tree_blocks
+
+    def corrupted(n):
+        for i, block in enumerate(original(n)):
+            if n == order and i == 1:
+                block = block.copy()
+                block[-1] &= block[-1] - 1  # drop its lowest edge
+            yield block
+
+    monkeypatch.setattr(graphs, "tree_blocks", corrupted)
+    passed, _detail = acceptance.criterion_graph_engine()
     assert not passed

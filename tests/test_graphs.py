@@ -1,12 +1,14 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latgas.graphs import (_neighbours, _spans, all_pairs, brute_force_class, classify,
-                           edges, enumerate_biconnected, enumerate_connected,
-                           enumerate_trees)
+from latgas.graphs import (_biconnected, _connected, all_pairs, biconnected_graphs,
+                           brute_force_class, classify, connected_graphs, edges,
+                           enumerate_biconnected, enumerate_connected, enumerate_trees,
+                           tree_graphs)
 from latgas.model import GuardError
 
 
@@ -69,6 +71,13 @@ def test_guards():
         list(enumerate_biconnected(1))
     with pytest.raises(GuardError):
         list(enumerate_trees(9))
+    for build, n in ((connected_graphs, 7), (biconnected_graphs, 1), (tree_graphs, 9)):
+        with pytest.raises(GuardError):
+            build(n)
+    # the streams stay lazy: an out-of-guard call raises at the first step
+    for stream in (enumerate_connected(0), enumerate_biconnected(7), enumerate_trees(0)):
+        with pytest.raises(GuardError):
+            next(stream)
 
 
 def test_generators_are_deterministic():
@@ -112,22 +121,48 @@ def test_pruefer_round_trip():
         assert [_pruefer_code(edges(n, trees[i]), n) for i in picks] == [seqs[i] for i in picks]
 
 
+def _drawn_mask(data, n):
+    # a uniform edge count mixes sparse, near-threshold and dense graphs
+    bits = data.draw(st.permutations(range(len(all_pairs(n)))))
+    return sum(1 << b for b in bits[:data.draw(st.integers(0, len(bits)))])
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_bitmask_route_equals_dfs_route(data):
-    # a uniform edge count mixes sparse, near-threshold and dense graphs
     n = data.draw(st.integers(1, 7))
-    bits = data.draw(st.permutations(range(len(all_pairs(n)))))
-    g = sum(1 << b for b in bits[:data.draw(st.integers(0, len(bits)))])
+    g = _drawn_mask(data, n)
     # the decode both routes rely on: the pairs, in pair order, give g back
     pair_bits = [all_pairs(n).index(e) for e in edges(n, g)]
     assert pair_bits == sorted(pair_bits)
     assert sum(1 << b for b in pair_bits) == g
-    nb, everyone = _neighbours(n, g), (1 << n) - 1
     flags = classify(n, g)
-    assert _spans(nb, everyone) == flags["connected"]
-    assert (_spans(nb, everyone) and all(_spans(nb, everyone ^ (1 << v)) for v in range(n))) \
-        == flags["biconnected"]
+    assert _connected(n, np.array([g])).tolist() == [flags["connected"]]
+    assert _biconnected(n, np.array([g])).tolist() == [flags["biconnected"]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_array_reachability_equals_classify_on_drawn_masks(data):
+    # many graphs at once, as the class arrays run it: no graph's rounds may
+    # leak into another's
+    n = data.draw(st.integers(1, 7))
+    graphs = [_drawn_mask(data, n) for _ in range(data.draw(st.integers(1, 40)))]
+    flags = [classify(n, g) for g in graphs]
+    assert _connected(n, np.array(graphs)).tolist() == [f["connected"] for f in flags]
+    assert _biconnected(n, np.array(graphs)).tolist() == [f["biconnected"] for f in flags]
+
+
+def test_class_arrays_equal_the_sorted_brute_force():
+    # element for element: the ascending order keeps series sums bit-stable
+    for kind, build, orders in (("connected", connected_graphs, range(1, 7)),
+                                ("biconnected", biconnected_graphs, range(2, 7))):
+        for n in orders:
+            graphs = build(n)
+            assert graphs.dtype == np.int64
+            assert graphs.tolist() == sorted(brute_force_class(n, kind))
+    for n in range(1, 7):
+        assert sorted(tree_graphs(n).tolist()) == sorted(brute_force_class(n, "tree"))
 
 
 def _uncached_edges(n, graph):

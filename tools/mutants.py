@@ -27,8 +27,10 @@ ORACLE, DEVIATIONS = "src/latgas/oracle.py", "src/latgas/deviations.py"
 GRAPHS, CORRELATIONS = "src/latgas/graphs.py", "src/latgas/correlations.py"
 SERIES, MODEL = "src/latgas/series.py", "src/latgas/model.py"
 CLI, CSVFMT = "src/latgas/cli.py", "src/latgas/csvfmt.py"
+ACCEPTANCE = "src/latgas/acceptance.py"
 T_ORACLE, T_DEVIATIONS = "tests/test_oracle.py::", "tests/test_deviations.py::"
 T_SERIES, T_CLI = "tests/test_series.py::", "tests/test_cli.py::"
+T_GRAPHS = "tests/test_graphs.py::"
 BRUTE = T_ORACLE + "test_correlations_equal_brute_force"
 WINDOWED = T_ORACLE + "test_windowed_transfer_matrix_equals_aligned_bit_for_bit"
 BANDED = T_ORACLE + "test_banded_windows_equal_aligned_bit_for_bit"
@@ -73,12 +75,25 @@ MUTANTS = [
      "frozen = True\n",
      (T_ORACLE + "test_window_paths", WINDOWED + "[1e+300-pot0-zero]",
       WINDOWED + "[1e+300-pot5-zero]")),
-    # the graph engine: Pruefer block digits reversed; edges out of pair order
-    (GRAPHS, "n ** np.arange(free - 1, -1, -1) % n", "n ** np.arange(free) % n",
-     ("tests/test_graphs.py::test_pruefer_round_trip",)),
-    (GRAPHS, "return [p for b, p in enumerate(_pair_table(n)) if graph >> b & 1]",
-     "return [p for b, p in enumerate(_pair_table(n)) if graph >> b & 1][::-1]",
-     ("tests/test_graphs.py::test_bitmask_route_equals_dfs_route",)),
+    # the graph engine: Pruefer block digits reversed; neighbours read from
+    # edges out of pair order; reachability one round short; the deletion
+    # loop skipping the last vertex; the pair-index formula off by one
+    (GRAPHS, "n ** np.arange(free - 1, -1, -1)[:, None] % n", "n ** np.arange(free)[:, None] % n",
+     (T_GRAPHS + "test_pruefer_round_trip",)),
+    (GRAPHS, "    for p, (i, j) in enumerate(_pair_table(n)):\n        bit = graphs >> p & 1\n",
+     "    for p, (i, j) in enumerate(_pair_table(n)[::-1]):\n        bit = graphs >> p & 1\n",
+     (T_GRAPHS + "test_bitmask_route_equals_dfs_route",
+      T_GRAPHS + "test_array_reachability_equals_classify_on_drawn_masks")),
+    (GRAPHS, "for _ in range(len(inside) - 1):", "for _ in range(len(inside) - 2):",
+     (T_GRAPHS + "test_connected_counts", T_GRAPHS + "test_class_arrays_equal_the_sorted_brute_force")),
+    (GRAPHS, "    for v in range(n):\n        flags &=", "    for v in range(n - 1):\n        flags &=",
+     (T_GRAPHS + "test_biconnected_counts", T_GRAPHS + "test_class_arrays_equal_the_sorted_brute_force")),
+    (GRAPHS, "+ np.maximum(u, v) - 1", "+ np.maximum(u, v)",
+     (T_GRAPHS + "test_pruefer_round_trip", T_GRAPHS + "test_trees_have_right_edge_count")),
+    # criterion 1 counting the trees past the brute force without their edges
+    (ACCEPTANCE, "            ok = ok and bool((np.bitwise_count(block) == n - 1).all())\n", "",
+     ("tests/test_acceptance.py::test_a_tree_short_of_an_edge_fails_the_graph_engine[7]",
+      "tests/test_acceptance.py::test_a_tree_short_of_an_edge_fails_the_graph_engine[8]")),
     # find_n_star: no tie loop, the first near-tie only, nan not handled,
     # always the running maximum
     (DEVIATIONS, """    for n in climbs[stall:].tolist():

@@ -59,14 +59,22 @@ def find_n_star(table: CanonicalTable, mu0: float) -> int:
 
 
 def tilted_potential(table: CanonicalTable, n_tilde: float) -> float:
-    """mu with E_mu[N] = n_tilde, by bisection on the strictly increasing map
-    down to a bracket of width 1e-12, or of adjacent floats where they lie
-    further apart.
+    """mu with E_mu[N] = n_tilde, by safeguarded Newton steps from mu = 0.
+
+    Each step solves for the logit of the mean, log(m / (|Lambda| - m)),
+    which is nearly linear in beta mu (exactly so for independent sites),
+    with dE/dmu = beta Var N; m - n_tilde enters through log1p, so the
+    residual keeps the mean's own rounding.  The steps stop once one is
+    within 2 ulps of mu.  A step that leaves the bracket of the means seen
+    so far, is not finite, or is not half the step before the last (as in
+    Numerical Recipes' rtsafe) instead doubles the distance to the open
+    side, or bisects a closed bracket down to a width of 1e-12 (or adjacent
+    floats).
 
     Boundary targets (n_tilde <= 0 or >= |Lambda|) have no finite solution
     and return signed infinity sentinels.  At beta = 0 the mean does not
     depend on mu, so an interior target raises ``ValueError``, as does a
-    nan target.
+    nan target; a mean that is not a number raises ``GuardError``.
     """
     if math.isnan(n_tilde):
         raise ValueError("tilted potential needs a target particle number, not nan")
@@ -77,28 +85,37 @@ def tilted_potential(table: CanonicalTable, n_tilde: float) -> float:
         return math.inf
     if table.beta == 0:
         raise ValueError("at beta = 0 no mu tilts the mean particle number")
-
-    def mean(mu: float) -> float:
-        return grand_canonical_eval(table, mu).mean_particles()
-
-    lo, hi = -1.0, 1.0
-    span = 1.0
-    while mean(lo) > n_tilde:
-        lo -= span
-        span *= 2.0
-    span = 1.0
-    while mean(hi) < n_tilde:
-        hi += span
-        span *= 2.0
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):  # adjacent floats, 1e-12 apart or more past |mu| = 2^13
-            break
-        if mean(mid) < n_tilde:
-            lo = mid
+    lo, hi, mu, before, last = -math.inf, math.inf, 0.0, math.inf, math.inf
+    while True:
+        gc = grand_canonical_eval(table, mu)
+        mean = gc.mean_particles()
+        d = mean - n_tilde
+        if math.isnan(d):
+            raise GuardError(f"the mean particle number at mu = {mu:g} is not a number")
+        if d == 0:
+            return mu
+        if d < 0:
+            lo = mu
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            hi = mu
+        slope = table.beta * gc.variance_particles() * volume
+        low, high = d / n_tilde, -d / (volume - n_tilde)
+        if low > -1 and high > -1 and slope > 0:
+            logit = math.log1p(low) - math.log1p(high)
+            step = -logit * mean * (volume - mean) / slope
+        else:  # the logit or its slope is not finite
+            step = -math.copysign(math.inf, d)
+        new = mu + step
+        if abs(step) <= 2 * math.ulp(mu):
+            return new
+        newton = lo < new < hi and abs(step) <= 0.5 * before
+        if not newton and (math.isinf(lo) or math.isinf(hi)):
+            new = mu - math.copysign(max(1.0, abs(mu)), d)
+        elif not newton:
+            new = 0.5 * (lo + hi)
+            if hi - lo <= 1e-12 or new in (lo, hi):
+                return new
+        before, last, mu = last, abs(new - mu), new
 
 
 def _rate(table: CanonicalTable, gc0: GrandCanonicalEval, n_tilde: float,

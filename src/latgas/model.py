@@ -49,7 +49,7 @@ class PotentialSpec:
             raise ValueError(f"unknown potential kind {self.kind!r}")
         if self.kind == "standard" and self.range_ != 1:
             raise ValueError("standard potential has range 1")
-        if self.coupling <= 0:
+        if not self.coupling > 0:  # nan included
             raise ValueError("coupling must be positive")
         if self.kind == "kac" and self.coupling != 1.0:
             raise ValueError("the Kac potential has coupling 1")
@@ -176,11 +176,15 @@ class ModelConstants:
 
 
 def _kernel_terms(dimension: int, pot: PotentialSpec, beta: float) -> tuple[float, float, float]:
-    """B = 4J * nbrs, the number nbrs of in-range neighbours, and 4 beta J."""
+    """B = 4J * nbrs, the number nbrs of in-range neighbours, and 4 beta J.
+    Raises ``GuardError`` where B leaves the float range."""
     if beta < 0:
         raise ValueError("beta must be >= 0")
     nbrs = 2.0 * dimension * pot.range_  # range_ is 1 for the standard form
-    return 4.0 * pot.coupling * nbrs, nbrs, 4.0 * beta * pot.coupling
+    B = 4.0 * pot.coupling * nbrs
+    if B == math.inf:
+        raise GuardError(f"B = 4J * {nbrs:g} with J = {pot.coupling:g} exceeds the float range")
+    return B, nbrs, 4.0 * beta * pot.coupling
 
 
 def tree_constants(dimension: int, pot: PotentialSpec, beta: float) -> tuple[float, float]:

@@ -286,9 +286,21 @@ def _site(state, new, expo, hi: int, frozen: bool, bond_e, scale, work):
     sum is scaled to its cell by an exact ldexp shift to the larger
     exponent, which the cell takes in ``expo``, and an occupied term's
     factor is the bond mantissa alone.  The multiplies, sums and Fast2Sum
-    then run once over every column."""
+    then run once over every column.
+
+    Buffers.  The mantissas of ``state`` and ``new`` are [s, h, N] views of
+    one slab, each with its own s = 0 block and s = 1, the occupied terms,
+    shared.  A site writes the occupied terms from the state before the
+    pair sums read them, so between sites that block is dead.  The next c
+    is dead from the start of a site (the c adds of the site before were
+    its last reads) until Fast2Sum writes it.  So the c fold puts its
+    product, c times factor, there and adds it into the occupied terms
+    before the pair sums run; then Fast2Sum puts the larger term of each
+    sum there and turns it in place into s0 - larger and the error.  The
+    smaller term goes over the state's first term of each sum, which the
+    pair sums have read.  The state's c stays whole for the c adds."""
     (mant, comp), (next_mant, next_comp) = state, new
-    band_e, scratch, shifts, larger = work
+    band_e, scratch, shifts = work
     _, rows, size = mant.shape
     half = rows // 2
     # [s, q, parity, N] views split h = 2q + parity, the two terms of each
@@ -297,17 +309,18 @@ def _site(state, new, expo, hi: int, frozen: bool, bond_e, scale, work):
     pair = (2, half, 2)
     terms = mant.reshape(pair + (size,))
     # the occupied terms, cells one column down times their factors, with
-    # the c of their sources folded in
+    # the c of their sources folded in through the dead next c
     occupied, source = mant[1, :, 1:hi], mant[0, :, :hi - 1]
     s_occupied = scale[1, :, 1:hi]
     c_source, c_occupied, c_scale = comp[:, :hi - 1], occupied[:half], s_occupied[:half]
-    c_term = larger[:c_source.size].reshape(c_source.shape)
-    # Fast2Sum of the empty-site sums, from the larger and the smaller term,
-    # then the c of their terms: only h < half carries one, into q = h // 2
+    c_term = next_comp[:, :hi - 1]
+    # Fast2Sum of the empty-site sums, from the larger term (in the next c)
+    # and the smaller (over the state's first term); then the c of their
+    # terms: only h < half carries one, into q = h // 2
     t, new_m = terms[..., :hi], next_mant[0, :, :hi].reshape(pair[:2] + (hi,))
     t0, t1 = t[..., 0, :], t[..., 1, :]
     s0, a0, b0 = new_m[0], t[0, :, 0], t[0, :, 1]
-    big, err0 = larger[:s0.size].reshape(s0.shape), next_comp[:, :hi]
+    err0 = next_comp[:, :hi]
     even, odd = err0[:(half + 1) // 2], err0[:half // 2]
     c_even, c_odd = comp[0::2, :hi], comp[1::2, :hi]
     if not frozen:
@@ -335,9 +348,9 @@ def _site(state, new, expo, hi: int, frozen: bool, bond_e, scale, work):
             np.ldexp(t, sh, out=t)
             np.ldexp(c_band, c_sh, out=c_band)
         np.add(t0, t1, out=new_m)
-        np.maximum(a0, b0, out=big)
+        np.maximum(a0, b0, out=err0)
         np.minimum(a0, b0, out=a0)
-        np.subtract(s0, big, out=err0)
+        np.subtract(s0, err0, out=err0)
         np.subtract(a0, err0, out=err0)
         np.add(even, c_even, out=even)
         np.add(odd, c_odd, out=odd)
@@ -406,6 +419,19 @@ def _chain_sums(side: int, radius: int, x: decimal.Decimal) -> tuple[np.ndarray,
     quadruples per site over the largest of its terms' (b_m < 2), so it
     stays below 2^(2 W) in the window.
 
+    Buffers (``_site`` says which is dead when).  One (3, 2^R, L + 2) slab
+    holds the mantissas: the two states take turns in blocks 0 and 1, and
+    block 2 holds the occupied terms of whichever is the state, so each
+    state is the view [0::2] or [1:] and every reshape stays a view.  Two
+    c buffers take turns with them.  ``expo`` holds the cells' exponents,
+    ``scale[1]`` the occupied terms' factors (and ``scale[0, 0]`` a frozen
+    window's column exponents), and ``ints`` the int32 frexp exponents and
+    shifts.  The aligned windows alone touch ``band_e`` and the difference
+    and shift scratch, each of ``band_e``'s size, so a table whose windows
+    all freeze never touches their pages.  The row sums at the end shift into
+    ``scale[1]`` and ``ints`` and run their ldexp in place.  At R = 4,
+    L = 4096 the buffers a frozen table touches come to about 3.4 MB.
+
     The bound for frozen columns.  Let n < 2^ell be the sites placed, ell
     the bit length of L, and g = 2 B + ell.  Moving one particle changes a
     configuration's weight by at most b^{2R} < 2^{2B} (it has at most 2R
@@ -461,24 +487,25 @@ def _chain_sums(side: int, radius: int, x: decimal.Decimal) -> tuple[np.ndarray,
     tiny = 2.0 ** ((R + 1) * g - 968) if columns else 0.0
 
     # mantissas [s, h, N]: s = 0 the state, s = 1 its terms times
-    # b^{popcount h} one column up, which feed an occupied site.  Two
-    # buffers take turns as state and next state, with c [h < half, N] (0
-    # where the newest site is occupied); one array holds the exponents.
-    # An empty cell is m = 0, E = -inf
+    # b^{popcount h} one column up, which feed an occupied site.  Slab
+    # blocks 0 and 1 take turns as state and next state, and block 2 is the
+    # s = 1 of both; each has c [h < half, N] (0 where the newest site is
+    # occupied); one array holds the exponents.  An empty cell is m = 0,
+    # E = -inf, so the slab starts at zero: column 0 of the occupied terms
+    # is never written, nor a column before its window
     half = 1 << (R - 1)
     shape = (2, 1 << R, side + 2)
-    state = np.zeros(shape), np.zeros((half, side + 2))
-    new = np.zeros(shape), np.zeros((half, side + 2))
+    slab = np.zeros((3,) + shape[1:])
+    state = slab[0::2], np.zeros((half, side + 2))
+    new = slab[1:], np.zeros((half, side + 2))
     expo = np.full(shape[1:], -math.inf)
     state[0][0, 0, 0] = state[0][0, half, 1] = 1.0  # site 1 empty or occupied
     expo[0, 0] = expo[half, 1] = 0.0
-    # the factors of the occupied terms; the aligned windows' exponents,
-    # differences and shifts, which a frozen window does not touch; and a
-    # scratch buffer for the c fold and Fast2Sum
+    # the factors of the occupied terms; and the aligned windows'
+    # exponents, differences and shifts, which a frozen window does not touch
     scale, ints = np.empty(shape), np.empty(expo.shape, dtype=np.int32)
     band_e = np.empty(shape)
-    work = (band_e, np.empty(2 * band_e.size), np.empty(2 * band_e.size, np.int32),
-            np.empty(half * (side + 2)))
+    work = band_e, np.empty(band_e.size), np.empty(band_e.size, np.int32)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         # a ufunc on strided rows copies them through numpy's buffer (8192
         # elements by default); a buffer shorter than the rows makes it run
@@ -521,8 +548,8 @@ def _chain_sums(side: int, radius: int, x: decimal.Decimal) -> tuple[np.ndarray,
         mant[:half] += state[1][:, :side + 1]
         expo = expo[:, :side + 1]
         top = expo.max(axis=0)
-        shifts = _shifts(expo, top, np.empty(expo.shape), np.empty(expo.shape, dtype=np.int32))
-        return np.ldexp(mant, shifts).sum(axis=0), top
+        shifts = _shifts(expo, top, scale[1, :, :side + 1], ints[:, :side + 1])
+        return np.ldexp(mant, shifts, out=mant).sum(axis=0), top
 
 
 def transfer_matrix_table(side: int, pot: PotentialSpec, beta: float,

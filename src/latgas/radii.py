@@ -87,7 +87,9 @@ def radius_canonical_penrose(d: int, pot: PotentialSpec, beta: float) -> tuple[f
 
 
 def contour_threshold(d: int, pot: PotentialSpec, beta: float) -> tuple[float, float]:
-    """(h_IS, M_IS); -inf sentinels at beta = 0."""
+    """(h_IS, M_IS); -inf sentinels at beta = 0.  Raises ``GuardError`` where
+    B leaves the float range (``tree_constants``), before 4dJ in M_IS can."""
+    tree_constants(d, pot, beta)
     if beta == 0.0:
         return -math.inf, -math.inf
     h_is = -(2 * d + 1 + 2 * math.log(2 * d) + math.log(2.0)) / (2.0 * beta)
@@ -95,17 +97,24 @@ def contour_threshold(d: int, pot: PotentialSpec, beta: float) -> tuple[float, f
 
 
 def lattice_gas_threshold(d: int, pot: PotentialSpec, beta: float) -> float:
-    """M_LG; -inf sentinel at beta = 0."""
+    """M_LG; -inf sentinel at beta = 0.  Where beta B leaves the float range,
+    M_LG = -B - (1 + log C-bar)/beta, which is finite."""
     if beta == 0.0:
         return -math.inf
     B, c_bar = tree_constants(d, pot, beta)
+    if beta * B == math.inf:
+        return -B - (1.0 + math.log(c_bar)) / beta
     return -(beta * B + 1.0 + math.log(c_bar)) / beta
 
 
 def radius_virial(d: int, pot: PotentialSpec, beta: float) -> float:
-    """R_V; the exponent beta(B + B*) equals 4 beta J(2d+1) for range 1."""
+    """R_V; the exponent beta(B + B*) equals 4 beta J(2d+1) for range 1.
+    Where B + 4J leaves the float range, beta B + 4 beta J is the exponent."""
     B, c_bar = tree_constants(d, pot, beta)
-    return _over_exp(1.0, 1.0 + beta * (B + 4.0 * pot.coupling), 2.0 * c_bar)
+    exponent = beta * (B + 4.0 * pot.coupling)
+    if B + 4.0 * pot.coupling == math.inf:
+        exponent = beta * B + 4.0 * beta * pot.coupling
+    return _over_exp(1.0, 1.0 + exponent, 2.0 * c_bar)
 
 
 @dataclass(frozen=True)

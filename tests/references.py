@@ -4,7 +4,8 @@ The Ising spin picture of the lattice gas (sigma = 2*eta - 1), with its
 Hamiltonians, the wall weights and the field/chemical-potential map, and
 alternate routes to numbers that ``latgas`` computes another way: the
 fixed-magnetization and grand Ising sums, B_Lambda(1) by the polymer
-route, rho(z) by fixed-point iteration and the partial polymer-sum bound.
+route, rho(z) by fixed-point iteration, the partial polymer-sum bound,
+and the tilted potential by bisection and as a 60-digit root.
 Tests compare the library against them; nothing in ``latgas`` imports
 this module.
 """
@@ -14,10 +15,11 @@ from __future__ import annotations
 import itertools
 import math
 
+import mpmath as mp
 import numpy as np
 
 from latgas.model import EXCLUDED, GuardError, LatticeSpec, PotentialSpec, Site, tree_constants
-from latgas.oracle import _logsumexp, exact_canonical_table
+from latgas.oracle import CanonicalTable, _logsumexp, exact_canonical_table, grand_canonical_eval
 from latgas.radii import radius_canonical
 from latgas.series import VirialSeries
 
@@ -288,3 +290,51 @@ def cluster_sum_margin(n_particles: int, volume: int, d: int,
         log_term += math.lgamma(n_particles) - math.lgamma(n) - math.lgamma(n_particles - n + 1)
         total += math.exp(log_term)
     return total, math.expm1(a_star), a_star
+
+
+def tilted_potential_bisection(table: CanonicalTable, n_tilde: float) -> float:
+    """mu with E_mu[N] = n_tilde for 0 < n_tilde < |Lambda| and beta > 0, by
+    bisection on the strictly increasing map down to a bracket of width
+    1e-12, or of adjacent floats where they lie further apart."""
+    def mean(mu: float) -> float:
+        return grand_canonical_eval(table, mu).mean_particles()
+
+    lo, hi = -1.0, 1.0
+    span = 1.0
+    while mean(lo) > n_tilde:
+        lo -= span
+        span *= 2.0
+    span = 1.0
+    while mean(hi) < n_tilde:
+        hi += span
+        span *= 2.0
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # adjacent floats, 1e-12 apart or more past |mu| = 2^13
+            break
+        if mean(mid) < n_tilde:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def tilted_root(table: CanonicalTable, n_tilde: float, mu: float, dps: int = 60) -> mp.mpf:
+    """The root of E_mu[N] = n_tilde on the table's float log Z(N), taken as
+    exact, by Newton steps from ``mu`` in ``dps`` digits: four steps from a
+    start within 1e-10 leave it far below 1e-(dps - 10).  Terms more than
+    e^-(3 dps) below the largest at ``mu`` are dropped."""
+    with mp.workdps(dps):
+        beta, x = mp.mpf(table.beta), mp.mpf(mu)
+        log_z = [(n, mp.mpf(float(v))) for n, v in enumerate(table.log_z) if v > -math.inf]
+        top = max(table.beta * mu * n + float(v) for n, v in enumerate(table.log_z))
+        log_z = [(n, v) for n, v in log_z if table.beta * mu * n + float(v) > top - 3 * dps]
+        for _ in range(4):
+            t = [(n, beta * x * n + v) for n, v in log_z]
+            big = max(v for _n, v in t)
+            w = [(n, mp.exp(v - big)) for n, v in t]
+            total = mp.fsum(v for _n, v in w)
+            mean = mp.fsum(n * v for n, v in w) / total
+            var = mp.fsum((n - mean) ** 2 * v for n, v in w) / total
+            x -= (mean - n_tilde) / (beta * var)
+        return +x

@@ -16,6 +16,7 @@ from latgas.oracle import (CanonicalTable, canonical_table, exact_canonical_tabl
 from latgas.radii import lattice_gas_threshold
 from latgas.series import (CanonicalFreeEnergy, extract_b_lambda,
                            free_energy_from_extraction)
+from references import tilted_potential_bisection, tilted_root
 
 POT = PotentialSpec("standard", 1.0)
 BETA = 0.3
@@ -138,6 +139,95 @@ def test_tilted_potential_stops_where_adjacent_floats_exceed_the_bracket():
     mu = tilted_potential(t, 2.5)
     assert mu < -2.0 ** 13
     assert grand_canonical_eval(t, mu).mean_particles() == pytest.approx(2.5, rel=1e-9)
+
+
+def _deviate_targets(table, alphas_us):
+    """N-tilde of ``formula_probability`` at mu0 = M_LG - 1, the deviate
+    default, for each (alpha, u)."""
+    mu0 = lattice_gas_threshold(1, POT, table.beta) - 1.0
+    n_star = find_n_star(table, mu0)
+    return sorted({n_star + round(u * table.n_sites ** alpha) for alpha, u in alphas_us})
+
+
+# the ladder of criteria 8 (alpha = 1/2, u = 0, 1/2, 1) and 9 (alpha = 1,
+# u = 0.05), and the 4096-ring of the benchmark's deviate jobs (beta from
+# 0.02 to 0.15, alpha = 1/2 and 1, u = 0 and 0.05)
+LADDER_TILTS = [(0.5, 0.0), (0.5, 0.5), (0.5, 1.0), (1.0, 0.05)]
+RING_TILTS = [(0.5, 0.0), (0.5, 0.05), (1.0, 0.05)]
+
+
+@pytest.mark.parametrize("side, beta, boundary, tilts",
+                         [(64, 0.0258, "zero", LADDER_TILTS),
+                          (128, 0.0258, "zero", LADDER_TILTS),
+                          (256, 0.0258, "zero", LADDER_TILTS),
+                          (4096, 0.02, "periodic", RING_TILTS),
+                          (4096, 0.15, "periodic", RING_TILTS)])
+def test_newton_tilt_lands_within_ulps_of_the_root(monkeypatch, side, beta, boundary, tilts):
+    # safeguarded Newton steps: at most 10 grand-canonical evaluations per
+    # tilt (the bisection took about 53), and mu-tilde within 8 ulps of the
+    # 60-digit root on the same float table.  The float mean itself strays
+    # by a few ulps of N-tilde near the root, which moves its crossing by up
+    # to ~5 ulps of mu here; the bisection's 1e-12 bracket left mu-tilde up
+    # to ~150 ulps away
+    import latgas.deviations as deviations
+    table = transfer_matrix_table(side, POT, beta, boundary)
+    calls = []
+
+    def counted(t, mu):
+        calls.append(mu)
+        return grand_canonical_eval(t, mu)
+
+    monkeypatch.setattr(deviations, "grand_canonical_eval", counted)
+    for target in _deviate_targets(table, tilts):
+        calls.clear()
+        mu = tilted_potential(table, target)
+        assert len(calls) <= 10, (target, len(calls))
+        root = tilted_root(table, target, mu)
+        ulps = float((mp.mpf(mu) - root) / math.ulp(mu))
+        assert abs(ulps) <= 8, (target, ulps)
+
+
+@pytest.mark.parametrize("side, beta, boundary", [(256, 0.0258, "zero"), (4096, 0.15, "periodic")])
+def test_newton_tilt_reaches_tail_targets_in_few_evaluations(monkeypatch, side, beta, boundary):
+    # the step solves for the mean's logit, so a target near an empty or a
+    # full box, where E_mu[N] flattens, takes as few steps as one in the
+    # middle (a plain Newton step on the mean took 9 to 15 here)
+    import latgas.deviations as deviations
+    table = transfer_matrix_table(side, POT, beta, boundary)
+    calls = []
+
+    def counted(t, mu):
+        calls.append(mu)
+        return grand_canonical_eval(t, mu)
+
+    monkeypatch.setattr(deviations, "grand_canonical_eval", counted)
+    for target in (1, 3, side // 100, side - side // 100, side - 3):
+        calls.clear()
+        tilted_potential(table, target)
+        assert len(calls) <= 8, (target, len(calls))
+
+
+@settings(max_examples=40, deadline=None)
+@given(box=st.sampled_from([(LatticeSpec(1, 12, "periodic"), POT),
+                            (LatticeSpec(1, 9, "zero"), PotentialSpec("kac", 1.0, 2)),
+                            (LatticeSpec(2, 4, "periodic"), PotentialSpec("standard", 0.7)),
+                            (LatticeSpec(1, 100, "zero"), PotentialSpec("kac", 1.0, 3))]),
+       beta=st.floats(-2.0, 1.0).map(lambda u: 10.0 ** u), share=st.floats(0.05, 0.95))
+def test_newton_tilt_agrees_with_the_bisection(box, beta, share):
+    # both land where the mean crosses the target; the bisection to within
+    # its bracket of 1e-12
+    table = canonical_table(*box, beta)
+    target = share * table.n_sites
+    newton, bisection = tilted_potential(table, target), tilted_potential_bisection(table, target)
+    assert abs(newton - bisection) <= 1e-12 + 1e-13 * abs(bisection)
+
+
+def test_tilted_potential_raises_guard_error_where_the_mean_is_not_a_number():
+    # past the float range log Z(N) reads inf for most N, and the mean at
+    # every mu is nan; the bisection returned mu = -0.99999999999954
+    table = transfer_matrix_table(100, PotentialSpec("kac", 1.0, 3), 1e306)
+    with np.errstate(invalid="ignore"), pytest.raises(GuardError, match="not a number"):
+        tilted_potential(table, 50.0)
 
 
 def test_tilted_measure_consistency():

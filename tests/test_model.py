@@ -218,6 +218,8 @@ def test_lattice_guards():
         LatticeSpec(1, 4, "fixed", gamma=((2,),))  # inside the box
     with pytest.raises(ValueError):
         PotentialSpec("standard", -1.0)
+    with pytest.raises(ValueError):  # a nan coupling made every constant nan
+        PotentialSpec("standard", math.nan)
     with pytest.raises(ValueError):
         PotentialSpec("standard", 1.0, 2)
     with pytest.raises(ValueError):  # the Kac kernel fixes J = 1

@@ -1,5 +1,6 @@
 import decimal
 import functools
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -620,21 +621,52 @@ def test_window_paths(frozen_windows):
     assert frozen_windows and not any(frozen_windows)
 
 
+def _nan_empty(shape, dtype=float):
+    """``np.empty`` whose buffers come filled, NaN where they hold floats, so
+    a cell read before it is written shows even against fresh, zeroed memory."""
+    return np.full(shape, np.nan if np.dtype(dtype).kind == "f" else 7, dtype)
+
+
 @pytest.mark.parametrize("pot, beta, side", [(KAC3, 6.0, 300),
                                              (PotentialSpec("kac", 1.0, 4), 3.5, 200)])
 def test_banded_windows_equal_aligned_bit_for_bit(monkeypatch, frozen_windows, pot, beta, side):
     # past the frozen-column bound each window aligns every column at every
     # site; in these tables one Z(N) depends in its last bit on each c
-    # moving with its cell.  Buffers come filled, NaN where they hold
-    # floats, so a cell read before it is written shows even when the test
-    # runs alone against fresh, zeroed memory
-    def empty(shape, dtype=float):
-        return np.full(shape, np.nan if np.dtype(dtype).kind == "f" else 7, dtype)
-
-    monkeypatch.setattr(oracle.np, "empty", empty)
+    # moving with its cell.  Buffers from np.empty come NaN-filled, so a
+    # cell read before it is written shows even when the test runs alone
+    monkeypatch.setattr(oracle.np, "empty", _nan_empty)
     log_z = transfer_matrix_table(side, pot, beta).log_z
     assert not any(frozen_windows)
     assert log_z.tobytes() == _aligned_transfer_matrix(side, pot, beta).tobytes()
+
+
+# sha256 of total.tobytes() + top.tobytes() from _chain_sums(L, R, x) of the
+# Kac chain, first 16 hex digits.  The kernel is IEEE arithmetic alone
+# (multiply, add, max, min, frexp, ldexp and an axis-0 sum on doubles; the
+# bond weights from decimal), so these bits hold on every platform.  The
+# np.log of transfer_matrix_table is not IEEE-exact and stays out.  beta = 0.5
+# freezes every window, beta = 25 aligns every window
+CHAIN_SUMS_DIGESTS = {
+    (1, 130, 0.5): "7b3ad490f1a9cf60", (1, 130, 25.0): "a38b04d6b6a3c6e3",
+    (1, 4096, 0.5): "13aece49a042f969", (1, 4096, 25.0): "43e87b2c70532563",
+    (2, 130, 0.5): "f7520c868919f498", (2, 130, 25.0): "e29dd62aa34b406c",
+    (2, 4096, 0.5): "4548b89f86d22c05", (2, 4096, 25.0): "c540bfe75cd0a01d",
+    (3, 130, 0.5): "f376a5e4e31fdb98", (3, 130, 25.0): "bac45591ef8388a6",
+    (3, 4096, 0.5): "00d8a5d35e70861a", (3, 4096, 25.0): "b684fb7a4da23e56",
+    (4, 130, 0.5): "868dd55306b3ab1d", (4, 130, 25.0): "5d645f84455c61bf",
+    (4, 4096, 0.5): "6d0659f4f0963c7a", (4, 4096, 25.0): "b9be2f397fbf4998"}
+
+
+@pytest.mark.parametrize("radius, side, beta", sorted(CHAIN_SUMS_DIGESTS))
+def test_chain_sums_bits_are_pinned(monkeypatch, frozen_windows, radius, side, beta):
+    # every bit of Z(N) = total 2^top, with every buffer the kernel takes
+    # from np.empty filled with NaN (7 for integers)
+    monkeypatch.setattr(oracle.np, "empty", _nan_empty)
+    x = oracle._bond_exponent(PotentialSpec("kac", 1.0, radius), beta)
+    total, top = oracle._chain_sums(side, radius, x)
+    digest = hashlib.sha256(total.tobytes() + top.tobytes()).hexdigest()[:16]
+    assert set(frozen_windows) == {beta == 0.5}
+    assert digest == CHAIN_SUMS_DIGESTS[radius, side, beta]
 
 
 # ---------------------------------------------------------------------------

@@ -212,3 +212,46 @@ def test_radii_past_the_float_range(d, beta):
         ref_rv = 1 / (2 * mp.exp(1 + b * (B + 4)) * c_bar)
     assert rep.r_v == pytest.approx(float(ref_rv), rel=1e-12, abs=5e-323)
     assert all(math.isfinite(v) for v in (rep.m_is, rep.m_lg, rep.r_v))
+
+
+
+@settings(max_examples=400, deadline=None)
+@given(d=st.integers(1, 3),
+       pot=st.one_of(st.floats(0.0, exclude_min=True).map(lambda j: PotentialSpec("standard", j)),
+                     st.floats(-3.0, 300.0).map(lambda v: PotentialSpec("standard", 10.0 ** v)),
+                     st.integers(1, 64).map(lambda r: PotentialSpec("kac", 1.0, r))),
+       beta=st.one_of(st.just(0.0), st.floats(0.0, 1e300),
+                      st.floats(-320.0, 300.0).map(lambda u: 10.0 ** u)),
+       u=st.floats(0.0) | st.floats(-320.0, 308.0).map(lambda v: 10.0 ** v))
+def test_radii_over_the_guarded_space(d, pot, beta, u):
+    # each call returns finite values or README's sentinels, or raises
+    # GuardError or ValueError; radii and a* are never negative.  The
+    # sentinels: M_IS and M_LG (and h_IS, half of M_IS) are -inf at beta = 0
+    # and where -1/beta leaves the float range
+    def outcome(call):
+        try:
+            return call()
+        except ValueError:  # GuardError included
+            return None
+
+    def check(name, value, at_beta):
+        sentinel = name in ("h_is", "m_is", "m_lg") and value == -math.inf and at_beta < 1e-300
+        assert math.isfinite(value) or sentinel, (name, value, at_beta)
+        assert not name.startswith(("r_", "a_")) or value >= 0, (name, value)
+
+    for value in outcome(lambda: maximize_big_f(u)) or ():
+        check("a_star", value, beta)
+    for name, call in [("r_c", radius_canonical), ("r_c_bar", radius_canonical_penrose)]:
+        for value in outcome(lambda: call(d, pot, beta)) or ():
+            check(name, value, beta)
+    thresholds = outcome(lambda: contour_threshold(d, pot, beta)) or ()
+    for name, value in zip(("h_is", "m_is"), thresholds):
+        check(name, value, beta)
+    for name, call in [("m_lg", lattice_gas_threshold), ("r_v", radius_virial)]:
+        value = outcome(lambda: call(d, pot, beta))
+        if value is not None:
+            check(name, value, beta)
+    reports = outcome(lambda: [radius_report(d, pot, beta), *sweep_radii(d, pot, [0.0, beta])])
+    for rep in reports or ():
+        for name in ("r_c", "a_star_rc", "r_c_bar", "a_star_rcbar", "h_is", "m_is", "m_lg", "r_v"):
+            check(name, getattr(rep, name), rep.beta)

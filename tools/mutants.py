@@ -35,6 +35,7 @@ BRUTE = T_ORACLE + "test_correlations_equal_brute_force"
 WINDOWED = T_ORACLE + "test_windowed_transfer_matrix_equals_aligned_bit_for_bit"
 BANDED = T_ORACLE + "test_banded_windows_equal_aligned_bit_for_bit"
 GROUND = T_ORACLE + "test_transfer_matrix_ground_states_at_huge_beta"
+PINNED = T_ORACLE + "test_chain_sums_bits_are_pinned"
 FIND_N_STAR = (T_DEVIATIONS + "test_find_n_star_equals_the_loop_on_planted_steps",)
 BETA = T_ORACLE + "test_oracles_take_beta_from_zero_to_inf"
 GC_GUARD = T_DEVIATIONS + "test_grand_canonical_layer_raises_guard_error_past_the_float_range"
@@ -75,6 +76,26 @@ MUTANTS = [
      "frozen = True\n",
      (T_ORACLE + "test_window_paths", WINDOWED + "[1e+300-pot0-zero]",
       WINDOWED + "[1e+300-pot5-zero]")),
+    # the buffer plan: the shared occupied slab from np.empty, so its column
+    # 0 and the columns not yet live are not zero; the c fold's product in
+    # the state's own c, which the c adds still read; the row finish summing
+    # the cells without first shifting each to its row's exponent
+    (ORACLE, "    slab = np.zeros((3,) + shape[1:])\n", "    slab = np.empty((3,) + shape[1:])\n",
+     (PINNED + "[1-130-0.5]", PINNED + "[4-130-25.0]", BANDED + "[pot0-6.0-300]")),
+    (ORACLE, "    c_term = next_comp[:, :hi - 1]\n", "    c_term = comp[:, :hi - 1]\n",
+     (PINNED + "[2-130-0.5]", PINNED + "[3-4096-0.5]", WINDOWED + "[0.3-pot4-zero]")),
+    (ORACLE, "return np.ldexp(mant, shifts, out=mant).sum(axis=0), top",
+     "return mant.sum(axis=0), top",
+     (PINNED + "[4-130-25.0]", BANDED + "[pot1-3.5-200]", WINDOWED + "[1e+300-pot0-zero]")),
+    # the tilt: no stop at a step within 2 ulps, so the mean's rounding
+    # noise stalls the steps into bisection; a plain Newton step on the mean
+    # in place of its logit
+    (DEVIATIONS, "        if abs(step) <= 2 * math.ulp(mu):\n", "        if abs(step) <= 0:\n",
+     (T_DEVIATIONS + "test_newton_tilt_lands_within_ulps_of_the_root[4096-0.15-periodic-tilts4]",)),
+    (DEVIATIONS, "            step = -logit * mean * (volume - mean) / slope\n",
+     "            step = -d * volume / slope\n",
+     (T_DEVIATIONS + "test_newton_tilt_reaches_tail_targets_in_few_evaluations[256-0.0258-zero]",
+      T_DEVIATIONS + "test_newton_tilt_reaches_tail_targets_in_few_evaluations[4096-0.15-periodic]")),
     # the graph engine: Pruefer block digits reversed; neighbours read from
     # edges out of pair order; reachability one round short; the deletion
     # loop skipping the last vertex; the pair-index formula off by one

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latgas import deviations
 from latgas.deviations import (appendix_normalization, appendix_ratio,
                                find_n_star, formula_probability,
                                m_of_alpha, mean_occupation, rate_function,
@@ -141,6 +142,19 @@ def test_tilted_potential_stops_where_adjacent_floats_exceed_the_bracket():
     assert grand_canonical_eval(t, mu).mean_particles() == pytest.approx(2.5, rel=1e-9)
 
 
+@pytest.fixture
+def gc_calls(monkeypatch):
+    """The mu of each grand_canonical_eval call the deviation layer makes."""
+    calls = []
+
+    def counted(table, mu):
+        calls.append(mu)
+        return grand_canonical_eval(table, mu)
+
+    monkeypatch.setattr(deviations, "grand_canonical_eval", counted)
+    return calls
+
+
 def _deviate_targets(table, alphas_us):
     """N-tilde of ``formula_probability`` at mu0 = M_LG - 1, the deviate
     default, for each (alpha, u)."""
@@ -162,49 +176,33 @@ RING_TILTS = [(0.5, 0.0), (0.5, 0.05), (1.0, 0.05)]
                           (256, 0.0258, "zero", LADDER_TILTS),
                           (4096, 0.02, "periodic", RING_TILTS),
                           (4096, 0.15, "periodic", RING_TILTS)])
-def test_newton_tilt_lands_within_ulps_of_the_root(monkeypatch, side, beta, boundary, tilts):
+def test_newton_tilt_lands_within_ulps_of_the_root(gc_calls, side, beta, boundary, tilts):
     # safeguarded Newton steps: at most 10 grand-canonical evaluations per
     # tilt (the bisection took about 53), and mu-tilde within 8 ulps of the
     # 60-digit root on the same float table.  The float mean itself strays
     # by a few ulps of N-tilde near the root, which moves its crossing by up
     # to ~5 ulps of mu here; the bisection's 1e-12 bracket left mu-tilde up
     # to ~150 ulps away
-    import latgas.deviations as deviations
     table = transfer_matrix_table(side, POT, beta, boundary)
-    calls = []
-
-    def counted(t, mu):
-        calls.append(mu)
-        return grand_canonical_eval(t, mu)
-
-    monkeypatch.setattr(deviations, "grand_canonical_eval", counted)
     for target in _deviate_targets(table, tilts):
-        calls.clear()
+        gc_calls.clear()
         mu = tilted_potential(table, target)
-        assert len(calls) <= 10, (target, len(calls))
+        assert len(gc_calls) <= 10, (target, len(gc_calls))
         root = tilted_root(table, target, mu)
         ulps = float((mp.mpf(mu) - root) / math.ulp(mu))
         assert abs(ulps) <= 8, (target, ulps)
 
 
 @pytest.mark.parametrize("side, beta, boundary", [(256, 0.0258, "zero"), (4096, 0.15, "periodic")])
-def test_newton_tilt_reaches_tail_targets_in_few_evaluations(monkeypatch, side, beta, boundary):
+def test_newton_tilt_reaches_tail_targets_in_few_evaluations(gc_calls, side, beta, boundary):
     # the step solves for the mean's logit, so a target near an empty or a
     # full box, where E_mu[N] flattens, takes as few steps as one in the
-    # middle (a plain Newton step on the mean took 9 to 15 here)
-    import latgas.deviations as deviations
+    # middle (a plain Newton step on the mean took 9 to 17 here)
     table = transfer_matrix_table(side, POT, beta, boundary)
-    calls = []
-
-    def counted(t, mu):
-        calls.append(mu)
-        return grand_canonical_eval(t, mu)
-
-    monkeypatch.setattr(deviations, "grand_canonical_eval", counted)
     for target in (1, 3, side // 100, side - side // 100, side - 3):
-        calls.clear()
+        gc_calls.clear()
         tilted_potential(table, target)
-        assert len(calls) <= 8, (target, len(calls))
+        assert len(gc_calls) <= 8, (target, len(gc_calls))
 
 
 @settings(max_examples=40, deadline=None)

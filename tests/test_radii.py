@@ -214,7 +214,6 @@ def test_radii_past_the_float_range(d, beta):
     assert all(math.isfinite(v) for v in (rep.m_is, rep.m_lg, rep.r_v))
 
 
-
 @settings(max_examples=400, deadline=None)
 @given(d=st.integers(1, 3),
        pot=st.one_of(st.floats(0.0, exclude_min=True).map(lambda j: PotentialSpec("standard", j)),

@@ -29,9 +29,21 @@ def bound_rhs(dist: float, n_particles: int, volume: int, beta: float,
 
     rho^2 [ (e^{4 beta J}-1) 1_{dist=1} + 1_{dist=0}
             + ((e^{4 beta J}-1) 1_{dist=1} + 1_{dist=0})/N + C e^{-dist} ]
-    + C1/|Lambda|.  Raises ``GuardError`` once that leaves the float range
-    (beta J > ~177 at dist = 1).
+    + C1/|Lambda|.  Raises ``ValueError`` for beta outside [0, inf), a
+    negative or nan distance, a non-finite coupling or constant, or fewer
+    than one particle or site, and ``GuardError`` once the bound leaves the
+    float range (beta J > ~177 at dist = 1).
     """
+    if not 0 <= beta < math.inf:
+        raise ValueError(f"the bound needs 0 <= beta < inf, not {beta}")
+    if not dist >= 0:
+        raise ValueError(f"the bound needs a distance >= 0, not {dist}")
+    if not all(map(math.isfinite, (coupling, c_const, c1_const))):
+        raise ValueError(f"the bound needs a finite coupling and constants, not "
+                         f"J = {coupling}, C = {c_const}, C1 = {c1_const}")
+    if n_particles < 1 or volume < 1:
+        raise ValueError(f"the bound needs at least one particle and site, not "
+                         f"N = {n_particles}, |Lambda| = {volume}")
     rho = n_particles / volume
     try:
         near = math.expm1(4.0 * beta * coupling) if dist == 1.0 else 0.0
@@ -40,7 +52,7 @@ def bound_rhs(dist: float, n_particles: int, volume: int, beta: float,
     same = 1.0 if dist == 0.0 else 0.0
     inner = (near + same) * (1.0 + 1.0 / n_particles) + c_const * math.exp(-dist)
     rhs = rho * rho * inner + c1_const / volume
-    if rhs == math.inf:
+    if not math.isfinite(rhs):
         raise GuardError(f"the bound at beta J = {beta * coupling:g} exceeds the float range")
     return rhs
 

@@ -669,6 +669,39 @@ def test_chain_sums_bits_are_pinned(monkeypatch, frozen_windows, radius, side, b
     assert digest == CHAIN_SUMS_DIGESTS[radius, side, beta]
 
 
+class _FirstWindow(Exception):
+    """Stops a table once its first window's buffers are checked."""
+
+
+@pytest.mark.parametrize("radius", [1, 2, 3, 4])
+@pytest.mark.parametrize("beta", [0.5, 25.0])
+def test_every_array_a_site_writes_starts_on_a_cache_line(monkeypatch, radius, beta):
+    # in the first window of a 4096-chain, frozen at beta = 0.5 and aligned
+    # at beta = 25, every array a site writes starts on a 64-byte boundary
+    # and its rows lie a whole number of 64-byte lines apart
+    windows = []
+
+    def spy(state, new, expo, hi, frozen, bond_e, scale, work):
+        (mant, _), (next_mant, next_comp) = state, new
+        band_e, diff, _ = work
+        written = {"occupied terms from column 1": mant[1, :, 1:hi],
+                   "c_term": next_comp[:, :hi - 1], "next mantissas": next_mant[0, :, :hi],
+                   "err0": next_comp[:, :hi]}
+        if not frozen:
+            written |= {"e_occupied": band_e[1, :, 1:hi], "state exponents": band_e[0, :, :hi],
+                        "new exponents": expo[:, :hi], "differences": diff[..., :hi],
+                        "shifted state terms": mant[0, :, :hi]}
+        for name, array in written.items():
+            assert array.ctypes.data % 64 == 0 and array.strides[-2] % 64 == 0, name
+        windows.append(frozen)
+        raise _FirstWindow
+
+    monkeypatch.setattr(oracle, "_site", spy)
+    with pytest.raises(_FirstWindow):
+        oracle._chain_sums(4096, radius, oracle._bond_exponent(PotentialSpec("kac", 1.0, radius), beta))
+    assert windows == [beta == 0.5]
+
+
 # ---------------------------------------------------------------------------
 # The standard ring in closed form: a third oracle, independent of both the
 # subset kernel and the transfer matrix, at any L.

@@ -10,7 +10,8 @@ file holds every run's end-to-end metrics and failed-operation counts, and per
 workload and metric both sides' quartiles and the pairs the change won.  Both
 checkouts must be git checkouts whose ``src/`` and ``bench/`` match their
 HEAD, so the commits and src trees the file records name the code that ran;
-each runs its own ``bench/``.
+each runs its own ``bench/``.  Their absolute paths must be of equal length:
+the length alone moves ``peak_rss_mb`` by about 0.2 MB.
 """
 
 from __future__ import annotations
@@ -83,6 +84,12 @@ def main(argv=None) -> int:
         if why:
             print(f"bench_pairs: {side} checkout {getattr(args, side)} {why}", file=sys.stderr)
             return 1
+    paths = [str(getattr(args, side).resolve()) for side in ("parent", "change")]
+    if len(paths[0]) != len(paths[1]):
+        print(f"bench_pairs: the checkouts' absolute paths differ in length, which alone "
+              f"moves peak_rss_mb by about 0.2 MB: parent {paths[0]} ({len(paths[0])} "
+              f"characters), change {paths[1]} ({len(paths[1])})", file=sys.stderr)
+        return 1
 
     runs = {w: {"parent": [], "change": []} for w in WORKLOADS}
     for i in range(PAIRS):

@@ -36,11 +36,13 @@ WINDOWED = T_ORACLE + "test_windowed_transfer_matrix_equals_aligned_bit_for_bit"
 BANDED = T_ORACLE + "test_banded_windows_equal_aligned_bit_for_bit"
 GROUND = T_ORACLE + "test_transfer_matrix_ground_states_at_huge_beta"
 PINNED = T_ORACLE + "test_chain_sums_bits_are_pinned"
+CACHE_LINE = T_ORACLE + "test_every_array_a_site_writes_starts_on_a_cache_line"
 FIND_N_STAR = (T_DEVIATIONS + "test_find_n_star_equals_the_loop_on_planted_steps",)
 BETA = T_ORACLE + "test_oracles_take_beta_from_zero_to_inf"
 GC_GUARD = T_DEVIATIONS + "test_grand_canonical_layer_raises_guard_error_past_the_float_range"
 SERIES_GUARD = T_SERIES + "test_coefficients_past_float_range_raise_guard_error"
 GROWTH = T_SERIES + "test_patterns_equal_the_set_growth"
+BOUND_DOMAIN = "tests/test_correlations.py::test_bound_rhs_outside_its_domain_raises_value_error"
 
 MUTANTS = [
     # the correlation oracle: u2 by cancellation, the diagonal rounded twice,
@@ -80,13 +82,21 @@ MUTANTS = [
     # 0 and the columns not yet live are not zero; the c fold's product in
     # the state's own c, which the c adds still read; the row finish summing
     # the cells without first shifting each to its row's exponent
-    (ORACLE, "    slab = np.zeros((3,) + shape[1:])\n", "    slab = np.empty((3,) + shape[1:])\n",
+    (ORACLE, "    slab, shared = _aligned(np.zeros,", "    slab, shared = _aligned(np.empty,",
      (PINNED + "[1-130-0.5]", PINNED + "[4-130-25.0]", BANDED + "[pot0-6.0-300]")),
     (ORACLE, "    c_term = next_comp[:, :hi - 1]\n", "    c_term = comp[:, :hi - 1]\n",
      (PINNED + "[2-130-0.5]", PINNED + "[3-4096-0.5]", WINDOWED + "[0.3-pot4-zero]")),
     (ORACLE, "return np.ldexp(mant, shifts, out=mant).sum(axis=0), top",
      "return mant.sum(axis=0), top",
      (PINNED + "[4-130-25.0]", BANDED + "[pot1-3.5-200]", WINDOWED + "[1e+300-pot0-zero]")),
+    # the layout, which changes no bit: the shared occupied block and
+    # band_e's occupied block on a cache line in place of 7 doubles past
+    # one; buffers where numpy puts them, not on a cache line
+    (ORACLE, "(3 * block + 7,)), 2 * block + 7\n", "(3 * block + 7,)), 2 * block\n",
+     (CACHE_LINE + "[0.5-1]", CACHE_LINE + "[25.0-4]")),
+    (ORACLE, "0, block + 7, shape)", "0, block, shape)", (CACHE_LINE + "[25.0-2]",)),
+    (ORACLE, "    skip = -raw.ctypes.data % 64 // raw.itemsize\n", "    skip = 0\n",
+     (CACHE_LINE + "[0.5-3]", CACHE_LINE + "[25.0-1]")),
     # the tilt: no stop at a step within 2 ulps, so the mean's rounding
     # noise stalls the steps into bisection; a plain Newton step on the mean
     # in place of its logit
@@ -149,8 +159,14 @@ MUTANTS = [
      (T_DEVIATIONS + "test_mean_occupation_is_normalised_on_a_dense_chain",)),
     (DEVIATIONS, "    if table.beta == 0:\n", "    if False:\n",
      (T_DEVIATIONS + "test_tilted_potential_at_beta_zero_raises_for_an_interior_target",)),
-    (CORRELATIONS, "    if rhs == math.inf:\n", "    if False:\n",
+    (CORRELATIONS, "    if not math.isfinite(rhs):\n", "    if False:\n",
      ("tests/test_correlations.py::test_bound_rhs_past_the_float_range_raises_guard_error",)),
+    (CORRELATIONS, "    if not 0 <= beta < math.inf:\n", "    if False:\n",
+     (BOUND_DOMAIN + "[args1]", BOUND_DOMAIN + "[args5]")),
+    (CORRELATIONS, "    if not all(map(math.isfinite, (coupling, c_const, c1_const))):\n",
+     "    if False:\n", (BOUND_DOMAIN + "[args0]", BOUND_DOMAIN + "[args2]")),
+    (CORRELATIONS, "    if n_particles < 1 or volume < 1:\n", "    if False:\n",
+     (BOUND_DOMAIN + "[args3]", BOUND_DOMAIN + "[args4]")),
     (SERIES, "    except OverflowError:\n        raise GuardError(f\"{kind} graph sum",
      "    except OverflowError:\n        return math.inf\n        raise GuardError(f\"{kind} graph sum",
      (SERIES_GUARD, T_CLI + "test_series_past_float_range_exits_as_a_guard[config1]")),

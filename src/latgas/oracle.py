@@ -464,10 +464,12 @@ def _chain_sums(side: int, radius: int, x: decimal.Decimal) -> tuple[np.ndarray,
     (they run from column 1; column 0 is empty).  numpy's own buffers of
     this size start 16 bytes past a boundary, and on AVX-512 a misaligned
     output halves a multiply's throughput: 32,768 elements take 5.1 us
-    aligned and 12.3 us 8 bytes off.  At L = 4096 the aligned rows took the
-    ring from 0.064 to 0.057 s, Kac R = 3 from 0.20 to 0.16 s and Kac
-    R = 4 from 0.39 to 0.31 s; they add under 0.2% to each buffer, and a
-    table touches the same pages.
+    aligned and 12.3 us 8 bytes off.  At L = 4096 and the benchmark's
+    seed-7 beta the aligned rows took the ring from 0.069 to 0.059 s, Kac
+    R = 3 from 0.200 to 0.145 s and Kac R = 4 from 0.386 to 0.290 s
+    (medians of 10 alternating fresh-process pairs, 2-core AVX-512 Xeon);
+    they add under 0.2% to each buffer, and a table keeps as many pages
+    resident as before (3.32 MB at R = 4, L = 4096).
 
     The bound for frozen columns.  Let n < 2^ell be the sites placed, ell
     the bit length of L, and g = 2 B + ell.  Moving one particle changes a

@@ -697,8 +697,9 @@ def test_every_array_a_site_writes_starts_on_a_cache_line(monkeypatch, radius, b
         raise _FirstWindow
 
     monkeypatch.setattr(oracle, "_site", spy)
+    x = oracle._bond_exponent(PotentialSpec("kac", 1.0, radius), beta)
     with pytest.raises(_FirstWindow):
-        oracle._chain_sums(4096, radius, oracle._bond_exponent(PotentialSpec("kac", 1.0, radius), beta))
+        oracle._chain_sums(4096, radius, x)
     assert windows == [beta == 0.5]
 
 

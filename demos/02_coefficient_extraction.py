@@ -17,12 +17,12 @@ beta = 0.2
 
 print("=== extraction and round trip on a 10-site ring ===")
 table = exact_canonical_table(LatticeSpec(1, 10, "periodic"), pot, beta)
-coeffs = extract_b_lambda(table, n_max=5)
+fe = extract_b_lambda(table, n_max=5)
 for n in range(1, 6):
-    print(f"  B({n}) = {coeffs.value(n):+.8f}")
+    print(f"  B({n}) = {fe.coeffs[n]:+.8f}")
 print("  reconstruction residuals:")
 for n_particles in range(2, 7):
-    resid = reconstruct_log_z(coeffs, n_particles) - table.log_z_of(n_particles)
+    resid = reconstruct_log_z(fe, n_particles) - table.log_z_of(n_particles)
     print(f"    N = {n_particles}: {resid:+.2e}")
 
 print("\n=== drift toward the irreducible coefficients ===")
@@ -31,7 +31,7 @@ beta2 = irreducible_coefficient(2, 1, pot, beta)
 print(f"  beta_1 = {beta1:+.8f}, beta_2 = {beta2:+.8f}")
 for side in (10, 20, 40, 80):
     t = canonical_table(LatticeSpec(1, side, "periodic"), pot, beta)
-    c = extract_b_lambda(t, 2)
-    print(f"  L = {side:3d}: |B(1)-beta_1| = {abs(c.value(1)-beta1):.5f}   "
-          f"|B(2)-beta_2| = {abs(c.value(2)-beta2):.5f}")
+    fe = extract_b_lambda(t, 2)
+    print(f"  L = {side:3d}: |B(1)-beta_1| = {abs(fe.coeffs[1]-beta1):.5f}   "
+          f"|B(2)-beta_2| = {abs(fe.coeffs[2]-beta2):.5f}")
 print("  (both gaps halve per doubling: the O(1/L) finite-volume correction)")

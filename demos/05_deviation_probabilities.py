@@ -12,7 +12,7 @@ import math
 from latgas import PotentialSpec, transfer_matrix_table
 from latgas.deviations import formula_probability
 from latgas.radii import lattice_gas_threshold
-from latgas.series import extract_b_lambda, free_energy_from_extraction
+from latgas.series import extract_b_lambda
 
 pot = PotentialSpec("standard", 1.0)
 beta = 0.0258
@@ -22,7 +22,7 @@ print(f"beta = {beta}, fugacity threshold M_LG = {mu0 + 1:.3f}, mu0 = {mu0:.3f}"
 print("\n=== local CLT (alpha = 1/2) along the ladder ===")
 for side in (64, 128, 256):
     table = transfer_matrix_table(side, pot, beta, "zero")
-    fe = free_energy_from_extraction(extract_b_lambda(table, 4))
+    fe = extract_b_lambda(table, 4)
     worst = 0.0
     for u in (0.0, 0.5, 1.0):
         rep = formula_probability(table, mu0, 0.5, u, fe)
@@ -34,7 +34,7 @@ print("  successive ratios sit near sqrt(2), the 1/sqrt(L) signature.")
 print("\n=== precise large deviations (alpha = 1, u = 0.05) ===")
 for side in (64, 128, 256):
     table = transfer_matrix_table(side, pot, beta, "zero")
-    fe = free_energy_from_extraction(extract_b_lambda(table, 4))
+    fe = extract_b_lambda(table, 4)
     rep = formula_probability(table, mu0, 1.0, 0.05, fe)
     q = abs(math.log(rep.p_exact) + side * rep.rate
             + 0.5 * math.log(2 * math.pi * rep.d_plain * side))
@@ -43,7 +43,7 @@ for side in (64, 128, 256):
 
 print("\n=== one full report row (L = 128, alpha = 1/2, u = 0.5) ===")
 table = transfer_matrix_table(128, pot, beta, "zero")
-fe = free_energy_from_extraction(extract_b_lambda(table, 4))
+fe = extract_b_lambda(table, 4)
 rep = formula_probability(table, mu0, 0.5, 0.5, fe)
 print(f"  N_bar = {rep.n_bar}, N* = {rep.n_star}, N~ = {rep.n_tilde}, "
       f"u' = {rep.u_prime:.4f}")

@@ -7,10 +7,8 @@ from .model import (EXCLUDED, GuardError, LatticeSpec, ModelConstants,
 from .oracle import (CanonicalTable, CorrelationTable, GrandCanonicalEval,
                      canonical_table, exact_canonical_table, exact_correlations,
                      grand_canonical_eval, transfer_matrix_table)
-from .series import (CanonicalFreeEnergy, SeriesCoefficients, VirialSeries,
-                     connected_coefficient, extract_b_lambda,
-                     free_energy_from_extraction, free_energy_thermodynamic,
-                     irreducible_coefficient, reconstruct_log_z,
+from .series import (CanonicalFreeEnergy, VirialSeries, connected_coefficient,
+                     extract_b_lambda, irreducible_coefficient, reconstruct_log_z,
                      stirling_remainder, tree_graph_check, virial_series)
 from .radii import (RadiusReport, contour_threshold, lattice_gas_threshold,
                     maximize_big_f, radius_canonical,

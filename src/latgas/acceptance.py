@@ -75,9 +75,9 @@ def criterion_reconstruction() -> tuple[bool, str]:
     worst = 0.0
     for lattice in (LatticeSpec(1, 10, "periodic"), LatticeSpec(2, 3, "periodic")):
         table = canonical_table(lattice, STD_POT, STD_BETA)
-        coeffs = series.extract_b_lambda(table, 5)
+        fe = series.extract_b_lambda(table, 5)
         for n_particles in range(2, 7):
-            err = abs(series.reconstruct_log_z(coeffs, n_particles)
+            err = abs(series.reconstruct_log_z(fe, n_particles)
                       - table.log_z_of(n_particles))
             worst = max(worst, err)
     return worst <= 1e-10, f"max |logZ residual| = {worst:.3e} (tol 1e-10)"
@@ -91,9 +91,9 @@ def criterion_coefficient_convergence() -> tuple[bool, str]:
     diffs = {1: [], 2: []}
     for side in (10, 20, 40):
         table = canonical_table(LatticeSpec(1, side, "periodic"), STD_POT, STD_BETA)
-        coeffs = series.extract_b_lambda(table, 2)
-        diffs[1].append(abs(coeffs.value(1) - beta1))
-        diffs[2].append(abs(coeffs.value(2) - beta2))
+        fe = series.extract_b_lambda(table, 2)
+        diffs[1].append(abs(fe.coeffs[1] - beta1))
+        diffs[2].append(abs(fe.coeffs[2] - beta2))
     ratios = []
     for n in (1, 2):
         ratios += [diffs[n][0] / diffs[n][1], diffs[n][1] / diffs[n][2]]
@@ -181,12 +181,12 @@ def criterion_correlation_bound() -> tuple[bool, str]:
 
 
 @functools.cache
-def _ladder_tables() -> tuple[tuple[CanonicalTable, object], ...]:
+def _ladder_tables() -> tuple[tuple[CanonicalTable, series.CanonicalFreeEnergy], ...]:
     """(table, free energy) per ladder side, built once for criteria 8-10."""
     out = []
     for side in LADDER_SIDES:
         table = canonical_table(LatticeSpec(1, side, "zero"), STD_POT, LADDER_BETA)
-        fe = series.free_energy_from_extraction(series.extract_b_lambda(table, 4))
+        fe = series.extract_b_lambda(table, 4)
         out.append((table, fe))
     return tuple(out)
 

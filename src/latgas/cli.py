@@ -186,15 +186,15 @@ def cmd_series(cfg: dict) -> dict:
         raise ConfigError("key 'particles' must satisfy 1 <= particles <= |Lambda|")
     _only(cfg, *MODEL_KEYS, "order", "particles")
     table = canonical_table(lattice, pot, beta)
-    coeffs = series.extract_b_lambda(table, order)
+    fe = series.extract_b_lambda(table, order)
     rows = [("n", "b_n", "beta_n", "B_Lambda_n", "F_coeff")]
     for n in range(1, order + 1):
         b_n = (series.connected_coefficient(n, lattice.dimension, pot, beta)
                if n <= series.MAX_B_ORDER else math.nan)
         beta_n = (series.irreducible_coefficient(n, lattice.dimension, pot, beta)
                   if n <= series.MAX_BETA_IRR_ORDER else math.nan)
-        f_val = series.f_coefficient(particles, lattice.n_sites, n, coeffs.value(n))
-        rows.append((n, b_n, beta_n, coeffs.value(n), f_val))
+        f_val = series.f_coefficient(particles, lattice.n_sites, n, fe.coeffs[n])
+        rows.append((n, b_n, beta_n, fe.coeffs[n], f_val))
     return {"series.csv": rows}
 
 
@@ -248,7 +248,7 @@ def cmd_deviate(cfg: dict) -> dict:
                               f"at beta = {beta!r}")
     _only(cfg, *MODEL_KEYS, "order", "alphas", "us", "mu0")
     table = canonical_table(lattice, pot, beta)
-    fe = series.free_energy_from_extraction(series.extract_b_lambda(table, order))
+    fe = series.extract_b_lambda(table, order)
     rows = [("L", "mu0", "alpha", "u", "N_bar", "N_star", "N_tilde", "mu_tilde", "I_GC", "D",
              "D_alpha", "D_alpha_plus", "m_alpha", "E", "p_exact", "p_formula", "gap")]
     for alpha in alphas:

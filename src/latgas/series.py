@@ -273,7 +273,7 @@ def beta1_closed_form(d: int, pot: PotentialSpec, beta: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Theorem-1 coefficient structure
+# Theorem-1 coefficients, the canonical free energy and the Stirling remainder
 
 def falling_p(n_particles: int, volume: int, n: int) -> float:
     """P_{N,|Lambda|}(n) = (N-1)...(N-n)/|Lambda|^n for n < N, else 0."""
@@ -295,71 +295,11 @@ def _log_z_ideal(n_particles: int, volume: int) -> float:
 
 
 @dataclass(frozen=True)
-class SeriesCoefficients:
-    """Finite-volume coefficients B_Lambda(n), n = 1..n_max (index 0 unused)."""
-
-    b_lambda: np.ndarray
-    volume: int
-
-    @property
-    def n_max(self) -> int:
-        return len(self.b_lambda) - 1
-
-    def value(self, n: int) -> float:
-        return float(self.b_lambda[n])
-
-
-def extract_b_lambda(table: CanonicalTable, n_max: int) -> SeriesCoefficients:
-    """Solve the triangular Theorem-1 system for B_Lambda(1..n_max).
-
-    Row N (= 2..n_max+1) reads
-        log Z^int(N) = sum_{n=1}^{N-1} N P_{N,|Lambda|}(n) B(n) / (n+1),
-    so each new row determines one new coefficient.  The solve runs in
-    50-digit decimal arithmetic from the exact float table entries.
-    """
-    volume = table.n_sites
-    if n_max + 1 >= len(table.log_z):
-        raise GuardError("oracle table too shallow for the requested order")
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    for n_particles in range(2, n_max + 2):
-        if not math.isfinite(table.log_z_of(n_particles)):
-            raise GuardError(f"table has no particles at N = {n_particles}")
-
-    with decimal.localcontext(_DECIMAL50):
-        log_volume = decimal.Decimal(volume).ln()
-        b = [decimal.Decimal(0)] * (n_max + 1)
-        for n_particles in range(2, n_max + 2):
-            acc = (decimal.Decimal(table.log_z_of(n_particles)) - n_particles * log_volume
-                   + decimal.Decimal(math.factorial(n_particles)).ln())
-            p = decimal.Decimal(1)  # P_{N,|Lambda|}(n), built up factor by factor
-            for n in range(1, n_particles):
-                p *= decimal.Decimal(n_particles - n) / volume
-                if n < n_particles - 1:
-                    acc -= n_particles * p * b[n] / (n + 1)
-            b[n_particles - 1] = acc / p  # the last term is N P(N-1) B(N-1) / N
-        vals = np.array([0.0] + [float(x) for x in b[1:]])
-    return SeriesCoefficients(b_lambda=vals, volume=volume)
-
-
-def reconstruct_log_z(coeffs: SeriesCoefficients, n_particles: int) -> float:
-    """Rebuild log Z(N) from B_Lambda via the Theorem-1 identity."""
-    if n_particles - 1 > coeffs.n_max:
-        raise GuardError("not enough coefficients to reconstruct this N")
-    volume = coeffs.volume
-    acc = _log_z_ideal(n_particles, volume)
-    for n in range(1, n_particles):
-        acc += n_particles * f_coefficient(n_particles, volume, n, coeffs.value(n))
-    return acc
-
-
-# ---------------------------------------------------------------------------
-# Canonical free energy and Stirling remainder
-
-@dataclass(frozen=True)
 class CanonicalFreeEnergy:
     """beta * F(rho) = rho(log rho - 1) - sum_n P_{n+1,|Lambda|}(rho) B(n)/(n+1).
 
+    ``coeffs[n]`` is B_Lambda(n) for n = 1..n_max (index 0 unused), as
+    ``extract_b_lambda`` returns them with ``volume = |Lambda|``.
     ``volume = None`` selects the thermodynamic series (powers rho^{n+1}
     with coefficients beta_n).  ``derivative`` returns d^m(beta F)/d rho^m,
     analytic for the ideal part and exact polynomial calculus for the
@@ -407,13 +347,51 @@ class CanonicalFreeEnergy:
         return self.derivative(rho, 0)
 
 
-def free_energy_from_extraction(coeffs: SeriesCoefficients) -> CanonicalFreeEnergy:
-    return CanonicalFreeEnergy(coeffs=coeffs.b_lambda.copy(), volume=coeffs.volume)
+def extract_b_lambda(table: CanonicalTable, n_max: int) -> CanonicalFreeEnergy:
+    """Solve the triangular Theorem-1 system for B_Lambda(1..n_max), returned
+    as the finite-volume free energy of the table's volume.
+
+    Row N (= 2..n_max+1) reads
+        log Z^int(N) = sum_{n=1}^{N-1} N P_{N,|Lambda|}(n) B(n) / (n+1),
+    so each new row determines one new coefficient.  The solve runs in
+    50-digit decimal arithmetic from the exact float table entries.
+    """
+    volume = table.n_sites
+    if n_max + 1 >= len(table.log_z):
+        raise GuardError("oracle table too shallow for the requested order")
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    for n_particles in range(2, n_max + 2):
+        if not math.isfinite(table.log_z_of(n_particles)):
+            raise GuardError(f"table has no particles at N = {n_particles}")
+
+    with decimal.localcontext(_DECIMAL50):
+        log_volume = decimal.Decimal(volume).ln()
+        b = [decimal.Decimal(0)] * (n_max + 1)
+        for n_particles in range(2, n_max + 2):
+            acc = (decimal.Decimal(table.log_z_of(n_particles)) - n_particles * log_volume
+                   + decimal.Decimal(math.factorial(n_particles)).ln())
+            p = decimal.Decimal(1)  # P_{N,|Lambda|}(n), built up factor by factor
+            for n in range(1, n_particles):
+                p *= decimal.Decimal(n_particles - n) / volume
+                if n < n_particles - 1:
+                    acc -= n_particles * p * b[n] / (n + 1)
+            b[n_particles - 1] = acc / p  # the last term is N P(N-1) B(N-1) / N
+        vals = np.array([0.0] + [float(x) for x in b[1:]])
+    return CanonicalFreeEnergy(coeffs=vals, volume=volume)
 
 
-def free_energy_thermodynamic(beta_irr: np.ndarray) -> CanonicalFreeEnergy:
-    """TFE series: beta f(rho) = rho(log rho - 1) - sum beta_n rho^{n+1}/(n+1)."""
-    return CanonicalFreeEnergy(coeffs=np.asarray(beta_irr, dtype=float), volume=None)
+def reconstruct_log_z(fe: CanonicalFreeEnergy, n_particles: int) -> float:
+    """Rebuild log Z(N) from B_Lambda via the Theorem-1 identity."""
+    volume = fe.volume
+    if volume is None:
+        raise ValueError("a series without a volume cannot rebuild log Z(N)")
+    if n_particles - 1 > fe.n_max:
+        raise GuardError("not enough coefficients to reconstruct this N")
+    acc = _log_z_ideal(n_particles, volume)
+    for n in range(1, n_particles):
+        acc += n_particles * f_coefficient(n_particles, volume, n, fe.coeffs[n])
+    return acc
 
 
 def stirling_remainder(n_particles: int, volume: int) -> float:

@@ -25,10 +25,10 @@ def test_corrupted_coefficient_fails_reconstruction(monkeypatch):
     original = series.extract_b_lambda
 
     def corrupted(table, n_max):
-        coeffs = original(table, n_max)
-        bad = coeffs.b_lambda.copy()
+        fe = original(table, n_max)
+        bad = fe.coeffs.copy()
         bad[1] += 1e-3
-        return series.SeriesCoefficients(b_lambda=bad, volume=coeffs.volume)
+        return series.CanonicalFreeEnergy(coeffs=bad, volume=fe.volume)
 
     monkeypatch.setattr(series, "extract_b_lambda", corrupted)
     passed, _detail = acceptance.criterion_reconstruction()

@@ -15,8 +15,7 @@ from latgas.model import GuardError, LatticeSpec, PotentialSpec
 from latgas.oracle import (CanonicalTable, canonical_table, exact_canonical_table,
                            grand_canonical_eval, transfer_matrix_table)
 from latgas.radii import lattice_gas_threshold
-from latgas.series import (CanonicalFreeEnergy, extract_b_lambda,
-                           free_energy_from_extraction)
+from latgas.series import CanonicalFreeEnergy, extract_b_lambda
 from references import tilted_potential_bisection, tilted_root
 
 POT = PotentialSpec("standard", 1.0)
@@ -29,7 +28,7 @@ def two_site_table():
 
 def ladder_table(side, beta=0.0258):
     table = transfer_matrix_table(side, POT, beta, "zero")
-    fe = free_energy_from_extraction(extract_b_lambda(table, 4))
+    fe = extract_b_lambda(table, 4)
     return table, fe
 
 

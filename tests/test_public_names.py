@@ -2,7 +2,7 @@ import types
 
 import latgas
 
-# the 47 names the package exports, by the module that defines them
+# the 44 names the package exports, by the module that defines them
 PUBLIC_NAMES = {
     # model
     "EXCLUDED", "GuardError", "LatticeSpec", "ModelConstants", "PotentialSpec",
@@ -12,8 +12,7 @@ PUBLIC_NAMES = {
     "exact_canonical_table", "exact_correlations", "grand_canonical_eval",
     "transfer_matrix_table",
     # series
-    "CanonicalFreeEnergy", "SeriesCoefficients", "VirialSeries", "connected_coefficient",
-    "extract_b_lambda", "free_energy_from_extraction", "free_energy_thermodynamic",
+    "CanonicalFreeEnergy", "VirialSeries", "connected_coefficient", "extract_b_lambda",
     "irreducible_coefficient", "reconstruct_log_z", "stirling_remainder",
     "tree_graph_check", "virial_series",
     # radii

@@ -32,8 +32,7 @@ from latgas.model import GuardError, LatticeSpec, PotentialSpec
 from latgas.oracle import canonical_table, exact_canonical_table, transfer_matrix_table
 from latgas.series import (CanonicalFreeEnergy, beta1_closed_form,
                            connected_coefficient, extract_b_lambda, f_coefficient,
-                           falling_p, free_energy_from_extraction,
-                           free_energy_thermodynamic, irreducible_coefficient,
+                           falling_p, irreducible_coefficient,
                            legendre_sides, reconstruct_log_z,
                            stirling_remainder, tree_graph_check,
                            virial_series)
@@ -134,22 +133,20 @@ def test_falling_p_examples():
 def test_extracted_b1_closed_form():
     lat = LatticeSpec(1, 10, "periodic")
     table = exact_canonical_table(lat, POT, BETA)
-    coeffs = extract_b_lambda(table, 3)
-    assert coeffs.value(1) == pytest.approx(b_lambda_1_direct(lat, POT, BETA),
-                                            abs=1e-12)
+    fe = extract_b_lambda(table, 3)
+    assert fe.coeffs[1] == pytest.approx(b_lambda_1_direct(lat, POT, BETA), abs=1e-12)
     # beta = 0 periodic: only the hard-core diagonal survives
     t0 = exact_canonical_table(lat, POT, 0.0)
-    c0 = extract_b_lambda(t0, 2)
-    assert c0.value(1) == pytest.approx(10 * math.log(1 - 1 / 10), abs=1e-12)
+    assert extract_b_lambda(t0, 2).coeffs[1] == pytest.approx(10 * math.log(1 - 1 / 10), abs=1e-12)
 
 
 def test_reconstruction_round_trip():
     for lat in (LatticeSpec(1, 10, "periodic"), LatticeSpec(2, 3, "periodic"),
                 LatticeSpec(1, 8, "zero")):
         table = exact_canonical_table(lat, POT, BETA)
-        coeffs = extract_b_lambda(table, 5)
+        fe = extract_b_lambda(table, 5)
         for n in range(2, 7):
-            assert reconstruct_log_z(coeffs, n) == pytest.approx(
+            assert reconstruct_log_z(fe, n) == pytest.approx(
                 table.log_z_of(n), abs=1e-10)
 
 
@@ -161,12 +158,12 @@ def test_extraction_guards():
 
 def test_extended_precision_extraction_path():
     table = transfer_matrix_table(128, POT, BETA, "zero")
-    coeffs = extract_b_lambda(table, 3)  # the same 50-digit solve as at any volume
+    fe = extract_b_lambda(table, 3)  # the same 50-digit solve as at any volume
     # open box: B(1) = V log(1 + zeta) with the boundary-depleted pair sum
     direct = b_lambda_1_direct(LatticeSpec(1, 128, "zero"), POT, BETA)
-    assert coeffs.value(1) == pytest.approx(direct, abs=1e-11)
+    assert fe.coeffs[1] == pytest.approx(direct, abs=1e-11)
     beta1 = irreducible_coefficient(1, 1, POT, BETA)
-    assert abs(coeffs.value(1) - beta1) < 0.05  # O(1/L) away
+    assert abs(fe.coeffs[1] - beta1) < 0.05  # O(1/L) away
 
 
 def _reference_b_lambda(table, n_max):
@@ -193,8 +190,9 @@ def _reference_b_lambda(table, n_max):
 @pytest.mark.parametrize("beta", [0.02, 0.2])
 def test_extraction_is_correctly_rounded(lattice, beta):
     table = canonical_table(lattice, POT, beta)
-    coeffs = extract_b_lambda(table, 5)
-    assert coeffs.b_lambda[1:].tolist() == _reference_b_lambda(table, 5)
+    fe = extract_b_lambda(table, 5)
+    assert fe.volume == table.n_sites
+    assert fe.coeffs[1:].tolist() == _reference_b_lambda(table, 5)
 
 
 def test_coefficient_convergence_trend():
@@ -203,18 +201,18 @@ def test_coefficient_convergence_trend():
     diffs1, diffs2 = [], []
     for side in (10, 20):
         table = exact_canonical_table(LatticeSpec(1, side, "periodic"), POT, BETA)
-        coeffs = extract_b_lambda(table, 2)
-        diffs1.append(abs(coeffs.value(1) - beta1))
-        diffs2.append(abs(coeffs.value(2) - beta2))
+        fe = extract_b_lambda(table, 2)
+        diffs1.append(abs(fe.coeffs[1] - beta1))
+        diffs2.append(abs(fe.coeffs[2] - beta2))
     assert 1.6 <= diffs1[0] / diffs1[1] <= 2.6
     assert 1.6 <= diffs2[0] / diffs2[1] <= 2.6
 
 
 def test_coefficient_exponential_decay():
     table = transfer_matrix_table(40, POT, BETA, "periodic")
-    coeffs = extract_b_lambda(table, 5)
+    fe = extract_b_lambda(table, 5)
     n_particles = 6  # rho = 0.15
-    vals = [abs(f_coefficient(n_particles, 40, n, coeffs.value(n)))
+    vals = [abs(f_coefficient(n_particles, 40, n, fe.coeffs[n]))
             for n in range(1, 6)]
     logs = [math.log(v) for v in vals if v > 0]
     slope = np.polyfit(range(len(logs)), logs, 1)[0]
@@ -232,7 +230,7 @@ def test_free_energy_derivatives_vs_finite_differences():
     # Richardson-extrapolated central differences kill the h^2 truncation
     # term, which at rho = 0.05 would otherwise dwarf the 1e-6 tolerance.
     table = exact_canonical_table(LatticeSpec(1, 12, "periodic"), POT, BETA)
-    fe = free_energy_from_extraction(extract_b_lambda(table, 4))
+    fe = extract_b_lambda(table, 4)
     rho, h = 0.05, 1e-4
 
     def central(m, step):
@@ -255,7 +253,7 @@ def test_free_energy_guards():
 def test_stirling_identity_and_scaling():
     lat = LatticeSpec(1, 12, "periodic")
     table = exact_canonical_table(lat, POT, BETA)
-    fe = free_energy_from_extraction(extract_b_lambda(table, 5))
+    fe = extract_b_lambda(table, 5)
     for n in range(2, 7):
         f_exact = -table.log_z_of(n) / lat.n_sites
         rho = n / lat.n_sites
@@ -349,7 +347,7 @@ def test_partition_recursion_equals_graph_sum():
 
 def test_thermodynamic_free_energy_source():
     betas = np.array([0.0, irreducible_coefficient(1, 1, POT, BETA)])
-    fe = free_energy_thermodynamic(betas)
+    fe = CanonicalFreeEnergy(betas)
     rho = 0.1
     expected = rho * (math.log(rho) - 1) - betas[1] * rho ** 2 / 2
     assert fe.value(rho) == pytest.approx(expected)

@@ -143,14 +143,10 @@ def rate_function(table: CanonicalTable, mu0: float, n_tilde: float) -> float:
 
 
 def m_of_alpha(alpha) -> int:
-    """min{m in N : m(1-alpha) - 1 > 0}, decided in exact rational arithmetic."""
-    frac = Fraction(alpha)
-    if frac >= 1:
-        raise ValueError("m(alpha) is defined for alpha < 1")
-    m = 1
-    while m * (1 - frac) - 1 <= 0:
-        m += 1
-    return m
+    """min{m in N : m(1-alpha) - 1 > 0} = floor(1/(1-alpha)) + 1, in rationals."""
+    if not -math.inf < alpha < 1:  # nan included
+        raise ValueError(f"m(alpha) is defined for finite alpha < 1, got {alpha!r}")
+    return math.floor(1 / (1 - Fraction(alpha))) + 1
 
 
 @dataclass(frozen=True)
@@ -168,41 +164,53 @@ def variance_terms(fe: CanonicalFreeEnergy, rho_star: float, alpha, u_prime: flo
 
     Derivatives above the order-6 cap fail loudly; the error series' tail
     beyond the cap is bounded by a geometric envelope (ratio from the
-    dominant ideal part) and added to E as certified slack.
+    dominant ideal part) and added to E as certified slack; E is +inf where
+    that envelope diverges.  ``ValueError`` for a volume below 1 or u',
+    beta or mu0 not finite, ``GuardError`` where a term leaves the float range.
     """
+    if volume < 1:
+        raise ValueError(f"volume must be >= 1, got {volume}")
+    if not all(map(math.isfinite, (u_prime, beta, mu0))):
+        raise ValueError(f"u' = {u_prime!r}, beta = {beta!r} and mu0 = {mu0!r} must be finite")
     m_alpha = m_of_alpha(alpha)
     if m_alpha > MAX_DERIVATIVE_ORDER:
         raise GuardError(f"m(alpha) = {m_alpha} exceeds the derivative cap "
                          f"{MAX_DERIVATIVE_ORDER}")
     alpha = float(alpha)
     bf = {m: fe.derivative(rho_star, m) for m in range(1, MAX_DERIVATIVE_ORDER + 1)}
-    d_plain = 1.0 / bf[2]
+    try:
+        d_plain = 1.0 / bf[2]
 
-    acc = bf[2]
-    acc_plus = bf[2]
-    for m in range(3, m_alpha):
-        term = 2.0 * u_prime ** (m - 2) * bf[m] / (
-            math.factorial(m) * volume ** ((m - 2) * (1.0 - alpha)))
-        acc += term
-        acc_plus += abs(term)
-    d_alpha = 1.0 / acc
-    d_alpha_plus = 1.0 / acc_plus
+        acc = bf[2]
+        acc_plus = bf[2]
+        for m in range(3, m_alpha):
+            term = 2.0 * u_prime ** (m - 2) * bf[m] / (
+                math.factorial(m) * volume ** ((m - 2) * (1.0 - alpha)))
+            acc += term
+            acc_plus += abs(term)
+        d_alpha = 1.0 / acc
+        d_alpha_plus = 1.0 / acc_plus
 
-    lead = u_prime ** m_alpha * bf[m_alpha] / math.factorial(m_alpha)
-    tilt = (u_prime * (beta * mu0 - bf[1])
-            / volume ** (1.0 - m_alpha * (1.0 - alpha) - alpha))
-    tail = 0.0
-    last = 0.0
-    for m in range(m_alpha + 1, MAX_DERIVATIVE_ORDER + 1):
-        last = (u_prime ** m * bf[m]
-                / (math.factorial(m) * volume ** ((m - m_alpha) * (1.0 - alpha))))
-        tail += last
-    # geometric envelope for the dropped m > cap terms (ideal part dominates)
-    cap = MAX_DERIVATIVE_ORDER
-    ratio = u_prime * (cap - 1) / ((cap + 1) * rho_star * volume ** (1.0 - alpha))
-    slack = abs(last) * ratio / (1.0 - ratio) if 0.0 < ratio < 1.0 else (
-        0.0 if last == 0.0 or u_prime == 0.0 else math.inf)
-    error = (abs(lead + tilt + tail) + slack) / volume ** (m_alpha * (1.0 - alpha) - 1.0)
+        lead = u_prime ** m_alpha * bf[m_alpha] / math.factorial(m_alpha)
+        tilt = (u_prime * (beta * mu0 - bf[1])
+                / volume ** (1.0 - m_alpha * (1.0 - alpha) - alpha))
+        tail = 0.0
+        last = 0.0
+        for m in range(m_alpha + 1, MAX_DERIVATIVE_ORDER + 1):
+            last = (u_prime ** m * bf[m]
+                    / (math.factorial(m) * volume ** ((m - m_alpha) * (1.0 - alpha))))
+            tail += last
+        # geometric envelope for the dropped m > cap terms (ideal part dominates)
+        cap = MAX_DERIVATIVE_ORDER
+        ratio = u_prime * (cap - 1) / ((cap + 1) * rho_star * volume ** (1.0 - alpha))
+        slack = abs(last) * ratio / (1.0 - ratio) if 0.0 < ratio < 1.0 else (
+            0.0 if last == 0.0 or u_prime == 0.0 else math.inf)
+        error = (abs(lead + tilt + tail) + slack) / volume ** (m_alpha * (1.0 - alpha) - 1.0)
+        if not all(map(math.isfinite, (d_plain, d_alpha, d_alpha_plus))) or math.isnan(error):
+            raise OverflowError
+    except (OverflowError, ZeroDivisionError):
+        raise GuardError(f"the variance terms at rho* = {rho_star:g}, u' = {u_prime:g} "
+                         "leave the float range") from None
     return VarianceTerms(d_plain=d_plain, d_alpha=d_alpha,
                          d_alpha_plus=d_alpha_plus, m_alpha=m_alpha,
                          error_term=error)
@@ -244,7 +252,8 @@ def formula_probability(table: CanonicalTable, mu0: float, alpha, u: float,
     alpha = 1 gives the precise-large-deviation form; alpha in [1/2, 1)
     the moderate/local-CLT form.  N-tilde is made integral as
     N* + round(u'|Lambda|^alpha), after which u' is recomputed so the
-    deviation identity is exact for the reported u'.
+    deviation identity is exact for the reported u'.  At alpha = 1 the
+    report's m(alpha) is 0 and its E is nan: no error envelope applies.
     """
     alpha_f = float(alpha)
     if not 0.5 <= alpha_f <= 1.0:
@@ -255,7 +264,10 @@ def formula_probability(table: CanonicalTable, mu0: float, alpha, u: float,
     n_star = find_n_star(table, mu0)
     # center on N* with u as the seed deviation (u' ~ u), then make u'
     # exact for the integral target
-    n_tilde = n_star + round(u * volume ** alpha_f)
+    shift = u * volume ** alpha_f
+    if not math.isfinite(shift):
+        raise ValueError(f"the deviation u |Lambda|^alpha = {shift!r} must be finite")
+    n_tilde = n_star + round(shift)
     if not 0 < n_tilde < volume:
         raise ValueError("deviation target outside the open particle range")
     u_prime = (n_tilde - n_star) / volume ** alpha_f

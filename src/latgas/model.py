@@ -177,10 +177,16 @@ class ModelConstants:
 
 def _kernel_terms(dimension: int, pot: PotentialSpec, beta: float) -> tuple[float, float, float]:
     """B = 4J * nbrs, the number nbrs of in-range neighbours, and 4 beta J.
-    Raises ``GuardError`` where B leaves the float range."""
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
-    nbrs = 2.0 * dimension * pot.range_  # range_ is 1 for the standard form
+    Raises ``ValueError`` unless d >= 1 and beta >= 0 (nan is not), and
+    ``GuardError`` where B leaves the float range."""
+    if dimension < 1:
+        raise ValueError(f"dimension must be >= 1, got {dimension}")
+    if not beta >= 0:
+        raise ValueError(f"beta must be >= 0, got {beta!r}")
+    try:
+        nbrs = 2.0 * dimension * pot.range_  # range_ is 1 for the standard form
+    except OverflowError:  # d or R past the float range
+        nbrs = math.inf
     B = 4.0 * pot.coupling * nbrs
     if B == math.inf:
         raise GuardError(f"B = 4J * {nbrs:g} with J = {pot.coupling:g} exceeds the float range")

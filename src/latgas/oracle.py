@@ -104,6 +104,9 @@ class GrandCanonicalEval:
 
     @property
     def pressure(self) -> float:
+        """log Xi / (beta |Lambda|); ``ValueError`` at beta = 0, see ``beta_pressure``."""
+        if self.table.beta == 0:
+            raise ValueError("the pressure needs beta > 0; at beta = 0 use beta_pressure")
         return self.log_xi / (self.table.beta * self.table.n_sites)
 
     def mean_particles(self) -> float:

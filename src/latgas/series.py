@@ -53,7 +53,7 @@ import numpy as np
 from .graphs import all_pairs, biconnected_graphs, connected_graphs, tree_graphs
 from .model import GuardError, PotentialSpec, model_constants
 from .oracle import _DECIMAL50, CanonicalTable
-from .powerseries import ps_compose, ps_exp, ps_mul, ps_revert
+from .powerseries import ps_compose, ps_exp, ps_revert
 
 MAX_B_ORDER = 5
 MAX_BETA_IRR_ORDER = 4
@@ -277,6 +277,8 @@ def beta1_closed_form(d: int, pot: PotentialSpec, beta: float) -> float:
 
 def falling_p(n_particles: int, volume: int, n: int) -> float:
     """P_{N,|Lambda|}(n) = (N-1)...(N-n)/|Lambda|^n for n < N, else 0."""
+    if volume < 1:
+        raise ValueError(f"volume must be >= 1, got {volume}")
     if n >= n_particles:
         return 0.0
     num = 1.0
@@ -303,7 +305,8 @@ class CanonicalFreeEnergy:
     ``volume = None`` selects the thermodynamic series (powers rho^{n+1}
     with coefficients beta_n).  ``derivative`` returns d^m(beta F)/d rho^m,
     analytic for the ideal part and exact polynomial calculus for the
-    interaction part; orders above 6 fail loudly.
+    interaction part; orders above 6 fail loudly, and a derivative past the
+    float range raises ``GuardError``.
     """
 
     coeffs: np.ndarray
@@ -315,12 +318,9 @@ class CanonicalFreeEnergy:
 
     def _interaction_poly(self, n: int) -> np.ndarray:
         """Ascending coefficients of the degree-(n+1) factor for order n:
-        P_{n+1,|Lambda|}(rho) = rho(rho - 1/|Lambda|)...(rho - n/|Lambda|)."""
-        if self.volume is None:
-            c = np.zeros(n + 2)
-            c[n + 1] = 1.0
-            return c
-        roots = np.array([k / self.volume for k in range(n + 1)])
+        P_{n+1,|Lambda|}(rho) = rho(rho - 1/|Lambda|)...(rho - n/|Lambda|),
+        and its infinite-volume limit rho^{n+1} without a volume."""
+        roots = np.zeros(n + 1) if self.volume is None else np.arange(n + 1) / self.volume
         return np.polynomial.polynomial.polyfromroots(roots).real
 
     def derivative(self, rho: float, order: int = 0) -> float:
@@ -333,18 +333,22 @@ class CanonicalFreeEnergy:
         elif order == 1:
             ideal = math.log(rho)
         else:
-            ideal = (-1.0) ** order * math.factorial(order - 2) * rho ** (1 - order)
-        inter = 0.0
+            try:
+                ideal = (-1.0) ** order * math.factorial(order - 2) * rho ** (1 - order)
+            except OverflowError:  # rho^(1 - order) past the float range
+                ideal = math.inf
+        inter = 0.0  # in Python floats, which overflow to inf without a warning
         for n in range(1, self.n_max + 1):
             if self.volume is not None and rho < n / self.volume:
                 continue
             poly = self._interaction_poly(n)
             der = np.polynomial.polynomial.polyder(poly, order) if order else poly
-            inter += float(np.polynomial.polynomial.polyval(rho, der)) * self.coeffs[n] / (n + 1)
-        return ideal - inter
-
-    def value(self, rho: float) -> float:
-        return self.derivative(rho, 0)
+            inter += (float(np.polynomial.polynomial.polyval(rho, der)) * float(self.coeffs[n])
+                      / (n + 1))
+        value = ideal - inter
+        if not math.isfinite(value):
+            raise GuardError(f"d^{order}(beta F)/d rho^{order} past the float range at {rho:g}")
+        return value
 
 
 def extract_b_lambda(table: CanonicalTable, n_max: int) -> CanonicalFreeEnergy:
@@ -378,6 +382,8 @@ def extract_b_lambda(table: CanonicalTable, n_max: int) -> CanonicalFreeEnergy:
                     acc -= n_particles * p * b[n] / (n + 1)
             b[n_particles - 1] = acc / p  # the last term is N P(N-1) B(N-1) / N
         vals = np.array([0.0] + [float(x) for x in b[1:]])
+    if not np.isfinite(vals).all():
+        raise GuardError(f"B_Lambda(n), n <= {n_max}, leaves the float range")
     return CanonicalFreeEnergy(coeffs=vals, volume=volume)
 
 
@@ -390,7 +396,9 @@ def reconstruct_log_z(fe: CanonicalFreeEnergy, n_particles: int) -> float:
         raise GuardError("not enough coefficients to reconstruct this N")
     acc = _log_z_ideal(n_particles, volume)
     for n in range(1, n_particles):
-        acc += n_particles * f_coefficient(n_particles, volume, n, fe.coeffs[n])
+        acc += n_particles * f_coefficient(n_particles, volume, n, float(fe.coeffs[n]))
+    if not math.isfinite(acc):
+        raise GuardError(f"log Z({n_particles}) from B_Lambda leaves the float range")
     return acc
 
 
@@ -445,8 +453,8 @@ class VirialSeries:
         return c
 
     def z_of_rho(self) -> np.ndarray:
-        return ps_mul(_x_series(self.order), ps_exp(self.mu_minus_log(), self.order),
-                      self.order)
+        """z = rho exp(beta mu - log rho): the exponential shifted up one power."""
+        return np.concatenate(([0.0], ps_exp(self.mu_minus_log(), self.order)[:-1]))
 
     def rho_of_z(self) -> np.ndarray:
         return ps_revert(self.z_of_rho(), self.order)
@@ -455,16 +463,23 @@ class VirialSeries:
         return ps_compose(self.pressure_rho(), self.rho_of_z(), self.order)
 
 
-def _x_series(order: int) -> np.ndarray:
-    c = np.zeros(order + 1)
-    c[1] = 1.0
-    return c
-
-
 def virial_series(beta_irr: np.ndarray, order: int) -> VirialSeries:
+    """The virial series of order 1..5 from finite beta_n (index 0 unused);
+    ``GuardError`` where a coefficient of one of its series is not finite."""
+    if order < 1:
+        raise ValueError(f"virial series need order >= 1, got {order}")
     if order > MAX_B_ORDER:
         raise GuardError(f"virial series guarded to order <= {MAX_B_ORDER}")
-    return VirialSeries(beta_irr=np.asarray(beta_irr, dtype=float), order=order)
+    vs = VirialSeries(beta_irr=np.asarray(beta_irr, dtype=float), order=order)
+    if not np.isfinite(vs.beta_irr).all():
+        raise ValueError("irreducible coefficients must be finite")
+    # in order, stopping at the first that is not finite: a later one composes it
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = all(np.isfinite(series()).all() for series in (
+            vs.pressure_rho, vs.z_of_rho, vs.rho_of_z, vs.pressure_fugacity))
+    if not finite:
+        raise GuardError(f"the virial series of order {order} leave the float range")
+    return vs
 
 
 def legendre_sides(beta_irr: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:

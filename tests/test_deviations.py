@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -260,10 +261,38 @@ def test_rate_function_curvature_matches_variance():
 def test_m_of_alpha_values():
     assert m_of_alpha(0.5) == 3
     assert m_of_alpha(0.75) == 5
-    from fractions import Fraction
     assert m_of_alpha(Fraction(2, 3)) == 4
     with pytest.raises(ValueError):
         m_of_alpha(1.0)
+    # the closed form equals the search from m = 1 on rationals below 1
+    for alpha in (Fraction(p, q) for q in range(1, 12) for p in range(-2 * q, q)):
+        m = 1
+        while m * (1 - alpha) - 1 <= 0:
+            m += 1
+        assert m_of_alpha(alpha) == m, alpha
+
+
+def test_deviation_helpers_raise_typed_errors_at_their_edges():
+    # each raised a bare OverflowError or ZeroDivisionError, or returned E = nan
+    fe = CanonicalFreeEnergy(coeffs=np.zeros(1), volume=None)
+    with pytest.raises(GuardError, match="float range"):
+        variance_terms(fe, 1e-300, 0.5, 0.1, 64, 0.0258, -3.0)
+    with pytest.raises(GuardError, match="float range"):
+        variance_terms(fe, 0.1, 0.5, 1e200, 64, 0.0258, -3.0)
+    with pytest.raises(ValueError, match="volume"):
+        variance_terms(fe, 0.1, 0.5, 0.1, 0, 0.0258, -3.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            variance_terms(fe, 0.1, 0.5, bad, 64, 0.0258, -3.0)
+    for alpha in (-math.inf, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            m_of_alpha(alpha)
+    # u = nan met a ValueError only inside round(), and an infinite u |Lambda|^alpha
+    # an OverflowError there
+    table, fe = ladder_table(64)
+    for u in (math.nan, math.inf, 1e308):
+        with pytest.raises(ValueError, match="deviation u"):
+            formula_probability(table, -3.0, 0.5, u, fe)
 
 
 def test_variance_terms_ideal_gas():
@@ -446,7 +475,8 @@ DEVIATION_BOXES = [(LatticeSpec(1, 12, "periodic"), POT),
 @settings(max_examples=200, deadline=None)
 @given(box=st.sampled_from(DEVIATION_BOXES),
        beta=st.one_of(st.just(0.0), st.floats(0.0, 1e300),
-                      st.floats(-300.0, 300.0).map(lambda u: 10.0 ** u)),
+                      st.floats(-300.0, 300.0).map(lambda u: 10.0 ** u),
+                      st.floats(0.01, 2.0)),  # where the formulas apply
        mu=st.floats() | st.floats(-20.0, 20.0), data=st.data())
 def test_deviation_layer_over_the_guarded_space(box, beta, mu, data):
     # each entry point returns a finite value or a documented sentinel, or
@@ -475,6 +505,33 @@ def test_deviation_layer_over_the_guarded_space(box, beta, mu, data):
     assert ratio is None or 0 <= ratio < math.inf or table.log_z_of(n_ref) == -math.inf
     weight = outcome(lambda: appendix_normalization(table, mu, n_ref))
     assert weight is None or 0 <= weight <= 1
+
+    alpha = data.draw(st.sampled_from([0.5, 0.75, 1.0]) | st.floats(0.5, 1.0) | st.floats(),
+                      label="alpha")
+    m = outcome(lambda: m_of_alpha(alpha))
+    assert m is None or m == 1 + max(0, math.floor(1 / (1 - Fraction(alpha))))
+    fe = outcome(lambda: extract_b_lambda(table, 4))
+    if fe is None:
+        fe = CanonicalFreeEnergy(np.zeros(1), volume)
+    u = data.draw(st.floats(0.0, 1.0) | st.floats(-1.0, 1.0) | st.floats(), label="u")
+    # mu, or a dilute one, beta mu0 in [-8, -1], where the formulas apply
+    mu0 = data.draw(st.just(mu) | st.floats(-8.0, -1.0).map(lambda bm: bm / max(beta, 1e-300)),
+                    label="mu0")
+    report = outcome(lambda: formula_probability(table, mu0, alpha, u, fe))
+    assert report is None or all(map(math.isfinite, (
+        report.u_prime, report.mu_tilde, report.rate, report.d_plain, report.d_alpha,
+        report.d_alpha_plus, report.p_exact, report.p_formula)))
+    # E is nan at alpha = 1, where no envelope applies, and +inf where it diverges
+    assert report is None or report.error_term >= 0 or (
+        math.isnan(report.error_term) and report.alpha == 1)
+    rho_star = data.draw(st.floats(0.0, 1.0, exclude_min=True) | st.floats(), label="rho_star")
+    u_prime = data.draw(st.floats(-1.0, 1.0) | st.floats(), label="u_prime")
+    terms = outcome(lambda: variance_terms(fe, rho_star, alpha, u_prime,
+                                           data.draw(st.integers(-1, volume), label="volume"),
+                                           beta, mu))
+    assert terms is None or (all(map(math.isfinite, (terms.d_plain, terms.d_alpha,
+                                                     terms.d_alpha_plus)))
+                             and 1 <= terms.m_alpha <= 6 and terms.error_term >= 0)
 
 
 def test_clt_gap_shrinks_along_short_ladder():

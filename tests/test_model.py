@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from latgas.model import GuardError, LatticeSpec, PotentialSpec, model_constants
 from references import (boltzmann_weight, boundary_weight, edge_count, field_from_mu,
@@ -170,6 +172,33 @@ def test_model_constants_guard_past_float_range():
         with pytest.raises(GuardError):
             model_constants(1, pot, 200.0)
         assert math.isfinite(model_constants(1, pot, 170.0).regularity_C)
+
+
+def test_model_constants_reject_nan_beta_and_dimension_zero():
+    # a nan beta gave C = C-bar = nan, and d = 0 gave B = 0
+    with pytest.raises(ValueError, match="beta"):
+        model_constants(1, POT, math.nan)
+    with pytest.raises(ValueError, match="dimension"):
+        model_constants(0, POT, 0.3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.integers(-1, 4) | st.integers(),
+       pot=st.builds(PotentialSpec, st.just("standard"),
+                     st.floats(0.0, exclude_min=True) | st.floats(0.1, 10.0))
+       | st.builds(PotentialSpec, st.just("kac"), st.just(1.0),
+                   st.integers(1, 4) | st.integers(1)),
+       beta=st.floats() | st.floats(0.0, 200.0))
+@example(d=1, pot=POT, beta=math.nan)
+def test_model_constants_over_the_guarded_space(d, pot, beta):
+    # finite constants with C-bar <= C, or a ValueError (GuardError included)
+    try:
+        c = model_constants(d, pot, beta)
+    except ValueError:
+        return
+    assert d >= 1 and beta >= 0
+    assert all(map(math.isfinite, (c.stability_B, c.regularity_C, c.tree_C_bar)))
+    assert c.stability_B > 0 and 1.0 <= c.tree_C_bar <= c.regularity_C * (1 + 1e-12)
 
 
 def test_constants_ordering_on_grid():

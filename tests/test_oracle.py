@@ -148,6 +148,14 @@ def test_mean_is_pressure_derivative():
     assert g.mean_particles() / t.n_sites == pytest.approx(fd, abs=1e-6)
 
 
+def test_pressure_at_beta_zero_raises_value_error():
+    # log Xi / (beta |Lambda|) divided by zero; beta p = log 2 per site stays defined
+    g = grand_canonical_eval(exact_canonical_table(LatticeSpec(1, 10, "zero"), POT, 0.0), 1.0)
+    assert g.beta_pressure == pytest.approx(math.log(2.0))  # fugacity e^{beta mu} = 1
+    with pytest.raises(ValueError, match="beta = 0"):
+        g.pressure
+
+
 def test_correlation_sum_rules():
     lat = LatticeSpec(1, 10, "periodic")
     t = exact_correlations(lat, POT, 0.25, 3)

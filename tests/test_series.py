@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import latgas.series as ls
 from latgas.graphs import brute_force_class, edges, enumerate_connected, enumerate_trees
@@ -222,7 +223,7 @@ def test_coefficient_exponential_decay():
 def test_free_energy_ideal_reduction():
     fe = CanonicalFreeEnergy(coeffs=np.zeros(1), volume=100)
     rho = 0.3
-    assert fe.value(rho) == pytest.approx(rho * (math.log(rho) - 1))
+    assert fe.derivative(rho) == pytest.approx(rho * (math.log(rho) - 1))
     assert fe.derivative(rho, 2) == pytest.approx(1 / rho)
 
 
@@ -257,7 +258,7 @@ def test_stirling_identity_and_scaling():
     for n in range(2, 7):
         f_exact = -table.log_z_of(n) / lat.n_sites
         rho = n / lat.n_sites
-        assert f_exact == pytest.approx(fe.value(rho) + stirling_remainder(n, 12),
+        assert f_exact == pytest.approx(fe.derivative(rho) + stirling_remainder(n, 12),
                                         abs=1e-10)
     # exact evaluation at N = |Lambda|
     v = 12
@@ -350,7 +351,7 @@ def test_thermodynamic_free_energy_source():
     fe = CanonicalFreeEnergy(betas)
     rho = 0.1
     expected = rho * (math.log(rho) - 1) - betas[1] * rho ** 2 / 2
-    assert fe.value(rho) == pytest.approx(expected)
+    assert fe.derivative(rho) == pytest.approx(expected)
 
 
 # ---------------------------------------------------------------------------
@@ -631,6 +632,91 @@ def test_tree_graph_check_over_the_guarded_space(n, d, pot, beta):
         return [rep.lhs_total, rep.rhs_total]
 
     _finite_or_typed_error(totals)
+
+
+# oracle tables in one and two dimensions, up to 24 sites, with every wall type
+SERIES_BOXES = [(LatticeSpec(1, 12, "periodic"), POT),
+                (LatticeSpec(1, 9, "zero"), PotentialSpec("kac", 1.0, 2)),
+                (LatticeSpec(2, 4, "periodic"), PotentialSpec("standard", 0.7)),
+                (LatticeSpec(2, 3, "fixed", gamma=((-1, 0), (0, -1), (3, 2))), POT),
+                (LatticeSpec(1, 20, "fixed", gamma=((-1,), (20,))), PotentialSpec("kac", 1.0, 3)),
+                (LatticeSpec(1, 24, "periodic"), POT)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(box=st.sampled_from(SERIES_BOXES),
+       beta=st.one_of(st.just(0.0), st.floats(0.0, 1e300),
+                      st.floats(-300.0, 300.0).map(lambda u: 10.0 ** u)),
+       rho=st.just(1e-300) | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       order=st.integers(0, ls.MAX_DERIVATIVE_ORDER), data=st.data())
+def test_series_layer_over_the_guarded_space(box, beta, rho, order, data):
+    # each helper returns a finite value or a documented sentinel, or raises
+    # GuardError or ValueError
+    table = canonical_table(*box, beta)
+    volume = table.n_sites
+    n_max = data.draw(st.integers(1, volume - 1), label="n_max")
+    n_particles = data.draw(st.integers(-1, volume + 1), label="N")
+
+    def outcome(call):
+        try:
+            return call()
+        except ValueError:  # GuardError included
+            return None
+
+    extracted = outcome(lambda: extract_b_lambda(table, n_max))
+    if extracted is None:
+        coeffs = data.draw(hnp.arrays(np.float64, n_max + 1, elements=st.floats(
+            allow_nan=False, allow_infinity=False)), label="coeffs")
+        extracted = CanonicalFreeEnergy(coeffs, volume)
+    else:
+        assert extracted.volume == volume and extracted.n_max == n_max
+        assert np.isfinite(extracted.coeffs).all()
+    log_z = outcome(lambda: reconstruct_log_z(extracted, n_particles))
+    assert log_z is None or math.isfinite(log_z)
+    with pytest.raises(ValueError, match="volume"):
+        reconstruct_log_z(CanonicalFreeEnergy(extracted.coeffs), n_particles)
+    remainder = outcome(lambda: stirling_remainder(n_particles, volume))
+    assert remainder is None or math.isfinite(remainder)
+    p = outcome(lambda: falling_p(n_particles, data.draw(st.integers(-1, volume)), n_max))
+    assert p is None or math.isfinite(p)
+    for fe in (extracted, CanonicalFreeEnergy(extracted.coeffs)):
+        value = outcome(lambda: fe.derivative(rho, order))
+        assert value is None or math.isfinite(value)
+
+    beta_irr = data.draw(hnp.arrays(np.float64, st.integers(0, 8), elements=st.floats()),
+                         label="beta_irr")
+    vs = outcome(lambda: virial_series(beta_irr, data.draw(st.integers(-2, 7), label="order")))
+    for method in ("mu_minus_log", "pressure_rho", "z_of_rho", "rho_of_z", "pressure_fugacity"):
+        c = vs and outcome(getattr(vs, method))
+        assert c is None or (len(c) == vs.order + 1 and np.isfinite(c).all())
+
+
+def test_series_helpers_raise_typed_errors_at_their_edges():
+    # each raised a bare IndexError, OverflowError or ZeroDivisionError
+    for order in (0, -1):
+        with pytest.raises(ValueError, match="order"):
+            virial_series(np.array([0.0, 0.3]), order).pressure_rho()
+    with pytest.raises(ValueError, match="finite"):
+        virial_series(np.array([0.0, math.nan]), 2)
+    with pytest.raises(GuardError, match="float range"):
+        virial_series(np.array([0.0, 1e308, -1e308]), 3).pressure_rho()
+    with pytest.raises(GuardError, match="float range"):
+        virial_series(np.array([0.0, 1e100]), 5).z_of_rho()
+    for volume in (None, 100):
+        with pytest.raises(GuardError, match="float range"):
+            CanonicalFreeEnergy(np.zeros(1), volume).derivative(1e-300, 6)
+    with pytest.raises(GuardError, match="float range"):
+        CanonicalFreeEnergy(np.array([0.0, 1.7e308, 1.7e308])).derivative(0.9, 2)
+    with pytest.raises(ValueError, match="volume"):
+        falling_p(3, 0, 1)
+    with pytest.raises(ValueError, match="volume"):
+        reconstruct_log_z(CanonicalFreeEnergy(np.zeros(3)), 2)
+    # B_Lambda(23) of the 24-ring at beta = 1e300 is about 1e310
+    table = canonical_table(LatticeSpec(1, 24, "periodic"), POT, 1e300)
+    with pytest.raises(GuardError, match="float range"):
+        extract_b_lambda(table, 23)
+    with pytest.raises(GuardError, match="float range"):
+        reconstruct_log_z(CanonicalFreeEnergy(np.array([0.0, 1.7e308, 1.7e308]), 3), 3)
 
 
 def _graph_terms(cls, n_points, d):

@@ -43,6 +43,9 @@ GC_GUARD = T_DEVIATIONS + "test_grand_canonical_layer_raises_guard_error_past_th
 SERIES_GUARD = T_SERIES + "test_coefficients_past_float_range_raise_guard_error"
 GROWTH = T_SERIES + "test_patterns_equal_the_set_growth"
 BOUND_DOMAIN = "tests/test_correlations.py::test_bound_rhs_outside_its_domain_raises_value_error"
+SERIES_EDGES = T_SERIES + "test_series_helpers_raise_typed_errors_at_their_edges"
+DEVIATION_EDGES = T_DEVIATIONS + "test_deviation_helpers_raise_typed_errors_at_their_edges"
+MODEL_EDGES = "tests/test_model.py::test_model_constants_reject_nan_beta_and_dimension_zero"
 
 MUTANTS = [
     # the correlation oracle: u2 by cancellation, the diagonal rounded twice,
@@ -206,6 +209,30 @@ MUTANTS = [
     (CLI, "    if unknown:\n", "    if False:\n",
      (T_CLI + "test_unknown_config_keys_are_config_errors[oracle-partcles-cfg0]",
       T_CLI + "test_unknown_config_keys_are_config_errors[accept-beta-cfg6]")),
+    # typed errors at the edges of the series, deviation and model layers: a
+    # free-energy derivative, B_Lambda, log Z or a virial series past the
+    # float range; a virial order below 1; a volume below 1; u', beta or mu0
+    # not finite; u |Lambda|^alpha past the float range; alpha = -inf;
+    # a nan beta or d = 0 in the model constants; the pressure at beta = 0
+    (SERIES, "        if not math.isfinite(value):\n", "        if False:\n",
+     (SERIES_EDGES, T_SERIES + "test_series_layer_over_the_guarded_space")),
+    (SERIES, "    if not np.isfinite(vals).all():\n", "    if False:\n", (SERIES_EDGES,)),
+    (SERIES, "    if not math.isfinite(acc):\n", "    if False:\n", (SERIES_EDGES,)),
+    (SERIES, "    if not finite:\n", "    if False:\n", (SERIES_EDGES,)),
+    (SERIES, "    if order < 1:\n", "    if False:\n", (SERIES_EDGES,)),
+    (SERIES, "    if volume < 1:\n", "    if False:\n", (SERIES_EDGES,)),
+    (DEVIATIONS, "    if volume < 1:\n", "    if False:\n", (DEVIATION_EDGES,)),
+    (DEVIATIONS, "    if not all(map(math.isfinite, (u_prime, beta, mu0))):\n", "    if False:\n",
+     (DEVIATION_EDGES,)),
+    (DEVIATIONS, "    except (OverflowError, ZeroDivisionError):\n",
+     "    except ZeroDivisionError:\n", (DEVIATION_EDGES,)),
+    (DEVIATIONS, "    if not math.isfinite(shift):\n", "    if False:\n", (DEVIATION_EDGES,)),
+    (DEVIATIONS, "    if not -math.inf < alpha < 1:", "    if not alpha < 1:", (DEVIATION_EDGES,)),
+    (MODEL, "    if not beta >= 0:\n", "    if beta < 0:\n",
+     (MODEL_EDGES, "tests/test_model.py::test_model_constants_over_the_guarded_space")),
+    (MODEL, "    if dimension < 1:\n", "    if False:\n", (MODEL_EDGES,)),
+    (ORACLE, "        if self.table.beta == 0:\n", "        if False:\n",
+     (T_ORACLE + "test_pressure_at_beta_zero_raises_value_error",)),
 ]
 
 

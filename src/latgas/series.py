@@ -447,14 +447,13 @@ class VirialSeries:
         """
         c = np.zeros(self.order + 1)
         c[1] = 1.0
-        for n in range(1, len(self.beta_irr)):
-            if n + 1 <= self.order:
-                c[n + 1] = -n * self.beta_irr[n] / (n + 1)
+        for n in range(1, min(len(self.beta_irr), self.order)):
+            c[n + 1] = -n * self.beta_irr[n] / (n + 1)
         return c
 
     def z_of_rho(self) -> np.ndarray:
-        """z = rho exp(beta mu - log rho): the exponential shifted up one power."""
-        return np.concatenate(([0.0], ps_exp(self.mu_minus_log(), self.order)[:-1]))
+        """z = rho exp(beta mu - log rho): exp to order - 1, shifted one power up."""
+        return np.concatenate(([0.0], ps_exp(self.mu_minus_log(), self.order - 1)))
 
     def rho_of_z(self) -> np.ndarray:
         return ps_revert(self.z_of_rho(), self.order)

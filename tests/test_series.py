@@ -686,13 +686,16 @@ def test_series_layer_over_the_guarded_space(box, beta, rho, order, data):
     beta_irr = data.draw(hnp.arrays(np.float64, st.integers(0, 8), elements=st.floats()),
                          label="beta_irr")
     vs = outcome(lambda: virial_series(beta_irr, data.draw(st.integers(-2, 7), label="order")))
-    for method in ("mu_minus_log", "pressure_rho", "z_of_rho", "rho_of_z", "pressure_fugacity"):
-        c = vs and outcome(getattr(vs, method))
-        assert c is None or (len(c) == vs.order + 1 and np.isfinite(c).all())
+    if vs is not None:
+        for method in ("mu_minus_log", "pressure_rho", "z_of_rho", "rho_of_z",
+                       "pressure_fugacity"):
+            c = outcome(getattr(vs, method))
+            assert c is None or (len(c) == vs.order + 1 and np.isfinite(c).all())
 
 
 def test_series_helpers_raise_typed_errors_at_their_edges():
-    # each raised a bare IndexError, OverflowError or ZeroDivisionError
+    # each raised a bare IndexError, OverflowError, ZeroDivisionError or
+    # TypeError, or returned a value that is not finite
     for order in (0, -1):
         with pytest.raises(ValueError, match="order"):
             virial_series(np.array([0.0, 0.3]), order).pressure_rho()

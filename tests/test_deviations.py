@@ -509,7 +509,9 @@ def test_deviation_layer_over_the_guarded_space(box, beta, mu, data):
     alpha = data.draw(st.sampled_from([0.5, 0.75, 1.0]) | st.floats(0.5, 1.0) | st.floats(),
                       label="alpha")
     m = outcome(lambda: m_of_alpha(alpha))
-    assert m is None or m == 1 + max(0, math.floor(1 / (1 - Fraction(alpha))))
+    if m is not None:  # the least m >= 1 with m (1 - alpha) > 1
+        gap = 1 - Fraction(alpha)
+        assert m >= 1 and m * gap > 1 and (m == 1 or (m - 1) * gap <= 1)
     fe = outcome(lambda: extract_b_lambda(table, 4))
     if fe is None:
         fe = CanonicalFreeEnergy(np.zeros(1), volume)

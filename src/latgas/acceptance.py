@@ -27,7 +27,7 @@ import numpy as np
 
 from . import correlations, deviations, graphs, radii, series
 from .model import LatticeSpec, PotentialSpec
-from .oracle import CanonicalTable, canonical_table, exact_correlations, grand_canonical_eval
+from .oracle import GrandCanonicalEval, canonical_table, exact_correlations, grand_canonical_eval
 from .oracle import exact_canonical_table  # noqa: F401  read by bench/test_bench.py
 
 STD_BETA = 0.2
@@ -181,25 +181,21 @@ def criterion_correlation_bound() -> tuple[bool, str]:
 
 
 @functools.cache
-def _ladder_tables() -> tuple[tuple[CanonicalTable, series.CanonicalFreeEnergy], ...]:
-    """(table, free energy) per ladder side, built once for criteria 8-10."""
+def _ladder_tables() -> tuple[tuple[GrandCanonicalEval, series.CanonicalFreeEnergy], ...]:
+    """(evaluation at mu0 = M_LG - 1, free energy) per ladder side, built
+    once for criteria 8-10."""
+    mu0 = radii.lattice_gas_threshold(1, STD_POT, LADDER_BETA) - 1.0
     out = []
     for side in LADDER_SIDES:
         table = canonical_table(LatticeSpec(1, side, "zero"), STD_POT, LADDER_BETA)
-        fe = series.extract_b_lambda(table, 4)
-        out.append((table, fe))
+        out.append((grand_canonical_eval(table, mu0), series.extract_b_lambda(table, 4)))
     return tuple(out)
 
 
-def _ladder_mu0() -> float:
-    return radii.lattice_gas_threshold(1, STD_POT, LADDER_BETA) - 1.0
-
-
 def criterion_local_clt() -> tuple[bool, str]:
-    mu0 = _ladder_mu0()
     gaps = []
-    for table, fe in _ladder_tables():
-        worst = max(deviations.formula_probability(table, mu0, 0.5, u, fe).relative_gap
+    for gc0, fe in _ladder_tables():
+        worst = max(deviations.formula_probability(gc0, 0.5, u, fe).relative_gap
                     for u in (0.0, 0.5, 1.0))
         gaps.append(worst)
     ratios = [gaps[i] / gaps[i + 1] for i in range(len(gaps) - 1)]
@@ -209,12 +205,11 @@ def criterion_local_clt() -> tuple[bool, str]:
 
 
 def criterion_precise_ld() -> tuple[bool, str]:
-    mu0 = _ladder_mu0()
     qs = []
-    for table, fe in _ladder_tables():
-        rep = deviations.formula_probability(table, mu0, 1.0, 0.05, fe)
-        q = abs(math.log(rep.p_exact) + table.n_sites * rep.rate
-                + 0.5 * math.log(2.0 * math.pi * rep.d_plain * table.n_sites))
+    for gc0, fe in _ladder_tables():
+        rep = deviations.formula_probability(gc0, 1.0, 0.05, fe)
+        q = abs(math.log(rep.p_exact) + rep.volume * rep.rate
+                + 0.5 * math.log(2.0 * math.pi * rep.d_plain * rep.volume))
         qs.append(q)
     ok = max(qs) <= 2.0 * qs[0]
     return ok, (f"|log p + VI + 0.5 log(2 pi D V)| = {[f'{q:.4f}' for q in qs]}; "
@@ -222,22 +217,20 @@ def criterion_precise_ld() -> tuple[bool, str]:
 
 
 def criterion_appendix() -> tuple[bool, str]:
-    mu0 = _ladder_mu0()
-    suite = [(table, mu0) for table, _fe in _ladder_tables()]
-    suite += [(canonical_table(lattice, STD_POT, STD_BETA), -2.0)
+    suite = [gc0 for gc0, _fe in _ladder_tables()]
+    suite += [grand_canonical_eval(canonical_table(lattice, STD_POT, STD_BETA), -2.0)
               for lattice in (LatticeSpec(1, 10, "periodic"), LatticeSpec(2, 3, "periodic"))]
     worst = 0.0
-    for table, mu in suite:
-        gc = grand_canonical_eval(table, mu)
-        _rho, n_bar = deviations.mean_occupation(table, mu)
-        n_star = deviations.find_n_star(table, mu)
+    for gc in suite:
+        _rho, n_bar = deviations.mean_occupation(gc)
+        n_star = deviations.find_n_star(gc)
         for anchor in {n_bar, n_star}:
-            k_norm = deviations.appendix_normalization(table, mu, anchor)
-            for n in range(table.n_sites + 1):
+            k_norm = deviations.appendix_normalization(gc, anchor)
+            for n in range(gc.table.n_sites + 1):
                 p = float(gc.probs[n])
                 if p < 1e-280:
                     continue
-                lhs = deviations.appendix_ratio(table, mu, n, anchor) * k_norm
+                lhs = deviations.appendix_ratio(gc, n, anchor) * k_norm
                 worst = max(worst, abs(lhs - p) / p)
     ok = worst <= 1e-12
     cs = []

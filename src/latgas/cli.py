@@ -249,11 +249,12 @@ def cmd_deviate(cfg: dict) -> dict:
     _only(cfg, *MODEL_KEYS, "order", "alphas", "us", "mu0")
     table = canonical_table(lattice, pot, beta)
     fe = series.extract_b_lambda(table, order)
+    gc0 = grand_canonical_eval(table, mu0)
     rows = [("L", "mu0", "alpha", "u", "N_bar", "N_star", "N_tilde", "mu_tilde", "I_GC", "D",
              "D_alpha", "D_alpha_plus", "m_alpha", "E", "p_exact", "p_formula", "gap")]
     for alpha in alphas:
         for u in us:
-            r = deviations.formula_probability(table, mu0, alpha, u, fe)
+            r = deviations.formula_probability(gc0, alpha, u, fe)
             rows.append((r.volume, r.mu0, r.alpha, r.u, r.n_bar, r.n_star, r.n_tilde,
                          r.mu_tilde, r.rate, r.d_plain, r.d_alpha, r.d_alpha_plus,
                          r.m_alpha, r.error_term, r.p_exact, r.p_formula, r.gap))

@@ -16,34 +16,28 @@ from fractions import Fraction
 import numpy as np
 
 from .model import GuardError
-from .oracle import CanonicalTable, GrandCanonicalEval, check_tilt, grand_canonical_eval
+from .oracle import CanonicalTable, GrandCanonicalEval, grand_canonical_eval
 from .series import MAX_DERIVATIVE_ORDER, CanonicalFreeEnergy
 
 DENSITY_HARD_CAP = 0.4
 
 
-def _occupation(gc: GrandCanonicalEval) -> tuple[float, int]:
+def mean_occupation(gc: GrandCanonicalEval) -> tuple[float, int]:
+    """(rho_bar, N_bar): exact mean density and its floor particle count."""
     rho = gc.mean_particles() / gc.table.n_sites
     return rho, int(math.floor(rho * gc.table.n_sites))
 
 
-def mean_occupation(table: CanonicalTable, mu0: float) -> tuple[float, int]:
-    """(rho_bar, N_bar): exact mean density and its floor particle count."""
-    return _occupation(grand_canonical_eval(table, mu0))
-
-
-def find_n_star(table: CanonicalTable, mu0: float) -> int:
-    """argmax_N of beta*mu0*N + log Z(N); ties resolved to the smaller N.
+def find_n_star(gc: GrandCanonicalEval) -> int:
+    """argmax_N of the tilted log weight beta*mu*N + log Z(N); ties resolved
+    to the smaller N.
 
     A new best must beat the best so far by more than 1e-12 relative.  Only
     a strict prefix maximum can, so until the first such step that falls
     inside the tolerance the best is the running maximum; from there the
-    rule runs on the remaining strict prefix maxima alone.  Raises
-    ``GuardError`` where beta mu0 |Lambda| is not finite.
+    rule runs on the remaining strict prefix maxima alone.
     """
-    check_tilt(table, mu0)
-    v = table.beta * mu0 * np.arange(len(table.log_z)) + table.log_z
-    v[0] = table.log_z_of(0)
+    v = gc.log_weights.copy()
     v[1:][np.isnan(v[1:])] = -np.inf  # a nan never beats the best, nor does -inf
     top = np.maximum.accumulate(v)
     climbs = np.flatnonzero(v[1:] > top[:-1]) + 1  # the strict prefix maxima past N = 0
@@ -118,28 +112,27 @@ def tilted_potential(table: CanonicalTable, n_tilde: float) -> float:
         before, last, mu = last, abs(new - mu), new
 
 
-def _rate(table: CanonicalTable, gc0: GrandCanonicalEval, n_tilde: float,
-          mu_tilde: float) -> float:
-    gct = grand_canonical_eval(table, mu_tilde)
-    rate = (table.beta * (n_tilde / table.n_sites) * (mu_tilde - gc0.mu)
+def _rate(gc0: GrandCanonicalEval, gct: GrandCanonicalEval, n_tilde: float) -> float:
+    table = gc0.table
+    rate = (table.beta * (n_tilde / table.n_sites) * (gct.mu - gc0.mu)
             - (gct.log_xi - gc0.log_xi) / table.n_sites)
     if not math.isfinite(rate):  # mu_tilde - mu0 past the float range
-        raise GuardError(f"the rate at mu0 = {gc0.mu:g}, mu_tilde = {mu_tilde:g} "
+        raise GuardError(f"the rate at mu0 = {gc0.mu:g}, mu_tilde = {gct.mu:g} "
                          "leaves the float range")
     return rate
 
 
-def rate_function(table: CanonicalTable, mu0: float, n_tilde: float) -> float:
-    """I^GC(rho_tilde; rho_bar) from exact finite-volume pressures.
+def rate_function(gc0: GrandCanonicalEval, n_tilde: float) -> float:
+    """I^GC(rho_tilde; rho_bar) at gc0's mu0 from exact finite-volume pressures.
 
     Collapses to beta*rho_tilde*(mu_tilde - mu0) - (log Xi(mu_tilde)
     - log Xi(mu0))/|Lambda|; the rho_bar terms cancel identically.  Raises
     ``GuardError`` where that leaves the float range.
     """
-    mu_tilde = tilted_potential(table, n_tilde)
+    mu_tilde = tilted_potential(gc0.table, n_tilde)
     if not math.isfinite(mu_tilde):
         raise ValueError("rate function needs an interior target density")
-    return _rate(table, grand_canonical_eval(table, mu0), n_tilde, mu_tilde)
+    return _rate(gc0, grand_canonical_eval(gc0.table, mu_tilde), n_tilde)
 
 
 def m_of_alpha(alpha) -> int:
@@ -245,9 +238,9 @@ class DeviationReport:
         return self.gap / self.p_exact if self.p_exact > 0 else math.inf
 
 
-def formula_probability(table: CanonicalTable, mu0: float, alpha, u: float,
+def formula_probability(gc0: GrandCanonicalEval, alpha, u: float,
                         fe: CanonicalFreeEnergy) -> DeviationReport:
-    """Exact P(A_N-tilde) versus the regime's asymptotic formula.
+    """Exact P(A_N-tilde) at gc0's mu0 versus the regime's asymptotic formula.
 
     alpha = 1 gives the precise-large-deviation form; alpha in [1/2, 1)
     the moderate/local-CLT form.  N-tilde is made integral as
@@ -258,10 +251,10 @@ def formula_probability(table: CanonicalTable, mu0: float, alpha, u: float,
     alpha_f = float(alpha)
     if not 0.5 <= alpha_f <= 1.0:
         raise ValueError("alpha must lie in [1/2, 1]")
+    table, mu0 = gc0.table, gc0.mu
     volume = table.n_sites
-    gc0 = grand_canonical_eval(table, mu0)
-    _rho_bar, n_bar = _occupation(gc0)
-    n_star = find_n_star(table, mu0)
+    _rho_bar, n_bar = mean_occupation(gc0)
+    n_star = find_n_star(gc0)
     # center on N* with u as the seed deviation (u' ~ u), then make u'
     # exact for the integral target
     shift = u * volume ** alpha_f
@@ -275,9 +268,10 @@ def formula_probability(table: CanonicalTable, mu0: float, alpha, u: float,
         raise GuardError("deviation target density beyond the validated cap")
 
     mu_tilde = tilted_potential(table, n_tilde)
-    rate = _rate(table, gc0, n_tilde, mu_tilde)
+    gct = grand_canonical_eval(table, mu_tilde)
+    rate = _rate(gc0, gct, n_tilde)
     if alpha_f == 1.0:
-        d_plain = 1.0 / fe.derivative(find_n_star(table, mu_tilde) / volume, 2)
+        d_plain = 1.0 / fe.derivative(find_n_star(gct) / volume, 2)
         vt = VarianceTerms(d_plain=d_plain, d_alpha=d_plain, d_alpha_plus=d_plain,
                            m_alpha=0, error_term=math.nan)
         p_formula = math.exp(-volume * rate) / math.sqrt(2.0 * math.pi * d_plain * volume)
@@ -295,12 +289,10 @@ def formula_probability(table: CanonicalTable, mu0: float, alpha, u: float,
                            p_formula=p_formula)
 
 
-def appendix_ratio(table: CanonicalTable, mu: float, n: int, n_ref: int) -> float:
+def appendix_ratio(gc: GrandCanonicalEval, n: int, n_ref: int) -> float:
     """J^C_mu(N, N') = e^{beta mu (N - N')} Z(N)/Z(N'); +inf when Z(N') = 0.
-    Raises ``GuardError`` where beta mu |Lambda| or the ratio is not finite."""
-    check_tilt(table, mu)
-    log_num = table.beta * mu * n + table.log_z_of(n)
-    log_den = table.beta * mu * n_ref + table.log_z_of(n_ref)
+    Raises ``GuardError`` where the ratio is not finite."""
+    log_num, log_den = gc.log_weight_of(n), gc.log_weight_of(n_ref)
     if log_den == -math.inf:
         return math.inf
     if log_num == -math.inf:
@@ -312,10 +304,9 @@ def appendix_ratio(table: CanonicalTable, mu: float, n: int, n_ref: int) -> floa
                          "the float range") from None
 
 
-def appendix_normalization(table: CanonicalTable, mu: float, n_ref: int) -> float:
+def appendix_normalization(gc: GrandCanonicalEval, n_ref: int) -> float:
     """K(mu, N') = e^{beta mu N'} Z(N') / Xi(mu); 0 when Z(N') = 0."""
-    gc = grand_canonical_eval(table, mu)
-    log_num = table.beta * mu * n_ref + table.log_z_of(n_ref)
+    log_num = gc.log_weight_of(n_ref)
     if log_num == -math.inf:
         return 0.0
     return math.exp(log_num - gc.log_xi)

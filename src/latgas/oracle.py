@@ -81,21 +81,29 @@ class CanonicalTable:
         return self.lattice.n_sites
 
     def log_z_of(self, n: int) -> float:
-        if n < 0:
-            raise ValueError("negative particle number")
-        if n >= len(self.log_z):
-            return LOG_ZERO
-        return float(self.log_z[n])
+        return _entry(self.log_z, n)
+
+
+def _entry(log_values: np.ndarray, n: int) -> float:
+    """Entry N of a log-domain row; ``ValueError`` below 0, log 0 past its end."""
+    if n < 0:
+        raise ValueError("negative particle number")
+    return float(log_values[n]) if n < len(log_values) else LOG_ZERO
 
 
 @dataclass(frozen=True)
 class GrandCanonicalEval:
-    """Grand-canonical layer built on a canonical table at one mu."""
+    """Grand-canonical layer built on a canonical table at one mu: the
+    tilted log weights beta mu N + log Z(N), log Xi and the distribution of N."""
 
     table: CanonicalTable
     mu: float
+    log_weights: np.ndarray
     log_xi: float
     probs: np.ndarray
+
+    def log_weight_of(self, n: int) -> float:
+        return _entry(self.log_weights, n)
 
     @property
     def beta_pressure(self) -> float:
@@ -659,23 +667,17 @@ def _logsumexp(a: np.ndarray) -> float:
     return float(np.log1p(s / m) + np.log(m) + top)
 
 
-def check_tilt(table: CanonicalTable, mu: float) -> None:
-    """``GuardError`` unless every exponent beta mu N, N <= |Lambda|, is finite."""
+def grand_canonical_eval(table: CanonicalTable, mu: float) -> GrandCanonicalEval:
+    """The tilted log weights, log Xi and the particle-number distribution at
+    chemical potential mu, the only place the weights are formed.  Raises
+    ``GuardError`` where beta mu |Lambda| is not finite."""
     if not math.isfinite(table.beta * mu * table.n_sites):
         raise GuardError(f"beta mu |Lambda| = {table.beta * mu * table.n_sites:g} "
                          "leaves the float range")
-
-
-def grand_canonical_eval(table: CanonicalTable, mu: float) -> GrandCanonicalEval:
-    """log Xi and the particle-number distribution at chemical potential mu.
-    Raises ``GuardError`` where beta mu |Lambda| is not finite."""
-    check_tilt(table, mu)
-    beta = table.beta
-    ns = np.arange(len(table.log_z))
-    terms = beta * mu * ns + table.log_z
-    log_xi = _logsumexp(terms)
-    probs = np.exp(terms - log_xi)
-    return GrandCanonicalEval(table=table, mu=mu, log_xi=log_xi, probs=probs)
+    log_weights = table.beta * mu * np.arange(len(table.log_z)) + table.log_z
+    log_xi = _logsumexp(log_weights)
+    return GrandCanonicalEval(table=table, mu=mu, log_weights=log_weights, log_xi=log_xi,
+                              probs=np.exp(log_weights - log_xi))
 
 
 @dataclass(frozen=True)

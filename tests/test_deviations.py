@@ -45,7 +45,8 @@ def _find_n_star_loop(table, mu0):
 
 
 def _n_star(table, mu0):
-    n_star = find_n_star(table, mu0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # log Xi of a planted nan row
+        n_star = find_n_star(grand_canonical_eval(table, mu0))
     assert n_star == _find_n_star_loop(table, mu0)
     return n_star
 
@@ -56,14 +57,14 @@ def test_mean_occupation_hand_value():
     z = math.exp(BETA * mu0)
     k = math.exp(4 * BETA)
     hand = (2 * z + 2 * z * z * k) / (2 * (1 + 2 * z + z * z * k))
-    rho, n_bar = mean_occupation(t, mu0)
+    rho, n_bar = mean_occupation(grand_canonical_eval(t, mu0))
     assert rho == pytest.approx(hand, abs=1e-14)
     assert n_bar == math.floor(rho * 2)
 
 
 def test_mean_occupation_empty_limit():
     t = two_site_table()
-    rho, n_bar = mean_occupation(t, -200.0)
+    rho, n_bar = mean_occupation(grand_canonical_eval(t, -200.0))
     assert rho == pytest.approx(0.0, abs=1e-12)
     assert n_bar == 0
 
@@ -120,7 +121,7 @@ def test_tilted_potential_closed_form():
 def test_tilted_potential_recovers_mu0():
     t = two_site_table()
     mu0 = -0.7
-    rho, _ = mean_occupation(t, mu0)
+    rho, _ = mean_occupation(grand_canonical_eval(t, mu0))
     assert tilted_potential(t, rho * 2) == pytest.approx(mu0, abs=1e-9)
 
 
@@ -159,7 +160,7 @@ def _deviate_targets(table, alphas_us):
     """N-tilde of ``formula_probability`` at mu0 = M_LG - 1, the deviate
     default, for each (alpha, u)."""
     mu0 = lattice_gas_threshold(1, POT, table.beta) - 1.0
-    n_star = find_n_star(table, mu0)
+    n_star = find_n_star(grand_canonical_eval(table, mu0))
     return sorted({n_star + round(u * table.n_sites ** alpha) for alpha, u in alphas_us})
 
 
@@ -238,10 +239,11 @@ def test_tilted_measure_consistency():
 def test_rate_function_zero_at_mean_and_nonnegative():
     table, _fe = ladder_table(64)
     mu0 = lattice_gas_threshold(1, POT, 0.0258) - 1.0
-    rho_bar, _ = mean_occupation(table, mu0)
-    assert rate_function(table, mu0, rho_bar * 64) == pytest.approx(0.0, abs=1e-12)
+    gc0 = grand_canonical_eval(table, mu0)
+    rho_bar, _ = mean_occupation(gc0)
+    assert rate_function(gc0, rho_bar * 64) == pytest.approx(0.0, abs=1e-12)
     for n_t in (5.0, 9.0, 13.5, 20.0, 30.0):
-        assert rate_function(table, mu0, n_t) >= -1e-13
+        assert rate_function(gc0, n_t) >= -1e-13
 
 
 def test_rate_function_curvature_matches_variance():
@@ -252,9 +254,9 @@ def test_rate_function_curvature_matches_variance():
     rho_bar = gc.mean_particles() / 64
     sigma2 = gc.variance_particles() / 64
     h = 1e-3
-    second = (rate_function(table, mu0, (rho_bar + h) * 64)
-              - 2 * rate_function(table, mu0, rho_bar * 64)
-              + rate_function(table, mu0, (rho_bar - h) * 64)) / h ** 2
+    second = (rate_function(gc, (rho_bar + h) * 64)
+              - 2 * rate_function(gc, rho_bar * 64)
+              + rate_function(gc, (rho_bar - h) * 64)) / h ** 2
     assert second * sigma2 == pytest.approx(1.0, abs=1e-3)
 
 
@@ -292,7 +294,7 @@ def test_deviation_helpers_raise_typed_errors_at_their_edges():
     table, fe = ladder_table(64)
     for u in (math.nan, math.inf, 1e308):
         with pytest.raises(ValueError, match="deviation u"):
-            formula_probability(table, -3.0, 0.5, u, fe)
+            formula_probability(grand_canonical_eval(table, -3.0), 0.5, u, fe)
 
 
 def test_variance_terms_ideal_gas():
@@ -323,7 +325,7 @@ def test_variance_terms_derivative_cap():
 def test_formula_probability_zero_deviation():
     table, fe = ladder_table(64)
     mu0 = lattice_gas_threshold(1, POT, 0.0258) - 1.0
-    rep = formula_probability(table, mu0, 0.5, 0.0, fe)
+    rep = formula_probability(grand_canonical_eval(table, mu0), 0.5, 0.0, fe)
     assert rep.n_tilde == rep.n_star
     assert rep.p_formula == pytest.approx(
         1.0 / math.sqrt(2 * math.pi * rep.d_plain * 64))
@@ -336,7 +338,7 @@ def test_formula_probability_within_envelope():
     table, fe = ladder_table(128)
     mu0 = lattice_gas_threshold(1, POT, 0.0258) - 1.0
     for u in (0.5, 1.0):
-        rep = formula_probability(table, mu0, 0.5, u, fe)
+        rep = formula_probability(grand_canonical_eval(table, mu0), 0.5, u, fe)
         envelope = (2 * rep.error_term
                     * math.exp(-rep.u_prime ** 2 / (2 * rep.d_alpha))
                     / math.sqrt(2 * math.pi * rep.d_alpha_plus * 128))
@@ -346,7 +348,7 @@ def test_formula_probability_within_envelope():
 def test_formula_probability_ld_branch():
     table, fe = ladder_table(128)
     mu0 = lattice_gas_threshold(1, POT, 0.0258) - 1.0
-    rep = formula_probability(table, mu0, 1.0, 0.05, fe)
+    rep = formula_probability(grand_canonical_eval(table, mu0), 1.0, 0.05, fe)
     assert rep.alpha == 1.0
     assert rep.rate > 0
     assert rep.relative_gap < 0.05
@@ -365,28 +367,29 @@ def test_report_fields_equal_the_public_functions_bit_for_bit(alpha, u, side, be
     mu0 = lattice_gas_threshold(1, POT, beta) - 1.0
     try:
         table, fe = ladder_table(side, beta)
-        rep = formula_probability(table, mu0, alpha, u, fe)
+        rep = formula_probability(grand_canonical_eval(table, mu0), alpha, u, fe)
     except ValueError:  # GuardError included: a target past the density cap
         return
+    gc0 = grand_canonical_eval(table, mu0)
     assert rep.mu_tilde == tilted_potential(table, rep.n_tilde)
-    assert rep.rate == rate_function(table, mu0, rep.n_tilde)
-    assert rep.p_exact == float(grand_canonical_eval(table, mu0).probs[rep.n_tilde])
-    assert rep.n_bar == mean_occupation(table, mu0)[1]
+    assert rep.rate == rate_function(gc0, rep.n_tilde)
+    assert rep.p_exact == float(gc0.probs[rep.n_tilde])
+    assert rep.n_bar == mean_occupation(gc0)[1]
 
 
 def test_formula_probability_guards():
     table, fe = ladder_table(64)
     with pytest.raises(ValueError):
-        formula_probability(table, -50.0, 0.3, 0.0, fe)  # alpha below range
+        formula_probability(grand_canonical_eval(table, -50.0), 0.3, 0.0, fe)  # alpha too low
     with pytest.raises(ValueError):
-        formula_probability(table, 20.0, 1.0, 1.0, fe)  # target beyond box
+        formula_probability(grand_canonical_eval(table, 20.0), 1.0, 1.0, fe)  # target beyond box
 
 
 def test_mean_vs_argmax_stay_close():
     mu0 = lattice_gas_threshold(1, POT, 0.0258) - 1.0
     for side in (16, 32, 64, 128, 256):
         table = transfer_matrix_table(side, POT, 0.0258, "zero")
-        _rho, n_bar = mean_occupation(table, mu0)
+        _rho, n_bar = mean_occupation(grand_canonical_eval(table, mu0))
         assert abs(n_bar - _n_star(table, mu0)) <= 3
 
 
@@ -395,29 +398,29 @@ def test_appendix_identities():
     mu0 = -1.0
     gc = grand_canonical_eval(t, mu0)
     for anchor in (0, 1, 2):
-        assert appendix_ratio(t, mu0, anchor, anchor) == 1.0
-        k_norm = appendix_normalization(t, mu0, anchor)
-        total = sum(appendix_ratio(t, mu0, n, anchor) for n in range(3))
+        assert appendix_ratio(gc, anchor, anchor) == 1.0
+        k_norm = appendix_normalization(gc, anchor)
+        total = sum(appendix_ratio(gc, n, anchor) for n in range(3))
         assert k_norm * total == pytest.approx(1.0, abs=1e-13)
         for n in range(3):
-            lhs = appendix_ratio(t, mu0, n, anchor) * k_norm
+            lhs = appendix_ratio(gc, n, anchor) * k_norm
             assert lhs == pytest.approx(float(gc.probs[n]), rel=1e-12)
 
 
 def test_appendix_zero_denominator_sentinel():
     # a 2-site box cannot hold 3 particles: Z(3) = 0
-    t = two_site_table()
-    assert appendix_ratio(t, -1.0, 1, 3) == math.inf
-    assert appendix_normalization(t, -1.0, 3) == 0.0
+    gc = grand_canonical_eval(two_site_table(), -1.0)
+    assert appendix_ratio(gc, 1, 3) == math.inf
+    assert appendix_normalization(gc, 3) == 0.0
 
 
 @pytest.mark.parametrize("beta, call", [
     (0.5, lambda t: grand_canonical_eval(t, 1e308)),
-    (1e300, lambda t: mean_occupation(t, -1e300)),
-    (1e300, lambda t: appendix_ratio(t, 1e300, 3, 6)),
-    (1e300, lambda t: find_n_star(t, 1e10)),
-    (1e-5, lambda t: appendix_ratio(t, 1e7, 12, 0)),
-    (1e-300, lambda t: rate_function(t, 1.7976931108833632e308, 1.0))],
+    (1e300, lambda t: mean_occupation(grand_canonical_eval(t, -1e300))),
+    (1e300, lambda t: appendix_ratio(grand_canonical_eval(t, 1e300), 3, 6)),
+    (1e300, lambda t: find_n_star(grand_canonical_eval(t, 1e10))),
+    (1e-5, lambda t: appendix_ratio(grand_canonical_eval(t, 1e7), 12, 0)),
+    (1e-300, lambda t: rate_function(grand_canonical_eval(t, 1.7976931108833632e308), 1.0))],
     ids=["grand_canonical_eval", "mean_occupation", "appendix_ratio", "find_n_star",
          "appendix_ratio_quotient", "rate_function"])
 def test_grand_canonical_layer_raises_guard_error_past_the_float_range(beta, call):
@@ -427,7 +430,7 @@ def test_grand_canonical_layer_raises_guard_error_past_the_float_range(beta, cal
     t = exact_canonical_table(LatticeSpec(1, 12, "periodic"), POT, beta)
     with pytest.raises(GuardError):
         call(t)
-    assert math.isfinite(appendix_ratio(t, 1.0, 3, 6))
+    assert math.isfinite(appendix_ratio(grand_canonical_eval(t, 1.0), 3, 6))
 
 
 def test_tilted_potential_at_beta_zero_raises_for_an_interior_target():
@@ -446,7 +449,7 @@ def test_a_nan_target_raises_value_error():
     with pytest.raises(ValueError, match="nan"):
         tilted_potential(t, math.nan)
     with pytest.raises(ValueError, match="nan"):
-        rate_function(t, -10.0, math.nan)
+        rate_function(grand_canonical_eval(t, -10.0), math.nan)
     assert tilted_potential(t, -math.inf) == -math.inf
     assert tilted_potential(t, math.inf) == math.inf
 
@@ -456,7 +459,7 @@ def test_mean_occupation_is_normalised_on_a_dense_chain():
     # rho = 1.000000000000115 and N_bar = 100; against the same table's
     # moments in 50 digits the divided mean is 1 ulp off
     table = canonical_table(LatticeSpec(1, 100, "zero"), PotentialSpec("kac", 1.0, 3), 2.0)
-    rho, n_bar = mean_occupation(table, 1.0)
+    rho, n_bar = mean_occupation(grand_canonical_eval(table, 1.0))
     with mp.workdps(50):
         weights = [mp.exp(2 * n + mp.mpf(float(log_z))) for n, log_z in enumerate(table.log_z)]
         exact = float(mp.fsum(n * w for n, w in enumerate(weights)) / (100 * mp.fsum(weights)))
@@ -492,18 +495,18 @@ def test_deviation_layer_over_the_guarded_space(box, beta, mu, data):
         except ValueError:  # GuardError included
             return None
 
-    n_star = outcome(lambda: find_n_star(table, mu))
+    n_star = outcome(lambda: find_n_star(grand_canonical_eval(table, mu)))
     assert n_star is None or 0 <= n_star <= volume
-    occupation = outcome(lambda: mean_occupation(table, mu))
+    occupation = outcome(lambda: mean_occupation(grand_canonical_eval(table, mu)))
     assert occupation is None or (0 <= occupation[0] <= 1 and 0 <= occupation[1] <= volume)
     mu_tilde = outcome(lambda: tilted_potential(table, target))
     assert mu_tilde is None or (math.isfinite(mu_tilde) and 0 < target < volume) or (
         mu_tilde == (-math.inf if target <= 0 else math.inf if target >= volume else math.nan))
-    rate = outcome(lambda: rate_function(table, mu, target))
+    rate = outcome(lambda: rate_function(grand_canonical_eval(table, mu), target))
     assert rate is None or math.isfinite(rate)
-    ratio = outcome(lambda: appendix_ratio(table, mu, n, n_ref))
+    ratio = outcome(lambda: appendix_ratio(grand_canonical_eval(table, mu), n, n_ref))
     assert ratio is None or 0 <= ratio < math.inf or table.log_z_of(n_ref) == -math.inf
-    weight = outcome(lambda: appendix_normalization(table, mu, n_ref))
+    weight = outcome(lambda: appendix_normalization(grand_canonical_eval(table, mu), n_ref))
     assert weight is None or 0 <= weight <= 1
 
     alpha = data.draw(st.sampled_from([0.5, 0.75, 1.0]) | st.floats(0.5, 1.0) | st.floats(),
@@ -519,7 +522,7 @@ def test_deviation_layer_over_the_guarded_space(box, beta, mu, data):
     # mu, or a dilute one, beta mu0 in [-8, -1], where the formulas apply
     mu0 = data.draw(st.just(mu) | st.floats(-8.0, -1.0).map(lambda bm: bm / max(beta, 1e-300)),
                     label="mu0")
-    report = outcome(lambda: formula_probability(table, mu0, alpha, u, fe))
+    report = outcome(lambda: formula_probability(grand_canonical_eval(table, mu0), alpha, u, fe))
     assert report is None or all(map(math.isfinite, (
         report.u_prime, report.mu_tilde, report.rate, report.d_plain, report.d_alpha,
         report.d_alpha_plus, report.p_exact, report.p_formula)))
@@ -541,7 +544,8 @@ def test_clt_gap_shrinks_along_short_ladder():
     gaps = []
     for side in (64, 256):
         table, fe = ladder_table(side)
-        gaps.append(max(formula_probability(table, mu0, 0.5, u, fe).relative_gap
+        gc0 = grand_canonical_eval(table, mu0)
+        gaps.append(max(formula_probability(gc0, 0.5, u, fe).relative_gap
                         for u in (0.0, 0.5, 1.0)))
     assert gaps[1] < gaps[0]
 
@@ -550,7 +554,7 @@ def test_formula_probability_moderate_branch():
     # alpha = 3/4 activates the curvature corrections (m(alpha) = 5)
     table, fe = ladder_table(256)
     mu0 = lattice_gas_threshold(1, POT, 0.0258) - 1.0
-    rep = formula_probability(table, mu0, 0.75, 0.2, fe)
+    rep = formula_probability(grand_canonical_eval(table, mu0), 0.75, 0.2, fe)
     assert rep.m_alpha == 5
     assert rep.d_alpha != rep.d_alpha_plus
     assert 0 < rep.error_term < 1

@@ -149,13 +149,10 @@ MUTANTS = [
      "    except ZeroDivisionError:\n        raise GuardError(f\"J^C_mu",
      (GC_GUARD + "[appendix_ratio_quotient]",)),
     (DEVIATIONS, "    if not math.isfinite(rate):", "    if False:", (GC_GUARD + "[rate_function]",)),
-    (ORACLE, "    check_tilt(table, mu)\n    beta = table.beta\n", "    beta = table.beta\n",
+    (ORACLE, "    if not math.isfinite(table.beta * mu * table.n_sites):\n", "    if False:\n",
      (GC_GUARD + "[grand_canonical_eval]", GC_GUARD + "[mean_occupation]",
+      GC_GUARD + "[appendix_ratio]", GC_GUARD + "[find_n_star]",
       "tests/test_cli.py::test_float_range_exits_as_a_guard[oracle-extra0]")),
-    (DEVIATIONS, "    check_tilt(table, mu)\n    log_num", "    log_num",
-     (GC_GUARD + "[appendix_ratio]",)),
-    (DEVIATIONS, "    check_tilt(table, mu0)\n", "",
-     (GC_GUARD + "[find_n_star]",)),
     # the grand-canonical mean not divided by the float sum of the probabilities
     (ORACLE, "return float(np.dot(ns, self.probs) / self.probs.sum())",
      "return float(np.dot(ns, self.probs))",

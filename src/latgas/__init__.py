@@ -9,7 +9,7 @@ from .oracle import (CanonicalTable, CorrelationTable, GrandCanonicalEval,
                      grand_canonical_eval, transfer_matrix_table)
 from .series import (CanonicalFreeEnergy, VirialSeries, connected_coefficient,
                      extract_b_lambda, irreducible_coefficient, reconstruct_log_z,
-                     stirling_remainder, tree_graph_check, virial_series)
+                     stirling_remainder, tree_graph_check)
 from .radii import (RadiusReport, contour_threshold, lattice_gas_threshold,
                     maximize_big_f, radius_canonical,
                     radius_canonical_penrose, radius_report, radius_virial,

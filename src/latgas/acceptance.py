@@ -111,7 +111,7 @@ def criterion_mayer_relations() -> tuple[bool, str]:
     beta3 = series.irreducible_coefficient(3, d, STD_POT, STD_BETA)
     beta4 = series.irreducible_coefficient(4, d, STD_POT, STD_BETA)
     ok = abs(beta1 - 2.0 * b2) <= 1e-12
-    vs = series.virial_series(np.array([0.0, beta1, beta2]), 3)
+    vs = series.VirialSeries(np.array([0.0, beta1, beta2]), 3)
     composed = vs.pressure_fugacity()
     fug_err = max(abs(composed[1] - 1.0), abs(composed[2] - b2),
                   abs(composed[3] - b3))

@@ -158,13 +158,16 @@ def variance_terms(fe: CanonicalFreeEnergy, rho_star: float, alpha, u_prime: flo
     Derivatives above the order-6 cap fail loudly; the error series' tail
     beyond the cap is bounded by a geometric envelope (ratio from the
     dominant ideal part) and added to E as certified slack; E is +inf where
-    that envelope diverges.  ``ValueError`` for a volume below 1 or u',
-    beta or mu0 not finite, ``GuardError`` where a term leaves the float range.
+    that envelope diverges.  ``ValueError`` for a volume below 1, u', beta
+    or mu0 not finite, or alpha outside [1/2, 1), ``GuardError`` where a
+    term leaves the float range.
     """
     if volume < 1:
         raise ValueError(f"volume must be >= 1, got {volume}")
     if not all(map(math.isfinite, (u_prime, beta, mu0))):
         raise ValueError(f"u' = {u_prime!r}, beta = {beta!r} and mu0 = {mu0!r} must be finite")
+    if not 0.5 <= alpha < 1:  # nan included
+        raise ValueError(f"the variance terms need alpha in [1/2, 1), got {alpha!r}")
     m_alpha = m_of_alpha(alpha)
     if m_alpha > MAX_DERIVATIVE_ORDER:
         raise GuardError(f"m(alpha) = {m_alpha} exceeds the derivative cap "

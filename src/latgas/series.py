@@ -306,11 +306,16 @@ class CanonicalFreeEnergy:
     with coefficients beta_n).  ``derivative`` returns d^m(beta F)/d rho^m,
     analytic for the ideal part and exact polynomial calculus for the
     interaction part; orders above 6 fail loudly, and a derivative past the
-    float range raises ``GuardError``.
+    float range raises ``GuardError``.  A volume other than ``None`` or an
+    integer >= 1 raises ``ValueError``.
     """
 
     coeffs: np.ndarray
     volume: int | None = None
+
+    def __post_init__(self):
+        if self.volume is not None and not (isinstance(self.volume, int) and self.volume >= 1):
+            raise ValueError(f"volume must be None or an integer >= 1, got {self.volume!r}")
 
     @property
     def n_max(self) -> int:
@@ -426,10 +431,28 @@ class VirialSeries:
     pressure_rho(): coefficients of beta*p as a series in rho
     pressure_fugacity(): coefficients of beta*p as a series in z, obtained
     by composing through the numerically inverted rho(z).
+
+    Built from finite beta_n (index 0 unused) and an order of 1..5;
+    ``GuardError`` where a coefficient of one of its series is not finite.
     """
 
     beta_irr: np.ndarray
     order: int
+
+    def __post_init__(self):
+        if self.order < 1:
+            raise ValueError(f"virial series need order >= 1, got {self.order}")
+        if self.order > MAX_B_ORDER:
+            raise GuardError(f"virial series guarded to order <= {MAX_B_ORDER}")
+        object.__setattr__(self, "beta_irr", np.asarray(self.beta_irr, dtype=float))
+        if not np.isfinite(self.beta_irr).all():
+            raise ValueError("irreducible coefficients must be finite")
+        # in order, stopping at the first that is not finite: a later one composes it
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = all(np.isfinite(series()).all() for series in (
+                self.pressure_rho, self.z_of_rho, self.rho_of_z, self.pressure_fugacity))
+        if not finite:
+            raise GuardError(f"the virial series of order {self.order} leave the float range")
 
     def mu_minus_log(self) -> np.ndarray:
         c = np.zeros(self.order + 1)
@@ -460,25 +483,6 @@ class VirialSeries:
 
     def pressure_fugacity(self) -> np.ndarray:
         return ps_compose(self.pressure_rho(), self.rho_of_z(), self.order)
-
-
-def virial_series(beta_irr: np.ndarray, order: int) -> VirialSeries:
-    """The virial series of order 1..5 from finite beta_n (index 0 unused);
-    ``GuardError`` where a coefficient of one of its series is not finite."""
-    if order < 1:
-        raise ValueError(f"virial series need order >= 1, got {order}")
-    if order > MAX_B_ORDER:
-        raise GuardError(f"virial series guarded to order <= {MAX_B_ORDER}")
-    vs = VirialSeries(beta_irr=np.asarray(beta_irr, dtype=float), order=order)
-    if not np.isfinite(vs.beta_irr).all():
-        raise ValueError("irreducible coefficients must be finite")
-    # in order, stopping at the first that is not finite: a later one composes it
-    with np.errstate(over="ignore", invalid="ignore"):
-        finite = all(np.isfinite(series()).all() for series in (
-            vs.pressure_rho, vs.z_of_rho, vs.rho_of_z, vs.pressure_fugacity))
-    if not finite:
-        raise GuardError(f"the virial series of order {order} leave the float range")
-    return vs
 
 
 def legendre_sides(beta_irr: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:

@@ -289,6 +289,10 @@ def test_deviation_helpers_raise_typed_errors_at_their_edges():
     for alpha in (-math.inf, math.inf, math.nan):
         with pytest.raises(ValueError):
             m_of_alpha(alpha)
+    # alpha = -1 and 1/4 returned numbers for formulas stated on [1/2, 1)
+    for alpha in (-1.0, 0.25, 1.0):
+        with pytest.raises(ValueError, match="alpha"):
+            variance_terms(fe, 0.1, alpha, 0.1, 64, 0.0258, -3.0)
     # u = nan met a ValueError only inside round(), and an infinite u |Lambda|^alpha
     # an OverflowError there
     table, fe = ladder_table(64)

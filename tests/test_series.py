@@ -31,12 +31,11 @@ import latgas.series as ls
 from latgas.graphs import brute_force_class, edges, enumerate_connected, enumerate_trees
 from latgas.model import GuardError, LatticeSpec, PotentialSpec
 from latgas.oracle import canonical_table, exact_canonical_table, transfer_matrix_table
-from latgas.series import (CanonicalFreeEnergy, beta1_closed_form,
+from latgas.series import (CanonicalFreeEnergy, VirialSeries, beta1_closed_form,
                            connected_coefficient, extract_b_lambda, f_coefficient,
                            falling_p, irreducible_coefficient,
                            legendre_sides, reconstruct_log_z,
-                           stirling_remainder, tree_graph_check,
-                           virial_series)
+                           stirling_remainder, tree_graph_check)
 from references import b_lambda_1_direct, rho_of_z_numeric
 
 POT = PotentialSpec("standard", 1.0)
@@ -281,7 +280,7 @@ def test_fugacity_series_consistency():
     b3 = connected_coefficient(3, 1, POT, BETA)
     beta1 = irreducible_coefficient(1, 1, POT, BETA)
     beta2 = irreducible_coefficient(2, 1, POT, BETA)
-    vs = virial_series(np.array([0.0, beta1, beta2]), 3)
+    vs = VirialSeries(np.array([0.0, beta1, beta2]), 3)
     composed = vs.pressure_fugacity()
     assert composed[1] == pytest.approx(1.0, abs=1e-10)
     assert composed[2] == pytest.approx(b2, abs=1e-10)
@@ -294,7 +293,7 @@ def test_fugacity_series_consistency():
 
 def test_mu_series_ideal_limit():
     beta1 = irreducible_coefficient(1, 1, POT, BETA)
-    vs = virial_series(np.array([0.0, beta1]), 2)
+    vs = VirialSeries(np.array([0.0, beta1]), 2)
     mu_tail = vs.mu_minus_log()
     rho = 1e-8
     assert abs(float(np.polyval(mu_tail[::-1], rho))) < 1e-7
@@ -685,7 +684,7 @@ def test_series_layer_over_the_guarded_space(box, beta, rho, order, data):
 
     beta_irr = data.draw(hnp.arrays(np.float64, st.integers(0, 8), elements=st.floats()),
                          label="beta_irr")
-    vs = outcome(lambda: virial_series(beta_irr, data.draw(st.integers(-2, 7), label="order")))
+    vs = outcome(lambda: VirialSeries(beta_irr, data.draw(st.integers(-2, 7), label="order")))
     if vs is not None:
         for method in ("mu_minus_log", "pressure_rho", "z_of_rho", "rho_of_z",
                        "pressure_fugacity"):
@@ -695,16 +694,21 @@ def test_series_layer_over_the_guarded_space(box, beta, rho, order, data):
 
 def test_series_helpers_raise_typed_errors_at_their_edges():
     # each raised a bare IndexError, OverflowError, ZeroDivisionError or
-    # TypeError, or returned a value that is not finite
+    # TypeError, or returned a value that is not finite; a virial series
+    # checks itself when it is built
     for order in (0, -1):
         with pytest.raises(ValueError, match="order"):
-            virial_series(np.array([0.0, 0.3]), order).pressure_rho()
+            VirialSeries(np.array([0.0, 0.3]), order)
     with pytest.raises(ValueError, match="finite"):
-        virial_series(np.array([0.0, math.nan]), 2)
+        VirialSeries(np.array([0.0, math.nan]), 2)
     with pytest.raises(GuardError, match="float range"):
-        virial_series(np.array([0.0, 1e308, -1e308]), 3).pressure_rho()
+        VirialSeries(np.array([0.0, 1e308, -1e308]), 3)
     with pytest.raises(GuardError, match="float range"):
-        virial_series(np.array([0.0, 1e100]), 5).z_of_rho()
+        VirialSeries(np.array([0.0, 1e100]), 5)
+    # volume 0 divided by zero in derivative, and volume -5 gave a number
+    for volume in (0, -5):
+        with pytest.raises(ValueError, match="volume"):
+            CanonicalFreeEnergy(np.zeros(3), volume).derivative(0.5)
     for volume in (None, 100):
         with pytest.raises(GuardError, match="float range"):
             CanonicalFreeEnergy(np.zeros(1), volume).derivative(1e-300, 6)

@@ -10,8 +10,11 @@ file holds every run's end-to-end metrics and failed-operation counts, and per
 workload and metric both sides' quartiles and the pairs the change won.  Both
 checkouts must be git checkouts whose ``src/`` and ``bench/`` match their
 HEAD, so the commits and src trees the file records name the code that ran;
-each runs its own ``bench/``.  Their absolute paths must be of equal length:
-the length alone moves ``peak_rss_mb`` by about 0.2 MB.
+each runs its own ``bench/``.  Their git-ignored files under ``src/`` and
+``bench/`` must be the same: a byte-code cache on one side only lets that
+side skip compiling latgas where PYTHONDONTWRITEBYTECODE is set.  Their
+absolute paths must be of equal length: the length alone moves
+``peak_rss_mb`` by about 0.2 MB.
 """
 
 from __future__ import annotations
@@ -59,6 +62,13 @@ def _unclean(root: Path) -> str:
     return f"differs from its HEAD in src/ or bench/:\n{changed}" if changed else ""
 
 
+def _ignored(root: Path) -> set[str]:
+    """The git-ignored files under src/ and bench/, byte-code caches among them."""
+    proc = subprocess.run(["git", "ls-files", "--others", "--ignored", "--exclude-standard",
+                           "--", "src", "bench"], cwd=root, capture_output=True, text=True)
+    return set(proc.stdout.splitlines())
+
+
 def _quartiles(values: list[float]) -> list[float]:
     return statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
 
@@ -84,6 +94,13 @@ def main(argv=None) -> int:
         if why:
             print(f"bench_pairs: {side} checkout {getattr(args, side)} {why}", file=sys.stderr)
             return 1
+    ignored = {side: _ignored(getattr(args, side)) for side in ("parent", "change")}
+    if ignored["parent"] != ignored["change"]:
+        print(f"bench_pairs: the checkouts' git-ignored files under src/ and bench/ differ, "
+              f"so one side may skip compiling latgas: only in the parent "
+              f"{sorted(ignored['parent'] - ignored['change'])}, only in the change "
+              f"{sorted(ignored['change'] - ignored['parent'])}", file=sys.stderr)
+        return 1
     paths = [str(getattr(args, side).resolve()) for side in ("parent", "change")]
     if len(paths[0]) != len(paths[1]):
         print(f"bench_pairs: the checkouts' absolute paths differ in length, which alone "

@@ -5,8 +5,8 @@
 Each entry of MUTANTS is (file, snippet, replacement, node ids): the exact
 snippet must occur once in the file, and with the replacement in its place
 every named pytest node must fail.  Each mutant runs in its own temporary
-copy of ``src/`` and ``tests/``, with the copy's ``src/`` first on the
-import path, and only its named nodes run, at a fixed hypothesis seed.  The
+copy of ``src/``, ``tests/``, ``tools/`` and ``BENCHMARK.json``, with the
+copy's ``src/`` first on the import path, and only its named nodes run, at a fixed hypothesis seed.  The
 nodes first run once on an unmutated copy, where all must pass.  One line
 per mutant goes to stdout; the exit code is 1 when a snippet does not occur
 exactly once, a node fails unmutated, or a mutant survives (one of its
@@ -27,7 +27,7 @@ ORACLE, DEVIATIONS = "src/latgas/oracle.py", "src/latgas/deviations.py"
 GRAPHS, CORRELATIONS = "src/latgas/graphs.py", "src/latgas/correlations.py"
 SERIES, MODEL = "src/latgas/series.py", "src/latgas/model.py"
 CLI, CSVFMT = "src/latgas/cli.py", "src/latgas/csvfmt.py"
-ACCEPTANCE = "src/latgas/acceptance.py"
+ACCEPTANCE, BENCH_PAIRS = "src/latgas/acceptance.py", "tools/bench_pairs.py"
 T_ORACLE, T_DEVIATIONS = "tests/test_oracle.py::", "tests/test_deviations.py::"
 T_SERIES, T_CLI = "tests/test_series.py::", "tests/test_cli.py::"
 T_GRAPHS = "tests/test_graphs.py::"
@@ -208,16 +208,22 @@ MUTANTS = [
       T_CLI + "test_unknown_config_keys_are_config_errors[accept-beta-cfg6]")),
     # typed errors at the edges of the series, deviation and model layers: a
     # free-energy derivative, B_Lambda, log Z or a virial series past the
-    # float range; a virial order below 1; a volume below 1; u', beta or mu0
-    # not finite; u |Lambda|^alpha past the float range; alpha = -inf;
-    # a nan beta or d = 0 in the model constants; the pressure at beta = 0
+    # float range; a virial order below 1 or a beta_n not finite; a volume
+    # below 1, and a free energy's volume not None or >= 1; u', beta or mu0
+    # not finite; alpha outside [1/2, 1) in the variance terms;
+    # u |Lambda|^alpha past the float range; alpha = -inf; a nan beta or
+    # d = 0 in the model constants; the pressure at beta = 0
     (SERIES, "        if not math.isfinite(value):\n", "        if False:\n",
      (SERIES_EDGES, T_SERIES + "test_series_layer_over_the_guarded_space")),
     (SERIES, "    if not np.isfinite(vals).all():\n", "    if False:\n", (SERIES_EDGES,)),
     (SERIES, "    if not math.isfinite(acc):\n", "    if False:\n", (SERIES_EDGES,)),
     (SERIES, "    if not finite:\n", "    if False:\n", (SERIES_EDGES,)),
-    (SERIES, "    if order < 1:\n", "    if False:\n", (SERIES_EDGES,)),
+    (SERIES, "        if self.order < 1:\n", "        if False:\n", (SERIES_EDGES,)),
+    (SERIES, "        if not np.isfinite(self.beta_irr).all():\n", "        if False:\n",
+     (SERIES_EDGES,)),
     (SERIES, "    if volume < 1:\n", "    if False:\n", (SERIES_EDGES,)),
+    (SERIES, "        if self.volume is not None and not (", "        if False and not (",
+     (SERIES_EDGES,)),
     (DEVIATIONS, "    if volume < 1:\n", "    if False:\n", (DEVIATION_EDGES,)),
     (DEVIATIONS, "    if not all(map(math.isfinite, (u_prime, beta, mu0))):\n", "    if False:\n",
      (DEVIATION_EDGES,)),
@@ -225,19 +231,24 @@ MUTANTS = [
      "    except ZeroDivisionError:\n", (DEVIATION_EDGES,)),
     (DEVIATIONS, "    if not math.isfinite(shift):\n", "    if False:\n", (DEVIATION_EDGES,)),
     (DEVIATIONS, "    if not -math.inf < alpha < 1:", "    if not alpha < 1:", (DEVIATION_EDGES,)),
+    (DEVIATIONS, "    if not 0.5 <= alpha < 1:", "    if False:", (DEVIATION_EDGES,)),
     (MODEL, "    if not beta >= 0:\n", "    if beta < 0:\n",
      (MODEL_EDGES, "tests/test_model.py::test_model_constants_over_the_guarded_space")),
     (MODEL, "    if dimension < 1:\n", "    if False:\n", (MODEL_EDGES,)),
     (ORACLE, "        if self.table.beta == 0:\n", "        if False:\n",
      (T_ORACLE + "test_pressure_at_beta_zero_raises_value_error",)),
+    # paired benchmark runs of checkouts whose byte-code caches differ
+    (BENCH_PAIRS, "    if ignored[\"parent\"] != ignored[\"change\"]:\n", "    if False:\n",
+     ("tests/test_bench_pairs.py::test_checkouts_whose_ignored_files_differ_are_refused",)),
 ]
 
 
 def _copy(dest: Path) -> Path:
-    for part in ("src", "tests"):
+    for part in ("src", "tests", "tools"):
         shutil.copytree(ROOT / part, dest / part,
                         ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
-    shutil.copy(ROOT / "pyproject.toml", dest)
+    for part in ("pyproject.toml", "BENCHMARK.json"):
+        shutil.copy(ROOT / part, dest)
     return dest
 
 

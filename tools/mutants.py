@@ -6,11 +6,11 @@ Each entry of MUTANTS is (file, snippet, replacement, node ids): the exact
 snippet must occur once in the file, and with the replacement in its place
 every named pytest node must fail.  Each mutant runs in its own temporary
 copy of ``src/``, ``tests/``, ``tools/`` and ``BENCHMARK.json``, with the
-copy's ``src/`` first on the import path, and only its named nodes run, at a fixed hypothesis seed.  The
-nodes first run once on an unmutated copy, where all must pass.  One line
-per mutant goes to stdout; the exit code is 1 when a snippet does not occur
-exactly once, a node fails unmutated, or a mutant survives (one of its
-nodes passes or does not run).
+copy's ``src/`` first on the import path, and only its named nodes run, at
+a fixed hypothesis seed.  The nodes first run once on an unmutated copy,
+where all must pass.  One line per mutant goes to stdout; the exit code is
+1 when a snippet does not occur exactly once, a node fails unmutated, or a
+mutant survives (one of its nodes passes or does not run).
 """
 
 from __future__ import annotations

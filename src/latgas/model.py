@@ -175,14 +175,19 @@ class ModelConstants:
     tree_C_bar: float
 
 
+def _check_beta(beta: float) -> None:
+    """``ValueError`` unless beta >= 0 (nan is not): the constants' and the series' domain."""
+    if not beta >= 0:
+        raise ValueError(f"beta must be >= 0, got {beta!r}")
+
+
 def _kernel_terms(dimension: int, pot: PotentialSpec, beta: float) -> tuple[float, float, float]:
     """B = 4J * nbrs, the number nbrs of in-range neighbours, and 4 beta J.
     Raises ``ValueError`` unless d >= 1 and beta >= 0 (nan is not), and
     ``GuardError`` where B leaves the float range."""
     if dimension < 1:
         raise ValueError(f"dimension must be >= 1, got {dimension}")
-    if not beta >= 0:
-        raise ValueError(f"beta must be >= 0, got {beta!r}")
+    _check_beta(beta)
     try:
         nbrs = 2.0 * dimension * pot.range_  # range_ is 1 for the standard form
     except OverflowError:  # d or R past the float range

@@ -5,14 +5,11 @@ Two independent routes to the canonical partition function Z(N):
 * occupancy-subset enumeration over all 2^|Lambda| configurations (any
   dimension, |Lambda| <= 24).  The bond level k of a subset (in-range
   occupied pairs plus wall contacts) is one bitmask formula, a popcount
-  per group of pairs of equal index offset.  The integer counts per
-  (N, k) for Z(N), cached per (box, range R), split each mask into its
-  low 16 bits and its high bits: one histogram over the low parts per
-  pattern of bonds crossing to the high part, shifted once per high part.
-  The torus correlations use that every site is alike: one row of integers
-  per level k, the N-subsets holding sites 0 and r, from the masks with bit
-  0 set, in blocks of 2^16 so memory stays flat; u2 comes from integer
-  numerators, not by subtracting rho1^2.  Each beta then costs a
+  per group of pairs of equal index offset.  One kernel, cached per (box,
+  range R, site masks) and free of beta and N, counts the N-subsets per
+  (N, k) that hold given sites: none for Z(N); sites 0 and r for the
+  torus correlations, where every site is alike, and u2 comes from
+  integer numerators, not by subtracting rho1^2.  Each beta then costs a
   30-digit decimal evaluation against e^{k x}, x = -beta * bond energy,
   rounded to float once, so no beta overflows;
 * a d = 1 transfer matrix over Z_h(N) of a zero-wall chain, per occupancy
@@ -23,14 +20,13 @@ Two independent routes to the canonical partition function Z(N):
   of 64 sites.  Where a proved bound on b^R allows, a window gives each
   column one exponent and a site does no exponent work; elsewhere every
   live column aligns its exponents at every site.  The windows change no
-  bit of Z(N).  A ring of L sites is the chain of L - 1: rotations keep
-  each configuration's weight, so site 1 is empty in a share (L - N)/L of
-  Z_ring(N), and then no range-1 bond touches it, so
-  Z_ring(N) = L/(L - N) Z_chain(L - 1, N) for N < L.
+  bit of Z(N).  A ring of L sites is the chain of L - 1 (see
+  ``transfer_matrix_table``).
 
-``canonical_table`` is the one place that picks between the two.
-Everything downstream (grand-canonical probabilities, correlation
-functions, deviation checks) is derived from these tables.
+``canonical_table`` is the one place that picks between the two, and it
+refuses rows past the float range.  Everything downstream (grand-canonical
+probabilities, correlation functions, deviation checks) is derived from
+these tables.
 """
 
 from __future__ import annotations
@@ -124,9 +120,8 @@ class GrandCanonicalEval:
         return float(np.dot(ns, self.probs) / self.probs.sum())
 
     def variance_particles(self) -> float:
-        ns = np.arange(len(self.probs))
-        m = self.mean_particles()
-        return float(np.dot((ns - m) ** 2, self.probs) / self.probs.sum())
+        ns = np.arange(len(self.probs)) - self.mean_particles()
+        return float(np.dot(ns ** 2, self.probs) / self.probs.sum())
 
 
 def _interaction_pairs(lattice: LatticeSpec, radius: int) -> list[tuple[int, int]]:
@@ -177,33 +172,27 @@ def _bonds(masks: np.ndarray, groups) -> np.ndarray:
     return bonds
 
 
-def _subset_bonds(lattice: LatticeSpec, radius: int):
-    """Every occupancy bitmask of the box and its bond level, in blocks of
-    SUBSET_BLOCK masks, so memory stays flat at every size."""
-    groups = _bond_groups(lattice, radius)
-    total = 1 << lattice.n_sites
-    for start in range(0, total, SUBSET_BLOCK):
-        # int32 holds both the masks (S <= 24) and the bond counts at half the memory
-        masks = np.arange(start, min(start + SUBSET_BLOCK, total), dtype=np.int32)
-        yield masks, _bonds(masks, groups)
-
-
 @functools.lru_cache(maxsize=16)
-def _density_of_states(lattice: LatticeSpec, radius: int) -> tuple[tuple[int, ...], ...]:
-    """c(N, k): the number of N-subsets at bond level k, as Python ints.
+def _subset_counts(lattice: LatticeSpec, radius: int,
+                   marks: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """[mark][N][k]: per site mask ("mark") of ``marks``, the N-subsets at
+    bond level k that hold every site of the mark, as Python ints.  Mark 0
+    gives c(N, k), the density of states, and a mark {0, r} p_k[r].
 
     Each mask m splits into its low B bits L and its high bits H, kept in
-    place.  A bond lies within H, within L, or crosses from L to H, so
-    bonds(m) = bonds(H) + bonds(L) + sum over groups of popcount(L & X),
-    with the cross pattern X = (H >> d) & mask & (2^B - 1) fixed by H.  One
-    histogram over the 2^B low parts per distinct pattern, shifted by
-    popcount(H) rows and bonds(H) levels for each high part of that
-    pattern, then counts every mask once.
+    place, 2^B = SUBSET_BLOCK.  A bond lies within H, within L, or crosses
+    from L to H, so bonds(m) = bonds(H) + bonds(L) + sum over groups of
+    popcount(L & X), with the cross pattern X = (H >> d) & mask & (2^B - 1)
+    fixed by H.  Per pattern and mark, one histogram over the low parts
+    holding the mark's low sites (a strided view of the keys as a cube of
+    side 2, index 1 on those sites' axes), shifted by popcount(H) rows and
+    bonds(H) levels for each high part of the pattern holding its high
+    sites, counts every such mask once.
     """
     groups = _bond_groups(lattice, radius)
     # the full box holds every pair, so it sets the top level
     levels = sum(mask.bit_count() for _, mask in groups) + 1
-    counts = np.zeros((lattice.n_sites + 1) * levels, dtype=np.int64)
+    counts = np.zeros((len(marks), (lattice.n_sites + 1) * levels), dtype=np.int64)
     low_bits = min(lattice.n_sites, SUBSET_BLOCK.bit_length() - 1)
     # int32 holds both the masks (S <= 24) and the bond counts at half the memory
     lows = np.arange(1 << low_bits, dtype=np.int32)
@@ -215,16 +204,20 @@ def _density_of_states(lattice: LatticeSpec, radius: int) -> tuple[tuple[int, ..
     for d, mask in groups:
         crossing |= (mask & (1 << low_bits) - 1) << d
     by_pattern = {}
-    for high, shift in zip((highs & crossing).tolist(), shifts.tolist()):
-        by_pattern.setdefault(high, []).append(shift)
-    for high, pattern_shifts in by_pattern.items():
+    for high, shift in zip(highs.tolist(), shifts.tolist()):
+        by_pattern.setdefault(high & crossing, []).append((high, shift))
+    for pattern, members in by_pattern.items():
         keys = low_keys.copy()
         for d, mask in groups:
-            keys += np.bitwise_count(lows & (high >> d) & mask)
-        hist = np.bincount(keys)
-        for shift in pattern_shifts:
-            counts[shift:shift + len(hist)] += hist
-    return tuple(map(tuple, counts.reshape(-1, levels).tolist()))
+            keys += np.bitwise_count(lows & (pattern >> d) & mask)
+        cube = keys.reshape((2,) * low_bits)  # axis a is low bit B - 1 - a
+        for row, mark in zip(counts, marks):
+            low = tuple(mark >> b & 1 or slice(None) for b in range(low_bits - 1, -1, -1))
+            hist = np.bincount(cube[low].ravel())
+            for high, shift in members:
+                if not (mark & ~high) >> low_bits:  # H holds the mark's high sites
+                    row[shift:shift + len(hist)] += hist
+    return tuple(tuple(map(tuple, row.reshape(-1, levels).tolist())) for row in counts)
 
 
 def _bond_exponent(pot: PotentialSpec, beta: float) -> decimal.Decimal:
@@ -254,7 +247,7 @@ def exact_canonical_table(lattice: LatticeSpec, pot: PotentialSpec,
     """
     if lattice.n_sites > ENUMERATION_MAX_SITES:
         raise GuardError(f"enumeration guarded to |Lambda| <= {ENUMERATION_MAX_SITES}")
-    counts = _density_of_states(lattice, pot.support_radius)
+    counts = _subset_counts(lattice, pot.support_radius, (0,))[0]
     x, weights = _level_weights(pot, beta, len(counts[0]))
     log_z = []
     with decimal.localcontext(_DECIMAL):
@@ -475,12 +468,9 @@ def _chain_sums(side: int, radius: int, x: decimal.Decimal) -> tuple[np.ndarray,
     (they run from column 1; column 0 is empty).  numpy's own buffers of
     this size start 16 bytes past a boundary, and on AVX-512 a misaligned
     output halves a multiply's throughput: 32,768 elements take 5.1 us
-    aligned and 12.3 us 8 bytes off.  At L = 4096 and the benchmark's
-    seed-7 beta the aligned rows took the ring from 0.069 to 0.059 s, Kac
-    R = 3 from 0.200 to 0.145 s and Kac R = 4 from 0.386 to 0.290 s
-    (medians of 10 alternating fresh-process pairs, 2-core AVX-512 Xeon);
-    they add under 0.2% to each buffer, and a table keeps as many pages
-    resident as before (3.32 MB at R = 4, L = 4096).
+    aligned and 12.3 us 8 bytes off (2-core AVX-512 Xeon).  The aligned
+    rows add under 0.2% to each buffer, and a table keeps as many pages
+    resident as unaligned ones (3.32 MB at R = 4, L = 4096).
 
     The bound for frozen columns.  Let n < 2^ell be the sites placed, ell
     the bit length of L, and g = 2 B + ell.  Moving one particle changes a
@@ -648,10 +638,14 @@ def transfer_matrix_table(side: int, pot: PotentialSpec, beta: float,
 
 def canonical_table(lattice: LatticeSpec, pot: PotentialSpec, beta: float) -> CanonicalTable:
     """The exact oracle table: the transfer matrix for d = 1 boxes past the
-    enumeration guard, enumeration otherwise."""
-    if lattice.dimension == 1 and lattice.n_sites > ENUMERATION_MAX_SITES:
-        return transfer_matrix_table(lattice.side, pot, beta, lattice.boundary)
-    return exact_canonical_table(lattice, pot, beta)
+    enumeration guard, enumeration otherwise.  ``GuardError`` where a row of
+    log Z(N) is +inf, past the float range; the two builders keep such rows."""
+    table = (transfer_matrix_table(lattice.side, pot, beta, lattice.boundary)
+             if lattice.dimension == 1 and lattice.n_sites > ENUMERATION_MAX_SITES
+             else exact_canonical_table(lattice, pot, beta))
+    if np.isposinf(table.log_z).any():
+        raise GuardError(f"log Z(N) past the float range at beta = {beta:g}")
+    return table
 
 
 def _logsumexp(a: np.ndarray) -> float:
@@ -670,12 +664,15 @@ def _logsumexp(a: np.ndarray) -> float:
 def grand_canonical_eval(table: CanonicalTable, mu: float) -> GrandCanonicalEval:
     """The tilted log weights, log Xi and the particle-number distribution at
     chemical potential mu, the only place the weights are formed.  Raises
-    ``GuardError`` where beta mu |Lambda| is not finite."""
+    ``GuardError`` where beta mu |Lambda| is not finite or log Xi is +inf."""
     if not math.isfinite(table.beta * mu * table.n_sites):
         raise GuardError(f"beta mu |Lambda| = {table.beta * mu * table.n_sites:g} "
                          "leaves the float range")
     log_weights = table.beta * mu * np.arange(len(table.log_z)) + table.log_z
-    log_xi = _logsumexp(log_weights)
+    with np.errstate(invalid="ignore"):  # inf - inf at a +inf weight
+        log_xi = _logsumexp(log_weights)
+    if log_xi == math.inf:  # not nan: that needs nan rows, which no builder makes
+        raise GuardError(f"log Xi is +inf at mu = {mu:g}: the probabilities are not a number")
     return GrandCanonicalEval(table=table, mu=mu, log_weights=log_weights, log_xi=log_xi,
                               probs=np.exp(log_weights - log_xi))
 
@@ -713,23 +710,19 @@ def exact_correlations(lattice: LatticeSpec, pot: PotentialSpec, beta: float,
         raise GuardError(f"enumeration guarded to |Lambda| <= {ENUMERATION_MAX_SITES}")
     if not 2 <= n <= S:
         raise ValueError("need 2 <= N <= |Lambda|")
-    counts = _density_of_states(lattice, pot.support_radius)[n]
+    dos, *pair_counts = _subset_counts(lattice, pot.support_radius,
+                                       (0,) + tuple(1 | 1 << r for r in range(1, S)))
+    counts = dos[n]
     top = max(k for k, c in enumerate(counts) if c)
-    # p_k[r] at [r, k], block by block; r = 0 stays 0, as rho2 is on the diagonal
-    pairs = np.zeros((S, top + 1), dtype=np.int64)
-    for masks, bonds in _subset_bonds(lattice, pot.support_radius):
-        keep = (masks & 1).astype(bool) & (np.bitwise_count(masks) == n)
-        masks, bonds = masks[keep], bonds[keep]
-        for r in range(1, S):
-            pairs[r] += np.bincount(bonds[(masks >> r & 1).astype(bool)], minlength=top + 1)
+    # p_k[r] at [r, k]; r = 0 stays 0, as rho2 is on the diagonal
+    pairs = [(0,) * (top + 1)] + [p[n][:top + 1] for p in pair_counts]
     _, weights = _level_weights(pot, beta, top + 1)
     with decimal.localcontext(_DECIMAL):
         z = sum(c * weights[top - k] for k, c in enumerate(counts[:top + 1]))
-        rho2 = [sum(p * weights[top - k] for k, p in enumerate(row)) / z
-                for row in pairs.tolist()]
+        rho2 = [sum(p * weights[top - k] for k, p in enumerate(row)) / z for row in pairs]
         u2 = [sum((S * S * p - n * n * c) * weights[top - k]
                   for k, (p, c) in enumerate(zip(row, counts))) / (z * S * S)
-              for row in pairs.tolist()]
+              for row in pairs]
     u2[0] = -(n * n) / (S * S)
     sites = np.array(lattice.sites())  # [i, j] reads the rows at the index of x_j - x_i
     offset = (sites[None] - sites[:, None]) % lattice.side @ lattice.side ** np.arange(

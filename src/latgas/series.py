@@ -51,7 +51,7 @@ from fractions import Fraction
 import numpy as np
 
 from .graphs import all_pairs, biconnected_graphs, connected_graphs, tree_graphs
-from .model import GuardError, PotentialSpec, model_constants
+from .model import GuardError, PotentialSpec, _check_beta, model_constants
 from .oracle import _DECIMAL50, CanonicalTable
 from .powerseries import ps_compose, ps_exp, ps_revert
 
@@ -240,15 +240,15 @@ def _lattice_sum(kind: str, n_points: int, d: int, pot: PotentialSpec,
 
 def connected_coefficient(n: int, d: int, pot: PotentialSpec, beta: float) -> float:
     """b_n = (1/n!) sum_{g in C_n} sum_{x_2..x_n} prod f, with x_1 = 0."""
+    _check_beta(beta)
     if not 1 <= n <= MAX_B_ORDER:
         raise GuardError(f"connected coefficients guarded to n <= {MAX_B_ORDER}")
-    if n == 1:
-        return 1.0
-    return _lattice_sum("connected", n, d, pot, beta, math.factorial(n))
+    return 1.0 if n == 1 else _lattice_sum("connected", n, d, pot, beta, math.factorial(n))
 
 
 def irreducible_coefficient(n: int, d: int, pot: PotentialSpec, beta: float) -> float:
     """beta_n = (1/n!) sum over 2-connected graphs on n+1 vertices, x_1 = 0."""
+    _check_beta(beta)
     if not 1 <= n <= MAX_BETA_IRR_ORDER:
         raise GuardError(f"irreducible coefficients guarded to n <= {MAX_BETA_IRR_ORDER}")
     return _lattice_sum("biconnected", n + 1, d, pot, beta, math.factorial(n))
@@ -261,6 +261,7 @@ def beta1_closed_form(d: int, pot: PotentialSpec, beta: float) -> float:
     exact in d = 1 (2dR sites within range R).  Raises ``GuardError`` once
     beta_1 leaves the float range, like ``irreducible_coefficient(1, ...)``.
     """
+    _check_beta(beta)
     if pot.kind == "kac" and d != 1:
         raise ValueError("Kac closed form implemented for d = 1 only")
     try:
@@ -529,6 +530,7 @@ def tree_graph_check(n: int, d: int, pot: PotentialSpec, beta: float) -> TreeGra
     out-of-range edge there, so lhs = rhs = 0 exactly and they cannot
     violate.  ``n_configs`` counts the configurations evaluated.
     """
+    _check_beta(beta)
     if not 2 <= n <= MAX_TREE_CHECK_ORDER:
         raise GuardError(f"tree-graph check guarded to 2 <= n <= {MAX_TREE_CHECK_ORDER}")
     mult, f_polys = _graph_polys("connected", n, d, pot.support_radius)

@@ -65,12 +65,16 @@ def test_guard_violation_exit_code(tmp_path):
     assert main(["oracle", "--config", cfg, "--out", str(tmp_path)]) == 3
 
 
-@pytest.mark.parametrize("command, extra", [("oracle", {"beta": 0.5, "mu": 1e308}),
-                                            ("correlate", {"beta": 1e300, "particles": 6})])
+@pytest.mark.parametrize("command, extra", [
+    ("oracle", {"beta": 0.5, "mu": 1e308}),
+    ("correlate", {"beta": 1e300, "particles": 6}),
+    ("oracle", {"side": 100, "boundary": "zero", "beta": 1e306, "mu": -1,
+                "potential": {"kind": "kac", "range": 3}})])
 def test_float_range_exits_as_a_guard(tmp_path, command, extra):
     # unguarded, oracle writes nan into probabilities.csv with exit 0, and
     # correlate exits 5 on an OverflowError from the correlation bound; and
-    # with its write before the guard, oracle leaves canonical_table.csv
+    # with its write before the guard, oracle leaves canonical_table.csv.
+    # The Kac chain wrote 88 inf cells of log Z(N) and 88 nan probabilities
     cfg = write_cfg(tmp_path, {"dimension": 1, "side": 12, "boundary": "periodic", **extra})
     out = tmp_path / "out"
     out.mkdir()

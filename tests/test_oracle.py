@@ -16,7 +16,7 @@ from scipy.special import logsumexp
 
 from latgas import cli, oracle
 from latgas.model import GuardError, LatticeSpec, PotentialSpec
-from latgas.oracle import (_density_of_states, _interaction_pairs, _logsumexp,
+from latgas.oracle import (_interaction_pairs, _logsumexp, _subset_counts,
                            canonical_table, exact_canonical_table, exact_correlations,
                            grand_canonical_eval, transfer_matrix_table)
 from references import (boundary_weight, edge_count, ising_gas_consistency,
@@ -105,6 +105,26 @@ def test_oracles_take_beta_from_zero_to_inf(call, beta):
     # raised a bare decimal.InvalidOperation
     with pytest.raises(ValueError, match="0 <= beta < inf"):
         call(beta)
+
+
+def test_canonical_table_raises_guard_error_on_inf_rows():
+    # past the float range both builders keep +inf rows: 88 of the Kac R = 3
+    # 100-chain at beta = 1e306, and the 12-ring's full row, 12 bonds at
+    # x = 4e308; unguarded, these tables went on to inf and nan in the CSVs
+    chain = transfer_matrix_table(100, KAC3, 1e306)
+    assert np.count_nonzero(chain.log_z == math.inf) == 88
+    assert exact_canonical_table(RING(12), POT, 1e308).log_z_of(12) == math.inf
+    for lattice, pot, beta in ((LatticeSpec(1, 100, "zero"), KAC3, 1e306),
+                               (RING(12), POT, 1e308)):
+        with pytest.raises(GuardError, match="log Z"):
+            canonical_table(lattice, pot, beta)
+
+
+def test_grand_canonical_eval_raises_guard_error_where_log_xi_is_inf():
+    # the raw chain above: log Xi was inf and 88 probabilities nan at mu = -1
+    chain = transfer_matrix_table(100, KAC3, 1e306)
+    with pytest.raises(GuardError, match="log Xi"):
+        grand_canonical_eval(chain, -1.0)
 
 
 def test_enumeration_guard():
@@ -346,20 +366,21 @@ def test_correlations_equal_brute_force(lattice, n, beta):
                                           (TORUS4, POT), (FIXED_BOX, POT),
                                           (LatticeSpec(1, 10, "zero"), KAC3)])
 def test_density_of_states_counts_every_subset(lattice, pot):
-    counts = _density_of_states(lattice, pot.support_radius)
+    counts = _subset_counts(lattice, pot.support_radius, (0,))[0]
     assert [sum(row) for row in counts] == [comb(lattice.n_sites, n)
                                              for n in range(lattice.n_sites + 1)]
 
 
-def _whole_array_density_of_states(lattice, radius):
-    """The kernel before blocking: every mask of the box in one array."""
+def _whole_array_counts(lattice, radius, mark=0):
+    """The kernel before blocking: every mask of the box in one array, the
+    N-subsets per level k that hold every site of ``mark``."""
     masks = np.arange(1 << lattice.n_sites, dtype=np.int64)
     bonds = np.zeros(len(masks), dtype=np.int64)
     for i, j in _interaction_pairs(lattice, radius):
         bonds += (masks >> i) & (masks >> j) & 1
     levels = int(bonds.max()) + 1
-    counts = np.bincount(np.bitwise_count(masks).astype(np.int64) * levels + bonds,
-                         minlength=(lattice.n_sites + 1) * levels)
+    keys = np.bitwise_count(masks).astype(np.int64) * levels + bonds
+    counts = np.bincount(keys[masks & mark == mark], minlength=(lattice.n_sites + 1) * levels)
     return tuple(map(tuple, counts.reshape(-1, levels).tolist()))
 
 
@@ -370,8 +391,8 @@ def _whole_array_density_of_states(lattice, radius):
 @pytest.mark.parametrize("block", [1 << 10, oracle.SUBSET_BLOCK])
 def test_blocked_density_of_states_equals_whole_array(monkeypatch, lattice, radius, block):
     monkeypatch.setattr(oracle, "SUBSET_BLOCK", block)
-    assert (_density_of_states.__wrapped__(lattice, radius)
-            == _whole_array_density_of_states(lattice, radius))
+    assert (_subset_counts.__wrapped__(lattice, radius, (0,))[0]
+            == _whole_array_counts(lattice, radius))
 
 
 @st.composite
@@ -398,37 +419,53 @@ def _boxes(draw):
 @settings(max_examples=80, deadline=None)
 @given(case=_boxes(), data=st.data())
 def test_split_density_of_states_equals_whole_array(case, data):
-    # blocks of 2^b masks down to b = 1, so small boxes run many high parts
-    # and cross patterns
+    # split widths of 2^b masks down to b = 1, so small boxes run many high
+    # parts and cross patterns; the drawn marks hold sites on either side
     lattice, radius = case
     block = 1 << data.draw(st.integers(1, lattice.n_sites))
+    marks = (0, *data.draw(st.lists(st.integers(1, (1 << lattice.n_sites) - 1), max_size=4)))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(oracle, "SUBSET_BLOCK", block)
-        counts = _density_of_states.__wrapped__(lattice, radius)
-        masks, bonds = map(np.concatenate, zip(*oracle._subset_bonds(lattice, radius)))
-    assert counts == _whole_array_density_of_states(lattice, radius)
+        counts = _subset_counts.__wrapped__(lattice, radius, marks)
+    assert counts == tuple(_whole_array_counts(lattice, radius, mark) for mark in marks)
+    masks = np.arange(1 << lattice.n_sites, dtype=np.int32)
     per_pair = np.zeros(1 << lattice.n_sites, dtype=np.int64)
     for i, j in _interaction_pairs(lattice, radius):
         per_pair += (masks >> i) & (masks >> j) & 1
-    assert np.array_equal(masks, np.arange(1 << lattice.n_sites))
-    assert np.array_equal(bonds, per_pair)
+    assert np.array_equal(oracle._bonds(masks, oracle._bond_groups(lattice, radius)), per_pair)
 
 
-@pytest.mark.parametrize("lattice, n", [(LatticeSpec(1, 12, "periodic"), 5), (TORUS3, 4)])
+# the 18-ring's sites 16 and 17 are past the default split width
+@pytest.mark.parametrize("lattice, n", [(LatticeSpec(1, 12, "periodic"), 5), (TORUS3, 4),
+                                        (RING(18), 9)])
 def test_blocked_correlations_equal_one_block(monkeypatch, lattice, n):
-    whole = exact_correlations(lattice, POT, 0.4, n)  # one block below 2^16 masks
+    _subset_counts.cache_clear()
+    whole = exact_correlations(lattice, POT, 0.4, n)
+    _subset_counts.cache_clear()
     monkeypatch.setattr(oracle, "SUBSET_BLOCK", 1 << 5)
     blocked = exact_correlations(lattice, POT, 0.4, n)
+    _subset_counts.cache_clear()
     for a, b in ((whole.rho1, blocked.rho1), (whole.rho2, blocked.rho2), (whole.u2, blocked.u2)):
         assert a.tobytes() == b.tobytes()
 
 
 def test_warm_cache_table_is_bit_identical_to_cold():
-    _density_of_states.cache_clear()
+    _subset_counts.cache_clear()
     cold = exact_canonical_table(TORUS4, POT, 0.37)
     warm = exact_canonical_table(TORUS4, POT, 0.37)
-    assert _density_of_states.cache_info().hits == 1
+    assert _subset_counts.cache_info().hits == 1
     assert warm.log_z.tobytes() == cold.log_z.tobytes()
+
+
+def test_correlations_count_subsets_once_per_box():
+    # the pair counts are free of beta and N: a second beta or N is a hit
+    _subset_counts.cache_clear()
+    first = exact_correlations(TORUS4, POT, 0.37, 8)
+    exact_correlations(TORUS4, POT, 1.5, 8)
+    exact_correlations(TORUS4, POT, 0.37, 5)
+    info = _subset_counts.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    assert exact_correlations(TORUS4, POT, 0.37, 8).u2.tobytes() == first.u2.tobytes()
 
 
 def test_table_is_finite_far_past_the_float_range():
@@ -747,7 +784,7 @@ def _ring_log_z(side, beta):
 
 @pytest.mark.parametrize("side", [8, 13, 20])
 def test_ring_closed_form_equals_density_of_states(side):
-    counts = _density_of_states(LatticeSpec(1, side, "periodic"), 1)
+    counts = _subset_counts(LatticeSpec(1, side, "periodic"), 1, (0,))[0]
     assert [{k: c for k, c in enumerate(row) if c} for row in counts] == \
         _ring_density_of_states(side)
 
@@ -757,8 +794,8 @@ def test_ring_is_the_chain_one_site_shorter():
     # empty in a share (L - N)/L of the N-subsets; with site 1 empty no bond
     # touches it, and sites 2..L are a zero-wall chain
     for side in range(3, 21):
-        ring = _density_of_states(LatticeSpec(1, side, "periodic"), 1)
-        chain = _density_of_states(LatticeSpec(1, side - 1, "zero"), 1)
+        ring = _subset_counts(LatticeSpec(1, side, "periodic"), 1, (0,))[0]
+        chain = _subset_counts(LatticeSpec(1, side - 1, "zero"), 1, (0,))[0]
         for n, row in enumerate(chain):
             padded = row + (0,) * (len(ring[n]) - len(row))
             assert [c * (side - n) for c in ring[n]] == [side * c for c in padded], (side, n)

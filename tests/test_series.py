@@ -724,6 +724,16 @@ def test_series_helpers_raise_typed_errors_at_their_edges():
         extract_b_lambda(table, 23)
     with pytest.raises(GuardError, match="float range"):
         reconstruct_log_z(CanonicalFreeEnergy(np.array([0.0, 1.7e308, 1.7e308]), 3), 3)
+    # beta outside [0, inf] (nan included): beta_1 was nan, b_3 and beta_2
+    # failed on converting nan to a ratio, the nan tree-graph check read as
+    # past the float range and the one at beta = -1 reported 13 violations
+    for beta in (math.nan, -1.0):
+        for call in (lambda: beta1_closed_form(1, POT, beta),
+                     lambda: connected_coefficient(3, 1, POT, beta),
+                     lambda: irreducible_coefficient(2, 1, POT, beta),
+                     lambda: tree_graph_check(3, 1, POT, beta)):
+            with pytest.raises(ValueError, match="beta must be >= 0"):
+                call()
 
 
 def _graph_terms(cls, n_points, d):

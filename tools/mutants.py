@@ -32,6 +32,7 @@ T_ORACLE, T_DEVIATIONS = "tests/test_oracle.py::", "tests/test_deviations.py::"
 T_SERIES, T_CLI = "tests/test_series.py::", "tests/test_cli.py::"
 T_GRAPHS = "tests/test_graphs.py::"
 BRUTE = T_ORACLE + "test_correlations_equal_brute_force"
+SPLIT = T_ORACLE + "test_split_density_of_states_equals_whole_array"
 WINDOWED = T_ORACLE + "test_windowed_transfer_matrix_equals_aligned_bit_for_bit"
 BANDED = T_ORACLE + "test_banded_windows_equal_aligned_bit_for_bit"
 GROUND = T_ORACLE + "test_transfer_matrix_ground_states_at_huge_beta"
@@ -52,14 +53,18 @@ MUTANTS = [
     # c(N, k) from the wrong row
     (ORACLE, """        u2 = [sum((S * S * p - n * n * c) * weights[top - k]
                   for k, (p, c) in enumerate(zip(row, counts))) / (z * S * S)
-              for row in pairs.tolist()]""",
+              for row in pairs]""",
      "        u2 = [x - decimal.Decimal(n * n) / (S * S) for x in rho2]",
      (BRUTE + "[25.0-lattice3-8]", BRUTE + "[25.0-lattice4-6]", BRUTE + "[25.0-lattice5-2]")),
     (ORACLE, "u2[0] = -(n * n) / (S * S)", "u2[0] = -(n / S) ** 2",
      (T_ORACLE + "test_correlations_over_the_guarded_space",)),
-    (ORACLE, "counts = _density_of_states(lattice, pot.support_radius)[n]\n",
-     "counts = _density_of_states(lattice, pot.support_radius)[n - 1]\n",
+    (ORACLE, "    counts = dos[n]\n", "    counts = dos[n - 1]\n",
      (BRUTE + "[0.3-lattice0-3]", T_ORACLE + "test_correlation_sum_rules")),
+    # the subset kernel: a mark's low sites or its high sites not required
+    (ORACLE, "mark >> b & 1 or slice(None)", "slice(None)",
+     (BRUTE + "[0.3-lattice0-3]", SPLIT)),
+    (ORACLE, "if not (mark & ~high) >> low_bits:", "if True:",
+     (T_ORACLE + "test_blocked_correlations_equal_one_block[lattice2-9]", SPLIT)),
     # the transfer matrix: no band shift of the compensation c; no -inf
     # exponent for the band's unwritten column; the full row rounded twice;
     # frozen columns without their c moved to the column, without the bond
@@ -149,10 +154,14 @@ MUTANTS = [
      "    except ZeroDivisionError:\n        raise GuardError(f\"J^C_mu",
      (GC_GUARD + "[appendix_ratio_quotient]",)),
     (DEVIATIONS, "    if not math.isfinite(rate):", "    if False:", (GC_GUARD + "[rate_function]",)),
+    # (where beta mu N is +inf, log Xi is too and its own guard answers)
     (ORACLE, "    if not math.isfinite(table.beta * mu * table.n_sites):\n", "    if False:\n",
-     (GC_GUARD + "[grand_canonical_eval]", GC_GUARD + "[mean_occupation]",
-      GC_GUARD + "[appendix_ratio]", GC_GUARD + "[find_n_star]",
-      "tests/test_cli.py::test_float_range_exits_as_a_guard[oracle-extra0]")),
+     (GC_GUARD + "[mean_occupation]", GC_GUARD + "[appendix_ratio]", GC_GUARD + "[find_n_star]")),
+    # a table with a +inf row of log Z(N), and log Xi = +inf
+    (ORACLE, "    if np.isposinf(table.log_z).any():\n", "    if False:\n",
+     (T_ORACLE + "test_canonical_table_raises_guard_error_on_inf_rows",)),
+    (ORACLE, "    if log_xi == math.inf:", "    if False:",
+     (T_ORACLE + "test_grand_canonical_eval_raises_guard_error_where_log_xi_is_inf",)),
     # the grand-canonical mean not divided by the float sum of the probabilities
     (ORACLE, "return float(np.dot(ns, self.probs) / self.probs.sum())",
      "return float(np.dot(ns, self.probs))",
@@ -171,6 +180,10 @@ MUTANTS = [
      "    except OverflowError:\n        return math.inf\n        raise GuardError(f\"{kind} graph sum",
      (SERIES_GUARD, T_CLI + "test_series_past_float_range_exits_as_a_guard[config1]")),
     (SERIES, "    if beta1 == math.inf:\n", "    if False:\n", (SERIES_GUARD,)),
+    # a nan or negative beta let into each series entry point
+    *[(SERIES, f"    _check_beta(beta)\n    if {first}", f"    if {first}", (SERIES_EDGES,))
+      for first in ("not 1 <= n <= MAX_B_ORDER:", "not 1 <= n <= MAX_BETA_IRR_ORDER:",
+                    'pot.kind == "kac" and d != 1:', "not 2 <= n <= MAX_TREE_CHECK_ORDER:")],
     (MODEL, "            raise GuardError(f\"Mayer f", "            return math.inf\n            raise GuardError(f\"Mayer f",
      (SERIES_GUARD,)),
     (SERIES, "            if len(grown) > MAX_CLUSTER_CONFIGS:\n", "            if False:\n",

@@ -53,7 +53,6 @@ import numpy as np
 from .graphs import all_pairs, biconnected_graphs, connected_graphs, tree_graphs
 from .model import GuardError, PotentialSpec, _check_beta, model_constants
 from .oracle import _DECIMAL50, CanonicalTable
-from .powerseries import ps_compose, ps_exp, ps_revert
 
 MAX_B_ORDER = 5
 MAX_BETA_IRR_ORDER = 4
@@ -424,14 +423,24 @@ def stirling_remainder(n_particles: int, volume: int) -> float:
 # ---------------------------------------------------------------------------
 # Virial inversion
 
+def _exp_series(a: list[Fraction], order: int) -> list[Fraction]:
+    """Coefficients 0..order of exp(sum_{j>=1} a[j] x^j), exactly:
+    k e_k = sum_j j a_j e_{k-j}.  a[0] is not read."""
+    e = [Fraction(1)]
+    for k in range(1, order + 1):
+        e.append(sum(j * a[j] * e[k - j] for j in range(1, k + 1)) / k)
+    return e
+
+
 @dataclass(frozen=True)
 class VirialSeries:
     """Density expansions built from the irreducible coefficients.
 
-    mu_minus_log(): coefficients of beta*mu(rho) - log(rho) (powers rho^1..)
+    mu_minus_log(): coefficients of m(rho) = beta*mu(rho) - log(rho) (powers rho^1..)
     pressure_rho(): coefficients of beta*p as a series in rho
-    pressure_fugacity(): coefficients of beta*p as a series in z, obtained
-    by composing through the numerically inverted rho(z).
+    z_of_rho(), rho_of_z(), pressure_fugacity(): z = rho e^m, its inverse by
+    Lagrange's formula and beta*p as a series in z, each evaluated exactly
+    in rationals at the float beta_n and rounded once.
 
     Built from finite beta_n (index 0 unused) and an order of 1..5;
     ``GuardError`` where a coefficient of one of its series is not finite.
@@ -448,10 +457,12 @@ class VirialSeries:
         object.__setattr__(self, "beta_irr", np.asarray(self.beta_irr, dtype=float))
         if not np.isfinite(self.beta_irr).all():
             raise ValueError("irreducible coefficients must be finite")
-        # in order, stopping at the first that is not finite: a later one composes it
-        with np.errstate(over="ignore", invalid="ignore"):
-            finite = all(np.isfinite(series()).all() for series in (
-                self.pressure_rho, self.z_of_rho, self.rho_of_z, self.pressure_fugacity))
+        try:  # an exact coefficient past the float range does not round
+            with np.errstate(over="ignore"):
+                finite = all(np.isfinite(series()).all() for series in (
+                    self.pressure_rho, self.z_of_rho, self.rho_of_z, self.pressure_fugacity))
+        except OverflowError:
+            finite = False
         if not finite:
             raise GuardError(f"the virial series of order {self.order} leave the float range")
 
@@ -476,14 +487,25 @@ class VirialSeries:
         return c
 
     def z_of_rho(self) -> np.ndarray:
-        """z = rho exp(beta mu - log rho): exp to order - 1, shifted one power up."""
-        return np.concatenate(([0.0], ps_exp(self.mu_minus_log(), self.order - 1)))
+        """z = rho e^{m(rho)}: exp to order - 1, shifted one power up."""
+        m = [Fraction(c) for c in self.mu_minus_log()]
+        return np.array([0, *_exp_series(m, self.order - 1)], dtype=float)
+
+    @functools.cached_property
+    def _rho_of_z(self) -> list[Fraction]:
+        """[z^n] rho for n = 1..order by Lagrange's formula, z = rho / e^{-m(rho)}:
+        [z^n] rho = [rho^{n-1}] e^{-n m(rho)} / n."""
+        m = [Fraction(c) for c in self.mu_minus_log()]
+        return [_exp_series([-n * c for c in m[:n]], n - 1)[n - 1] / n
+                for n in range(1, self.order + 1)]
 
     def rho_of_z(self) -> np.ndarray:
-        return ps_revert(self.z_of_rho(), self.order)
+        return np.array([0, *self._rho_of_z], dtype=float)
 
     def pressure_fugacity(self) -> np.ndarray:
-        return ps_compose(self.pressure_rho(), self.rho_of_z(), self.order)
+        """z d(beta p)/dz = rho, so [z^n] beta p = [z^n] rho / n."""
+        rho = self._rho_of_z
+        return np.array([0, *(c / n for n, c in enumerate(rho, 1))], dtype=float)
 
 
 def legendre_sides(beta_irr: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:

@@ -4,7 +4,8 @@ The Ising spin picture of the lattice gas (sigma = 2*eta - 1), with its
 Hamiltonians, the wall weights and the field/chemical-potential map, and
 alternate routes to numbers that ``latgas`` computes another way: the
 fixed-magnetization and grand Ising sums, B_Lambda(1) by the polymer
-route, rho(z) by fixed-point iteration, the partial polymer-sum bound,
+route, rho(z) by fixed-point iteration, in floats at one z and exactly as
+a series in z, the partial polymer-sum bound,
 and the tilted potential by bisection and as a 60-digit root.
 Tests compare the library against them; nothing in ``latgas`` imports
 this module.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -270,6 +272,45 @@ def rho_of_z_numeric(series: VirialSeries, z: float) -> float:
             return new
         rho = new
     raise RuntimeError("fugacity fixed point did not converge")
+
+
+def _series_product(a: list[Fraction], b: list[Fraction], order: int) -> list[Fraction]:
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(order + 1)]
+
+
+def _series_compose(outer: list[Fraction], inner: list[Fraction],
+                    order: int) -> list[Fraction]:
+    """outer(inner(x)) to x^order for inner[0] = 0, summed over powers of inner."""
+    total = [Fraction(0)] * (order + 1)
+    power = [Fraction(1)] + [Fraction(0)] * order
+    for c in outer[:order + 1]:
+        total = [t + c * p for t, p in zip(total, power)]
+        power = _series_product(power, inner, order)
+    return total
+
+
+def virial_series_exact(beta_irr, order: int) -> tuple[list[Fraction], ...]:
+    """z(rho), rho(z) and beta p(z) to power ``order``, exact in rationals at
+    the float beta_n, by fixed-point reversion rather than Lagrange's formula.
+
+    m(rho) = -sum beta_n rho^n and z = rho e^{m(rho)}, with the exponential
+    summed as its Taylor series of powers.  rho(z) iterates
+    rho <- z e^{-m(rho)} from rho = z; each pass fixes one more power.
+    beta p(z) composes beta p(rho) = rho - sum n beta_n rho^{n+1}/(n+1)
+    with rho(z).
+    """
+    taylor = [Fraction(1, math.factorial(k)) for k in range(order + 1)]
+    m = [Fraction(0)] * (order + 1)
+    p = [Fraction(0), Fraction(1)] + [Fraction(0)] * order
+    for n in range(1, min(len(beta_irr), order + 1)):
+        m[n] = -Fraction(beta_irr[n])
+        p[n + 1] = -n * Fraction(beta_irr[n]) / (n + 1)
+    z = [Fraction(0), *_series_compose(taylor, m, order)[:order]]
+    rho = [Fraction(0), Fraction(1)] + [Fraction(0)] * (order - 1)
+    for _ in range(order):
+        tail = _series_compose([-c for c in m], rho, order)
+        rho = [Fraction(0), *_series_compose(taylor, tail, order)[:order]]
+    return z, rho, _series_compose(p, rho, order)
 
 
 def cluster_sum_margin(n_particles: int, volume: int, d: int,

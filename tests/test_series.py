@@ -36,7 +36,7 @@ from latgas.series import (CanonicalFreeEnergy, VirialSeries, beta1_closed_form,
                            falling_p, irreducible_coefficient,
                            legendre_sides, reconstruct_log_z,
                            stirling_remainder, tree_graph_check)
-from references import b_lambda_1_direct, rho_of_z_numeric
+from references import b_lambda_1_direct, rho_of_z_numeric, virial_series_exact
 
 POT = PotentialSpec("standard", 1.0)
 BETA = 0.2
@@ -289,6 +289,30 @@ def test_fugacity_series_consistency():
     z = 1e-3
     rho_series = float(np.polyval(vs.rho_of_z()[::-1], z))
     assert rho_of_z_numeric(vs, z) == pytest.approx(rho_series, abs=1e-9)
+
+
+def _assert_virial_series_are_the_exact_reversion(beta_irr, order):
+    vs = VirialSeries(beta_irr, order)
+    for got, exact in zip((vs.z_of_rho(), vs.rho_of_z(), vs.pressure_fugacity()),
+                          virial_series_exact(beta_irr, order)):
+        assert got.tobytes() == np.array(exact, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("d, pot", [(1, POT), (2, POT), (1, PotentialSpec("kac", 1.0, 2)),
+                                    (1, PotentialSpec("kac", 1.0, 3))])
+def test_virial_series_are_the_exact_reversion_rounded_once(d, pot):
+    for beta in (0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0):
+        beta_irr = np.array([0.0] + [irreducible_coefficient(n, d, pot, beta)
+                                     for n in range(1, 5)])
+        for order in range(1, 6):
+            _assert_virial_series_are_the_exact_reversion(beta_irr, order)
+
+
+@settings(max_examples=200, deadline=None)
+@given(beta_irr=hnp.arrays(np.float64, st.integers(1, 6), elements=st.floats(-50.0, 50.0)),
+       order=st.integers(1, 5))
+def test_virial_series_of_drawn_coefficients_are_the_exact_reversion(beta_irr, order):
+    _assert_virial_series_are_the_exact_reversion(beta_irr, order)
 
 
 def test_mu_series_ideal_limit():

@@ -45,6 +45,7 @@ SERIES_GUARD = T_SERIES + "test_coefficients_past_float_range_raise_guard_error"
 GROWTH = T_SERIES + "test_patterns_equal_the_set_growth"
 BOUND_DOMAIN = "tests/test_correlations.py::test_bound_rhs_outside_its_domain_raises_value_error"
 SERIES_EDGES = T_SERIES + "test_series_helpers_raise_typed_errors_at_their_edges"
+VIRIAL = T_SERIES + "test_virial_series_are_the_exact_reversion_rounded_once"
 DEVIATION_EDGES = T_DEVIATIONS + "test_deviation_helpers_raise_typed_errors_at_their_edges"
 MODEL_EDGES = "tests/test_model.py::test_model_constants_reject_nan_beta_and_dimension_zero"
 
@@ -207,6 +208,15 @@ MUTANTS = [
      (T_SERIES + "test_geometry_counts_are_pinned", T_SERIES + "test_b2_closed_form")),
     (SERIES, "b[n_particles - 1] = acc / p  #", "b[n_particles - 1] = acc / (n_particles * p)  #",
      (T_SERIES + "test_extracted_b1_closed_form", T_SERIES + "test_reconstruction_round_trip")),
+    # the virial inversion: Lagrange's power n - 1 read as n; e^{+n m} in
+    # place of e^{-n m}; the pressure's coefficient not divided by n
+    *[(SERIES, snippet, replacement,
+       (T_SERIES + "test_fugacity_series_consistency", VIRIAL + "[1-pot0]", VIRIAL + "[1-pot3]"))
+      for snippet, replacement in (
+          ("_exp_series([-n * c for c in m[:n]], n - 1)[n - 1] / n",
+           "_exp_series([-n * c for c in m], n)[n] / n"),
+          ("[-n * c for c in m[:n]]", "[n * c for c in m[:n]]"),
+          ("c / n for n, c in enumerate(rho, 1)", "c for n, c in enumerate(rho, 1)"))],
     # the CLI: 16 significant digits; a file written before the command runs;
     # an unknown key let through
     (CSVFMT, '"%.17g"', '"%.16g"',
@@ -230,7 +240,10 @@ MUTANTS = [
      (SERIES_EDGES, T_SERIES + "test_series_layer_over_the_guarded_space")),
     (SERIES, "    if not np.isfinite(vals).all():\n", "    if False:\n", (SERIES_EDGES,)),
     (SERIES, "    if not math.isfinite(acc):\n", "    if False:\n", (SERIES_EDGES,)),
-    (SERIES, "    if not finite:\n", "    if False:\n", (SERIES_EDGES,)),
+    (SERIES, "        if not finite:\n            raise GuardError(f\"the virial series",
+     "        if False:\n            raise GuardError(f\"the virial series", (SERIES_EDGES,)),
+    (SERIES, "        except OverflowError:\n            finite = False\n",
+     "        except ZeroDivisionError:\n            finite = False\n", (SERIES_EDGES,)),
     (SERIES, "        if self.order < 1:\n", "        if False:\n", (SERIES_EDGES,)),
     (SERIES, "        if not np.isfinite(self.beta_irr).all():\n", "        if False:\n",
      (SERIES_EDGES,)),

@@ -119,8 +119,8 @@ def criterion_mayer_relations() -> tuple[bool, str]:
     lhs, rhs = series.legendre_sides(np.array([0.0, beta1, beta2, beta3, beta4]), 4)
     leg_err = float(np.max(np.abs(lhs - rhs)))
     ok = ok and leg_err <= 1e-12
-    return ok, (f"|beta1-2b2| = {abs(beta1 - 2*b2):.2e}; fugacity cross-check "
-                f"err = {fug_err:.2e}; Legendre err = {leg_err:.2e}")
+    return ok, (f"|beta1-2b2| = {abs(beta1 - 2*b2):.2e} (tol 1e-12); fugacity cross-check "
+                f"err = {fug_err:.2e} (tol 1e-10); Legendre err = {leg_err:.2e} (tol 1e-12)")
 
 
 def criterion_tree_graph() -> tuple[bool, str]:

@@ -37,8 +37,7 @@ def find_n_star(gc: GrandCanonicalEval) -> int:
     inside the tolerance the best is the running maximum; from there the
     rule runs on the remaining strict prefix maxima alone.
     """
-    v = gc.log_weights.copy()
-    v[1:][np.isnan(v[1:])] = -np.inf  # a nan never beats the best, nor does -inf
+    v = gc.log_weights
     top = np.maximum.accumulate(v)
     climbs = np.flatnonzero(v[1:] > top[:-1]) + 1  # the strict prefix maxima past N = 0
     below = top[climbs - 1]

@@ -64,13 +64,18 @@ _EXACT = decimal.Context(prec=decimal.MAX_PREC)
 
 @dataclass(frozen=True)
 class CanonicalTable:
-    """Exact log Z(N) for N = 0..|Lambda| (log-0 sentinel for excluded N)."""
+    """Exact log Z(N) for N = 0..|Lambda| (log-0 sentinel for excluded N);
+    ``ValueError`` on a nan entry."""
 
     lattice: LatticeSpec
     beta: float
     pot: PotentialSpec
     log_z: np.ndarray
     method: str
+
+    def __post_init__(self):
+        if np.isnan(self.log_z).any():
+            raise ValueError("log Z(N) has a nan entry")
 
     @property
     def n_sites(self) -> int:
@@ -671,7 +676,7 @@ def grand_canonical_eval(table: CanonicalTable, mu: float) -> GrandCanonicalEval
     log_weights = table.beta * mu * np.arange(len(table.log_z)) + table.log_z
     with np.errstate(invalid="ignore"):  # inf - inf at a +inf weight
         log_xi = _logsumexp(log_weights)
-    if log_xi == math.inf:  # not nan: that needs nan rows, which no builder makes
+    if log_xi == math.inf:
         raise GuardError(f"log Xi is +inf at mu = {mu:g}: the probabilities are not a number")
     return GrandCanonicalEval(table=table, mu=mu, log_weights=log_weights, log_xi=log_xi,
                               probs=np.exp(log_weights - log_xi))

@@ -1,8 +1,9 @@
 """Run every acceptance criterion at its stated tolerance.
 
 One pass/fail line is printed per criterion (run pytest with ``-s`` to see
-them).  The negative controls at the end corrupt an extracted coefficient
-or one decoded tree and confirm that the criterion fails loudly.
+them).  The negative controls at the end corrupt an extracted coefficient,
+one decoded tree or one cluster coefficient and confirm that the criterion
+fails loudly.
 """
 
 import pytest
@@ -51,3 +52,20 @@ def test_a_tree_short_of_an_edge_fails_the_graph_engine(monkeypatch, order):
     monkeypatch.setattr(graphs, "tree_blocks", corrupted)
     passed, _detail = acceptance.criterion_graph_engine()
     assert not passed
+
+
+@pytest.mark.parametrize("name, n, err", [("connected_coefficient", 3, "6.16e-10"),
+                                          ("irreducible_coefficient", 2, "1.67e-09")])
+def test_a_coefficient_off_by_1e_9_fails_the_mayer_relations(monkeypatch, name, n, err):
+    # b_3 and beta_2 meet only in the fugacity cross-check: the Legendre
+    # check holds for every beta_n
+    original = getattr(series, name)
+
+    def corrupted(k, d, pot, beta):
+        value = original(k, d, pot, beta)
+        return value * (1 + 1e-9) if k == n else value
+
+    monkeypatch.setattr(series, name, corrupted)
+    passed, detail = acceptance.criterion_mayer_relations()
+    assert not passed
+    assert f"fugacity cross-check err = {err} (tol 1e-10)" in detail

@@ -45,8 +45,7 @@ def _find_n_star_loop(table, mu0):
 
 
 def _n_star(table, mu0):
-    with np.errstate(divide="ignore", invalid="ignore"):  # log Xi of a planted nan row
-        n_star = find_n_star(grand_canonical_eval(table, mu0))
+    n_star = find_n_star(grand_canonical_eval(table, mu0))
     assert n_star == _find_n_star_loop(table, mu0)
     return n_star
 
@@ -92,7 +91,7 @@ _STEP_FACTORS = (0.0, 0.5, 0.999, 1.0, 1.001, 1.5, 3.0, 1e6, -0.5, -1e6)
 
 @settings(max_examples=300, deadline=None)
 @given(start=st.sampled_from([0.0, 1.0, -1.0, 1e3]) | st.floats(-1e4, 1e4),
-       steps=st.lists(st.tuples(st.sampled_from(["last", "max", "max", "-inf", "nan"]),
+       steps=st.lists(st.tuples(st.sampled_from(["last", "max", "max", "-inf"]),
                                 st.sampled_from(_STEP_FACTORS)), max_size=40),
        mu0=st.sampled_from([0.0, -0.0]) | st.floats(-5.0, 5.0),
        beta=st.floats(0.01, 2.0))
@@ -101,8 +100,8 @@ def test_find_n_star_equals_the_loop_on_planted_steps(start, steps, mu0, beta):
     log_z = [start]
     running_max = start
     for anchor, factor in steps:
-        if anchor in ("-inf", "nan"):
-            log_z.append(float(anchor))
+        if anchor == "-inf":
+            log_z.append(-math.inf)
             continue
         base = log_z[-1] if anchor == "last" and math.isfinite(log_z[-1]) else running_max
         log_z.append(base + factor * 1e-12 * max(1.0, abs(base)))

@@ -120,6 +120,14 @@ def test_canonical_table_raises_guard_error_on_inf_rows():
             canonical_table(lattice, pot, beta)
 
 
+def test_canonical_table_raises_value_error_on_a_nan_entry():
+    # unguarded, grand_canonical_eval gave log Xi = nan and nan probabilities
+    # at mu = -1, find_n_star read 1 and mean_occupation raised a bare error
+    with pytest.raises(ValueError, match="nan"):
+        oracle.CanonicalTable(LatticeSpec(1, 4, "zero"), 0.3, POT,
+                              np.array([0.0, 1.0, math.nan, 0.5, 0.0]), "planted")
+
+
 def test_grand_canonical_eval_raises_guard_error_where_log_xi_is_inf():
     # the raw chain above: log Xi was inf and 88 probabilities nan at mu = -1
     chain = transfer_matrix_table(100, KAC3, 1e306)

@@ -63,7 +63,8 @@ CONTRACT_TESTS = {
     "model_constants": (MODEL,
                         "test_model.py::test_model_constants_reject_nan_beta_and_dimension_zero"),
     # oracle
-    "CanonicalTable": (BETA, NEVER_NAN),
+    "CanonicalTable": (BETA, NEVER_NAN,
+                       "test_oracle.py::test_canonical_table_raises_value_error_on_a_nan_entry"),
     "CorrelationTable": ("test_oracle.py::test_correlations_over_the_guarded_space",),
     "GrandCanonicalEval": (GRAND_CANONICAL,
                            "test_oracle.py::test_pressure_at_beta_zero_raises_value_error"),

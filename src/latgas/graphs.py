@@ -6,22 +6,13 @@ so p = i (2n - 3 - i) / 2 + j - 1.  The pair of a bit depends on n, so a
 mask means nothing without its n, and every function that takes a graph
 takes n too.  ``edges(n, graph)`` decodes a mask into its pairs.
 
-Each class is one int64 array in a fixed canonical order (edge mask
-ascending, Pruefer sequence lexicographic), so downstream sums are
-bit-stable; ``enumerate_*`` stream the same arrays lazily.  Connected and
-2-connected graphs are decided by bitmask reachability run over all
-2^(n(n-1)/2) masks at once, the ``classify`` filter by DFS and
-articulation points, so the array/filter equivalence tests compare two
+Each class is one int64 array in ascending edge-mask order, so downstream
+sums are bit-stable; ``enumerate_*`` stream the same arrays lazily.
+Connected and 2-connected graphs are decided by bitmask reachability run
+over all 2^(n(n-1)/2) masks at once, and trees are the connected graphs
+with n - 1 edges.  The ``classify`` filter decides the same classes by DFS
+and articulation points, so the array/filter equivalence tests compare two
 routes.
-
-Trees are decoded from their Pruefer sequences a block at a time: the n^4
-sequences that share all but their last four entries (the whole class for
-n <= 6) form one integer array, one row per sequence.  A row's leaves are
-an n-bit vertex mask, the vertices neither removed nor among the entries
-still to come; the smallest leaf is the lowest set bit, its vertex the
-bit count below it, and its edge bit follows from the pair-index formula.
-So a block takes O(n) numpy calls, whatever its size, with no table
-lookup and no Python code per tree.
 
 By convention the single edge on two vertices counts as 2-connected: it is
 the first irreducible graph, giving the standard leading Mayer coefficient.
@@ -38,8 +29,6 @@ import numpy as np
 from .model import GuardError
 
 MAX_CLUSTER_ORDER = 6
-MAX_TREE_ORDER = 8
-_BLOCK_ENTRIES = 4  # Pruefer entries that vary within one block of decoded trees
 
 
 @functools.lru_cache(maxsize=16)
@@ -118,49 +107,11 @@ def biconnected_graphs(n: int) -> np.ndarray:
     return graphs[_biconnected(n, graphs)]
 
 
-def _pair_bits(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The int32 edge bits of the pairs {u, v}, u != v, of an n-vertex
-    graph, from uint8 vertex arrays."""
-    i = np.minimum(u, v)
-    return np.int32(1) << (i * (2 * n - 3 - i) >> 1) + np.maximum(u, v) - 1
-
-
-def tree_blocks(n: int) -> Iterator[np.ndarray]:
-    """All n^(n-2) labeled trees, 1 <= n <= 8, in Pruefer order, as int64
-    arrays of at most n^4 masks each.  Vertices and vertex masks are uint8
-    and the masks are built in int32, which n <= 8 (28 pairs) fits."""
-    if not 1 <= n <= MAX_TREE_ORDER:
-        raise GuardError(f"tree enumeration guarded to n <= {MAX_TREE_ORDER}")
-    if n == 1:
-        yield np.zeros(1, dtype=np.int64)
-        return
-    everyone, one = np.uint8((1 << n) - 1), np.uint8(1)
-    width = n - 2
-    free = min(width, _BLOCK_ENTRIES)
-    seq = np.empty((width, n ** free), dtype=np.uint8)  # one row per entry
-    seq[width - free:] = np.arange(n ** free) // n ** np.arange(free - 1, -1, -1)[:, None] % n
-    for prefix in itertools.product(range(n), repeat=width - free):
-        seq[:width - free] = np.array(prefix, dtype=np.uint8)[:, None]
-        # ahead[i]: the vertices among entries i.. as a mask; none is a leaf yet
-        ahead = [np.zeros(seq.shape[1], dtype=np.uint8)]
-        for entry in seq[::-1]:
-            ahead.insert(0, ahead[0] | one << entry)
-        removed = np.zeros(seq.shape[1], dtype=np.uint8)
-        graph = np.zeros(seq.shape[1], dtype=np.int32)
-        for entry, later in zip(seq, ahead):
-            leaf = everyone ^ (removed | later)
-            leaf &= -leaf  # the lowest leaf's bit
-            graph |= _pair_bits(n, np.bitwise_count(leaf - one), entry)
-            removed |= leaf
-        last = everyone ^ removed
-        first = last & -last
-        graph |= _pair_bits(n, np.bitwise_count(first - one), np.bitwise_count((last ^ first) - one))
-        yield graph.astype(np.int64)
-
-
 def tree_graphs(n: int) -> np.ndarray:
-    """All n^(n-2) labeled trees on n vertices, 1 <= n <= 8, in Pruefer order."""
-    return np.concatenate(list(tree_blocks(n)))
+    """All n^(n-2) labeled trees on n vertices, 1 <= n <= 6, ascending:
+    the connected graphs with n - 1 edges."""
+    graphs = connected_graphs(n)
+    return graphs[np.bitwise_count(graphs) == n - 1]
 
 
 def enumerate_connected(n: int) -> Iterator[int]:
@@ -174,9 +125,8 @@ def enumerate_biconnected(n: int) -> Iterator[int]:
 
 
 def enumerate_trees(n: int) -> Iterator[int]:
-    """``tree_graphs(n)``, streamed a block at a time."""
-    for block in tree_blocks(n):
-        yield from block.tolist()
+    """``tree_graphs(n)``, streamed."""
+    yield from tree_graphs(n).tolist()
 
 
 def _adjacency(n: int, graph: int) -> list[list[int]]:

@@ -2,7 +2,7 @@
 
 One pass/fail line is printed per criterion (run pytest with ``-s`` to see
 them).  The negative controls at the end corrupt an extracted coefficient,
-one decoded tree or one cluster coefficient and confirm that the criterion
+one tree or one cluster coefficient and confirm that the criterion
 fails loudly.
 """
 
@@ -36,20 +36,37 @@ def test_corrupted_coefficient_fails_reconstruction(monkeypatch):
     assert not passed
 
 
-@pytest.mark.parametrize("order", [7, 8])
+@pytest.mark.parametrize("order", [5, 6])
 def test_a_tree_short_of_an_edge_fails_the_graph_engine(monkeypatch, order):
-    # past the brute force the count alone is n^(n-2) by construction, so
-    # only the edge count of each decoded mask can catch a bad decode
-    original = graphs.tree_blocks
+    original = graphs.tree_graphs
 
     def corrupted(n):
-        for i, block in enumerate(original(n)):
-            if n == order and i == 1:
-                block = block.copy()
-                block[-1] &= block[-1] - 1  # drop its lowest edge
-            yield block
+        trees = original(n)
+        if n == order:
+            trees = trees.copy()
+            trees[-1] &= trees[-1] - 1  # drop its lowest edge
+        return trees
 
-    monkeypatch.setattr(graphs, "tree_blocks", corrupted)
+    monkeypatch.setattr(graphs, "tree_graphs", corrupted)
+    passed, _detail = acceptance.criterion_graph_engine()
+    assert not passed
+
+
+@pytest.mark.parametrize("order", [5, 6])
+def test_a_tree_missing_from_both_routes_fails_the_graph_engine(monkeypatch, order):
+    # a defect the engine and its DFS reference share: only Cayley's count,
+    # which neither route computes, can catch it
+    trees, brute = graphs.tree_graphs, graphs.brute_force_class
+    missing = int(trees(order)[-1])
+
+    def short_trees(n):
+        return trees(n)[:-1] if n == order else trees(n)
+
+    def short_brute(n, kind):
+        return brute(n, kind) - {missing} if (n, kind) == (order, "tree") else brute(n, kind)
+
+    monkeypatch.setattr(graphs, "tree_graphs", short_trees)
+    monkeypatch.setattr(graphs, "brute_force_class", short_brute)
     passed, _detail = acceptance.criterion_graph_engine()
     assert not passed
 

@@ -115,11 +115,11 @@ MUTANTS = [
      "            step = -d * volume / slope\n",
      (T_DEVIATIONS + "test_newton_tilt_reaches_tail_targets_in_few_evaluations[256-0.0258-zero]",
       T_DEVIATIONS + "test_newton_tilt_reaches_tail_targets_in_few_evaluations[4096-0.15-periodic]")),
-    # the graph engine: Pruefer block digits reversed; neighbours read from
-    # edges out of pair order; reachability one round short; the deletion
-    # loop skipping the last vertex; the pair-index formula off by one
-    (GRAPHS, "n ** np.arange(free - 1, -1, -1)[:, None] % n", "n ** np.arange(free)[:, None] % n",
-     (T_GRAPHS + "test_pruefer_round_trip",)),
+    # the graph engine: neighbours read from edges out of pair order;
+    # reachability one round short; the deletion loop skipping the last
+    # vertex; trees as every connected graph with at least n - 1 edges (at
+    # most n - 1 would be an equivalent mutant: a connected graph has n - 1
+    # edges or more)
     (GRAPHS, "    for p, (i, j) in enumerate(_pair_table(n)):\n        bit = graphs >> p & 1\n",
      "    for p, (i, j) in enumerate(_pair_table(n)[::-1]):\n        bit = graphs >> p & 1\n",
      (T_GRAPHS + "test_bitmask_route_equals_dfs_route",
@@ -128,12 +128,13 @@ MUTANTS = [
      (T_GRAPHS + "test_connected_counts", T_GRAPHS + "test_class_arrays_equal_the_sorted_brute_force")),
     (GRAPHS, "    for v in range(n):\n        flags &=", "    for v in range(n - 1):\n        flags &=",
      (T_GRAPHS + "test_biconnected_counts", T_GRAPHS + "test_class_arrays_equal_the_sorted_brute_force")),
-    (GRAPHS, "+ np.maximum(u, v) - 1", "+ np.maximum(u, v)",
-     (T_GRAPHS + "test_pruefer_round_trip", T_GRAPHS + "test_trees_have_right_edge_count")),
-    # criterion 1 counting the trees past the brute force without their edges
-    (ACCEPTANCE, "            ok = ok and bool((np.bitwise_count(block) == n - 1).all())\n", "",
-     ("tests/test_acceptance.py::test_a_tree_short_of_an_edge_fails_the_graph_engine[7]",
-      "tests/test_acceptance.py::test_a_tree_short_of_an_edge_fails_the_graph_engine[8]")),
+    (GRAPHS, "np.bitwise_count(graphs) == n - 1]", "np.bitwise_count(graphs) >= n - 1]",
+     (T_GRAPHS + "test_tree_counts_cayley", T_GRAPHS + "test_class_arrays_equal_the_sorted_brute_force",
+      "tests/test_acceptance.py::test_acceptance_criterion[criterion_01]")),
+    # criterion 1 without Cayley's count, blind to a tree both routes miss
+    (ACCEPTANCE, "    ok = ok and trees == [n ** max(0, n - 2) for n in range(1, 7)]\n", "",
+     ("tests/test_acceptance.py::test_a_tree_missing_from_both_routes_fails_the_graph_engine[5]",
+      "tests/test_acceptance.py::test_a_tree_missing_from_both_routes_fails_the_graph_engine[6]")),
     # find_n_star: no tie loop, the first near-tie only, always the running
     # maximum
     (DEVIATIONS, """    for n in climbs[stall:].tolist():

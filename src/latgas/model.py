@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 Site = tuple[int, ...]
@@ -29,6 +30,14 @@ EXCLUDED = math.inf
 
 class GuardError(ValueError):
     """A desk-scale size or order guard was violated."""
+
+
+def _integer(name: str, value, least: int) -> int:
+    """``value`` as an int; ``ValueError`` unless a Python or numpy integer
+    (not a bool) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, not {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -45,6 +54,7 @@ class PotentialSpec:
     range_: int = 1
 
     def __post_init__(self):
+        object.__setattr__(self, "range_", _integer("range", self.range_, 1))
         if self.kind not in ("standard", "kac"):
             raise ValueError(f"unknown potential kind {self.kind!r}")
         if self.kind == "standard" and self.range_ != 1:
@@ -53,8 +63,6 @@ class PotentialSpec:
             raise ValueError("coupling must be positive")
         if self.kind == "kac" and self.coupling != 1.0:
             raise ValueError("the Kac potential has coupling 1")
-        if self.range_ < 1:
-            raise ValueError("range must be a positive integer")
 
     @property
     def bond_energy(self) -> float:
@@ -102,10 +110,8 @@ class LatticeSpec:
     gamma: tuple[Site, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise ValueError("dimension must be >= 1")
-        if self.side < 2:
-            raise ValueError("side must be >= 2")
+        object.__setattr__(self, "dimension", _integer("dimension", self.dimension, 1))
+        object.__setattr__(self, "side", _integer("side", self.side, 2))
         if self.boundary not in ("zero", "periodic", "fixed"):
             raise ValueError(f"unknown boundary {self.boundary!r}")
         object.__setattr__(self, "gamma", tuple(tuple(g) for g in self.gamma))

@@ -62,7 +62,7 @@ _DECIMAL50 = decimal.Context(prec=50, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EM
 _EXACT = decimal.Context(prec=decimal.MAX_PREC)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CanonicalTable:
     """Exact log Z(N) for N = 0..|Lambda| (log-0 sentinel for excluded N);
     ``ValueError`` on a nan entry."""
@@ -92,7 +92,7 @@ def _entry(log_values: np.ndarray, n: int) -> float:
     return float(log_values[n]) if n < len(log_values) else LOG_ZERO
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GrandCanonicalEval:
     """Grand-canonical layer built on a canonical table at one mu: the
     tilted log weights beta mu N + log Z(N), log Xi and the distribution of N."""
@@ -682,7 +682,7 @@ def grand_canonical_eval(table: CanonicalTable, mu: float) -> GrandCanonicalEval
                               probs=np.exp(log_weights - log_xi))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrelationTable:
     """rho1, rho2 and the truncated pair function on a periodic box at fixed N."""
 

@@ -296,7 +296,7 @@ def _log_z_ideal(n_particles: int, volume: int) -> float:
     return n_particles * math.log(volume) - math.lgamma(n_particles + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CanonicalFreeEnergy:
     """beta * F(rho) = rho(log rho - 1) - sum_n P_{n+1,|Lambda|}(rho) B(n)/(n+1).
 
@@ -432,7 +432,7 @@ def _exp_series(a: list[Fraction], order: int) -> list[Fraction]:
     return e
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VirialSeries:
     """Density expansions built from the irreducible coefficients.
 

@@ -253,3 +253,14 @@ def test_lattice_guards():
         PotentialSpec("standard", 1.0, 2)
     with pytest.raises(ValueError):  # the Kac kernel fixes J = 1
         PotentialSpec("kac", 2.0, 3)
+    # a float or bool size built, then failed untyped deep in an oracle
+    for args in ((1, 6.0, "periodic"), (1, 30.0, "periodic"), (2.0, 4), (True, 4), (1, True)):
+        with pytest.raises(ValueError, match="must be an integer >= "):
+            LatticeSpec(*args)
+    for range_ in (2.0, True):
+        with pytest.raises(ValueError, match="must be an integer >= "):
+            PotentialSpec("kac", 1.0, range_)
+    lattice = LatticeSpec(np.int64(1), np.int32(6), "periodic")
+    assert lattice == LatticeSpec(1, 6, "periodic")
+    assert type(lattice.dimension) is type(lattice.side) is int
+    assert PotentialSpec("kac", 1.0, np.int8(2)) == PotentialSpec("kac", 1.0, 2)

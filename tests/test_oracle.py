@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import logsumexp
 
-from latgas import cli, oracle
+from latgas import cli, oracle, series
 from latgas.model import GuardError, LatticeSpec, PotentialSpec
 from latgas.oracle import (_interaction_pairs, _logsumexp, _subset_counts,
                            canonical_table, exact_canonical_table, exact_correlations,
@@ -126,6 +126,21 @@ def test_canonical_table_raises_value_error_on_a_nan_entry():
     with pytest.raises(ValueError, match="nan"):
         oracle.CanonicalTable(LatticeSpec(1, 4, "zero"), 0.3, POT,
                               np.array([0.0, 1.0, math.nan, 0.5, 0.0]), "planted")
+
+
+def test_array_holding_results_compare_by_identity_and_hash():
+    # with generated field equality, == on two equal-valued results raised
+    # ValueError (an array's truth value) and hash raised TypeError
+    def build():
+        table = exact_canonical_table(LatticeSpec(1, 6, "periodic"), POT, 0.3)
+        return (table, grand_canonical_eval(table, -1.0),
+                exact_correlations(LatticeSpec(1, 6, "periodic"), POT, 0.3, 2),
+                series.extract_b_lambda(table, 2),
+                series.VirialSeries(np.array([0.0, 0.1, 0.2]), 3))
+    for first, second in zip(build(), build()):
+        assert first == first and first != second
+        assert hash(first) == hash(first)
+        assert first in {first} and len({first, second}) == 2
 
 
 def test_grand_canonical_eval_raises_guard_error_where_log_xi_is_inf():

@@ -59,8 +59,8 @@ class PotentialSpec:
             raise ValueError(f"unknown potential kind {self.kind!r}")
         if self.kind == "standard" and self.range_ != 1:
             raise ValueError("standard potential has range 1")
-        if not self.coupling > 0:  # nan included
-            raise ValueError("coupling must be positive")
+        if not 0 < self.coupling < math.inf:  # nan included
+            raise ValueError("coupling must be positive and finite")
         if self.kind == "kac" and self.coupling != 1.0:
             raise ValueError("the Kac potential has coupling 1")
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GuardError, LatticeSpec, PotentialSpec
+from .model import GuardError, LatticeSpec, PotentialSpec, _integer
 
 ENUMERATION_MAX_SITES = 24
 TRANSFER_MAX_SIDE = 4096
@@ -614,6 +614,7 @@ def transfer_matrix_table(side: int, pot: PotentialSpec, beta: float,
     RL - R(R+1)/2 on a chain), top * x rounded once, x = -beta * bond
     energy.  Rings need a range-1 potential and L >= 3.
     """
+    side = _integer("side", side, 2)
     if side > TRANSFER_MAX_SIDE:
         raise GuardError(f"transfer matrix guarded to L <= {TRANSFER_MAX_SIDE}")
     if boundary not in ("zero", "periodic"):

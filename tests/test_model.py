@@ -185,7 +185,8 @@ def test_model_constants_reject_nan_beta_and_dimension_zero():
 @settings(max_examples=200, deadline=None)
 @given(d=st.integers(-1, 4) | st.integers(),
        pot=st.builds(PotentialSpec, st.just("standard"),
-                     st.floats(0.0, exclude_min=True) | st.floats(0.1, 10.0))
+                     st.floats(0.0, exclude_min=True, allow_infinity=False)
+                     | st.floats(0.1, 10.0))
        | st.builds(PotentialSpec, st.just("kac"), st.just(1.0),
                    st.integers(1, 4) | st.integers(1)),
        beta=st.floats() | st.floats(0.0, 200.0))
@@ -249,6 +250,8 @@ def test_lattice_guards():
         PotentialSpec("standard", -1.0)
     with pytest.raises(ValueError):  # a nan coupling made every constant nan
         PotentialSpec("standard", math.nan)
+    with pytest.raises(ValueError):  # an infinite one failed untyped in the oracles
+        PotentialSpec("standard", math.inf)
     with pytest.raises(ValueError):
         PotentialSpec("standard", 1.0, 2)
     with pytest.raises(ValueError):  # the Kac kernel fixes J = 1

@@ -79,6 +79,10 @@ def test_transfer_matrix_guards():
         transfer_matrix_table(5000, POT, 0.1, "zero")
     with pytest.raises(GuardError):
         transfer_matrix_table(10, PotentialSpec("kac", 1.0, 2), 0.1, "periodic")
+    # a float side raised a bare AttributeError, and True read as L = 1
+    for side in (6.0, True):
+        with pytest.raises(ValueError, match="side must be an integer >= 2"):
+            transfer_matrix_table(side, POT, 0.3)
 
 
 def test_canonical_table_dispatch():

@@ -216,7 +216,8 @@ def test_radii_past_the_float_range(d, beta):
 
 @settings(max_examples=400, deadline=None)
 @given(d=st.integers(1, 3),
-       pot=st.one_of(st.floats(0.0, exclude_min=True).map(lambda j: PotentialSpec("standard", j)),
+       pot=st.one_of(st.floats(0.0, exclude_min=True, allow_infinity=False)
+                     .map(lambda j: PotentialSpec("standard", j)),
                      st.floats(-3.0, 300.0).map(lambda v: PotentialSpec("standard", 10.0 ** v)),
                      st.integers(1, 64).map(lambda r: PotentialSpec("kac", 1.0, r))),
        beta=st.one_of(st.just(0.0), st.floats(0.0, 1e300),

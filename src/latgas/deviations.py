@@ -291,21 +291,6 @@ def formula_probability(gc0: GrandCanonicalEval, alpha, u: float,
                            p_formula=p_formula)
 
 
-def appendix_ratio(gc: GrandCanonicalEval, n: int, n_ref: int) -> float:
-    """J^C_mu(N, N') = e^{beta mu (N - N')} Z(N)/Z(N'); +inf when Z(N') = 0.
-    Raises ``GuardError`` where the ratio is not finite."""
-    log_num, log_den = gc.log_weight_of(n), gc.log_weight_of(n_ref)
-    if log_den == -math.inf:
-        return math.inf
-    if log_num == -math.inf:
-        return 0.0
-    try:
-        return math.exp(log_num - log_den)
-    except OverflowError:
-        raise GuardError(f"J^C_mu(N, N') = e^{log_num - log_den:g} leaves "
-                         "the float range") from None
-
-
 def appendix_normalization(gc: GrandCanonicalEval, n_ref: int) -> float:
     """K(mu, N') = e^{beta mu N'} Z(N') / Xi(mu); 0 when Z(N') = 0."""
     log_num = gc.log_weight_of(n_ref)

@@ -508,21 +508,6 @@ class VirialSeries:
         return np.array([0, *(c / n for n, c in enumerate(rho, 1))], dtype=float)
 
 
-def legendre_sides(beta_irr: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficient arrays (powers rho^2..) of both sides of the free-energy /
-    pressure Legendre identity; they must agree term by term.
-
-    Left: -sum beta_n rho^{n+1}/(n+1).  Right: rho*(-sum beta_n rho^n)
-    + sum n beta_n rho^{n+1}/(n+1).  (The shared ideal part cancels.)
-    """
-    lhs = np.zeros(order + 2)
-    rhs = np.zeros(order + 2)
-    for n in range(1, min(len(beta_irr), order + 1)):
-        lhs[n + 1] = -beta_irr[n] / (n + 1)
-        rhs[n + 1] = -beta_irr[n] + n * beta_irr[n] / (n + 1)
-    return lhs, rhs
-
-
 # ---------------------------------------------------------------------------
 # Tree-graph inequality
 

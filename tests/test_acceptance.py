@@ -2,13 +2,16 @@
 
 One pass/fail line is printed per criterion (run pytest with ``-s`` to see
 them).  The negative controls at the end corrupt an extracted coefficient,
-one tree or one cluster coefficient and confirm that the criterion
-fails loudly.
+one tree, one cluster coefficient, log Xi or the variance of N and
+confirm that the criterion fails loudly.
 """
+
+import dataclasses
 
 import pytest
 
 from latgas import acceptance, graphs, series
+from latgas.oracle import GrandCanonicalEval
 
 
 @pytest.mark.parametrize("index", range(1, len(acceptance.CRITERIA) + 1),
@@ -20,6 +23,7 @@ def test_acceptance_criterion(index):
     print(f"[{status}] criterion {result.index}: {result.name} "
           f"({result.seconds:.1f}s) -- {result.detail}")
     assert result.passed, f"criterion {result.index} failed: {result.detail}"
+    assert type(result.passed) is bool  # a numpy bool is not JSON-serializable
 
 
 def test_corrupted_coefficient_fails_reconstruction(monkeypatch):
@@ -71,18 +75,54 @@ def test_a_tree_missing_from_both_routes_fails_the_graph_engine(monkeypatch, ord
     assert not passed
 
 
-@pytest.mark.parametrize("name, n, err", [("connected_coefficient", 3, "6.16e-10"),
-                                          ("irreducible_coefficient", 2, "1.67e-09")])
-def test_a_coefficient_off_by_1e_9_fails_the_mayer_relations(monkeypatch, name, n, err):
-    # b_3 and beta_2 meet only in the fugacity cross-check: the Legendre
-    # check holds for every beta_n
+def _plant(monkeypatch, name, n, error):
     original = getattr(series, name)
 
     def corrupted(k, d, pot, beta):
         value = original(k, d, pot, beta)
-        return value * (1 + 1e-9) if k == n else value
+        return value * (1 + error) if k == n else value
 
     monkeypatch.setattr(series, name, corrupted)
+
+
+@pytest.mark.parametrize("name, n, err", [
+    ("connected_coefficient", 2, "1.00e-09"), ("connected_coefficient", 3, "1.00e-09"),
+    ("connected_coefficient", 4, "1.00e-09"), ("connected_coefficient", 5, "1.00e-09"),
+    ("irreducible_coefficient", 1, "1.47e-08"), ("irreducible_coefficient", 2, "4.87e-09"),
+    ("irreducible_coefficient", 3, "2.55e-08"), ("irreducible_coefficient", 4, "1.37e-08")])
+def test_a_coefficient_off_by_1e_9_fails_the_mayer_relations(monkeypatch, name, n, err):
+    _plant(monkeypatch, name, n, 1e-9)
     passed, detail = acceptance.criterion_mayer_relations()
     assert not passed
-    assert f"fugacity cross-check err = {err} (tol 1e-10)" in detail
+    assert f"relative err = {err} (tol 1e-12)" in detail
+
+
+def test_b5_off_by_1e_11_fails_the_mayer_relations(monkeypatch):
+    # ten times the 1e-12 tolerance: it passes a tolerance 100 times looser
+    _plant(monkeypatch, "connected_coefficient", 5, 1e-11)
+    passed, detail = acceptance.criterion_mayer_relations()
+    assert not passed
+    assert "relative err = 1.00e-11 (tol 1e-12)" in detail
+
+
+@pytest.mark.parametrize("rung", range(len(acceptance.LADDER_SIDES)),
+                         ids=[f"L{side}" for side in acceptance.LADDER_SIDES])
+def test_log_xi_off_by_1e_2_fails_the_peak_clt(monkeypatch, rung):
+    # K(mu0, N*) falls by 1e-2 on that rung alone: |Lambda| x gap reads
+    # -1.12, -1.79 and -3.12 against a bound of 1
+    ladder = tuple((dataclasses.replace(gc, log_xi=gc.log_xi + 1e-2) if i == rung else gc, fe)
+                   for i, (gc, fe) in enumerate(acceptance._ladder_tables()))
+    monkeypatch.setattr(acceptance, "_ladder_tables", lambda: ladder)
+    passed, _detail = acceptance.criterion_appendix()
+    assert not passed
+
+
+def test_a_variance_2_percent_high_fails_the_peak_clt(monkeypatch):
+    # the peak product rises by sqrt(1.02) - 1 = 1e-2: |Lambda| x gap moves by
+    # about 0.64, 1.27 and 2.55, past the bound of 1 at L = 256 only
+    variance = GrandCanonicalEval.variance_particles
+    monkeypatch.setattr(GrandCanonicalEval, "variance_particles",
+                        lambda gc: 1.02 * variance(gc))
+    passed, detail = acceptance.criterion_appendix()
+    assert not passed
+    assert "gap at N* = ['0.142', '0.748', '1.962'] (tol 1)" in detail

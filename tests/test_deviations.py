@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latgas import deviations
-from latgas.deviations import (appendix_normalization, appendix_ratio,
-                               find_n_star, formula_probability,
+from latgas.deviations import (appendix_normalization, find_n_star, formula_probability,
                                m_of_alpha, mean_occupation, rate_function,
                                tilted_potential, variance_terms)
 from latgas.model import GuardError, LatticeSpec, PotentialSpec
@@ -397,43 +396,34 @@ def test_mean_vs_argmax_stay_close():
 
 
 def test_appendix_identities():
-    t = two_site_table()
-    mu0 = -1.0
-    gc = grand_canonical_eval(t, mu0)
+    gc = grand_canonical_eval(two_site_table(), -1.0)
     for anchor in (0, 1, 2):
-        assert appendix_ratio(gc, anchor, anchor) == 1.0
-        k_norm = appendix_normalization(gc, anchor)
-        total = sum(appendix_ratio(gc, n, anchor) for n in range(3))
-        assert k_norm * total == pytest.approx(1.0, abs=1e-13)
-        for n in range(3):
-            lhs = appendix_ratio(gc, n, anchor) * k_norm
-            assert lhs == pytest.approx(float(gc.probs[n]), rel=1e-12)
+        assert appendix_normalization(gc, anchor) == pytest.approx(float(gc.probs[anchor]),
+                                                                   rel=1e-12)
+    total = sum(appendix_normalization(gc, n) for n in range(3))
+    assert total == pytest.approx(1.0, abs=1e-13)
 
 
 def test_appendix_zero_denominator_sentinel():
     # a 2-site box cannot hold 3 particles: Z(3) = 0
     gc = grand_canonical_eval(two_site_table(), -1.0)
-    assert appendix_ratio(gc, 1, 3) == math.inf
     assert appendix_normalization(gc, 3) == 0.0
 
 
 @pytest.mark.parametrize("beta, call", [
     (0.5, lambda t: grand_canonical_eval(t, 1e308)),
     (1e300, lambda t: mean_occupation(grand_canonical_eval(t, -1e300))),
-    (1e300, lambda t: appendix_ratio(grand_canonical_eval(t, 1e300), 3, 6)),
     (1e300, lambda t: find_n_star(grand_canonical_eval(t, 1e10))),
-    (1e-5, lambda t: appendix_ratio(grand_canonical_eval(t, 1e7), 12, 0)),
     (1e-300, lambda t: rate_function(grand_canonical_eval(t, 1.7976931108833632e308), 1.0))],
-    ids=["grand_canonical_eval", "mean_occupation", "appendix_ratio", "find_n_star",
-         "appendix_ratio_quotient", "rate_function"])
+    ids=["grand_canonical_eval", "mean_occupation", "find_n_star", "rate_function"])
 def test_grand_canonical_layer_raises_guard_error_past_the_float_range(beta, call):
-    # beta mu |Lambda|, the quotient J = e^1200 or mu_tilde - mu0 overflows:
-    # unguarded, these give nan, -inf, an untyped ValueError or
-    # OverflowError or, from find_n_star, N = 1 for a maximum at N = 12
+    # beta mu |Lambda| or mu_tilde - mu0 overflows: unguarded, these give
+    # nan, -inf, an untyped ValueError or OverflowError or, from
+    # find_n_star, N = 1 for a maximum at N = 12
     t = exact_canonical_table(LatticeSpec(1, 12, "periodic"), POT, beta)
     with pytest.raises(GuardError):
         call(t)
-    assert math.isfinite(appendix_ratio(grand_canonical_eval(t, 1.0), 3, 6))
+    assert 0 <= mean_occupation(grand_canonical_eval(t, 1.0))[1] <= 12
 
 
 def test_tilted_potential_at_beta_zero_raises_for_an_interior_target():
@@ -490,7 +480,7 @@ def test_deviation_layer_over_the_guarded_space(box, beta, mu, data):
     table = canonical_table(*box, beta)
     volume = table.n_sites
     target = data.draw(st.floats() | st.floats(-1.0, volume + 1.0), label="target")
-    n, n_ref = (data.draw(st.integers(-1, volume + 2), label=k) for k in ("n", "n_ref"))
+    n_ref = data.draw(st.integers(-1, volume + 2), label="n_ref")
 
     def outcome(call):
         try:
@@ -507,8 +497,6 @@ def test_deviation_layer_over_the_guarded_space(box, beta, mu, data):
         mu_tilde == (-math.inf if target <= 0 else math.inf if target >= volume else math.nan))
     rate = outcome(lambda: rate_function(grand_canonical_eval(table, mu), target))
     assert rate is None or math.isfinite(rate)
-    ratio = outcome(lambda: appendix_ratio(grand_canonical_eval(table, mu), n, n_ref))
-    assert ratio is None or 0 <= ratio < math.inf or table.log_z_of(n_ref) == -math.inf
     weight = outcome(lambda: appendix_normalization(grand_canonical_eval(table, mu), n_ref))
     assert weight is None or 0 <= weight <= 1
 

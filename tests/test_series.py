@@ -34,8 +34,7 @@ from latgas.oracle import canonical_table, exact_canonical_table, transfer_matri
 from latgas.series import (CanonicalFreeEnergy, VirialSeries, beta1_closed_form,
                            connected_coefficient, extract_b_lambda, f_coefficient,
                            falling_p, irreducible_coefficient,
-                           legendre_sides, reconstruct_log_z,
-                           stirling_remainder, tree_graph_check)
+                           reconstruct_log_z, stirling_remainder, tree_graph_check)
 from references import b_lambda_1_direct, rho_of_z_numeric, virial_series_exact
 
 POT = PotentialSpec("standard", 1.0)
@@ -268,23 +267,14 @@ def test_stirling_identity_and_scaling():
     assert max(cs) / min(cs) < 1.5
 
 
-def test_legendre_identity_coefficientwise():
-    betas = np.array([0.0] + [irreducible_coefficient(n, 1, POT, BETA)
-                              for n in range(1, 5)])
-    lhs, rhs = legendre_sides(betas, 4)
-    assert np.max(np.abs(lhs - rhs)) <= 1e-12
-
-
 def test_fugacity_series_consistency():
-    b2 = connected_coefficient(2, 1, POT, BETA)
-    b3 = connected_coefficient(3, 1, POT, BETA)
-    beta1 = irreducible_coefficient(1, 1, POT, BETA)
-    beta2 = irreducible_coefficient(2, 1, POT, BETA)
-    vs = VirialSeries(np.array([0.0, beta1, beta2]), 3)
+    # b_1..b_5 from beta_1..beta_4 by Lagrange inversion, against the
+    # connected-graph sums
+    betas = [0.0, *(irreducible_coefficient(n, 1, POT, BETA) for n in range(1, 5))]
+    vs = VirialSeries(np.array(betas), 5)
     composed = vs.pressure_fugacity()
-    assert composed[1] == pytest.approx(1.0, abs=1e-10)
-    assert composed[2] == pytest.approx(b2, abs=1e-10)
-    assert composed[3] == pytest.approx(b3, abs=1e-10)
+    for n in range(1, 6):
+        assert composed[n] == pytest.approx(connected_coefficient(n, 1, POT, BETA), rel=1e-12)
     # numeric fixed point agrees with the series inverse at small z
     z = 1e-3
     rho_series = float(np.polyval(vs.rho_of_z()[::-1], z))

@@ -30,7 +30,7 @@ CLI, CSVFMT = "src/latgas/cli.py", "src/latgas/csvfmt.py"
 ACCEPTANCE, BENCH_PAIRS = "src/latgas/acceptance.py", "tools/bench_pairs.py"
 T_ORACLE, T_DEVIATIONS = "tests/test_oracle.py::", "tests/test_deviations.py::"
 T_SERIES, T_CLI = "tests/test_series.py::", "tests/test_cli.py::"
-T_GRAPHS = "tests/test_graphs.py::"
+T_GRAPHS, T_ACCEPTANCE = "tests/test_graphs.py::", "tests/test_acceptance.py::"
 BRUTE = T_ORACLE + "test_correlations_equal_brute_force"
 SPLIT = T_ORACLE + "test_split_density_of_states_equals_whole_array"
 WINDOWED = T_ORACLE + "test_windowed_transfer_matrix_equals_aligned_bit_for_bit"
@@ -48,6 +48,7 @@ SERIES_EDGES = T_SERIES + "test_series_helpers_raise_typed_errors_at_their_edges
 VIRIAL = T_SERIES + "test_virial_series_are_the_exact_reversion_rounded_once"
 DEVIATION_EDGES = T_DEVIATIONS + "test_deviation_helpers_raise_typed_errors_at_their_edges"
 MODEL_EDGES = "tests/test_model.py::test_model_constants_reject_nan_beta_and_dimension_zero"
+MAYER = T_ACCEPTANCE + "test_a_coefficient_off_by_1e_9_fails_the_mayer_relations"
 
 MUTANTS = [
     # the correlation oracle: u2 by cancellation, the diagonal rounded twice,
@@ -130,11 +131,11 @@ MUTANTS = [
      (T_GRAPHS + "test_biconnected_counts", T_GRAPHS + "test_class_arrays_equal_the_sorted_brute_force")),
     (GRAPHS, "np.bitwise_count(graphs) == n - 1]", "np.bitwise_count(graphs) >= n - 1]",
      (T_GRAPHS + "test_tree_counts_cayley", T_GRAPHS + "test_class_arrays_equal_the_sorted_brute_force",
-      "tests/test_acceptance.py::test_acceptance_criterion[criterion_01]")),
+      T_ACCEPTANCE + "test_acceptance_criterion[criterion_01]")),
     # criterion 1 without Cayley's count, blind to a tree both routes miss
     (ACCEPTANCE, "    ok = ok and trees == [n ** max(0, n - 2) for n in range(1, 7)]\n", "",
-     ("tests/test_acceptance.py::test_a_tree_missing_from_both_routes_fails_the_graph_engine[5]",
-      "tests/test_acceptance.py::test_a_tree_missing_from_both_routes_fails_the_graph_engine[6]")),
+     (T_ACCEPTANCE + "test_a_tree_missing_from_both_routes_fails_the_graph_engine[5]",
+      T_ACCEPTANCE + "test_a_tree_missing_from_both_routes_fails_the_graph_engine[6]")),
     # find_n_star: no tie loop, the first near-tie only, always the running
     # maximum
     (DEVIATIONS, """    for n in climbs[stall:].tolist():
@@ -145,19 +146,21 @@ MUTANTS = [
      FIND_N_STAR),
     (DEVIATIONS, "stall = len(clear) if clear.all() else int(np.argmin(clear))",
      "stall = len(clear)", FIND_N_STAR),
-    # typed errors: beta outside [0, inf); a nan target; past the float range
+    # typed errors: beta outside [0, inf); a float or bool side; an infinite
+    # coupling; a nan target; past the float range
     (ORACLE, "    if not 0 <= beta < math.inf:\n", "    if False:\n",
      (BETA + "[enumeration-20--1.0]", BETA + "[correlations-20-nan]",
       BETA + "[transfer-matrix-30-inf]", BETA + "[canonical-table-20-nan]")),
+    (ORACLE, "    side = _integer(\"side\", side, 2)\n", "",
+     (T_ORACLE + "test_transfer_matrix_guards",)),
+    (MODEL, "if not 0 < self.coupling < math.inf:", "if not self.coupling > 0:",
+     ("tests/test_model.py::test_lattice_guards",)),
     (DEVIATIONS, "    if math.isnan(n_tilde):\n", "    if False:\n",
      (T_DEVIATIONS + "test_a_nan_target_raises_value_error",)),
-    (DEVIATIONS, "    except OverflowError:\n        raise GuardError(f\"J^C_mu",
-     "    except ZeroDivisionError:\n        raise GuardError(f\"J^C_mu",
-     (GC_GUARD + "[appendix_ratio_quotient]",)),
     (DEVIATIONS, "    if not math.isfinite(rate):", "    if False:", (GC_GUARD + "[rate_function]",)),
     # (where beta mu N is +inf, log Xi is too and its own guard answers)
     (ORACLE, "    if not math.isfinite(table.beta * mu * table.n_sites):\n", "    if False:\n",
-     (GC_GUARD + "[mean_occupation]", GC_GUARD + "[appendix_ratio]", GC_GUARD + "[find_n_star]")),
+     (GC_GUARD + "[mean_occupation]", GC_GUARD + "[find_n_star]")),
     # a table with a nan entry, one with a +inf row of log Z(N), and log Xi = +inf
     (ORACLE, "        if np.isnan(self.log_z).any():\n", "        if False:\n",
      (T_ORACLE + "test_canonical_table_raises_value_error_on_a_nan_entry",)),
@@ -219,10 +222,18 @@ MUTANTS = [
            "_exp_series([-n * c for c in m], n)[n] / n"),
           ("[-n * c for c in m[:n]]", "[n * c for c in m[:n]]"),
           ("c / n for n, c in enumerate(rho, 1)", "c for n, c in enumerate(rho, 1)"))],
-    # criterion 4 with its fugacity cross-check a hundred times looser
-    (ACCEPTANCE, "ok = ok and fug_err <= 1e-10", "ok = ok and fug_err <= 1e-8",
-     ("tests/test_acceptance.py::test_a_coefficient_off_by_1e_9_fails_the_mayer_relations"
-      "[connected_coefficient-3-6.16e-10]",)),
+    # criterion 4 with its fugacity cross-check a hundred times looser, or
+    # stopping at b_3; criterion 10 with its bound ten times looser
+    (ACCEPTANCE, "ok = ok and fug_err <= 1e-12", "ok = ok and fug_err <= 1e-10",
+     (T_ACCEPTANCE + "test_b5_off_by_1e_11_fails_the_mayer_relations",)),
+    (ACCEPTANCE, "                  for n in range(1, 6))", "                  for n in range(1, 4))",
+     tuple(MAYER + f"[{case}]" for case in ("connected_coefficient-4-1.00e-09",
+                                            "connected_coefficient-5-1.00e-09",
+                                            "irreducible_coefficient-3-2.55e-08",
+                                            "irreducible_coefficient-4-1.37e-08"))),
+    (ACCEPTANCE, "ok = all(abs(g) <= 1.0 for g in gaps)", "ok = all(abs(g) <= 10.0 for g in gaps)",
+     (T_ACCEPTANCE + "test_log_xi_off_by_1e_2_fails_the_peak_clt[L256]",
+      T_ACCEPTANCE + "test_a_variance_2_percent_high_fails_the_peak_clt")),
     # the CLI: 16 significant digits; a file written before the command runs;
     # an unknown key let through
     (CSVFMT, '"%.17g"', '"%.16g"',

@@ -24,7 +24,7 @@ family = [exact_correlations(LatticeSpec(1, side, "periodic"), pot, beta, n)
 cal = calibrate_constants(family)
 print(f"  smallest feasible (C, C1) = ({cal.c_min:g}, {cal.c1_min:g})")
 print(f"  binding case (volume, N, beta, distance) = {cal.binding_case}")
-checks = [pair_rows(t, cal.c_min, cal.c1_min).all_feasible for t in family]
+checks = [all(r.feasible for r in pair_rows(t, cal.c_min, cal.c1_min)) for t in family]
 print(f"  bound holds for every site pair in all cases: {all(checks)}")
 
 print("\n=== decay of the distance-dependent part ===")

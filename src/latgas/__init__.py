@@ -16,8 +16,7 @@ from .radii import (RadiusReport, contour_threshold, lattice_gas_threshold,
                     sweep_radii)
 from .correlations import (bound_rhs, calibrate_constants, decay_fit,
                            pair_rows)
-from .deviations import (appendix_normalization, find_n_star, formula_probability,
-                         mean_occupation, rate_function, tilted_potential,
-                         variance_terms)
+from .deviations import (find_n_star, formula_probability, rate_function,
+                         tilted_potential, variance_terms)
 
 __version__ = "0.1.0"

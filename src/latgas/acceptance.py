@@ -82,7 +82,7 @@ def criterion_reconstruction() -> tuple[bool, str]:
 
 def criterion_coefficient_convergence() -> tuple[bool, str]:
     beta1 = series.irreducible_coefficient(1, 1, STD_POT, STD_BETA)
-    closed = 2.0 * math.expm1(4.0 * STD_BETA * STD_POT.coupling) - 1.0
+    closed = series.beta1_closed_form(1, STD_POT, STD_BETA)
     ok = abs(beta1 - closed) <= 1e-12
     beta2 = series.irreducible_coefficient(2, 1, STD_POT, STD_BETA)
     diffs = {1: [], 2: []}
@@ -131,17 +131,18 @@ def criterion_tree_graph() -> tuple[bool, str]:
 
 def criterion_figures() -> tuple[bool, str]:
     betas = np.linspace(0.0, 1.0, 101)
+    sweeps = {(d, J): radii.sweep_radii(d, PotentialSpec("standard", J), betas)
+              for d, J in ((1, 1.0), (2, 1.0), (3, 1.0), (1, 2.0))}
     msgs = []
     ok = True
     for d in (1, 2, 3):
-        reps = radii.sweep_radii(d, STD_POT, betas)
+        reps = sweeps[d, 1.0]
         flips = radii.sign_change_count([r.r_c - r.r_c_bar for r in reps])
         ok = ok and flips == 1
         msgs.append(f"RC-RCbar d={d}: {flips}")
         ok = ok and all(r.r_v > r.r_c for r in reps)
     for d, J in ((1, 1.0), (1, 2.0), (2, 1.0)):
-        reps = radii.sweep_radii(d, PotentialSpec("standard", J), betas)
-        flips = radii.sign_change_count([r.m_is - r.m_lg for r in reps])
+        flips = radii.sign_change_count([r.m_is - r.m_lg for r in sweeps[d, J]])
         ok = ok and flips == 1
         msgs.append(f"MIS-MLG d={d} J={J:g}: {flips}")
     return ok, "sign changes: " + ", ".join(msgs) + "; R_V > R_C everywhere"
@@ -156,8 +157,8 @@ def criterion_correlation_bound() -> tuple[bool, str]:
                                                  STD_POT, beta, n))
     cal = correlations.calibrate_constants(tables)
     ok = cal.feasible
-    worst_ok = all(correlations.pair_rows(t, cal.c_min, cal.c1_min).all_feasible
-                   for t in tables)
+    worst_ok = all(r.feasible for t in tables
+                   for r in correlations.pair_rows(t, cal.c_min, cal.c1_min))
     ok = ok and worst_ok
     rates = []
     for side in (10, 12, 14):
@@ -208,14 +209,14 @@ def criterion_precise_ld() -> tuple[bool, str]:
 
 
 def criterion_appendix() -> tuple[bool, str]:
-    # the local CLT at the peak: K(mu0, N*) = P(N*) and
-    # P(N*) sqrt(2 pi sigma^2) e^{(N* - N_bar)^2 / (2 sigma^2)} = 1 + O(1/|Lambda|),
-    # with N_bar and sigma^2 from the same evaluation
+    # the local CLT at the peak, with K(mu0, N*) = P(N*) the evaluation's own
+    # probability: P(N*) sqrt(2 pi sigma^2) e^{(N* - N_bar)^2 / (2 sigma^2)}
+    # = 1 + O(1/|Lambda|), with N_bar and sigma^2 from the same evaluation
     gaps = []
     for gc0, _fe in _ladder_tables():
         n_star = deviations.find_n_star(gc0)
         mean, var = gc0.mean_particles(), gc0.variance_particles()
-        peak = (deviations.appendix_normalization(gc0, n_star) * math.sqrt(2.0 * math.pi * var)
+        peak = (float(gc0.probs[n_star]) * math.sqrt(2.0 * math.pi * var)
                 * math.exp((n_star - mean) ** 2 / (2.0 * var)))
         gaps.append(gc0.table.n_sites * (peak - 1.0))
     ok = all(abs(g) <= 1.0 for g in gaps)

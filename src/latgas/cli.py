@@ -212,11 +212,11 @@ def cmd_correlate(cfg: dict) -> dict:
     else:
         cal = correlations.calibrate_constants([table])
         c_val, c1_val = cal.c_min, cal.c1_min
-    report = correlations.pair_rows(table, c_val, c1_val)
+    rows = correlations.pair_rows(table, c_val, c1_val)
     return {"correlation_bound.csv": [
         ("q1", "q2", "dist", "u2_exact", "rhs", "feasible"),
         *(("/".join(map(str, r.q1)), "/".join(map(str, r.q2)), r.dist, r.u2_exact, r.rhs,
-           r.feasible) for r in report.rows)]}
+           r.feasible) for r in rows)]}
 
 
 def _reals(cfg: dict, key: str, default: list) -> list[float]:

@@ -67,20 +67,6 @@ class PairRow:
     feasible: bool
 
 
-@dataclass(frozen=True)
-class CorrelationBoundReport:
-    lattice: LatticeSpec
-    beta: float
-    n_particles: int
-    c_const: float
-    c1_const: float
-    rows: list[PairRow]
-
-    @property
-    def all_feasible(self) -> bool:
-        return all(r.feasible for r in self.rows)
-
-
 def _pairs(table: CorrelationTable):
     """(q1, q2, minimum-image distance, exact |u2|) for every ordered site pair."""
     sites = table.lattice.sites()
@@ -89,17 +75,14 @@ def _pairs(table: CorrelationTable):
             yield q1, q2, torus_distance(table.lattice, q1, q2), abs(float(table.u2[i, j]))
 
 
-def pair_rows(table: CorrelationTable, c_const: float, c1_const: float) -> CorrelationBoundReport:
+def pair_rows(table: CorrelationTable, c_const: float, c1_const: float) -> list[PairRow]:
     """Exact |u2| vs the bound for every ordered site pair of one case."""
-    lattice = table.lattice
     rows = []
     for q1, q2, dist, exact in _pairs(table):
-        rhs = bound_rhs(dist, table.n_particles, lattice.n_sites,
+        rhs = bound_rhs(dist, table.n_particles, table.lattice.n_sites,
                         table.beta, table.pot.coupling, c_const, c1_const)
         rows.append(PairRow(q1, q2, dist, exact, rhs, exact <= rhs * (1 + 1e-12)))
-    return CorrelationBoundReport(lattice=lattice, beta=table.beta,
-                                  n_particles=table.n_particles,
-                                  c_const=c_const, c1_const=c1_const, rows=rows)
+    return rows
 
 
 @dataclass(frozen=True)

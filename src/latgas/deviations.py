@@ -22,12 +22,6 @@ from .series import MAX_DERIVATIVE_ORDER, CanonicalFreeEnergy
 DENSITY_HARD_CAP = 0.4
 
 
-def mean_occupation(gc: GrandCanonicalEval) -> tuple[float, int]:
-    """(rho_bar, N_bar): exact mean density and its floor particle count."""
-    rho = gc.mean_particles() / gc.table.n_sites
-    return rho, int(math.floor(rho * gc.table.n_sites))
-
-
 def find_n_star(gc: GrandCanonicalEval) -> int:
     """argmax_N of the tilted log weight beta*mu*N + log Z(N); ties resolved
     to the smaller N.
@@ -249,13 +243,16 @@ def formula_probability(gc0: GrandCanonicalEval, alpha, u: float,
     N* + round(u'|Lambda|^alpha), after which u' is recomputed so the
     deviation identity is exact for the reported u'.  At alpha = 1 the
     report's m(alpha) is 0 and its E is nan: no error envelope applies.
+    ``ValueError`` where ``fe`` carries the volume of another table.
     """
     alpha_f = float(alpha)
     if not 0.5 <= alpha_f <= 1.0:
         raise ValueError("alpha must lie in [1/2, 1]")
     table, mu0 = gc0.table, gc0.mu
     volume = table.n_sites
-    _rho_bar, n_bar = mean_occupation(gc0)
+    if fe.volume not in (None, volume):
+        raise ValueError(f"the free energy of volume {fe.volume} does not fit |Lambda| = {volume}")
+    n_bar = math.floor(gc0.mean_particles())
     n_star = find_n_star(gc0)
     # center on N* with u as the seed deviation (u' ~ u), then make u'
     # exact for the integral target
@@ -289,11 +286,3 @@ def formula_probability(gc0: GrandCanonicalEval, alpha, u: float,
                            d_alpha_plus=vt.d_alpha_plus, m_alpha=vt.m_alpha,
                            error_term=vt.error_term, p_exact=float(gc0.probs[n_tilde]),
                            p_formula=p_formula)
-
-
-def appendix_normalization(gc: GrandCanonicalEval, n_ref: int) -> float:
-    """K(mu, N') = e^{beta mu N'} Z(N') / Xi(mu); 0 when Z(N') = 0."""
-    log_num = gc.log_weight_of(n_ref)
-    if log_num == -math.inf:
-        return 0.0
-    return math.exp(log_num - gc.log_xi)

@@ -26,7 +26,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .model import GuardError
+from .model import GuardError, _integer
 
 MAX_CLUSTER_ORDER = 6
 
@@ -92,6 +92,7 @@ def _biconnected(n: int, graphs: np.ndarray) -> np.ndarray:
 
 def connected_graphs(n: int) -> np.ndarray:
     """All labeled connected graphs on n vertices, 1 <= n <= 6, ascending."""
+    n = _integer("n", n, 0)
     if not 1 <= n <= MAX_CLUSTER_ORDER:
         raise GuardError(f"connected enumeration guarded to n <= {MAX_CLUSTER_ORDER}")
     graphs = np.arange(1 << n * (n - 1) // 2, dtype=np.int64)
@@ -101,6 +102,7 @@ def connected_graphs(n: int) -> np.ndarray:
 def biconnected_graphs(n: int) -> np.ndarray:
     """Labeled graphs on n vertices staying connected after any one
     deletion, 2 <= n <= 6, ascending."""
+    n = _integer("n", n, 0)
     if not 2 <= n <= MAX_CLUSTER_ORDER:
         raise GuardError(f"biconnected enumeration guarded to 2 <= n <= {MAX_CLUSTER_ORDER}")
     graphs = np.arange(1 << n * (n - 1) // 2, dtype=np.int64)

@@ -189,10 +189,9 @@ def _check_beta(beta: float) -> None:
 
 def _kernel_terms(dimension: int, pot: PotentialSpec, beta: float) -> tuple[float, float, float]:
     """B = 4J * nbrs, the number nbrs of in-range neighbours, and 4 beta J.
-    Raises ``ValueError`` unless d >= 1 and beta >= 0 (nan is not), and
-    ``GuardError`` where B leaves the float range."""
-    if dimension < 1:
-        raise ValueError(f"dimension must be >= 1, got {dimension}")
+    Raises ``ValueError`` unless d is an integer >= 1 and beta >= 0 (nan is
+    not), and ``GuardError`` where B leaves the float range."""
+    dimension = _integer("dimension", dimension, 1)
     _check_beta(beta)
     try:
         nbrs = 2.0 * dimension * pot.range_  # range_ is 1 for the standard form

@@ -82,14 +82,10 @@ class CanonicalTable:
         return self.lattice.n_sites
 
     def log_z_of(self, n: int) -> float:
-        return _entry(self.log_z, n)
-
-
-def _entry(log_values: np.ndarray, n: int) -> float:
-    """Entry N of a log-domain row; ``ValueError`` below 0, log 0 past its end."""
-    if n < 0:
-        raise ValueError("negative particle number")
-    return float(log_values[n]) if n < len(log_values) else LOG_ZERO
+        """log Z(N); ``ValueError`` below 0, log 0 past the row."""
+        if n < 0:
+            raise ValueError("negative particle number")
+        return float(self.log_z[n]) if n < len(self.log_z) else LOG_ZERO
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,9 +98,6 @@ class GrandCanonicalEval:
     log_weights: np.ndarray
     log_xi: float
     probs: np.ndarray
-
-    def log_weight_of(self, n: int) -> float:
-        return _entry(self.log_weights, n)
 
     @property
     def beta_pressure(self) -> float:
@@ -709,12 +702,13 @@ def exact_correlations(lattice: LatticeSpec, pot: PotentialSpec, beta: float,
     weight w_k = e^{(k - top) x} <= 1: rho2(0, r) = sum_k p_k[r] w_k / Z and
     |Lambda|^2 Z u2(0, r) = sum_k (|Lambda|^2 p_k[r] - N^2 c(N, k)) w_k, from
     exact integers to 30 digits, so no u2 cancels to 0."""
+    n = _integer("n_particles", n_particles, 2)
     if lattice.boundary != "periodic":
         raise ValueError("correlation oracle assumes periodic walls")
-    S, n = lattice.n_sites, n_particles
+    S = lattice.n_sites
     if S > ENUMERATION_MAX_SITES:
         raise GuardError(f"enumeration guarded to |Lambda| <= {ENUMERATION_MAX_SITES}")
-    if not 2 <= n <= S:
+    if n > S:
         raise ValueError("need 2 <= N <= |Lambda|")
     dos, *pair_counts = _subset_counts(lattice, pot.support_radius,
                                        (0,) + tuple(1 | 1 << r for r in range(1, S)))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GuardError, PotentialSpec, model_constants, tree_constants
+from .model import GuardError, PotentialSpec, _integer, model_constants, tree_constants
 
 
 def _exp(x: float) -> float:
@@ -99,6 +99,7 @@ def contour_threshold(d: int, pot: PotentialSpec, beta: float) -> tuple[float, f
 def lattice_gas_threshold(d: int, pot: PotentialSpec, beta: float) -> float:
     """M_LG; -inf sentinel at beta = 0.  Where beta B leaves the float range,
     M_LG = -B - (1 + log C-bar)/beta, which is finite."""
+    _integer("dimension", d, 1)
     if beta == 0.0:
         return -math.inf
     B, c_bar = tree_constants(d, pot, beta)

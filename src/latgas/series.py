@@ -49,9 +49,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .graphs import all_pairs, biconnected_graphs, connected_graphs, tree_graphs
-from .model import GuardError, PotentialSpec, _check_beta, model_constants
+from .model import GuardError, PotentialSpec, _check_beta, _integer, model_constants
 from .oracle import _DECIMAL50, CanonicalTable
 
 MAX_B_ORDER = 5
@@ -208,14 +209,6 @@ def _graph_polys(kind: str, n_points: int, d: int, radius: int
     return mult, polys
 
 
-def _horner(polys: np.ndarray, x: float) -> np.ndarray:
-    """Row-wise sum_k polys[:, k] x^k in floats."""
-    acc = np.zeros(len(polys))
-    for k in range(polys.shape[1] - 1, -1, -1):
-        acc = acc * x + polys[:, k]
-    return acc
-
-
 def _lattice_sum(kind: str, n_points: int, d: int, pot: PotentialSpec,
                  beta: float, scale: int) -> float:
     """(1/scale) sum over pinned configurations and graphs of class ``kind``
@@ -239,16 +232,18 @@ def _lattice_sum(kind: str, n_points: int, d: int, pot: PotentialSpec,
 
 def connected_coefficient(n: int, d: int, pot: PotentialSpec, beta: float) -> float:
     """b_n = (1/n!) sum_{g in C_n} sum_{x_2..x_n} prod f, with x_1 = 0."""
+    n, d = _integer("n", n, 1), _integer("dimension", d, 1)
     _check_beta(beta)
-    if not 1 <= n <= MAX_B_ORDER:
+    if n > MAX_B_ORDER:
         raise GuardError(f"connected coefficients guarded to n <= {MAX_B_ORDER}")
     return 1.0 if n == 1 else _lattice_sum("connected", n, d, pot, beta, math.factorial(n))
 
 
 def irreducible_coefficient(n: int, d: int, pot: PotentialSpec, beta: float) -> float:
     """beta_n = (1/n!) sum over 2-connected graphs on n+1 vertices, x_1 = 0."""
+    n, d = _integer("n", n, 1), _integer("dimension", d, 1)
     _check_beta(beta)
-    if not 1 <= n <= MAX_BETA_IRR_ORDER:
+    if n > MAX_BETA_IRR_ORDER:
         raise GuardError(f"irreducible coefficients guarded to n <= {MAX_BETA_IRR_ORDER}")
     return _lattice_sum("biconnected", n + 1, d, pot, beta, math.factorial(n))
 
@@ -314,8 +309,8 @@ class CanonicalFreeEnergy:
     volume: int | None = None
 
     def __post_init__(self):
-        if self.volume is not None and not (isinstance(self.volume, int) and self.volume >= 1):
-            raise ValueError(f"volume must be None or an integer >= 1, got {self.volume!r}")
+        if self.volume is not None:
+            object.__setattr__(self, "volume", _integer("volume", self.volume, 1))
 
     @property
     def n_max(self) -> int:
@@ -348,8 +343,7 @@ class CanonicalFreeEnergy:
                 continue
             poly = self._interaction_poly(n)
             der = np.polynomial.polynomial.polyder(poly, order) if order else poly
-            inter += (float(np.polynomial.polynomial.polyval(rho, der)) * float(self.coeffs[n])
-                      / (n + 1))
+            inter += float(polyval(rho, der)) * float(self.coeffs[n]) / (n + 1)
         value = ideal - inter
         if not math.isfinite(value):
             raise GuardError(f"d^{order}(beta F)/d rho^{order} past the float range at {rho:g}")
@@ -365,11 +359,10 @@ def extract_b_lambda(table: CanonicalTable, n_max: int) -> CanonicalFreeEnergy:
     so each new row determines one new coefficient.  The solve runs in
     50-digit decimal arithmetic from the exact float table entries.
     """
+    n_max = _integer("n_max", n_max, 1)
     volume = table.n_sites
     if n_max + 1 >= len(table.log_z):
         raise GuardError("oracle table too shallow for the requested order")
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
     for n_particles in range(2, n_max + 2):
         if not math.isfinite(table.log_z_of(n_particles)):
             raise GuardError(f"table has no particles at N = {n_particles}")
@@ -397,6 +390,7 @@ def reconstruct_log_z(fe: CanonicalFreeEnergy, n_particles: int) -> float:
     volume = fe.volume
     if volume is None:
         raise ValueError("a series without a volume cannot rebuild log Z(N)")
+    n_particles = _integer("n_particles", n_particles, 0)
     if n_particles - 1 > fe.n_max:
         raise GuardError("not enough coefficients to reconstruct this N")
     acc = _log_z_ideal(n_particles, volume)
@@ -450,8 +444,7 @@ class VirialSeries:
     order: int
 
     def __post_init__(self):
-        if self.order < 1:
-            raise ValueError(f"virial series need order >= 1, got {self.order}")
+        object.__setattr__(self, "order", _integer("order", self.order, 1))
         if self.order > MAX_B_ORDER:
             raise GuardError(f"virial series guarded to order <= {MAX_B_ORDER}")
         object.__setattr__(self, "beta_irr", np.asarray(self.beta_irr, dtype=float))
@@ -537,16 +530,17 @@ def tree_graph_check(n: int, d: int, pot: PotentialSpec, beta: float) -> TreeGra
     out-of-range edge there, so lhs = rhs = 0 exactly and they cannot
     violate.  ``n_configs`` counts the configurations evaluated.
     """
+    n, d = _integer("n", n, 2), _integer("dimension", d, 1)
     _check_beta(beta)
-    if not 2 <= n <= MAX_TREE_CHECK_ORDER:
+    if n > MAX_TREE_CHECK_ORDER:
         raise GuardError(f"tree-graph check guarded to 2 <= n <= {MAX_TREE_CHECK_ORDER}")
     mult, f_polys = _graph_polys("connected", n, d, pot.support_radius)
     _, w_polys = _graph_polys("tree", n, d, pot.support_radius)
     try:  # the stability constant B does not depend on beta
         stability = math.exp(beta * model_constants(d, pot, 0.0).stability_B * n)
         with np.errstate(over="ignore", invalid="ignore"):
-            lhs = np.abs(_horner(f_polys, math.expm1(-beta * pot.bond_energy)))
-            rhs = stability * _horner(w_polys, -math.expm1(-beta * abs(pot.bond_energy)))
+            lhs = np.abs(polyval(math.expm1(-beta * pot.bond_energy), f_polys.T))
+            rhs = stability * polyval(-math.expm1(-beta * abs(pot.bond_energy)), w_polys.T)
             lhs_total, rhs_total = float(mult @ lhs), float(mult @ rhs)
         if not math.isfinite(lhs_total + rhs_total):  # sums of nonnegative terms
             raise OverflowError

@@ -7,6 +7,7 @@ confirm that the criterion fails loudly.
 """
 
 import dataclasses
+import math
 
 import pytest
 
@@ -108,9 +109,13 @@ def test_b5_off_by_1e_11_fails_the_mayer_relations(monkeypatch):
 @pytest.mark.parametrize("rung", range(len(acceptance.LADDER_SIDES)),
                          ids=[f"L{side}" for side in acceptance.LADDER_SIDES])
 def test_log_xi_off_by_1e_2_fails_the_peak_clt(monkeypatch, rung):
-    # K(mu0, N*) falls by 1e-2 on that rung alone: |Lambda| x gap reads
-    # -1.12, -1.79 and -3.12 against a bound of 1
-    ladder = tuple((dataclasses.replace(gc, log_xi=gc.log_xi + 1e-2) if i == rung else gc, fe)
+    # log Xi rises by 1e-2 on that rung alone, and every P(N) falls with it,
+    # so K(mu0, N*) = P(N*) does: |Lambda| x gap reads -1.12, -1.79 and -3.12
+    # against a bound of 1
+    def planted(gc):
+        return dataclasses.replace(gc, log_xi=gc.log_xi + 1e-2, probs=gc.probs * math.exp(-1e-2))
+
+    ladder = tuple((planted(gc) if i == rung else gc, fe)
                    for i, (gc, fe) in enumerate(acceptance._ladder_tables()))
     monkeypatch.setattr(acceptance, "_ladder_tables", lambda: ladder)
     passed, _detail = acceptance.criterion_appendix()

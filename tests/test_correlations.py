@@ -68,8 +68,7 @@ def test_free_case_feasible_with_zero_c():
     table = exact_correlations(LatticeSpec(1, 12, "periodic"), POT, 0.0, 3)
     cal = calibrate_constants([table])
     assert cal.feasible and cal.c_min == 0.0
-    rep = pair_rows(table, cal.c_min, cal.c1_min)
-    assert rep.all_feasible
+    assert all(r.feasible for r in pair_rows(table, cal.c_min, cal.c1_min))
 
 
 def test_family_calibration_feasible():
@@ -78,10 +77,10 @@ def test_family_calibration_feasible():
     cal = calibrate_constants(tables)
     assert cal.feasible and math.isfinite(cal.c1_min)
     for t in tables:
-        assert pair_rows(t, cal.c_min, cal.c1_min).all_feasible
+        assert all(r.feasible for r in pair_rows(t, cal.c_min, cal.c1_min))
     # enlarging the constants keeps feasibility
     for t in tables:
-        assert pair_rows(t, cal.c_min + 1.0, cal.c1_min + 1.0).all_feasible
+        assert all(r.feasible for r in pair_rows(t, cal.c_min + 1.0, cal.c1_min + 1.0))
 
 
 def test_calibration_reports_binding_case():
@@ -111,6 +110,9 @@ def test_decay_fit_flags_flat_cases():
     # N = 2: no third particle to mediate correlations past contact
     fit2 = decay_fit(LatticeSpec(1, 12, "periodic"), POT, 0.2, 2)
     assert fit2.flagged_flat
+    # a float N raised a bare TypeError
+    with pytest.raises(ValueError, match="n_particles must be an integer"):
+        decay_fit(LatticeSpec(1, 12, "periodic"), POT, 0.2, 5.0)
 
 
 def test_decay_length_grows_with_beta():
@@ -155,9 +157,9 @@ def test_correlation_layer_over_the_guarded_space(box, pot, beta, c_const, c1_co
     assert rhs is None or math.isfinite(rhs)
     table = outcome(lambda: exact_correlations(box, pot, beta, n))
     if table is not None:
-        report = outcome(lambda: pair_rows(table, c_const, c1_const))
-        assert report is None or all(math.isfinite(r.u2_exact) and math.isfinite(r.rhs)
-                                     for r in report.rows)
+        rows = outcome(lambda: pair_rows(table, c_const, c1_const))
+        assert rows is None or all(math.isfinite(r.u2_exact) and math.isfinite(r.rhs)
+                                   for r in rows)
         cal = outcome(lambda: calibrate_constants([table]))
         assert cal is None or (math.isfinite(cal.c_min) and (
             math.isfinite(cal.c1_min) if cal.feasible else cal.c1_min == math.inf))

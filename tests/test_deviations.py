@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latgas import deviations
-from latgas.deviations import (appendix_normalization, find_n_star, formula_probability,
-                               m_of_alpha, mean_occupation, rate_function,
+from latgas.deviations import (find_n_star, formula_probability, m_of_alpha, rate_function,
                                tilted_potential, variance_terms)
 from latgas.model import GuardError, LatticeSpec, PotentialSpec
 from latgas.oracle import (CanonicalTable, canonical_table, exact_canonical_table,
@@ -49,22 +48,22 @@ def _n_star(table, mu0):
     return n_star
 
 
-def test_mean_occupation_hand_value():
+def test_mean_particles_hand_value():
     t = two_site_table()
     mu0 = -1.0
     z = math.exp(BETA * mu0)
     k = math.exp(4 * BETA)
     hand = (2 * z + 2 * z * z * k) / (2 * (1 + 2 * z + z * z * k))
-    rho, n_bar = mean_occupation(grand_canonical_eval(t, mu0))
-    assert rho == pytest.approx(hand, abs=1e-14)
-    assert n_bar == math.floor(rho * 2)
+    mean = grand_canonical_eval(t, mu0).mean_particles()
+    assert mean / 2 == pytest.approx(hand, abs=1e-14)
+    assert math.floor(mean) == 1  # the report's N_bar: the mean is 1.19
 
 
-def test_mean_occupation_empty_limit():
+def test_mean_particles_empty_limit():
     t = two_site_table()
-    rho, n_bar = mean_occupation(grand_canonical_eval(t, -200.0))
-    assert rho == pytest.approx(0.0, abs=1e-12)
-    assert n_bar == 0
+    mean = grand_canonical_eval(t, -200.0).mean_particles()
+    assert mean / 2 == pytest.approx(0.0, abs=1e-12)
+    assert math.floor(mean) == 0
 
 
 def test_n_star_three_way():
@@ -119,8 +118,8 @@ def test_tilted_potential_closed_form():
 def test_tilted_potential_recovers_mu0():
     t = two_site_table()
     mu0 = -0.7
-    rho, _ = mean_occupation(grand_canonical_eval(t, mu0))
-    assert tilted_potential(t, rho * 2) == pytest.approx(mu0, abs=1e-9)
+    mean = grand_canonical_eval(t, mu0).mean_particles()
+    assert tilted_potential(t, mean) == pytest.approx(mu0, abs=1e-9)
 
 
 def test_tilted_potential_monotone_and_sentinels():
@@ -238,8 +237,7 @@ def test_rate_function_zero_at_mean_and_nonnegative():
     table, _fe = ladder_table(64)
     mu0 = lattice_gas_threshold(1, POT, 0.0258) - 1.0
     gc0 = grand_canonical_eval(table, mu0)
-    rho_bar, _ = mean_occupation(gc0)
-    assert rate_function(gc0, rho_bar * 64) == pytest.approx(0.0, abs=1e-12)
+    assert rate_function(gc0, gc0.mean_particles()) == pytest.approx(0.0, abs=1e-12)
     for n_t in (5.0, 9.0, 13.5, 20.0, 30.0):
         assert rate_function(gc0, n_t) >= -1e-13
 
@@ -376,7 +374,7 @@ def test_report_fields_equal_the_public_functions_bit_for_bit(alpha, u, side, be
     assert rep.mu_tilde == tilted_potential(table, rep.n_tilde)
     assert rep.rate == rate_function(gc0, rep.n_tilde)
     assert rep.p_exact == float(gc0.probs[rep.n_tilde])
-    assert rep.n_bar == mean_occupation(gc0)[1]
+    assert rep.n_bar == math.floor(gc0.mean_particles())
 
 
 def test_formula_probability_guards():
@@ -385,37 +383,26 @@ def test_formula_probability_guards():
         formula_probability(grand_canonical_eval(table, -50.0), 0.3, 0.0, fe)  # alpha too low
     with pytest.raises(ValueError):
         formula_probability(grand_canonical_eval(table, 20.0), 1.0, 1.0, fe)  # target beyond box
+    # the free energy of the 128-chain gave p_formula = 0.12178 against 0.12172
+    mu0 = lattice_gas_threshold(1, POT, 0.0258) - 1.0
+    with pytest.raises(ValueError, match="volume 128"):
+        formula_probability(grand_canonical_eval(table, mu0), 0.5, 0.0, ladder_table(128)[1])
 
 
 def test_mean_vs_argmax_stay_close():
     mu0 = lattice_gas_threshold(1, POT, 0.0258) - 1.0
     for side in (16, 32, 64, 128, 256):
         table = transfer_matrix_table(side, POT, 0.0258, "zero")
-        _rho, n_bar = mean_occupation(grand_canonical_eval(table, mu0))
+        n_bar = math.floor(grand_canonical_eval(table, mu0).mean_particles())
         assert abs(n_bar - _n_star(table, mu0)) <= 3
-
-
-def test_appendix_identities():
-    gc = grand_canonical_eval(two_site_table(), -1.0)
-    for anchor in (0, 1, 2):
-        assert appendix_normalization(gc, anchor) == pytest.approx(float(gc.probs[anchor]),
-                                                                   rel=1e-12)
-    total = sum(appendix_normalization(gc, n) for n in range(3))
-    assert total == pytest.approx(1.0, abs=1e-13)
-
-
-def test_appendix_zero_denominator_sentinel():
-    # a 2-site box cannot hold 3 particles: Z(3) = 0
-    gc = grand_canonical_eval(two_site_table(), -1.0)
-    assert appendix_normalization(gc, 3) == 0.0
 
 
 @pytest.mark.parametrize("beta, call", [
     (0.5, lambda t: grand_canonical_eval(t, 1e308)),
-    (1e300, lambda t: mean_occupation(grand_canonical_eval(t, -1e300))),
+    (1e300, lambda t: grand_canonical_eval(t, -1e300).mean_particles()),
     (1e300, lambda t: find_n_star(grand_canonical_eval(t, 1e10))),
     (1e-300, lambda t: rate_function(grand_canonical_eval(t, 1.7976931108833632e308), 1.0))],
-    ids=["grand_canonical_eval", "mean_occupation", "find_n_star", "rate_function"])
+    ids=["grand_canonical_eval", "mean_particles", "find_n_star", "rate_function"])
 def test_grand_canonical_layer_raises_guard_error_past_the_float_range(beta, call):
     # beta mu |Lambda| or mu_tilde - mu0 overflows: unguarded, these give
     # nan, -inf, an untyped ValueError or OverflowError or, from
@@ -423,7 +410,7 @@ def test_grand_canonical_layer_raises_guard_error_past_the_float_range(beta, cal
     t = exact_canonical_table(LatticeSpec(1, 12, "periodic"), POT, beta)
     with pytest.raises(GuardError):
         call(t)
-    assert 0 <= mean_occupation(grand_canonical_eval(t, 1.0))[1] <= 12
+    assert 0 <= grand_canonical_eval(t, 1.0).mean_particles() <= 12
 
 
 def test_tilted_potential_at_beta_zero_raises_for_an_interior_target():
@@ -447,12 +434,13 @@ def test_a_nan_target_raises_value_error():
     assert tilted_potential(t, math.inf) == math.inf
 
 
-def test_mean_occupation_is_normalised_on_a_dense_chain():
+def test_mean_particles_is_normalised_on_a_dense_chain():
     # exp(terms - log Xi) sums to 1 + 2.2e-13 here: the undivided mean read
     # rho = 1.000000000000115 and N_bar = 100; against the same table's
     # moments in 50 digits the divided mean is 1 ulp off
     table = canonical_table(LatticeSpec(1, 100, "zero"), PotentialSpec("kac", 1.0, 3), 2.0)
-    rho, n_bar = mean_occupation(grand_canonical_eval(table, 1.0))
+    mean = grand_canonical_eval(table, 1.0).mean_particles()
+    rho, n_bar = mean / 100, math.floor(mean)
     with mp.workdps(50):
         weights = [mp.exp(2 * n + mp.mpf(float(log_z))) for n, log_z in enumerate(table.log_z)]
         exact = float(mp.fsum(n * w for n, w in enumerate(weights)) / (100 * mp.fsum(weights)))
@@ -480,7 +468,6 @@ def test_deviation_layer_over_the_guarded_space(box, beta, mu, data):
     table = canonical_table(*box, beta)
     volume = table.n_sites
     target = data.draw(st.floats() | st.floats(-1.0, volume + 1.0), label="target")
-    n_ref = data.draw(st.integers(-1, volume + 2), label="n_ref")
 
     def outcome(call):
         try:
@@ -490,15 +477,13 @@ def test_deviation_layer_over_the_guarded_space(box, beta, mu, data):
 
     n_star = outcome(lambda: find_n_star(grand_canonical_eval(table, mu)))
     assert n_star is None or 0 <= n_star <= volume
-    occupation = outcome(lambda: mean_occupation(grand_canonical_eval(table, mu)))
-    assert occupation is None or (0 <= occupation[0] <= 1 and 0 <= occupation[1] <= volume)
+    mean = outcome(lambda: grand_canonical_eval(table, mu).mean_particles())
+    assert mean is None or 0 <= mean <= volume
     mu_tilde = outcome(lambda: tilted_potential(table, target))
     assert mu_tilde is None or (math.isfinite(mu_tilde) and 0 < target < volume) or (
         mu_tilde == (-math.inf if target <= 0 else math.inf if target >= volume else math.nan))
     rate = outcome(lambda: rate_function(grand_canonical_eval(table, mu), target))
     assert rate is None or math.isfinite(rate)
-    weight = outcome(lambda: appendix_normalization(grand_canonical_eval(table, mu), n_ref))
-    assert weight is None or 0 <= weight <= 1
 
     alpha = data.draw(st.sampled_from([0.5, 0.75, 1.0]) | st.floats(0.5, 1.0) | st.floats(),
                       label="alpha")

@@ -71,6 +71,11 @@ def test_guards():
     for build, n in ((connected_graphs, 7), (biconnected_graphs, 1), (tree_graphs, 7)):
         with pytest.raises(GuardError):
             build(n)
+    # a float n raised a bare TypeError, and True read as n = 1
+    for build, n in ((connected_graphs, 3.0), (connected_graphs, True),
+                     (biconnected_graphs, 3.0), (tree_graphs, 3.0)):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            build(n)
     # the streams stay lazy: an out-of-guard call raises at the first step
     for stream in (enumerate_connected(0), enumerate_biconnected(7), enumerate_trees(0)):
         with pytest.raises(GuardError):

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latgas.model import GuardError, LatticeSpec, PotentialSpec, model_constants
+from latgas.radii import lattice_gas_threshold, sweep_radii
 from references import (boltzmann_weight, boundary_weight, edge_count, field_from_mu,
                         ising_gas_consistency, ising_hamiltonian, lattice_gas_hamiltonian,
                         mu_from_field, occupancy_from_spins, spin_gas_energy_identity,
@@ -180,6 +181,12 @@ def test_model_constants_reject_nan_beta_and_dimension_zero():
         model_constants(1, POT, math.nan)
     with pytest.raises(ValueError, match="dimension"):
         model_constants(0, POT, 0.3)
+    # True read as d = 1, and d = 1.5 gave R_C = 0.0093 and M_LG = -inf
+    for call in (lambda: model_constants(True, POT, 0.3),
+                 lambda: sweep_radii(1.5, POT, [0.1]),
+                 lambda: lattice_gas_threshold(1.5, POT, 0.0)):
+        with pytest.raises(ValueError, match="dimension must be an integer"):
+            call()
 
 
 @settings(max_examples=200, deadline=None)

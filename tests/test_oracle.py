@@ -126,7 +126,7 @@ def test_canonical_table_raises_guard_error_on_inf_rows():
 
 def test_canonical_table_raises_value_error_on_a_nan_entry():
     # unguarded, grand_canonical_eval gave log Xi = nan and nan probabilities
-    # at mu = -1, find_n_star read 1 and mean_occupation raised a bare error
+    # at mu = -1, find_n_star read 1 and the mean occupation raised a bare error
     with pytest.raises(ValueError, match="nan"):
         oracle.CanonicalTable(LatticeSpec(1, 4, "zero"), 0.3, POT,
                               np.array([0.0, 1.0, math.nan, 0.5, 0.0]), "planted")
@@ -157,6 +157,10 @@ def test_grand_canonical_eval_raises_guard_error_where_log_xi_is_inf():
 def test_enumeration_guard():
     with pytest.raises(GuardError):
         exact_canonical_table(LatticeSpec(1, 25, "zero"), POT, 0.1)
+    # a float N raised a bare TypeError
+    for n in (3.0, True):
+        with pytest.raises(ValueError, match="n_particles must be an integer >= 2"):
+            exact_correlations(LatticeSpec(1, 6, "periodic"), POT, 0.3, n)
 
 
 def test_grand_canonical_normalization_and_limits():

@@ -748,6 +748,27 @@ def test_series_helpers_raise_typed_errors_at_their_edges():
                      lambda: tree_graph_check(3, 1, POT, beta)):
             with pytest.raises(ValueError, match="beta must be >= 0"):
                 call()
+    # an order, a dimension or a particle number that is a float or a bool:
+    # the floats raised a bare TypeError or AttributeError, d = 0 numpy's
+    # reshape error, and True read as 1
+    table = exact_canonical_table(LatticeSpec(1, 8, "periodic"), POT, BETA)
+    fe = extract_b_lambda(table, 3)
+    for call in (lambda: extract_b_lambda(table, 2.0), lambda: extract_b_lambda(table, True),
+                 lambda: connected_coefficient(2.0, 1, POT, BETA),
+                 lambda: connected_coefficient(True, 1, POT, BETA),
+                 lambda: connected_coefficient(2, 1.0, POT, BETA),
+                 lambda: connected_coefficient(2, 0, POT, BETA),
+                 lambda: irreducible_coefficient(2.0, 1, POT, BETA),
+                 lambda: irreducible_coefficient(2, 0, POT, BETA),
+                 lambda: tree_graph_check(3.0, 1, POT, BETA),
+                 lambda: tree_graph_check(3, 0, POT, BETA),
+                 lambda: reconstruct_log_z(fe, 3.0),
+                 lambda: VirialSeries(np.array([0.0, 0.3]), True),
+                 lambda: VirialSeries(np.array([0.0, 0.3]), 2.0)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            call()
+    # a numpy integer volume is a volume, as it is for the specs
+    assert CanonicalFreeEnergy(fe.coeffs, np.int64(8)).derivative(0.5) == fe.derivative(0.5)
 
 
 def _graph_terms(cls, n_points, d):

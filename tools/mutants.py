@@ -160,7 +160,7 @@ MUTANTS = [
     (DEVIATIONS, "    if not math.isfinite(rate):", "    if False:", (GC_GUARD + "[rate_function]",)),
     # (where beta mu N is +inf, log Xi is too and its own guard answers)
     (ORACLE, "    if not math.isfinite(table.beta * mu * table.n_sites):\n", "    if False:\n",
-     (GC_GUARD + "[mean_occupation]", GC_GUARD + "[find_n_star]")),
+     (GC_GUARD + "[mean_particles]", GC_GUARD + "[find_n_star]")),
     # a table with a nan entry, one with a +inf row of log Z(N), and log Xi = +inf
     (ORACLE, "        if np.isnan(self.log_z).any():\n", "        if False:\n",
      (T_ORACLE + "test_canonical_table_raises_value_error_on_a_nan_entry",)),
@@ -171,7 +171,7 @@ MUTANTS = [
     # the grand-canonical mean not divided by the float sum of the probabilities
     (ORACLE, "return float(np.dot(ns, self.probs) / self.probs.sum())",
      "return float(np.dot(ns, self.probs))",
-     (T_DEVIATIONS + "test_mean_occupation_is_normalised_on_a_dense_chain",)),
+     (T_DEVIATIONS + "test_mean_particles_is_normalised_on_a_dense_chain",)),
     (DEVIATIONS, "    if table.beta == 0:\n", "    if False:\n",
      (T_DEVIATIONS + "test_tilted_potential_at_beta_zero_raises_for_an_interior_target",)),
     (CORRELATIONS, "    if not math.isfinite(rhs):\n", "    if False:\n",
@@ -188,8 +188,8 @@ MUTANTS = [
     (SERIES, "    if beta1 == math.inf:\n", "    if False:\n", (SERIES_GUARD,)),
     # a nan or negative beta let into each series entry point
     *[(SERIES, f"    _check_beta(beta)\n    if {first}", f"    if {first}", (SERIES_EDGES,))
-      for first in ("not 1 <= n <= MAX_B_ORDER:", "not 1 <= n <= MAX_BETA_IRR_ORDER:",
-                    'pot.kind == "kac" and d != 1:', "not 2 <= n <= MAX_TREE_CHECK_ORDER:")],
+      for first in ("n > MAX_B_ORDER:", "n > MAX_BETA_IRR_ORDER:",
+                    'pot.kind == "kac" and d != 1:', "n > MAX_TREE_CHECK_ORDER:")],
     (MODEL, "            raise GuardError(f\"Mayer f", "            return math.inf\n            raise GuardError(f\"Mayer f",
      (SERIES_GUARD,)),
     (SERIES, "            if len(grown) > MAX_CLUSTER_CONFIGS:\n", "            if False:\n",
@@ -248,11 +248,13 @@ MUTANTS = [
       T_CLI + "test_unknown_config_keys_are_config_errors[accept-beta-cfg6]")),
     # typed errors at the edges of the series, deviation and model layers: a
     # free-energy derivative, B_Lambda, log Z or a virial series past the
-    # float range; a virial order below 1 or a beta_n not finite; a volume
-    # below 1, and a free energy's volume not None or >= 1; u', beta or mu0
-    # not finite; alpha outside [1/2, 1) in the variance terms;
-    # u |Lambda|^alpha past the float range; alpha = -inf; a nan beta or
-    # d = 0 in the model constants; the pressure at beta = 0
+    # float range; a virial order not an integer >= 1 or a beta_n not finite;
+    # a volume below 1, and a free energy's volume not None or an integer
+    # >= 1; an extraction order that is not an integer; u', beta or mu0 not
+    # finite; alpha outside [1/2, 1) in the variance terms; a free energy of
+    # another volume in the deviation formulas; u |Lambda|^alpha past the
+    # float range; alpha = -inf; a nan beta or d = 0 in the model constants;
+    # the pressure at beta = 0
     (SERIES, "        if not math.isfinite(value):\n", "        if False:\n",
      (SERIES_EDGES, T_SERIES + "test_series_layer_over_the_guarded_space")),
     (SERIES, "    if not np.isfinite(vals).all():\n", "    if False:\n", (SERIES_EDGES,)),
@@ -261,23 +263,27 @@ MUTANTS = [
      "        if False:\n            raise GuardError(f\"the virial series", (SERIES_EDGES,)),
     (SERIES, "        except OverflowError:\n            finite = False\n",
      "        except ZeroDivisionError:\n            finite = False\n", (SERIES_EDGES,)),
-    (SERIES, "        if self.order < 1:\n", "        if False:\n", (SERIES_EDGES,)),
+    (SERIES, '        object.__setattr__(self, "order", _integer("order", self.order, 1))\n', "",
+     (SERIES_EDGES,)),
     (SERIES, "        if not np.isfinite(self.beta_irr).all():\n", "        if False:\n",
      (SERIES_EDGES,)),
     (SERIES, "    if volume < 1:\n", "    if False:\n", (SERIES_EDGES,)),
-    (SERIES, "        if self.volume is not None and not (", "        if False and not (",
-     (SERIES_EDGES,)),
+    (SERIES, '            object.__setattr__(self, "volume", _integer("volume", self.volume, 1))\n',
+     "            pass\n", (SERIES_EDGES,)),
+    (SERIES, '    n_max = _integer("n_max", n_max, 1)\n', "", (SERIES_EDGES,)),
     (DEVIATIONS, "    if volume < 1:\n", "    if False:\n", (DEVIATION_EDGES,)),
     (DEVIATIONS, "    if not all(map(math.isfinite, (u_prime, beta, mu0))):\n", "    if False:\n",
      (DEVIATION_EDGES,)),
     (DEVIATIONS, "    except (OverflowError, ZeroDivisionError):\n",
      "    except ZeroDivisionError:\n", (DEVIATION_EDGES,)),
     (DEVIATIONS, "    if not math.isfinite(shift):\n", "    if False:\n", (DEVIATION_EDGES,)),
+    (DEVIATIONS, "    if fe.volume not in (None, volume):\n", "    if False:\n",
+     (T_DEVIATIONS + "test_formula_probability_guards",)),
     (DEVIATIONS, "    if not -math.inf < alpha < 1:", "    if not alpha < 1:", (DEVIATION_EDGES,)),
     (DEVIATIONS, "    if not 0.5 <= alpha < 1:", "    if False:", (DEVIATION_EDGES,)),
     (MODEL, "    if not beta >= 0:\n", "    if beta < 0:\n",
      (MODEL_EDGES, "tests/test_model.py::test_model_constants_over_the_guarded_space")),
-    (MODEL, "    if dimension < 1:\n", "    if False:\n", (MODEL_EDGES,)),
+    (MODEL, '    dimension = _integer("dimension", dimension, 1)\n', "", (MODEL_EDGES,)),
     (ORACLE, "        if self.table.beta == 0:\n", "        if False:\n",
      (T_ORACLE + "test_pressure_at_beta_zero_raises_value_error",)),
     # paired benchmark runs of checkouts whose byte-code caches differ

@@ -49,7 +49,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 from .graphs import all_pairs, biconnected_graphs, connected_graphs, tree_graphs
 from .model import GuardError, PotentialSpec, _check_beta, _integer, model_constants
@@ -343,7 +342,8 @@ class CanonicalFreeEnergy:
                 continue
             poly = self._interaction_poly(n)
             der = np.polynomial.polynomial.polyder(poly, order) if order else poly
-            inter += float(polyval(rho, der)) * float(self.coeffs[n]) / (n + 1)
+            inter += (float(np.polynomial.polynomial.polyval(rho, der)) * float(self.coeffs[n])
+                      / (n + 1))
         value = ideal - inter
         if not math.isfinite(value):
             raise GuardError(f"d^{order}(beta F)/d rho^{order} past the float range at {rho:g}")
@@ -536,6 +536,7 @@ def tree_graph_check(n: int, d: int, pot: PotentialSpec, beta: float) -> TreeGra
         raise GuardError(f"tree-graph check guarded to 2 <= n <= {MAX_TREE_CHECK_ORDER}")
     mult, f_polys = _graph_polys("connected", n, d, pot.support_radius)
     _, w_polys = _graph_polys("tree", n, d, pot.support_radius)
+    polyval = np.polynomial.polynomial.polyval  # numpy.polynomial loads on first use
     try:  # the stability constant B does not depend on beta
         stability = math.exp(beta * model_constants(d, pot, 0.0).stability_B * n)
         with np.errstate(over="ignore", invalid="ignore"):

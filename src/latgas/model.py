@@ -34,8 +34,9 @@ class GuardError(ValueError):
 
 def _integer(name: str, value, least: int) -> int:
     """``value`` as an int; ``ValueError`` unless a Python or numpy integer
-    (not a bool) of at least ``least``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+    (not a bool) of at least ``least``.  A plain int skips the 0.5 us ABC check."""
+    if (type(value) is not int and (isinstance(value, bool)
+                                    or not isinstance(value, numbers.Integral))) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, not {value!r}")
     return int(value)
 
